@@ -89,13 +89,9 @@ func answerState(promptText string) string {
 	if err != nil {
 		return empty
 	}
-	db := engine.NewDB(nil)
-	ms := engine.NewMemStore(db)
-	if err := engine.New(db).ApplyScript(ms, stmts); err != nil {
+	db, err := engine.RunScript(stmts)
+	if err != nil {
 		return empty
-	}
-	if ms.InTxn() {
-		ms.Rollback()
 	}
 	table := ""
 	for _, s := range stmts {

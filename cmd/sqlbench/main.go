@@ -13,9 +13,6 @@
 //	sqlbench -exp table6 -models @models.json
 //	sqlbench -exp all -continue-on-error -max-failures 50
 //	sqlbench -exp all -checkpoint-dir /tmp/ckpt   # rerun resumes, byte-identical
-//	sqlbench -exp table3 -store-dir /tmp/stores   # durable state-task oracles;
-//	                                              # a rerun recovers from the WAL
-//	sqlbench -exp table3 -store-dir /tmp/stores -store-pool 4  # force eviction
 //	sqlbench -exp table3 -trace-out run.json      # Chrome trace of the whole run
 //	sqlbench -exp table3 -trace-out run.ndjson    # one span record per line
 //	sqlbench -exp all -no-optimize                # plan optimizer off (ablation)
@@ -65,9 +62,6 @@ func main() {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for benchmark build, task runs, and intra-query engine execution (1 = sequential)")
 		stats    = flag.Bool("stats", false, "report build/run wall times, engine op counts, and per-model usage to stderr")
 		models   = flag.String("models", "", "JSON model specs (or @file) replacing the default simulated models; providers: sim, http")
-
-		storeDir  = flag.String("store-dir", "", "persist the state task's durable oracle stores under this directory (one per dataset); a rerun recovers them from their WALs, and artifacts stay byte-identical to an in-memory build")
-		storePool = flag.Int("store-pool", 0, "buffer-pool pages per oracle store (0 = default); small values force eviction so datasets exceed the pool")
 
 		noOptimize  = flag.Bool("no-optimize", false, "run engine queries without the plan optimizer (pushdown, join reordering, streaming hash joins); output is byte-identical, only speed changes")
 		explainPlan = flag.String("explain-plan", "", "print the logical plan of this SELECT before and after optimization (against a synthetic SDSS instance) and exit")
@@ -147,8 +141,6 @@ func main() {
 		VerifyEquivalences: !*noVerify,
 		NoOptimize:         *noOptimize,
 		Parallel:           *parallel,
-		StoreDir:           *storeDir,
-		StorePoolPages:     *storePool,
 		Models:             specs,
 		ContinueOnError:    *continueOnError,
 		MaxFailures:        *maxFailures,
@@ -170,10 +162,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sqlbench: engine ops (equiv verification, %s): %d\n", ds, ops)
 		}
 		fmt.Fprintf(os.Stderr, "sqlbench: engine ops (equiv verification, total): %d\n", total)
-		ss := env.Bench.StoreStats
-		fmt.Fprintf(os.Stderr,
-			"sqlbench: store (state oracle): pages_read=%d pages_written=%d pool_hit_rate=%.3f wal_records=%d wal_bytes=%d\n",
-			ss.PagesRead, ss.PagesWritten, ss.HitRate(), ss.WALRecords, ss.WALBytes)
 	}
 	for _, e := range exps {
 		runStart := time.Now()

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -28,7 +26,6 @@ import (
 	"repro/internal/semcheck"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
-	"repro/internal/store"
 	"repro/internal/workload"
 	"repro/internal/workload/joborder"
 	"repro/internal/workload/sdss"
@@ -88,7 +85,7 @@ type PerfExample struct {
 
 // StateExample is one labeled script for the state task: a self-contained
 // CREATE + DML/transaction script and the table's final contents, obtained
-// by executing the script on the durable store.
+// by executing the script on the engine's MemStore.
 type StateExample struct {
 	ID     string
 	Script string   // canonical single-line script, statements joined by " ; "
@@ -118,10 +115,6 @@ type Benchmark struct {
 	// while verifying equivalence pairs (zero when verification is off) —
 	// the per-task work counter cmd/sqlbench -stats reports.
 	EngineOps map[string]int64
-	// StoreStats aggregates the storage-engine counters of the state-task
-	// oracle stores (pages read/written, WAL traffic, buffer-pool hit rate) —
-	// the second work counter cmd/sqlbench -stats reports.
-	StoreStats store.Stats
 }
 
 // BuildConfig controls benchmark construction.
@@ -148,14 +141,6 @@ type BuildConfig struct {
 	// off. Pair selection and every downstream artifact are byte-identical
 	// either way; the switch exists for ablation and differential testing.
 	NoOptimize bool
-	// StoreDir, when set, roots the per-dataset durable stores the state
-	// task's oracle executes its scripts on; the stores persist there after
-	// the build (the chaos smoke kills builds mid-run and recovers them).
-	// Empty runs the oracle in a temporary directory removed afterwards.
-	StoreDir string
-	// StorePoolPages sizes the oracle stores' buffer pools (default 8 pages —
-	// small enough that realistic scripts force eviction). 0 means default.
-	StorePoolPages int
 }
 
 // Build assembles the benchmark deterministically.
@@ -232,42 +217,26 @@ func Build(cfg BuildConfig) (*Benchmark, error) {
 	b.Perf = buildPerf(b.Workloads[SDSS])
 	b.Explain = buildExplain(b.Workloads[Spider])
 
-	// Stage 3: the state task's scripts, labeled by executing each one on a
-	// durable store. Each dataset derives an independent rand stream (seed
-	// hashed with the stage name) so adding this stage leaves every stage-2
-	// artifact byte-identical to pre-state builds.
-	type stateOut struct {
-		examples []StateExample
-		stats    store.Stats
-	}
+	// Stage 3: the state task's scripts, labeled by executing each one on the
+	// engine's MemStore. Each dataset derives an independent rand stream
+	// (seed hashed with the stage name) so adding this stage leaves every
+	// stage-2 artifact byte-identical to pre-state builds.
 	b.State = map[string][]StateExample{}
-	stateOuts, err := runner.Map(ctx, 0, TaskDatasets, func(_ context.Context, _ int, ds string) (stateOut, error) {
+	states, err := runner.Map(ctx, 0, TaskDatasets, func(_ context.Context, _ int, ds string) ([]StateExample, error) {
 		h := fnv.New64a()
 		h.Write([]byte("state/" + ds))
 		r := rand.New(rand.NewSource(cfg.Seed ^ int64(h.Sum64())))
-		dir := cfg.StoreDir
-		if dir != "" {
-			dir = filepath.Join(dir, strings.ToLower(ds))
-		} else {
-			tmp, err := os.MkdirTemp("", "statestore")
-			if err != nil {
-				return stateOut{}, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		exs, stats, err := buildState(b.Workloads[ds], r, ds, dir, cfg.StorePoolPages)
+		exs, err := buildState(b.Workloads[ds], r, ds)
 		if err != nil {
-			return stateOut{}, fmt.Errorf("building %s state scripts: %w", ds, err)
+			return nil, fmt.Errorf("building %s state scripts: %w", ds, err)
 		}
-		return stateOut{examples: exs, stats: stats}, nil
+		return exs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, ds := range TaskDatasets {
-		b.State[ds] = stateOuts[i].examples
-		b.StoreStats.Add(stateOuts[i].stats)
+		b.State[ds] = states[i]
 	}
 	return b, nil
 }
@@ -276,49 +245,26 @@ func Build(cfg BuildConfig) (*Benchmark, error) {
 const stateScriptsPerDataset = 24
 
 // buildState generates DML/transaction scripts and labels each with the
-// table's final contents by executing it on the store — the durable engine
-// is the task's ground-truth oracle, exactly as the execution engine is for
-// equivalence pairs. Rows are canonicalized and sorted, so the label does
-// not depend on heap placement.
-func buildState(w *workload.Workload, r *rand.Rand, ds, dir string, poolPages int) ([]StateExample, store.Stats, error) {
-	if poolPages == 0 {
-		poolPages = 8
-	}
-	st, err := store.Open(dir, store.Options{PoolPages: poolPages})
-	if err != nil {
-		return nil, store.Stats{}, err
-	}
-	defer st.Close()
+// table's final contents by executing it with engine.RunScript — the engine
+// is the task's ground-truth oracle, exactly as it is for equivalence pairs.
+// Rows are canonicalized and sorted, so the label does not depend on the
+// order the script left them in.
+func buildState(w *workload.Workload, r *rand.Rand, ds string) ([]StateExample, error) {
 	tables := w.Schema.Tables()
 	var out []StateExample
 	for i := 0; i < stateScriptsPerDataset; i++ {
 		donor := tables[i%len(tables)]
 		sc := datagen.GenScript(donor, r)
-		ses := store.NewSession(st)
-		// A table left by an aborted earlier build (persistent StoreDir)
-		// must not leak into this script's contents.
-		if _, ok := st.Cols(sc.Table); ok {
-			if err := ses.DropTable(sc.Table); err != nil {
-				return nil, store.Stats{}, err
-			}
-		}
-		db := engine.NewDB(nil)
-		db.Source = ses
-		if err := engine.New(db).ApplyScript(ses, sc.Stmts); err != nil {
-			if ses.InTxn() {
-				ses.Rollback()
-			}
-			return nil, store.Stats{}, fmt.Errorf("script %d: %w", i, err)
-		}
-		if ses.InTxn() { // generator always closes its block; belt only
-			ses.Rollback()
-		}
-		rows, err := st.ScanAll(sc.Table)
+		db, err := engine.RunScript(sc.Stmts)
 		if err != nil {
-			return nil, store.Stats{}, err
+			return nil, fmt.Errorf("script %d: %w", i, err)
 		}
-		want := make([]string, len(rows))
-		for j, row := range rows {
+		rel, ok := db.Table(sc.Table)
+		if !ok {
+			return nil, fmt.Errorf("script %d left no table %q", i, sc.Table)
+		}
+		want := make([]string, len(rel.Rows))
+		for j, row := range rel.Rows {
 			want[j] = engine.FormatRow(row)
 		}
 		sort.Strings(want)
@@ -328,12 +274,8 @@ func buildState(w *workload.Workload, r *rand.Rand, ds, dir string, poolPages in
 			Table:  sc.Table,
 			Want:   want,
 		})
-		if err := store.NewSession(st).DropTable(sc.Table); err != nil {
-			return nil, store.Stats{}, err
-		}
 	}
-	stats := st.Stats()
-	return out, stats, nil
+	return out, nil
 }
 
 // buildSyntax labels half the workload with injected errors, cycling the six

@@ -13,12 +13,12 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// The state task is the DML/transaction-understanding family riding on the
-// storage engine: given a self-contained script (CREATE, INSERTs, then
-// UPDATE/DELETE/INSERT statements, some inside BEGIN..COMMIT or
-// BEGIN..ROLLBACK blocks), the model must state the table's final contents.
-// Ground truth comes from executing the script on the durable store at
-// benchmark build time, so grading is a pure row-set comparison here.
+// The state task is the DML/transaction-understanding family: given a
+// self-contained script (CREATE, INSERTs, then UPDATE/DELETE/INSERT
+// statements, some inside BEGIN..COMMIT or BEGIN..ROLLBACK blocks), the model
+// must state the table's final contents. Ground truth comes from executing
+// the script on the engine's MemStore at benchmark build time, so grading is
+// a pure row-set comparison here.
 
 // StateResult is one model state-tracking attempt on a StateExample.
 type StateResult struct {

@@ -24,11 +24,15 @@ func TestGenScriptRoundTripsAndExecutes(t *testing.T) {
 		if got := ScriptSQL(stmts); got != sc.SQL {
 			t.Fatalf("script %d not canonical:\n%s\n%s", i, sc.SQL, got)
 		}
-		// And execute cleanly against the in-memory store.
+		// And execute cleanly against the in-memory store, closing every
+		// transaction block it opens.
 		db := engine.NewDB(nil)
-		e := engine.New(db)
-		if err := e.ApplyScript(engine.NewMemStore(db), stmts); err != nil {
+		ms := engine.NewMemStore(db)
+		if err := engine.New(db).ApplyScript(ms, stmts); err != nil {
 			t.Fatalf("script %d does not execute: %v\n%s", i, err, sc.SQL)
+		}
+		if ms.InTxn() {
+			t.Fatalf("script %d left a transaction open\n%s", i, sc.SQL)
 		}
 		if _, ok := db.Table(sc.Table); !ok {
 			t.Fatalf("script %d left no table %q", i, sc.Table)

@@ -2,12 +2,9 @@ package engine
 
 // DML execution: the executor side of INSERT/UPDATE/DELETE, CREATE/DROP
 // TABLE, and BEGIN/COMMIT/ROLLBACK. Statements evaluate their expressions
-// with the engine's scalar evaluator and apply the resulting row changes
-// through the Mutable interface, which both the in-memory MemStore below and
-// the durable store (internal/store.Session) implement — so the same
-// statement stream produces the same table contents on either backend, which
-// is exactly what the DML differential fuzzer and the state-task oracle rely
-// on.
+// with the engine's scalar evaluator and apply the resulting row changes to
+// a MemStore — the state task's ground-truth oracle at benchmark build time
+// and the executor behind the simulated models' state answers.
 
 import (
 	"strings"
@@ -26,34 +23,9 @@ const (
 	MutDelete
 )
 
-// Mutable is a table store that DML statements can be applied to.
-// Implementations decide transaction semantics: operations issued outside
-// BEGIN..COMMIT auto-commit.
-type Mutable interface {
-	// CreateTable creates an empty table. Errors if it already exists.
-	CreateTable(name string, cols []Col) error
-	// DropTable removes a table. Errors if it does not exist.
-	DropTable(name string) error
-	// TableCols reports a table's columns.
-	TableCols(name string) ([]Col, bool)
-	// Append adds rows (already coerced to the table's column types).
-	Append(name string, rows [][]Value) error
-	// Mutate visits every row in scan order and applies the callback's
-	// decision: MutKeep leaves it, MutUpdate replaces it with the returned
-	// row, MutDelete removes it. All decisions are collected before any row
-	// changes, so the visit order never observes in-flight mutations.
-	// Returns the number of rows changed.
-	Mutate(name string, fn func(row []Value) (MutOp, []Value, error)) (int, error)
-	// Begin/Commit/Rollback bracket an explicit transaction. Begin errors if
-	// one is already open; Commit and Rollback error if none is.
-	Begin() error
-	Commit() error
-	Rollback() error
-}
-
 // Apply executes one DML/DDL/transaction statement against the store.
 // SELECTs are rejected — they go through Query.
-func (e *Engine) Apply(m Mutable, stmt sqlast.Stmt) error {
+func (e *Engine) Apply(m *MemStore, stmt sqlast.Stmt) error {
 	switch t := stmt.(type) {
 	case *sqlast.CreateTableStmt:
 		return e.applyCreate(m, t)
@@ -87,7 +59,7 @@ func (e *Engine) Apply(m Mutable, stmt sqlast.Stmt) error {
 
 // ApplyScript executes a parsed statement sequence in order, stopping at the
 // first error.
-func (e *Engine) ApplyScript(m Mutable, stmts []sqlast.Stmt) error {
+func (e *Engine) ApplyScript(m *MemStore, stmts []sqlast.Stmt) error {
 	for _, s := range stmts {
 		if err := e.Apply(m, s); err != nil {
 			return err
@@ -96,7 +68,24 @@ func (e *Engine) ApplyScript(m Mutable, stmts []sqlast.Stmt) error {
 	return nil
 }
 
-func (e *Engine) applyCreate(m Mutable, t *sqlast.CreateTableStmt) error {
+// RunScript executes a script on a fresh empty database and returns it. A
+// transaction block the script leaves open is rolled back, so only committed
+// and auto-committed changes remain. This is the state task's oracle: the
+// benchmark labels its scripts with it, and the simulated models and
+// cmd/modelstub answer with it, so labels and answers share one executor.
+func RunScript(stmts []sqlast.Stmt) (*DB, error) {
+	db := NewDB(nil)
+	ms := NewMemStore(db)
+	if err := New(db).ApplyScript(ms, stmts); err != nil {
+		return nil, err
+	}
+	if ms.InTxn() {
+		ms.Rollback()
+	}
+	return db, nil
+}
+
+func (e *Engine) applyCreate(m *MemStore, t *sqlast.CreateTableStmt) error {
 	name := catalog.BareName(t.Name)
 	if t.AsSelect != nil {
 		rel, err := e.Query(t.AsSelect)
@@ -142,7 +131,7 @@ func ColTypeFromSQL(sqlType string) catalog.Type {
 	}
 }
 
-func (e *Engine) applyInsert(m Mutable, t *sqlast.InsertStmt) error {
+func (e *Engine) applyInsert(m *MemStore, t *sqlast.InsertStmt) error {
 	name := catalog.BareName(t.Table)
 	cols, ok := m.TableCols(name)
 	if !ok {
@@ -215,7 +204,7 @@ func (e *Engine) applyInsert(m Mutable, t *sqlast.InsertStmt) error {
 	return m.Append(name, out)
 }
 
-func (e *Engine) applyUpdate(m Mutable, t *sqlast.UpdateStmt) (int, error) {
+func (e *Engine) applyUpdate(m *MemStore, t *sqlast.UpdateStmt) (int, error) {
 	name := catalog.BareName(t.Table)
 	cols, ok := m.TableCols(name)
 	if !ok {
@@ -269,7 +258,7 @@ func (e *Engine) applyUpdate(m Mutable, t *sqlast.UpdateStmt) (int, error) {
 	})
 }
 
-func (e *Engine) applyDelete(m Mutable, t *sqlast.DeleteStmt) (int, error) {
+func (e *Engine) applyDelete(m *MemStore, t *sqlast.DeleteStmt) (int, error) {
 	name := catalog.BareName(t.Table)
 	cols, ok := m.TableCols(name)
 	if !ok {
@@ -352,15 +341,16 @@ func FormatRow(row []Value) string {
 }
 
 // ---------------------------------------------------------------------------
-// MemStore: the in-memory Mutable over a DB's relations. Rollback restores a
+// MemStore: the DML target over a DB's relations. Rollback restores a
 // snapshot of the table map taken at Begin; since every mutation either
 // replaces a table's Rows slice wholesale (Mutate) or appends past the
 // snapshot's length (Append), the snapshot's slice headers still see the
 // pre-transaction rows.
 
-// MemStore applies DML to a DB's in-memory relations. It is the oracle the
-// durable store is differentially tested against, and the executor behind
-// sim/modelstub answers for the state task. Not safe for concurrent use.
+// MemStore applies DML to a DB's in-memory relations. It is the state task's
+// ground-truth oracle at benchmark build time and the executor behind
+// sim/modelstub answers for the task. Operations issued outside
+// BEGIN..COMMIT auto-commit. Not safe for concurrent use.
 type MemStore struct {
 	db   *DB
 	snap map[string]*Relation // nil when no transaction is open
@@ -369,7 +359,7 @@ type MemStore struct {
 // NewMemStore returns a MemStore over the database.
 func NewMemStore(db *DB) *MemStore { return &MemStore{db: db} }
 
-// CreateTable implements Mutable.
+// CreateTable creates an empty table. Errors if it already exists.
 func (m *MemStore) CreateTable(name string, cols []Col) error {
 	key := strings.ToLower(name)
 	if _, ok := m.db.Tables[key]; ok {
@@ -383,7 +373,7 @@ func (m *MemStore) CreateTable(name string, cols []Col) error {
 	return nil
 }
 
-// DropTable implements Mutable.
+// DropTable removes a table. Errors if it does not exist.
 func (m *MemStore) DropTable(name string) error {
 	key := strings.ToLower(name)
 	if _, ok := m.db.Tables[key]; !ok {
@@ -393,7 +383,7 @@ func (m *MemStore) DropTable(name string) error {
 	return nil
 }
 
-// TableCols implements Mutable.
+// TableCols reports a table's columns.
 func (m *MemStore) TableCols(name string) ([]Col, bool) {
 	rel, ok := m.db.Tables[strings.ToLower(name)]
 	if !ok {
@@ -402,7 +392,8 @@ func (m *MemStore) TableCols(name string) ([]Col, bool) {
 	return rel.Cols, true
 }
 
-// Append implements Mutable.
+// Append adds rows (already coerced to the table's column types). Errors
+// if a row's arity does not match the table.
 func (m *MemStore) Append(name string, rows [][]Value) error {
 	rel, ok := m.db.Tables[strings.ToLower(name)]
 	if !ok {
@@ -420,7 +411,11 @@ func (m *MemStore) Append(name string, rows [][]Value) error {
 	return nil
 }
 
-// Mutate implements Mutable.
+// Mutate visits every row in scan order and applies the callback's
+// decision: MutKeep leaves it, MutUpdate replaces it with the returned row,
+// MutDelete removes it. All decisions are collected before any row changes,
+// so the visit order never observes in-flight mutations. Returns the number
+// of rows changed.
 func (m *MemStore) Mutate(name string, fn func(row []Value) (MutOp, []Value, error)) (int, error) {
 	rel, ok := m.db.Tables[strings.ToLower(name)]
 	if !ok {
@@ -461,7 +456,7 @@ func (m *MemStore) Mutate(name string, fn func(row []Value) (MutOp, []Value, err
 	return len(changes), nil
 }
 
-// Begin implements Mutable.
+// Begin opens an explicit transaction. Errors if one is already open.
 func (m *MemStore) Begin() error {
 	if m.snap != nil {
 		return execErrorf("transaction already open")
@@ -473,7 +468,7 @@ func (m *MemStore) Begin() error {
 	return nil
 }
 
-// Commit implements Mutable.
+// Commit keeps the transaction's changes. Errors if none is open.
 func (m *MemStore) Commit() error {
 	if m.snap == nil {
 		return execErrorf("no open transaction")
@@ -482,7 +477,8 @@ func (m *MemStore) Commit() error {
 	return nil
 }
 
-// Rollback implements Mutable.
+// Rollback restores the tables as they were at Begin. Errors if no
+// transaction is open.
 func (m *MemStore) Rollback() error {
 	if m.snap == nil {
 		return execErrorf("no open transaction")

@@ -150,39 +150,13 @@ type scanOp struct {
 
 	rel    *Relation
 	cursor relCursor
-
-	// Streaming mode: set when the table lives in DB.Source rather than
-	// DB.Tables. materialized() reports nil, so consumers that want the whole
-	// relation fall back to draining batches.
-	src     ScanCursor
-	srcCols []Col
 }
 
-func (o *scanOp) columns() []Col {
-	if o.src != nil {
-		return o.srcCols
-	}
-	return o.rel.Cols
-}
-func (o *scanOp) hiddenCols() int { return 0 }
-func (o *scanOp) materialized() *Relation {
-	if o.src != nil {
-		return nil
-	}
-	return o.rel
-}
-func (o *scanOp) next() ([][]Value, error) {
-	if o.src != nil {
-		return o.src.Next()
-	}
-	return o.cursor.next(), nil
-}
-func (o *scanOp) close() {
-	if o.src != nil {
-		o.src.Close()
-		o.src = nil
-	}
-}
+func (o *scanOp) columns() []Col           { return o.rel.Cols }
+func (o *scanOp) hiddenCols() int          { return 0 }
+func (o *scanOp) materialized() *Relation  { return o.rel }
+func (o *scanOp) next() ([][]Value, error) { return o.cursor.next(), nil }
+func (o *scanOp) close()                   {}
 
 func (o *scanOp) open() error {
 	probe := &env{ctes: o.oe.ctes, outer: o.oe.outer}
@@ -190,22 +164,6 @@ func (o *scanOp) open() error {
 		o.rel = requalify(rel, o.node.Qualifier)
 	} else if rel, ok := o.oe.e.DB.Table(o.node.Name); ok {
 		o.rel = requalify(rel, o.node.Qualifier)
-	} else if src := o.oe.e.DB.Source; src != nil {
-		bare := catalog.BareName(o.node.Name)
-		cols, ok := src.SourceCols(bare)
-		if !ok {
-			return execErrorf("table %q does not exist", o.node.Name)
-		}
-		cur, err := src.OpenScan(bare)
-		if err != nil {
-			return err
-		}
-		o.srcCols = make([]Col, len(cols))
-		for i, c := range cols {
-			o.srcCols[i] = Col{Qualifier: o.node.Qualifier, Name: c.Name, Type: c.Type}
-		}
-		o.src = cur
-		return nil
 	} else {
 		return execErrorf("table %q does not exist", o.node.Name)
 	}

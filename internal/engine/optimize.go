@@ -650,19 +650,12 @@ func (o *optimizer) nodeColumns(n PlanNode) ([]Col, bool) {
 		if o.e == nil || o.e.DB == nil {
 			return nil, false
 		}
-		var base []Col
-		if rel, ok := o.e.DB.Table(t.Name); ok {
-			base = rel.Cols
-		} else if src := o.e.DB.Source; src != nil {
-			if sc, ok := src.SourceCols(catalog.BareName(t.Name)); ok {
-				base = sc
-			}
-		}
-		if base == nil {
+		rel, ok := o.e.DB.Table(t.Name)
+		if !ok || rel.Cols == nil {
 			return nil, false
 		}
-		cols := make([]Col, len(base))
-		for i, c := range base {
+		cols := make([]Col, len(rel.Cols))
+		for i, c := range rel.Cols {
 			cols[i] = Col{Qualifier: t.Qualifier, Name: c.Name, Type: c.Type}
 		}
 		return cols, true

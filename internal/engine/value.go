@@ -219,10 +219,6 @@ func EqualRelations(a, b *Relation, ordered bool) bool {
 type DB struct {
 	Schema *catalog.Schema
 	Tables map[string]*Relation // keyed by lowercase bare table name
-	// Source, when set, backs tables that are absent from Tables: ScanNode
-	// lowers to a streaming cursor over the source instead of a materialized
-	// relation, so store-backed tables never need to fit in memory.
-	Source TableSource
 }
 
 // NewDB returns an empty database over a schema.

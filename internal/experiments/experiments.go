@@ -109,16 +109,6 @@ type Config struct {
 	// Parallel is the worker budget for the build and all task runs
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallel int
-	// StoreDir persists the durable stores backing the state task's oracle
-	// under this directory (one store per dataset) instead of building them
-	// in throwaway temp directories. A rerun over the same directory
-	// recovers the stores from their WALs first — the crash-resilience
-	// smoke kills a build mid-run and rebuilds over the survivors.
-	StoreDir string
-	// StorePoolPages caps the oracle stores' buffer pools, in pages
-	// (0 = store default). Small values force eviction during the build,
-	// exercising datasets larger than the pool.
-	StorePoolPages int
 	// Models optionally replaces the default five simulated models with a
 	// config-driven set (the binaries' -models flag): each spec names a
 	// provider ("sim" over this environment's knowledge, or "http" for an
@@ -184,8 +174,6 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 		Parallel:           cfg.Parallel,
 		Ctx:                buildCtx,
 		NoOptimize:         cfg.NoOptimize,
-		StoreDir:           cfg.StoreDir,
-		StorePoolPages:     cfg.StorePoolPages,
 	})
 	buildSpan.EndErr(err)
 	if err != nil {

@@ -645,11 +645,11 @@ func (m *Model) answerExplain(sql string) string {
 // table_state
 
 // answerState traces a DML/transaction script and reports the table's final
-// contents. The oracle is the in-memory DML executor — the same semantics
-// the benchmark's durable-store oracle implements — degraded by the
-// calibrated channel: a failed trace either treats a ROLLBACK as if it
-// committed or silently drops the script's last DML statement, the two
-// error families the task is designed to separate.
+// contents. The oracle is the engine's MemStore — the executor the
+// benchmark labels the task with — degraded by the calibrated channel: a
+// failed trace either treats a ROLLBACK as if it committed or silently drops
+// the script's last DML statement, the two error families the task is
+// designed to separate.
 func (m *Model) answerState(script string, quality float64) string {
 	stmts, err := sqlparse.ParseAll(script)
 	if err != nil {
@@ -696,16 +696,9 @@ func (m *Model) answerState(script string, quality float64) string {
 // execStateScript runs the (possibly degraded) script on the in-memory
 // executor and returns the created table's final rows.
 func execStateScript(stmts []sqlast.Stmt) ([][]engine.Value, bool) {
-	db := engine.NewDB(nil)
-	ms := engine.NewMemStore(db)
-	if err := engine.New(db).ApplyScript(ms, stmts); err != nil {
-		if ms.InTxn() {
-			ms.Rollback()
-		}
+	db, err := engine.RunScript(stmts)
+	if err != nil {
 		return nil, false
-	}
-	if ms.InTxn() {
-		ms.Rollback()
 	}
 	table := ""
 	for _, s := range stmts {
