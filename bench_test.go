@@ -1,6 +1,7 @@
 // Root benchmark harness: one Benchmark per paper table and figure (each
-// iteration fully regenerates the artifact), plus the ablation benches
-// called out in DESIGN.md. Run with:
+// iteration fully regenerates the artifact), plus ablation benches for the
+// simulated models' error channel, the equivalence checker and prompt
+// tuning. Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -13,8 +14,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/engine"
 	"repro/internal/equiv"
 	"repro/internal/experiments"
 	"repro/internal/llm/sim"
@@ -104,7 +103,7 @@ func BenchmarkBuildBenchmarkSequential(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md section 5)
+// Ablations
 
 // BenchmarkAblationUniformChannel compares the complexity-tilted error
 // channel with a uniform one: with the tilt removed, the failure-vs-length
@@ -137,57 +136,6 @@ func BenchmarkAblationUniformChannel(b *testing.B) {
 	}
 	b.ReportMetric(tiltedGap, "tilted-FN-TP-words")
 	b.ReportMetric(uniformGap, "uniform-FN-TP-words")
-}
-
-// BenchmarkAblationJoinStrategy compares hash join vs nested-loop execution
-// of an equi-join over a synthetic IMDB instance.
-func BenchmarkAblationJoinStrategy(b *testing.B) {
-	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 5, Rows: 400})
-	sql := "SELECT t.id FROM title AS t JOIN movie_companies AS mc ON t.id = mc.movie_id WHERE t.production_year > 1950"
-	b.Run("hash", func(b *testing.B) {
-		e := engine.New(db)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.QuerySQL(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nested-loop", func(b *testing.B) {
-		e := engine.New(db)
-		e.ForceNestedLoop = true
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.QuerySQL(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationPlanOptimizer compares the full plan-optimizer pipeline
-// (predicate pushdown, cost-ordered comma joins, streaming hash joins)
-// against the raw plan lowering on a three-relation comma join over a
-// synthetic IMDB instance. Output is byte-identical in both modes.
-func BenchmarkAblationPlanOptimizer(b *testing.B) {
-	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 5, Rows: 400})
-	sql := "SELECT t.id FROM title AS t, movie_companies AS mc, movie_keyword AS mk " +
-		"WHERE t.id = mc.movie_id AND t.id = mk.movie_id AND t.production_year > 1950 AND mc.company_type_id > 0"
-	for _, mode := range []struct {
-		name     string
-		optimize bool
-	}{{"optimized", true}, {"unoptimized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := engine.New(db)
-			e.Optimize = mode.optimize
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.QuerySQL(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationEquivChecker compares the rule-based and engine-backed

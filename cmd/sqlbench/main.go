@@ -15,8 +15,7 @@
 //	sqlbench -exp all -checkpoint-dir /tmp/ckpt   # rerun resumes, byte-identical
 //	sqlbench -exp table3 -trace-out run.json      # Chrome trace of the whole run
 //	sqlbench -exp table3 -trace-out run.ndjson    # one span record per line
-//	sqlbench -exp all -no-optimize                # plan optimizer off (ablation)
-//	sqlbench -explain-plan 'SELECT ...'           # plan before/after optimization
+//	sqlbench -explain-plan 'SELECT ...'           # plan before/after predicate pushdown
 //
 // Output is byte-identical at every -parallel setting; -parallel 1
 // reproduces the fully sequential pipeline. The -parallel budget reaches
@@ -63,7 +62,6 @@ func main() {
 		stats    = flag.Bool("stats", false, "report build/run wall times, engine op counts, and per-model usage to stderr")
 		models   = flag.String("models", "", "JSON model specs (or @file) replacing the default simulated models; providers: sim, http")
 
-		noOptimize  = flag.Bool("no-optimize", false, "run engine queries without the plan optimizer (pushdown, join reordering, streaming hash joins); output is byte-identical, only speed changes")
 		explainPlan = flag.String("explain-plan", "", "print the logical plan of this SELECT before and after optimization (against a synthetic SDSS instance) and exit")
 
 		continueOnError = flag.Bool("continue-on-error", false, "record per-example completion failures and keep going instead of aborting the run")
@@ -139,7 +137,6 @@ func main() {
 	env, err := experiments.NewEnvConfig(experiments.Config{
 		Seed:               *seed,
 		VerifyEquivalences: !*noVerify,
-		NoOptimize:         *noOptimize,
 		Parallel:           *parallel,
 		Models:             specs,
 		ContinueOnError:    *continueOnError,
@@ -198,9 +195,9 @@ func main() {
 }
 
 // printExplain renders a SELECT's logical plan before and after the engine's
-// optimizer pass, resolved against a small synthetic SDSS instance (the
-// optimizer's cost estimates read actual table sizes, so a concrete database
-// is required).
+// optimizer pass, resolved against a small synthetic SDSS instance (pushdown
+// checks each moved predicate's columns against the database's tables, so a
+// concrete database is required).
 func printExplain(w io.Writer, sql string) error {
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {

@@ -49,7 +49,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		seed      = flag.Int64("seed", 1, "default benchmark seed (per-request override via seed)")
 		verify    = flag.Bool("verify", false, "engine-verify equivalence pairs when building benchmarks (slower cold start)")
-		noOpt     = flag.Bool("no-optimize", false, "run engine queries without the plan optimizer during verification (ablation; output is byte-identical)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for benchmark builds and eval fan-out")
 		envCap    = flag.Int("env-cache", 0, "max cached evaluation environments, LRU-evicted (0 = default 4, negative = unbounded)")
 		artCap    = flag.Int("artifact-cache", 0, "max cached rendered artifacts, LRU-evicted (0 = default 256, negative = unbounded)")
@@ -80,7 +79,6 @@ func main() {
 	s := serve.NewServer(serve.Config{
 		DefaultSeed:      *seed,
 		Verify:           *verify,
-		NoOptimize:       *noOpt,
 		Parallel:         *parallel,
 		EnvCacheCap:      *envCap,
 		ArtifactCacheCap: *artCap,

@@ -137,10 +137,6 @@ type BuildConfig struct {
 	// verification appear in the trace. It is never used for cancellation;
 	// builds always run to completion for determinism.
 	Ctx context.Context
-	// NoOptimize verifies equivalence pairs with the engine's plan optimizer
-	// off. Pair selection and every downstream artifact are byte-identical
-	// either way; the switch exists for ablation and differential testing.
-	NoOptimize bool
 }
 
 // Build assembles the benchmark deterministically.
@@ -196,7 +192,7 @@ func Build(cfg BuildConfig) (*Benchmark, error) {
 		var l labeled
 		l.syntax = buildSyntax(w, r)
 		l.tokens = buildTokens(w, r)
-		pairs, ops, err := buildEquiv(ctx, w, r, cfg.VerifyEquivalences, cfg.NoOptimize)
+		pairs, ops, err := buildEquiv(ctx, w, r, cfg.VerifyEquivalences)
 		if err != nil {
 			return labeled{}, fmt.Errorf("building %s equivalence pairs: %w", ds, err)
 		}
@@ -361,7 +357,7 @@ func buildTokens(w *workload.Workload, r *rand.Rand) []TokenExample {
 // optionally verified with the execution engine; unverifiable pairs fall
 // back to the next applicable type. The second result is the engine row
 // operations the verification executed (zero when verify is off).
-func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify, noOptimize bool) ([]EquivExample, int64, error) {
+func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify bool) ([]EquivExample, int64, error) {
 	eqTypes := equiv.EquivTypes()
 	neTypes := equiv.NonEquivTypes()
 	var checker *equiv.Checker
@@ -369,7 +365,6 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify,
 		checker = equiv.NewChecker(w.Schema)
 		checker.Seeds = []int64{11, 29}
 		checker.Parallel = runner.Parallelism(ctx)
-		checker.NoOptimize = noOptimize
 	}
 	var out []EquivExample
 	eqCursor, neCursor := 0, 0

@@ -135,7 +135,7 @@ func (m *CostModel) ElapsedMS(stmt sqlast.Stmt, sql string) float64 {
 }
 
 func (m *CostModel) selectCost(sel *sqlast.SelectStmt) planCost {
-	return m.costPlan(BuildPlan(sel, PlanConfig{}), costScope{})
+	return m.costPlan(BuildPlan(sel), costScope{})
 }
 
 // costScope carries the estimated cardinality of in-scope CTEs down the

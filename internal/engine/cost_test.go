@@ -15,7 +15,7 @@ func estimate(t *testing.T, m *CostModel, sql string) float64 {
 	return m.EstimateCost(stmt)
 }
 
-func TestCostOrdering(t *testing.T) {
+func TestCostModelRanksQueries(t *testing.T) {
 	m := NewCostModel(SDSSStats())
 	cheap := estimate(t, m, "SELECT plate FROM PlateX WHERE plate = 1000")
 	medium := estimate(t, m, "SELECT plate FROM SpecObj WHERE z > 0.5")

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -178,20 +179,50 @@ func TestCrossJoinAndImplicitJoin(t *testing.T) {
 }
 
 func TestHashAndNestedLoopJoinAgree(t *testing.T) {
-	db := testDB()
-	sql := "SELECT e.name , d.budget FROM emp AS e JOIN dept AS d ON e.dept = d.name"
-	hashed, err := New(db).QuerySQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(db)
-	e2.ForceNestedLoop = true
-	looped, err := e2.QuerySQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualRelations(hashed, looped, false) {
+	// AND 1 = 1 keeps the ON clause from being a plain column equality, so
+	// the second query runs the nested loop.
+	hashed := mustQuery(t, "SELECT e.name , d.budget FROM emp AS e JOIN dept AS d ON e.dept = d.name")
+	looped := mustQuery(t, "SELECT e.name , d.budget FROM emp AS e JOIN dept AS d ON e.dept = d.name AND 1 = 1")
+	if !EqualRelations(hashed, looped, true) {
 		t.Errorf("hash join %v != nested loop %v", rowStrings(hashed), rowStrings(looped))
+	}
+}
+
+// Hash-join keys are rendered values, but Equal compares int and float
+// numerically: IntVal(1000000) renders "1000000", FloatVal(1e6) renders
+// "1e+06", and -0.0 renders "-0". Every hash path must still find each match
+// the nested loop finds.
+func TestHashJoinKeysCompareAcrossNumericKinds(t *testing.T) {
+	schema := catalog.NewSchema("numkeys")
+	schema.Add(catalog.T("a", "i", catalog.TypeInt))
+	schema.Add(catalog.T("b", "f", catalog.TypeFloat))
+	db := NewDB(schema)
+	db.Put("a", &Relation{
+		Cols: []Col{{Name: "i", Type: catalog.TypeInt}},
+		Rows: [][]Value{{IntVal(1000000)}, {IntVal(0)}},
+	})
+	db.Put("b", &Relation{
+		Cols: []Col{{Name: "f", Type: catalog.TypeFloat}},
+		Rows: [][]Value{{FloatVal(1e6)}, {FloatVal(0)}, {FloatVal(math.Copysign(0, -1))}},
+	})
+	for _, tc := range []struct {
+		sql  string
+		want int
+	}{
+		{"SELECT a.i , b.f FROM a JOIN b ON a.i = b.f AND 1 = 1", 3}, // nested loop
+		{"SELECT a.i , b.f FROM a JOIN b ON a.i = b.f", 3},
+		{"SELECT a.i , b.f FROM b JOIN a ON b.f = a.i", 3},
+		{"SELECT a.i , b.f FROM a FULL JOIN b ON a.i = b.f", 3},
+		{"SELECT a.i , b.f FROM a , b WHERE a.i = b.f", 3},
+		{"SELECT x.f , y.f FROM b AS x JOIN b AS y ON x.f = y.f", 5},
+	} {
+		rel, err := New(db).QuerySQL(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if len(rel.Rows) != tc.want {
+			t.Errorf("%s: %d rows %v, want %d", tc.sql, len(rel.Rows), rowStrings(rel), tc.want)
+		}
 	}
 }
 

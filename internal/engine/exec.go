@@ -1,10 +1,10 @@
 package engine
 
-// The executor: Engine holds the database and execution knobs, lowers each
-// SELECT into a cached logical plan (plan.go), instantiates the physical
-// operator tree (operator.go and op_*.go), and drains it into a materialized
-// Relation. Scalar expression evaluation lives in eval.go; grouped
-// evaluation in agg.go.
+// The executor: Engine holds the database and its limits, lowers each
+// SELECT into a cached logical plan (plan.go) rewritten by the optimizer
+// (optimize.go), instantiates the physical operator tree (operator.go and
+// op_*.go), and drains it into a materialized Relation. Scalar expression
+// evaluation lives in eval.go; grouped evaluation in agg.go.
 
 import (
 	"context"
@@ -26,43 +26,23 @@ type Engine struct {
 	// MaxRows caps intermediate result sizes; exceeding it aborts the query.
 	// Zero means the default of 1,000,000.
 	MaxRows int
-	// ForceNestedLoop disables the hash-join fast path (used by the join
-	// strategy ablation benchmark).
-	ForceNestedLoop bool
-	// DisablePlanner turns off implicit-join planning, so comma joins fall
-	// back to cross products with a post-filter (ablation). It also disables
-	// the plan optimizer regardless of Optimize — pushdown would otherwise
-	// undo the ablation. Set it before the first query: logical plans are
-	// cached per statement.
-	DisablePlanner bool
 	// Parallel bounds the intra-query worker pool used by grouped
 	// aggregation and set operations. 0 or 1 executes serially; results are
 	// byte-identical at any setting.
 	Parallel int
-	// Optimize runs every plan through the rewrite pipeline in optimize.go
-	// (predicate pushdown, join-order and join-strategy hints). New sets it;
-	// clearing it (or engine construction by struct literal) executes the
-	// raw BuildPlan lowering. Results are byte-identical either way — the
-	// flag exists for ablation and differential testing.
-	Optimize bool
+
+	// raw skips the plan optimizer and executes the BuildPlan lowering as
+	// is. Only the unoptimized test oracle sets it.
+	raw bool
 
 	ops atomic.Int64
 
 	planMu sync.RWMutex
-	plans  map[planKey]*Plan
+	plans  map[*sqlast.SelectStmt]*Plan
 }
 
-// planKey is the plan cache key: the statement plus every plan-shaping
-// engine setting, so toggling a flag between queries can never serve a plan
-// compiled under different settings.
-type planKey struct {
-	sel            *sqlast.SelectStmt
-	disablePlanner bool
-	optimize       bool
-}
-
-// New returns an Engine over the database, with the plan optimizer on.
-func New(db *DB) *Engine { return &Engine{DB: db, Optimize: true} }
+// New returns an Engine over the database.
+func New(db *DB) *Engine { return &Engine{DB: db} }
 
 // Ops returns the number of row operations performed since construction;
 // a cheap proxy for work done. The count does not depend on Parallel.
@@ -133,40 +113,35 @@ func (e *Engine) planFor(sel *sqlast.SelectStmt) *Plan {
 // planForHit is planFor additionally reporting whether the plan was served
 // from the cache — the plan_cached attribute on engine.exec spans.
 func (e *Engine) planForHit(sel *sqlast.SelectStmt) (*Plan, bool) {
-	key := planKey{sel: sel, disablePlanner: e.DisablePlanner, optimize: e.Optimize}
 	e.planMu.RLock()
-	p := e.plans[key]
+	p := e.plans[sel]
 	e.planMu.RUnlock()
 	if p != nil {
 		return p, true
 	}
-	p = BuildPlan(sel, PlanConfig{DisablePlanner: e.DisablePlanner, Optimize: e.Optimize})
-	if e.Optimize && !e.DisablePlanner {
-		// DisablePlanner wins: the ablation means "naive cross products with a
-		// post-filter", and letting the optimizer push the filter back down
-		// would quietly undo it.
+	p = BuildPlan(sel)
+	if !e.raw {
 		p = e.optimizePlan(p)
 	}
 	e.planMu.Lock()
 	if e.plans == nil || len(e.plans) >= maxCachedPlans {
-		e.plans = make(map[planKey]*Plan)
+		e.plans = make(map[*sqlast.SelectStmt]*Plan)
 	}
 	hit := false
-	if cached, ok := e.plans[key]; ok {
+	if cached, ok := e.plans[sel]; ok {
 		p, hit = cached, true
 	} else {
-		e.plans[key] = p
+		e.plans[sel] = p
 	}
 	e.planMu.Unlock()
 	return p, hit
 }
 
 // Explain returns the logical plan of a statement before and after
-// optimization, rendered by the Describe printer. The after plan is what
-// the engine would execute with Optimize set; the before plan is the raw
-// BuildPlan lowering.
+// optimization, rendered by the Describe printer: the raw BuildPlan lowering
+// and the plan the engine executes.
 func (e *Engine) Explain(sel *sqlast.SelectStmt) (before, after string) {
-	p := BuildPlan(sel, PlanConfig{DisablePlanner: e.DisablePlanner})
+	p := BuildPlan(sel)
 	return p.String(), e.optimizePlan(p).String()
 }
 
@@ -246,11 +221,6 @@ func buildOperator(n PlanNode, oe *opEnv) operator {
 	case *SubqueryScanNode:
 		return &subqueryScanOp{oe: oe, node: t}
 	case *JoinNode:
-		if t.Stream {
-			return &streamJoinOp{oe: oe, node: t,
-				left:  buildOperator(t.Left, oe),
-				right: buildOperator(t.Right, oe)}
-		}
 		return &joinOp{oe: oe, node: t,
 			left:  buildOperator(t.Left, oe),
 			right: buildOperator(t.Right, oe)}

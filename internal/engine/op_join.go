@@ -1,11 +1,13 @@
 package engine
 
-// Physical join operators and the shared row plumbing they use: hash join,
+// Physical join operators and the shared row plumbing they use: the hash
+// probe that explicit equi-joins and implicit-join steps share, the
 // nested-loop join with outer padding, cross product, and the implicit-join
 // operator that orders comma-joined relations at execution time (the greedy
 // ordering itself lives in planner.go).
 
 import (
+	"repro/internal/catalog"
 	"repro/internal/sqlast"
 )
 
@@ -42,12 +44,6 @@ func (a *rowArena) concat(l, r []Value) []Value {
 	return row
 }
 
-func concatRows(a, b []Value) []Value {
-	row := make([]Value, 0, len(a)+len(b))
-	row = append(row, a...)
-	return append(row, b...)
-}
-
 func nullRow(n int) []Value {
 	row := make([]Value, n)
 	for i := range row {
@@ -73,23 +69,12 @@ func (e *Engine) crossProduct(a, b *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// joinRelations executes an explicit join of two materialized relations.
-// Equi-joins on plain column references use a hash join unless
-// ForceNestedLoop is set; everything else is nested-loop.
-func (e *Engine) joinRelations(left, right *Relation, joinType string, on sqlast.Expr, oe *opEnv) (*Relation, error) {
+// nestedLoopJoin joins two materialized relations on an arbitrary ON
+// predicate, with outer-join padding. The predicate evaluates against one
+// scratch row reused across candidates (expression evaluation only reads the
+// current row); only matching rows are materialized, from the arena.
+func (e *Engine) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, oe *opEnv) (*Relation, error) {
 	out := &Relation{Cols: append(append([]Col{}, left.Cols...), right.Cols...)}
-	if joinType == "CROSS" || on == nil {
-		return e.crossProduct(left, right)
-	}
-
-	if li, ri, ok := equiJoinCols(on, left, right); ok && !e.ForceNestedLoop {
-		return e.hashJoin(left, right, li, ri, joinType, out)
-	}
-
-	// Nested-loop join with outer-join padding. The ON predicate evaluates
-	// against one scratch row reused across candidates (expression
-	// evaluation only reads the current row); only matching rows are
-	// materialized, from the arena.
 	joined := &env{rel: out, outer: oe.outer, ctes: oe.ctes}
 	rightMatched := make([]bool, len(right.Rows))
 	arena := newRowArena(len(out.Cols))
@@ -134,16 +119,23 @@ func (e *Engine) joinRelations(left, right *Relation, joinType string, on sqlast
 	return out, nil
 }
 
-// equiJoinCols recognizes ON a.x = b.y patterns and returns the column
-// indexes on each side.
-func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
-	bin, isBin := on.(*sqlast.Binary)
+// colEquality matches the one condition shape a hash join can key on: an
+// equality between two plain column references.
+func colEquality(cond sqlast.Expr) (*sqlast.ColumnRef, *sqlast.ColumnRef, bool) {
+	bin, isBin := cond.(*sqlast.Binary)
 	if !isBin || bin.Op != "=" {
-		return 0, 0, false
+		return nil, nil, false
 	}
-	lc, lok := bin.L.(*sqlast.ColumnRef)
-	rc, rok := bin.R.(*sqlast.ColumnRef)
-	if !lok || !rok {
+	l, lok := bin.L.(*sqlast.ColumnRef)
+	r, rok := bin.R.(*sqlast.ColumnRef)
+	return l, r, lok && rok
+}
+
+// equiJoinCols resolves a column-equality ON clause against the two inputs
+// and returns the key column index on each side.
+func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
+	lc, rc, ok := colEquality(on)
+	if !ok {
 		return 0, 0, false
 	}
 	tryResolve := func(rel *Relation, cr *sqlast.ColumnRef) (int, bool) {
@@ -166,92 +158,266 @@ func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
 	return 0, 0, false
 }
 
-func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, out *Relation) (*Relation, error) {
-	index := make(map[string][]int, len(right.Rows))
-	for idx, rr := range right.Rows {
-		v := rr[ri]
+// hashProbe is the one hash-join core. It indexes the build input on its key
+// column, then joins probe rows against it batch by batch: each probe row
+// emits its matching build rows in build insertion order — the nested loop's
+// output order — or, in a LEFT/FULL join, itself padded with NULLs when
+// nothing matched. After the last batch, tail emits the unmatched build rows
+// of a RIGHT/FULL join. Callers count probe rows toward the ops counter.
+type hashProbe struct {
+	build              [][]Value
+	buildKey, probeKey int
+	index              map[string][]int
+	// kind is the Kind of every non-NULL build key, unless mixed is set.
+	// Index keys are rendered values, which agree with Equal only within one
+	// Kind: IntVal(1000000) and FloatVal(1e6) are Equal but render "1000000"
+	// and "1e+06". A probe value of another Kind, or any probe value against
+	// a mixed build side, therefore scans every build row.
+	kind  catalog.Type
+	mixed bool
+	all   []int // every build row index, built on the first scan
+
+	padProbe   bool   // LEFT/FULL
+	matched    []bool // RIGHT/FULL: build rows matched so far
+	buildPad   []Value
+	probeWidth int
+	arena      *rowArena
+	emitted    int // rows emitted, for the row-cap check
+	maxRows    int
+}
+
+// newHashProbe indexes build on column buildKey for probe rows of width
+// probeWidth keyed on column probeKey, counting one row operation per build
+// row. NULL keys are not indexed: they match nothing.
+func (e *Engine) newHashProbe(build *Relation, buildKey, probeKey, probeWidth int, joinType string) *hashProbe {
+	h := &hashProbe{
+		build:      build.Rows,
+		buildKey:   buildKey,
+		probeKey:   probeKey,
+		index:      make(map[string][]int, len(build.Rows)),
+		padProbe:   joinType == "LEFT" || joinType == "FULL",
+		buildPad:   nullRow(len(build.Cols)),
+		probeWidth: probeWidth,
+		arena:      newRowArena(probeWidth + len(build.Cols)),
+		maxRows:    e.maxRows(),
+	}
+	for idx, row := range build.Rows {
+		v := row[buildKey]
 		if v.Null {
 			continue
 		}
-		k := v.String()
-		index[k] = append(index[k], idx)
+		if len(h.index) == 0 {
+			h.kind = v.Kind
+		} else if v.Kind != h.kind {
+			h.mixed = true
+		}
+		k := hashKey(v)
+		h.index[k] = append(h.index[k], idx)
 	}
-	e.ops.Add(int64(len(right.Rows)))
-	rightMatched := make([]bool, len(right.Rows))
-	arena := newRowArena(len(out.Cols))
-	rightNulls := nullRow(len(right.Cols))
-	out.Rows = make([][]Value, 0, len(left.Rows))
-	for _, lr := range left.Rows {
-		v := lr[li]
+	if joinType == "RIGHT" || joinType == "FULL" {
+		h.matched = make([]bool, len(build.Rows))
+	}
+	e.ops.Add(int64(len(build.Rows)))
+	return h
+}
+
+// hashKey renders a value as an index key: its string form, with negative
+// zero folded into zero (the two are Equal but render "-0" and "0").
+func hashKey(v Value) string {
+	if v.Kind == catalog.TypeFloat && v.F == 0 {
+		return "0"
+	}
+	return v.String()
+}
+
+// candidates returns the build rows that may equal v, in insertion order.
+func (h *hashProbe) candidates(v Value) []int {
+	if !h.mixed && (len(h.index) == 0 || v.Kind == h.kind) {
+		return h.index[hashKey(v)]
+	}
+	if h.all == nil {
+		h.all = make([]int, len(h.build))
+		for i := range h.all {
+			h.all[i] = i
+		}
+	}
+	return h.all
+}
+
+// probe joins one batch of probe rows. The row cap is checked as matches
+// append, as in the nested loop.
+func (h *hashProbe) probe(batch [][]Value) ([][]Value, error) {
+	out := make([][]Value, 0, len(batch))
+	for _, pr := range batch {
+		v := pr[h.probeKey]
 		matched := false
 		if !v.Null {
-			for _, idx := range index[v.String()] {
-				// Guard against hash collisions across kinds via Equal.
-				if Equal(v, right.Rows[idx][ri]) {
-					matched = true
-					rightMatched[idx] = true
-					out.Rows = append(out.Rows, arena.concat(lr, right.Rows[idx]))
-					if len(out.Rows) > e.maxRows() {
-						return nil, execErrorf("join result exceeds row cap")
-					}
+			for _, idx := range h.candidates(v) {
+				br := h.build[idx]
+				if !Equal(v, br[h.buildKey]) {
+					continue
+				}
+				matched = true
+				if h.matched != nil {
+					h.matched[idx] = true
+				}
+				out = append(out, h.arena.concat(pr, br))
+				h.emitted++
+				if h.emitted > h.maxRows {
+					return nil, execErrorf("join result exceeds row cap")
 				}
 			}
 		}
-		if !matched && (joinType == "LEFT" || joinType == "FULL") {
-			out.Rows = append(out.Rows, arena.concat(lr, rightNulls))
-		}
-	}
-	e.ops.Add(int64(len(left.Rows)))
-	if joinType == "RIGHT" || joinType == "FULL" {
-		leftNulls := nullRow(len(left.Cols))
-		for idx, rr := range right.Rows {
-			if !rightMatched[idx] {
-				out.Rows = append(out.Rows, arena.concat(leftNulls, rr))
-			}
+		if !matched && h.padProbe {
+			out = append(out, h.arena.concat(pr, h.buildPad))
+			h.emitted++
 		}
 	}
 	return out, nil
 }
 
+// tail returns the unmatched build rows of a RIGHT/FULL join, padded with
+// NULLs on the probe side, once; nil for other join types or when there are
+// none.
+func (h *hashProbe) tail() [][]Value {
+	if h.matched == nil {
+		return nil
+	}
+	pad := nullRow(h.probeWidth)
+	var out [][]Value
+	for idx, br := range h.build {
+		if !h.matched[idx] {
+			out = append(out, h.arena.concat(pad, br))
+		}
+	}
+	h.matched = nil
+	return out
+}
+
+// hashJoin is the implicit-join steps' inner equi-join: the hash probe over
+// right, run with all of left as one batch.
+func (e *Engine) hashJoin(left, right *Relation, li, ri int) (*Relation, error) {
+	h := e.newHashProbe(right, ri, li, len(left.Cols), "INNER")
+	rows, err := h.probe(left.Rows)
+	if err != nil {
+		return nil, err
+	}
+	e.ops.Add(int64(len(left.Rows)))
+	return &Relation{Cols: append(append([]Col{}, left.Cols...), right.Cols...), Rows: rows}, nil
+}
+
 // ---------------------------------------------------------------------------
-// joinOp: explicit join — drain both children, join, stream the result.
+// joinOp: explicit join. An ON clause that is a plain column equality builds
+// the hash probe over the right input and streams the left input through it
+// batch by batch, never materializing the probe side. CROSS and ON-less
+// joins cross-product both inputs, and any other ON clause — or a column
+// equality that does not resolve to one column per side — runs the nested
+// loop. Every path emits left-major rows with right matches in right order.
 
 type joinOp struct {
 	oe          *opEnv
 	node        *JoinNode
 	left, right operator
 
+	cols []Col
+
+	// Cross product and nested loop: the materialized result.
 	rel    *Relation
 	cursor relCursor
+
+	// Hash join: the probe over the right input, fed by the left input.
+	hp        *hashProbe
+	probeDone bool
 }
 
-func (o *joinOp) columns() []Col           { return o.rel.Cols }
-func (o *joinOp) hiddenCols() int          { return 0 }
-func (o *joinOp) materialized() *Relation  { return o.rel }
-func (o *joinOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *joinOp) close()                   { o.left.close(); o.right.close() }
+func (o *joinOp) columns() []Col  { return o.cols }
+func (o *joinOp) hiddenCols() int { return 0 }
+func (o *joinOp) materialized() *Relation {
+	return o.rel // nil while streaming: drainInput collects batches instead
+}
+func (o *joinOp) close() { o.left.close(); o.right.close() }
 
 func (o *joinOp) open() error {
-	left, err := drainInput(o.left)
+	if _, _, ok := colEquality(o.node.On); !ok || o.node.Type == "CROSS" {
+		left, err := drainInput(o.left)
+		if err != nil {
+			return err
+		}
+		right, err := drainInput(o.right)
+		if err != nil {
+			return err
+		}
+		return o.materialize(left, right)
+	}
+	// The left opens before the right is touched, so open-time errors
+	// surface in the same left-then-right order as above.
+	if err := o.left.open(); err != nil {
+		return err
+	}
+	build, err := drainInput(o.right)
 	if err != nil {
 		return err
 	}
-	right, err := drainInput(o.right)
+	probeCols := o.left.columns()
+	li, ri, ok := equiJoinCols(o.node.On, &Relation{Cols: probeCols}, build)
+	if !ok {
+		left, err := drainOpened(o.left)
+		if err != nil {
+			return err
+		}
+		return o.materialize(left, build)
+	}
+	o.cols = append(append(make([]Col, 0, len(probeCols)+len(build.Cols)), probeCols...), build.Cols...)
+	o.hp = o.oe.e.newHashProbe(build, ri, li, len(probeCols), o.node.Type)
+	return nil
+}
+
+// materialize joins two drained inputs: a cross product for CROSS and
+// ON-less joins, the nested loop otherwise.
+func (o *joinOp) materialize(left, right *Relation) error {
+	var rel *Relation
+	var err error
+	if o.node.Type == "CROSS" || o.node.On == nil {
+		rel, err = o.oe.e.crossProduct(left, right)
+	} else {
+		rel, err = o.oe.e.nestedLoopJoin(left, right, o.node.Type, o.node.On, o.oe)
+	}
 	if err != nil {
 		return err
 	}
-	rel, err := o.oe.e.joinRelations(left, right, o.node.Type, o.node.On, o.oe)
-	if err != nil {
-		return err
-	}
-	o.rel = rel
+	o.rel, o.cols = rel, rel.Cols
 	o.cursor = relCursor{rows: rel.Rows}
 	return nil
 }
 
+func (o *joinOp) next() ([][]Value, error) {
+	if o.hp == nil {
+		return o.cursor.next(), nil
+	}
+	for !o.probeDone {
+		batch, err := o.left.next()
+		if err != nil {
+			return nil, err
+		}
+		if batch == nil {
+			o.probeDone = true
+			break
+		}
+		o.oe.e.ops.Add(int64(len(batch)))
+		out, err := o.hp.probe(batch)
+		if err != nil {
+			return nil, err
+		}
+		if len(out) > 0 {
+			return out, nil
+		}
+	}
+	return o.hp.tail(), nil
+}
+
 // ---------------------------------------------------------------------------
-// crossOp: left-deep cross product of comma-joined inputs (planner disabled
-// or no WHERE clause to mine for join conditions).
+// crossOp: left-deep cross product of comma-joined inputs (no WHERE clause
+// to mine for join conditions, or every conjunct pushed below the inputs).
 
 type crossOp struct {
 	oe     *opEnv
@@ -327,14 +493,7 @@ func (o *implicitJoinOp) open() error {
 		}
 		rels[i] = rel
 	}
-	var joined *Relation
-	var residual sqlast.Expr
-	var err error
-	if o.node.CostOrder {
-		joined, residual, err = o.oe.e.orderImplicitJoinsCost(rels, o.node.Where)
-	} else {
-		joined, residual, err = o.oe.e.orderImplicitJoins(rels, o.node.Where)
-	}
+	joined, residual, err := o.oe.e.orderImplicitJoins(rels, o.node.Where)
 	if err != nil {
 		return err
 	}
@@ -357,294 +516,6 @@ func (o *implicitJoinOp) open() error {
 	o.rel = joined
 	o.cursor = relCursor{rows: joined.Rows}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// streamJoinOp: the optimizer's streaming hash join (JoinNode.Stream). One
-// side is drained and hashed at open; the other — the probe side — streams
-// through next() batch by batch, never materialized by the join. Output is
-// byte-identical to joinOp: probe-major rows with build matches in build
-// insertion order, the same outer-join padding, the same ops-counter totals
-// (build size at open, probe size across batches), and the same row-cap
-// error checked only as matches append.
-//
-// By default the right input is built and the left streamed, mirroring the
-// materializing hashJoin exactly. BuildLeft (INNER only) flips that: the
-// left input is built, the right streamed into per-left-row buckets, and
-// matches are emitted left-major afterwards — the same output order, with
-// the hash table on the estimated-smaller side.
-//
-// When the hinted equi-join does not pan out at execution time (the key
-// columns fail to resolve against the actual inputs, the engine forces
-// nested loops, or the join is a cross join), the operator falls back to
-// the materializing joinRelations on the same inputs, preserving behavior
-// bit for bit.
-
-type streamJoinOp struct {
-	oe          *opEnv
-	node        *JoinNode
-	left, right operator
-
-	cols  []Col
-	arena *rowArena
-
-	// Fallback mode: fully materialized result.
-	rel    *Relation
-	cursor relCursor
-
-	// Streaming state (probe-left by default).
-	build     *Relation
-	index     map[string][]int
-	probeIdx  int // key column index in the probe row
-	buildIdx  int // key column index in the build row
-	probeCols int
-	matched   []bool  // build rows matched so far (RIGHT/FULL padding)
-	buildPad  []Value // null padding, build-side width
-	emitted   int     // rows emitted, for the row-cap check
-	probeDone bool
-	tailSent  bool
-
-	// BuildLeft state: per-build-row match buckets, filled from the streamed
-	// right input at open, emitted left-major by next().
-	buckets   [][][]Value
-	bucketPos int
-}
-
-func (o *streamJoinOp) columns() []Col  { return o.cols }
-func (o *streamJoinOp) hiddenCols() int { return 0 }
-func (o *streamJoinOp) materialized() *Relation {
-	return o.rel // nil while streaming: drainInput collects batches instead
-}
-func (o *streamJoinOp) close() { o.left.close(); o.right.close() }
-
-func (o *streamJoinOp) open() error {
-	e := o.oe.e
-	if o.node.Type == "CROSS" || o.node.On == nil || e.ForceNestedLoop {
-		left, err := drainInput(o.left)
-		if err != nil {
-			return err
-		}
-		right, err := drainInput(o.right)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(left, right)
-	}
-	if o.node.BuildLeft {
-		return o.openBuildLeft()
-	}
-
-	// Default: build on the right, stream the left — the materializing
-	// hashJoin's shape with the probe side left unmaterialized. The left
-	// opens before the right is touched so open-time errors surface in the
-	// same left-then-right order as the materializing join.
-	if err := o.left.open(); err != nil {
-		return err
-	}
-	build, err := drainInput(o.right)
-	if err != nil {
-		return err
-	}
-	probeCols := o.left.columns()
-	li, ri, ok := equiJoinCols(o.node.On, &Relation{Cols: probeCols}, build)
-	if !ok {
-		left, err := drainOpened(o.left)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(left, build)
-	}
-	o.cols = append(append(make([]Col, 0, len(probeCols)+len(build.Cols)), probeCols...), build.Cols...)
-	o.build = build
-	o.probeIdx, o.buildIdx = li, ri
-	o.probeCols = len(probeCols)
-	o.index = buildJoinIndex(build, ri)
-	e.ops.Add(int64(len(build.Rows)))
-	if o.node.Type == "RIGHT" || o.node.Type == "FULL" {
-		o.matched = make([]bool, len(build.Rows))
-	}
-	o.buildPad = nullRow(len(build.Cols))
-	o.arena = newRowArena(len(o.cols))
-	return nil
-}
-
-func (o *streamJoinOp) openBuildLeft() error {
-	e := o.oe.e
-	build, err := drainInput(o.left)
-	if err != nil {
-		return err
-	}
-	if err := o.right.open(); err != nil {
-		return err
-	}
-	probeCols := o.right.columns()
-	li, ri, ok := equiJoinCols(o.node.On, build, &Relation{Cols: probeCols})
-	if !ok {
-		right, err := drainOpened(o.right)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(build, right)
-	}
-	o.cols = append(append(make([]Col, 0, len(build.Cols)+len(probeCols)), build.Cols...), probeCols...)
-	o.build = build
-	o.index = buildJoinIndex(build, li)
-	e.ops.Add(int64(len(build.Rows)))
-	o.buckets = make([][][]Value, len(build.Rows))
-	o.arena = newRowArena(len(o.cols))
-
-	// Stream the right input into per-left-row buckets. Matches are counted
-	// against the row cap here — the materializing join counts the same
-	// matches, in a different order, against the same total.
-	matches := 0
-	for {
-		batch, err := o.right.next()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			break
-		}
-		e.ops.Add(int64(len(batch)))
-		for _, rr := range batch {
-			v := rr[ri]
-			if v.Null {
-				continue
-			}
-			for _, idx := range o.index[v.String()] {
-				if Equal(v, o.build.Rows[idx][li]) {
-					o.buckets[idx] = append(o.buckets[idx], rr)
-					matches++
-					if matches > e.maxRows() {
-						return execErrorf("join result exceeds row cap")
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// finishFallback runs the materializing joinRelations over both (now
-// materialized) inputs and serves the result through the cursor, exactly as
-// joinOp would have.
-func (o *streamJoinOp) finishFallback(left, right *Relation) error {
-	rel, err := o.oe.e.joinRelations(left, right, o.node.Type, o.node.On, o.oe)
-	if err != nil {
-		return err
-	}
-	o.rel = rel
-	o.cols = rel.Cols
-	o.cursor = relCursor{rows: rel.Rows}
-	return nil
-}
-
-func (o *streamJoinOp) next() ([][]Value, error) {
-	if o.rel != nil {
-		return o.cursor.next(), nil
-	}
-	if o.buckets != nil {
-		return o.nextBuildLeft()
-	}
-	return o.nextProbeLeft()
-}
-
-// nextProbeLeft streams probe batches against the built right side,
-// emitting matches (and LEFT/FULL padding) inline and RIGHT/FULL unmatched
-// build rows after the probe drains.
-func (o *streamJoinOp) nextProbeLeft() ([][]Value, error) {
-	e := o.oe.e
-	for !o.probeDone {
-		batch, err := o.left.next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			o.probeDone = true
-			break
-		}
-		e.ops.Add(int64(len(batch)))
-		out := make([][]Value, 0, len(batch))
-		for _, lr := range batch {
-			v := lr[o.probeIdx]
-			rowMatched := false
-			if !v.Null {
-				for _, idx := range o.index[v.String()] {
-					// Guard against hash collisions across kinds via Equal.
-					if Equal(v, o.build.Rows[idx][o.buildIdx]) {
-						rowMatched = true
-						if o.matched != nil {
-							o.matched[idx] = true
-						}
-						out = append(out, o.arena.concat(lr, o.build.Rows[idx]))
-						o.emitted++
-						if o.emitted > e.maxRows() {
-							return nil, execErrorf("join result exceeds row cap")
-						}
-					}
-				}
-			}
-			if !rowMatched && (o.node.Type == "LEFT" || o.node.Type == "FULL") {
-				out = append(out, o.arena.concat(lr, o.buildPad))
-				o.emitted++
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-	if o.tailSent || o.matched == nil {
-		return nil, nil
-	}
-	o.tailSent = true
-	probePad := nullRow(o.probeCols)
-	var out [][]Value
-	for idx, rr := range o.build.Rows {
-		if !o.matched[idx] {
-			out = append(out, o.arena.concat(probePad, rr))
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// nextBuildLeft emits the buckets in build (left) order: for each left row,
-// its matches in right arrival order — the exact output order of the
-// materializing probe-left join.
-func (o *streamJoinOp) nextBuildLeft() ([][]Value, error) {
-	var out [][]Value
-	for o.bucketPos < len(o.buckets) {
-		lr := o.build.Rows[o.bucketPos]
-		for _, rr := range o.buckets[o.bucketPos] {
-			out = append(out, o.arena.concat(lr, rr))
-		}
-		o.buckets[o.bucketPos] = nil // release matched rows as they stream out
-		o.bucketPos++
-		if len(out) >= batchRows {
-			return out, nil
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// buildJoinIndex hashes a relation's key column, skipping NULLs (a NULL key
-// matches nothing). Slice order is row order, which downstream emission
-// relies on.
-func buildJoinIndex(rel *Relation, key int) map[string][]int {
-	index := make(map[string][]int, len(rel.Rows))
-	for idx, rr := range rel.Rows {
-		v := rr[key]
-		if v.Null {
-			continue
-		}
-		index[v.String()] = append(index[v.String()], idx)
-	}
-	return index
 }
 
 // drainOpened materializes the remaining output of an operator whose open

@@ -1,25 +1,13 @@
 package engine
 
-// The plan optimizer: a pure plan→plan rewrite pipeline that runs between
-// BuildPlan and physical lowering (planFor applies it when Engine.Optimize
-// is set, which New defaults on). Three rewrites:
-//
-//  1. Predicate pushdown. Filter conjuncts that mention a single side of a
-//     Join/Cross move below the join; single-input conjuncts of an
-//     ImplicitJoinNode's WHERE move below the comma join; conjuncts over a
-//     derived table map through its projection items and move inside the
-//     subquery. Pushed filters see fewer columns but the same values, so
-//     joins build and probe smaller inputs.
-//  2. Join-order hints. ImplicitJoinNode is marked CostOrder, letting the
-//     executor compare the default greedy sequence against a
-//     cardinality-greedy one on the actual input sizes and run whichever is
-//     cheaper (planner.go restores the default sequence's column layout and
-//     row order, so results are byte-identical).
-//  3. Join-strategy hints. Explicit equi-joins are marked Stream so the
-//     physical layer uses the streaming hash join (op_join.go): build one
-//     side, stream the probe side batch by batch instead of materializing
-//     it. INNER joins whose left input is estimated smaller (cost.go over
-//     the database's actual table sizes) additionally build left.
+// The plan optimizer: a pure plan→plan rewrite between BuildPlan and
+// physical lowering, applied by planFor to every plan (only the unoptimized
+// test oracle skips it). Its one rewrite is predicate pushdown: Filter
+// conjuncts that mention a single side of a Join/Cross move below the join;
+// single-input conjuncts of an ImplicitJoinNode's WHERE move below the comma
+// join; conjuncts over a derived table map through its projection items and
+// move inside the subquery. Pushed filters see fewer columns but the same
+// values, so joins build and probe smaller inputs.
 //
 // Byte-identity contract: for every statement, the optimized plan yields
 // the same columns, rows, and row order as the unoptimized plan, at any
@@ -55,34 +43,13 @@ func (e *Engine) optimizePlan(p *Plan) *Plan {
 }
 
 type optimizer struct {
-	e  *Engine
-	cm *CostModel
+	e *Engine
 	// ctes holds the lower-cased CTE names in scope at the node being
 	// rewritten. Scans resolve CTEs before base tables at execution time, so
 	// a scan whose bare name is in this set has columns the optimizer cannot
 	// know (nodeColumns reports them undeterminable, which blocks pushdown
 	// into that subtree).
 	ctes map[string]bool
-}
-
-// model returns the cost model over the engine's actual table sizes, built
-// lazily (Explain and pure-pushdown plans never need it).
-func (o *optimizer) model() *CostModel {
-	if o.cm == nil {
-		s := NewStats()
-		if o.e != nil && o.e.DB != nil {
-			for name, rel := range o.e.DB.Tables {
-				s.RowCounts[name] = int64(len(rel.Rows))
-			}
-		}
-		o.cm = NewCostModel(s)
-	}
-	return o.cm
-}
-
-// estRows estimates a node's output cardinality from the cost model.
-func (o *optimizer) estRows(n PlanNode) float64 {
-	return o.model().costNode(n, costScope{}).outRows
 }
 
 func (o *optimizer) plan(p *Plan) *Plan {
@@ -114,7 +81,7 @@ func (o *optimizer) node(n PlanNode) PlanNode {
 	case *ImplicitJoinNode:
 		return o.implicitJoin(t)
 	case *JoinNode:
-		return o.join(t)
+		return &JoinNode{Left: o.node(t.Left), Right: o.node(t.Right), Type: t.Type, On: t.On}
 	case *CrossNode:
 		inputs := make([]PlanNode, len(t.Inputs))
 		for i, in := range t.Inputs {
@@ -140,35 +107,6 @@ func (o *optimizer) node(n PlanNode) PlanNode {
 		// OneRow, Scan, unsupported refs: leaves, nothing to rewrite.
 		return n
 	}
-}
-
-// join rebuilds an explicit join with optimized children and attaches the
-// streaming/build-side hints.
-func (o *optimizer) join(t *JoinNode) PlanNode {
-	nt := &JoinNode{Left: o.node(t.Left), Right: o.node(t.Right), Type: t.Type, On: t.On}
-	if nt.Type != "CROSS" && nt.On != nil && isColEquality(nt.On) {
-		nt.Stream = true
-		// Build on the estimated-smaller side. Only INNER joins may flip the
-		// build side: their output order is probe-major either way the
-		// buckets are emitted (see streamJoinOp), whereas outer-join padding
-		// is tied to the probe side.
-		if nt.Type == "INNER" && o.estRows(nt.Left) < o.estRows(nt.Right) {
-			nt.BuildLeft = true
-		}
-	}
-	return nt
-}
-
-// isColEquality matches the syntactic shape the hash-join path accepts:
-// a single equality between two column references.
-func isColEquality(on sqlast.Expr) bool {
-	bin, ok := on.(*sqlast.Binary)
-	if !ok || bin.Op != "=" {
-		return false
-	}
-	_, l := bin.L.(*sqlast.ColumnRef)
-	_, r := bin.R.(*sqlast.ColumnRef)
-	return l && r
 }
 
 // filter collects a stack of FilterNodes (the optimizer's own wrapping can
@@ -478,12 +416,11 @@ func (o *optimizer) mapThroughItems(c sqlast.Expr, qualifier string, byName map[
 	return mapped, true
 }
 
-// implicitJoin sinks single-input WHERE conjuncts below a comma join and
-// marks the node for cost-based ordering. Single-input conjuncts are never
-// join conditions (connects() requires a column on each side of the joined
-// frontier), so removing them from WHERE provably leaves the default greedy
-// join sequence unchanged — the filtered inputs join in the same order into
-// the same column layout.
+// implicitJoin sinks single-input WHERE conjuncts below a comma join.
+// Single-input conjuncts are never join conditions (connects() requires a
+// column on each side of the joined frontier), so removing them from WHERE
+// provably leaves the greedy join sequence unchanged — the filtered inputs
+// join in the same order into the same column layout.
 func (o *optimizer) implicitJoin(t *ImplicitJoinNode) PlanNode {
 	conjs := splitConjuncts(t.Where)
 	qsets := make([]map[string]bool, len(t.Inputs))
@@ -549,7 +486,7 @@ func (o *optimizer) implicitJoin(t *ImplicitJoinNode) PlanNode {
 		// filter — exactly what CrossNode over the filtered inputs runs.
 		return &CrossNode{Inputs: inputs}
 	}
-	return &ImplicitJoinNode{Inputs: inputs, Where: sqlast.And(rest...), CostOrder: true}
+	return &ImplicitJoinNode{Inputs: inputs, Where: sqlast.And(rest...)}
 }
 
 // wrapFilter pushes conjuncts onto a node as a FilterNode (no-op for an

@@ -7,7 +7,6 @@ package engine
 // streaming hash join.
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,7 +38,7 @@ func TestExplainPushdownGolden(t *testing.T) {
 	}, "\n")
 	wantAfter := strings.Join([]string{
 		"Project (1 items, 0 order keys)",
-		"  INNER Join ON e.dept = d.name [stream hash, build right]",
+		"  INNER Join ON e.dept = d.name",
 		"    Filter e.salary > 75",
 		"      Scan emp AS e",
 		"    Filter d.budget >= 500",
@@ -54,7 +53,7 @@ func TestExplainPushdownGolden(t *testing.T) {
 	}
 }
 
-func TestExplainCostOrderGolden(t *testing.T) {
+func TestExplainImplicitJoinGolden(t *testing.T) {
 	before, after := explain(t,
 		"SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75")
 	wantBefore := strings.Join([]string{
@@ -66,7 +65,7 @@ func TestExplainCostOrderGolden(t *testing.T) {
 	}, "\n")
 	wantAfter := strings.Join([]string{
 		"Project (1 items, 0 order keys)",
-		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name [cost-ordered]",
+		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name",
 		"    Filter e.salary > 75",
 		"      Scan emp AS e",
 		"    Scan dept AS d",
@@ -77,19 +76,6 @@ func TestExplainCostOrderGolden(t *testing.T) {
 	}
 	if after != wantAfter {
 		t.Errorf("after plan:\n%s\nwant:\n%s", after, wantAfter)
-	}
-}
-
-func TestExplainBuildLeftHint(t *testing.T) {
-	// dept (3 rows) is smaller than emp (5 rows), so an INNER join with dept
-	// on the left builds left; an outer join must not flip the build side.
-	_, after := explain(t, "SELECT d.budget FROM dept d JOIN emp e ON d.name = e.dept")
-	if !strings.Contains(after, "[stream hash, build left]") {
-		t.Errorf("INNER plan lacks build-left hint:\n%s", after)
-	}
-	_, after = explain(t, "SELECT d.budget FROM dept d LEFT JOIN emp e ON d.name = e.dept")
-	if !strings.Contains(after, "[stream hash, build right]") {
-		t.Errorf("LEFT join plan should keep build right:\n%s", after)
 	}
 }
 
@@ -110,15 +96,12 @@ func TestOptimizerSkipsUnresolvableRefs(t *testing.T) {
 	}
 }
 
-// queryBoth runs sql on two engines over the same DB — optimizer on and off —
-// and returns both results.
+// queryBoth runs sql over the same DB on the optimized engine and on the
+// unoptimized oracle, and returns both results.
 func queryBoth(sql string) (on, off *Relation, onErr, offErr error) {
 	db := testDB()
-	eOn := New(db)
-	eOff := New(db)
-	eOff.Optimize = false
-	on, onErr = eOn.QuerySQL(sql)
-	off, offErr = eOff.QuerySQL(sql)
+	on, onErr = New(db).QuerySQL(sql)
+	off, offErr = NewUnoptimized(db).QuerySQL(sql)
 	return
 }
 
@@ -156,8 +139,8 @@ func assertSame(t *testing.T, sql string, on, off *Relation, onErr, offErr error
 
 func TestStreamJoinParity(t *testing.T) {
 	queries := []string{
-		// All four outer-join flavors through the streaming path, with and
-		// without pushable predicates; dept-first INNER exercises BuildLeft.
+		// All four outer-join flavors through the hash probe, with and
+		// without pushable predicates.
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name",
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75",
 		"SELECT e.name, d.budget FROM emp e LEFT JOIN dept d ON e.dept = d.name",
@@ -168,15 +151,14 @@ func TestStreamJoinParity(t *testing.T) {
 		"SELECT d.budget, e.name FROM dept d JOIN emp e ON d.name = e.dept",
 		"SELECT d.budget, e.name FROM dept d JOIN emp e ON d.name = e.dept WHERE e.salary > 75 AND d.budget > 100",
 		"SELECT e.name FROM emp e CROSS JOIN dept d WHERE e.salary > 90",
-		// Non-equality ON falls back to the materializing join inside
-		// streamJoinOp.
+		// Any other ON clause runs the nested loop.
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.salary > d.budget",
 		// Chained joins: the upper join streams over a streamed lower join.
 		"SELECT e.name, d.budget, f.id FROM emp e JOIN dept d ON e.dept = d.name JOIN emp f ON d.name = f.dept",
 		// Derived-table inputs, with pushdown through the projection.
 		"SELECT x.n, d.budget FROM (SELECT name AS n, dept AS dp, salary AS s FROM emp) x JOIN dept d ON x.dp = d.name WHERE x.s > 75",
 		"SELECT x.n FROM (SELECT name AS n, salary AS s FROM emp ORDER BY s DESC) x WHERE x.s > 75",
-		// Implicit joins through the cost-order path guardrails.
+		// Implicit joins, with pushdown below the comma join.
 		"SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75",
 		"SELECT e.name, f.name FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.id = e.id",
 		// ORDER BY and aggregation above optimized joins.
@@ -212,60 +194,16 @@ func TestStreamJoinErrorParity(t *testing.T) {
 }
 
 func TestForceNestedLoopFallbackParity(t *testing.T) {
-	db := testDB()
-	eOn := New(db)
-	eOn.ForceNestedLoop = true
-	eOff := New(db)
-	eOff.Optimize = false
-	eOff.ForceNestedLoop = true
+	// "AND 1 = 1" keeps the ON clause from being a plain column equality, so
+	// the join takes the nested loop — outer padding included — instead of
+	// the hash probe, with and without a filter pushed below it.
 	for _, sql := range []string{
-		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75",
-		"SELECT e.name, d.budget FROM emp e FULL JOIN dept d ON e.dept = d.name",
-	} {
-		on, onErr := eOn.QuerySQL(sql)
-		off, offErr := eOff.QuerySQL(sql)
-		assertSame(t, sql, on, off, onErr, offErr)
-	}
-}
-
-func TestCostOrderRestoreParity(t *testing.T) {
-	// Force the cost-ordered path onto testDB's tiny inputs so the restore
-	// machinery (provenance columns, layout permutation) actually runs.
-	saved := minCostOrderRows
-	minCostOrderRows = 0
-	defer func() { minCostOrderRows = saved }()
-	for _, sql := range []string{
-		"SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.name",
-		"SELECT e.name, d.budget, f.id FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.dept = d.name",
-		"SELECT e.name FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.id = e.id AND f.salary > 75",
+		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name AND 1 = 1 WHERE e.salary > 75",
+		"SELECT e.name, d.budget FROM emp e FULL JOIN dept d ON e.dept = d.name AND 1 = 1",
 	} {
 		on, off, onErr, offErr := queryBoth(sql)
 		assertSame(t, sql, on, off, onErr, offErr)
 	}
-}
-
-func TestPlanCacheKeyIncludesOptimize(t *testing.T) {
-	// One engine, one statement pointer, flag toggled between queries: the
-	// cache must serve a plan compiled under the current flag, not the first.
-	e := New(testDB())
-	sel, err := sqlparse.ParseSelect(
-		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	optimized := e.PlanOf(sel).String()
-	if !strings.Contains(optimized, "[stream hash") {
-		t.Fatalf("optimized plan lacks stream hint:\n%s", optimized)
-	}
-	e.Optimize = false
-	raw := e.PlanOf(sel).String()
-	if strings.Contains(raw, "[stream hash") {
-		t.Fatalf("unoptimized plan served from optimized cache entry:\n%s", raw)
-	}
-	rel1, err1 := e.Query(sel)
-	e.Optimize = true
-	rel2, err2 := e.Query(sel)
-	assertSame(t, "cache toggle", rel2, rel1, err2, err1)
 }
 
 // TestOptimizerDifferentialQuick fuzzes SELECTs over emp/dept — every join
@@ -344,10 +282,10 @@ func benchJoinDB() *DB {
 	return db
 }
 
-// BenchmarkStreamJoinMemory measures the streaming hash join against the
-// materializing baseline on a filtered join: the optimized plan pushes the
-// filters below the join and streams the probe side, the unoptimized plan
-// materializes the full join output before filtering.
+// BenchmarkStreamJoinMemory measures the optimized plan against the
+// unoptimized oracle on a filtered join: the optimized plan pushes the
+// filters below the join, so the hash probe builds and streams only the
+// surviving rows; the unoptimized plan joins every row and filters after.
 func BenchmarkStreamJoinMemory(b *testing.B) {
 	const sql = "SELECT b.v, s.w FROM big b JOIN small s ON b.id = s.id WHERE b.v > 50 AND s.w < 300"
 	sel, err := sqlparse.ParseSelect(sql)
@@ -356,12 +294,11 @@ func BenchmarkStreamJoinMemory(b *testing.B) {
 	}
 	db := benchJoinDB()
 	for _, mode := range []struct {
-		name     string
-		optimize bool
-	}{{"optimized", true}, {"unoptimized", false}} {
+		name   string
+		engine func(*DB) *Engine
+	}{{"optimized", New}, {"unoptimized", NewUnoptimized}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := New(db)
-			e.Optimize = mode.optimize
+			e := mode.engine(db)
 			e.MaxRows = 10_000_000
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -384,9 +321,8 @@ func TestBenchJoinDBParity(t *testing.T) {
 	db := benchJoinDB()
 	eOn := New(db)
 	eOn.MaxRows = 10_000_000
-	eOff := New(db)
+	eOff := NewUnoptimized(db)
 	eOff.MaxRows = 10_000_000
-	eOff.Optimize = false
 	sql := "SELECT b.v, s.w FROM big b JOIN small s ON b.id = s.id WHERE b.v > 50 AND s.w < 300"
 	on, onErr := eOn.QuerySQL(sql)
 	off, offErr := eOff.QuerySQL(sql)
@@ -394,5 +330,4 @@ func TestBenchJoinDBParity(t *testing.T) {
 	if len(on.Rows) == 0 {
 		t.Fatal("benchmark query returns no rows")
 	}
-	_ = fmt.Sprintf
 }

@@ -40,18 +40,6 @@ type CTEPlan struct {
 	Plan    *Plan
 }
 
-// PlanConfig controls plan construction.
-type PlanConfig struct {
-	// DisablePlanner lowers comma-joined FROM lists to cross products with a
-	// post-filter instead of an ImplicitJoinNode (ablation).
-	DisablePlanner bool
-	// Optimize runs the plan through the rewrite pipeline in optimize.go
-	// (predicate pushdown, join-order and join-strategy hints) after
-	// lowering. It is part of the plan cache key: plans built under
-	// different optimizer settings never alias.
-	Optimize bool
-}
-
 // OneRowNode produces a single zero-width row (SELECT without FROM).
 type OneRowNode struct{}
 
@@ -72,17 +60,6 @@ type JoinNode struct {
 	Left, Right PlanNode
 	Type        string // INNER, LEFT, RIGHT, FULL, CROSS
 	On          sqlast.Expr
-
-	// Stream is an optimizer hint: the ON clause is a plain column equality,
-	// so the physical layer may use the streaming hash join (build one side,
-	// stream the probe side batch by batch instead of materializing it).
-	// Output is byte-identical to the materializing join.
-	Stream bool
-	// BuildLeft, with Stream, hashes the (estimated-smaller) left input and
-	// streams the right one. Only ever set for INNER joins, where emitting
-	// matches grouped by left row preserves the left-major output order of
-	// the materializing join.
-	BuildLeft bool
 }
 
 // CrossNode is a left-deep cross product of comma-joined inputs.
@@ -97,12 +74,6 @@ type CrossNode struct {
 type ImplicitJoinNode struct {
 	Inputs []PlanNode
 	Where  sqlast.Expr
-
-	// CostOrder is an optimizer hint: at execution time, compare the default
-	// greedy join sequence against a cardinality-greedy one and run whichever
-	// the actual input sizes favor, restoring the default sequence's column
-	// layout and row order afterwards so results stay byte-identical.
-	CostOrder bool
 }
 
 // FilterNode keeps the input rows whose condition is truthy.
@@ -170,13 +141,13 @@ type LimitNode struct {
 // BuildPlan lowers a SELECT statement into a logical plan. The lowering is
 // syntax-directed and total: every statement the parser accepts plans, and
 // semantic errors (unknown tables, width mismatches) surface at execution.
-func BuildPlan(sel *sqlast.SelectStmt, cfg PlanConfig) *Plan {
+func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 	p := &Plan{}
 	for _, cte := range sel.With {
 		p.CTEs = append(p.CTEs, CTEPlan{
 			Name:    cte.Name,
 			Columns: cte.Columns,
-			Plan:    BuildPlan(cte.Select, cfg),
+			Plan:    BuildPlan(cte.Select),
 		})
 	}
 
@@ -187,10 +158,10 @@ func BuildPlan(sel *sqlast.SelectStmt, cfg PlanConfig) *Plan {
 		if sel.Where != nil {
 			root = &FilterNode{Input: root, Cond: sel.Where}
 		}
-	case len(sel.From) > 1 && sel.Where != nil && !cfg.DisablePlanner:
-		root = &ImplicitJoinNode{Inputs: planRefs(sel.From, cfg), Where: sel.Where}
+	case len(sel.From) > 1 && sel.Where != nil:
+		root = &ImplicitJoinNode{Inputs: planRefs(sel.From), Where: sel.Where}
 	default:
-		refs := planRefs(sel.From, cfg)
+		refs := planRefs(sel.From)
 		if len(refs) == 1 {
 			root = refs[0]
 		} else {
@@ -212,7 +183,7 @@ func BuildPlan(sel *sqlast.SelectStmt, cfg PlanConfig) *Plan {
 	}
 	if sel.SetOp != nil {
 		root = &SetOpNode{Left: root, Op: sel.SetOp.Op, All: sel.SetOp.All,
-			Right: BuildPlan(sel.SetOp.Right, cfg)}
+			Right: BuildPlan(sel.SetOp.Right)}
 	}
 	if len(sel.OrderBy) > 0 {
 		root = &SortNode{Input: root, Order: sel.OrderBy, KeysFromInput: sel.SetOp == nil}
@@ -234,15 +205,15 @@ func BuildPlan(sel *sqlast.SelectStmt, cfg PlanConfig) *Plan {
 	return p
 }
 
-func planRefs(refs []sqlast.TableRef, cfg PlanConfig) []PlanNode {
+func planRefs(refs []sqlast.TableRef) []PlanNode {
 	out := make([]PlanNode, len(refs))
 	for i, ref := range refs {
-		out[i] = planRef(ref, cfg)
+		out[i] = planRef(ref)
 	}
 	return out
 }
 
-func planRef(ref sqlast.TableRef, cfg PlanConfig) PlanNode {
+func planRef(ref sqlast.TableRef) PlanNode {
 	switch t := ref.(type) {
 	case *sqlast.TableName:
 		qualifier := t.Alias
@@ -251,11 +222,11 @@ func planRef(ref sqlast.TableRef, cfg PlanConfig) PlanNode {
 		}
 		return &ScanNode{Name: t.Name, Qualifier: qualifier}
 	case *sqlast.SubqueryTable:
-		return &SubqueryScanNode{Plan: BuildPlan(t.Select, cfg), Qualifier: t.Alias}
+		return &SubqueryScanNode{Plan: BuildPlan(t.Select), Qualifier: t.Alias}
 	case *sqlast.Join:
 		return &JoinNode{
-			Left:  planRef(t.Left, cfg),
-			Right: planRef(t.Right, cfg),
+			Left:  planRef(t.Left),
+			Right: planRef(t.Right),
 			Type:  t.Type,
 			On:    t.On,
 		}
@@ -285,22 +256,11 @@ func (n *JoinNode) Describe() string {
 	if n.On == nil || n.Type == "CROSS" {
 		return "CrossJoin"
 	}
-	s := fmt.Sprintf("%s Join ON %s", n.Type, sqlast.PrintExpr(n.On))
-	switch {
-	case n.BuildLeft:
-		s += " [stream hash, build left]"
-	case n.Stream:
-		s += " [stream hash, build right]"
-	}
-	return s
+	return fmt.Sprintf("%s Join ON %s", n.Type, sqlast.PrintExpr(n.On))
 }
 func (n *CrossNode) Describe() string { return "Cross" }
 func (n *ImplicitJoinNode) Describe() string {
-	s := fmt.Sprintf("ImplicitJoin (%d inputs) WHERE %s", len(n.Inputs), sqlast.PrintExpr(n.Where))
-	if n.CostOrder {
-		s += " [cost-ordered]"
-	}
-	return s
+	return fmt.Sprintf("ImplicitJoin (%d inputs) WHERE %s", len(n.Inputs), sqlast.PrintExpr(n.Where))
 }
 func (n *FilterNode) Describe() string { return "Filter " + sqlast.PrintExpr(n.Cond) }
 func (n *ProjectNode) Describe() string {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/sqlast"
@@ -15,17 +14,9 @@ import (
 //
 // The ordering runs at execution time, not plan time, because it depends on
 // each relation's resolved column set (subqueries and CTEs included). The
-// logical plan carries it as an ImplicitJoinNode; DisablePlanner lowers to
-// CrossNode + FilterNode instead (ablation).
-//
-// Sequence selection is split from execution: planBaselineJoins /
-// planCostJoins simulate a greedy ordering over column headers and row
-// counts only (no rows move), producing joinSteps that executeJoinSteps
-// then runs. The cost-ordered path (orderImplicitJoinsCost, used when the
-// optimizer marked the node) picks whichever sequence the actual input
-// cardinalities favor and — when it differs from the default — restores the
-// default sequence's column layout and row order via per-input provenance
-// columns, so the result is byte-identical to the default path.
+// logical plan carries it as an ImplicitJoinNode. Sequence selection is split
+// from execution: planJoins simulates the greedy ordering over column headers
+// only (no rows move), producing joinSteps that executeJoinSteps then runs.
 
 // joinStep is one step of a left-deep implicit-join sequence: join relation
 // `target` into the accumulated prefix, either on conjunct `conj` with the
@@ -36,105 +27,22 @@ type joinStep struct {
 	li, ri int
 }
 
-// orderImplicitJoins joins the relations in the default greedy order.
+// orderImplicitJoins joins the relations in greedy order.
 func (e *Engine) orderImplicitJoins(rels []*Relation, where sqlast.Expr) (*Relation, sqlast.Expr, error) {
 	conjuncts := splitConjuncts(where)
-	steps, used := e.planBaselineJoins(rels, conjuncts)
-	acc, err := e.executeJoinSteps(rels, 0, steps)
+	steps, used := e.planJoins(rels, conjuncts)
+	acc, err := e.executeJoinSteps(rels, steps)
 	if err != nil {
 		return nil, nil, err
 	}
 	return acc, residualOf(conjuncts, used), nil
 }
 
-// minCostOrderRows is the smallest total input size (rows across all
-// relations) for which the cost-ordered path considers deviating from the
-// default sequence; below it the provenance bookkeeping dominates any win.
-// A variable so tests can force the restore path on small inputs.
-var minCostOrderRows = 2048
-
-// orderImplicitJoinsCost is orderImplicitJoins with cost-based sequence
-// selection. It compares the default greedy sequence against a
-// cardinality-greedy one (start at the smallest relation, always join the
-// smallest connectable relation next) and, when they differ, executes the
-// cheaper sequence with per-input provenance columns and restores the
-// default sequence's layout and order afterwards. Restricted to sequences
-// with no cross-product steps on both sides: reordering cross products can
-// move an intermediate past the row cap in one order but not the other,
-// which would change error presence relative to the default path.
-func (e *Engine) orderImplicitJoinsCost(rels []*Relation, where sqlast.Expr) (*Relation, sqlast.Expr, error) {
-	conjuncts := splitConjuncts(where)
-	baseSteps, baseUsed := e.planBaselineJoins(rels, conjuncts)
-
-	runBaseline := func() (*Relation, sqlast.Expr, error) {
-		acc, err := e.executeJoinSteps(rels, 0, baseSteps)
-		if err != nil {
-			return nil, nil, err
-		}
-		return acc, residualOf(conjuncts, baseUsed), nil
-	}
-
-	total := 0
-	for _, r := range rels {
-		total += len(r.Rows)
-	}
-	if total < minCostOrderRows || hasCrossStep(baseSteps) {
-		return runBaseline()
-	}
-	// The two sequences consume different conjunct subsets as join
-	// conditions, so the residual filters — and the rows they short-circuit
-	// over — differ. With total conjuncts that is invisible (same final rows,
-	// no errors possible); a conjunct that can error (a subquery, arithmetic
-	// on text) could fire under one sequence only, so any such conjunct pins
-	// the default sequence.
-	var allCols []Col
-	for _, r := range rels {
-		allCols = append(allCols, r.Cols...)
-	}
-	for _, c := range conjuncts {
-		if !safeTotalExpr(c, nil, false) {
-			return runBaseline()
-		}
-		// Every ref must also resolve to exactly one column of the joined
-		// header. A ref that errors (unknown/ambiguous) — or one that only
-		// resolves in an outer scope — sits in a residual filter, and the two
-		// sequences' residuals see different row sets and short-circuit
-		// differently, so such a conjunct pins the default sequence. The
-		// check runs over the actual input headers, so it is complete.
-		if !refsResolve(c, allCols) {
-			return runBaseline()
-		}
-	}
-	costStart, costSteps, _ := e.planCostJoins(rels, conjuncts)
-	if hasCrossStep(costSteps) ||
-		(costStart == 0 && sameSequence(baseSteps, costSteps)) {
-		return runBaseline()
-	}
-
-	// Execute the cost sequence over provenance-widened inputs; the widened
-	// relations have identical headers plus one trailing \x00prov column, so
-	// the re-simulation makes the same decisions with key indexes valid in
-	// widened coordinates.
-	wide := make([]*Relation, len(rels))
-	for i, r := range rels {
-		wide[i] = widenWithProvenance(r)
-	}
-	wideStart, wideSteps, wideUsed := e.planCostJoins(wide, conjuncts)
-	acc, err := e.executeJoinSteps(wide, wideStart, wideSteps)
-	if err != nil {
-		return nil, nil, err
-	}
-	restored := e.restoreBaselineOrder(acc, rels, wideStart, wideSteps, baseSteps)
-	return restored, residualOf(conjuncts, wideUsed), nil
-}
-
-// planBaselineJoins simulates the default greedy ordering — repeated passes
-// over the conjuncts in order, joining every one that connects the
-// accumulated prefix to an unjoined relation, cross-producting the first
-// unjoined relation when a pass makes no progress — over column headers
-// only. The returned steps replay exactly the joins the pre-split
-// implementation executed inline.
-func (e *Engine) planBaselineJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinStep, []bool) {
+// planJoins simulates the greedy ordering — repeated passes over the
+// conjuncts in order, joining every one that connects the accumulated prefix
+// to an unjoined relation, cross-producting the first unjoined relation when
+// a pass makes no progress — over column headers only.
+func (e *Engine) planJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinStep, []bool) {
 	used := make([]bool, len(conjuncts))
 	joined := map[int]bool{0: true}
 	acc := &Relation{Cols: rels[0].Cols}
@@ -171,71 +79,16 @@ func (e *Engine) planBaselineJoins(rels []*Relation, conjuncts []sqlast.Expr) ([
 	return steps, used
 }
 
-// planCostJoins simulates a cardinality-greedy ordering: start from the
-// smallest relation, then repeatedly join the smallest connectable unjoined
-// relation (falling back to a cross product with the smallest unjoined one).
-// Ties break toward lower relation indexes and earlier conjuncts, keeping
-// the sequence deterministic.
-func (e *Engine) planCostJoins(rels []*Relation, conjuncts []sqlast.Expr) (int, []joinStep, []bool) {
-	start := 0
-	for i, r := range rels {
-		if len(r.Rows) < len(rels[start].Rows) {
-			start = i
-		}
-	}
-	used := make([]bool, len(conjuncts))
-	joined := map[int]bool{start: true}
-	acc := &Relation{Cols: rels[start].Cols}
-	var steps []joinStep
-	for len(joined) < len(rels) {
-		best := -1
-		var bs joinStep
-		for ci, c := range conjuncts {
-			if used[ci] {
-				continue
-			}
-			li, ri, target, ok := e.connects(c, acc, rels, joined)
-			if !ok {
-				continue
-			}
-			if best < 0 || len(rels[target].Rows) < len(rels[bs.target].Rows) {
-				best = ci
-				bs = joinStep{target: target, conj: ci, li: li, ri: ri}
-			}
-		}
-		if best < 0 {
-			cross := -1
-			for i := range rels {
-				if !joined[i] && (cross < 0 || len(rels[i].Rows) < len(rels[cross].Rows)) {
-					cross = i
-				}
-			}
-			bs = joinStep{target: cross, conj: -1}
-		} else {
-			used[best] = true
-		}
-		steps = append(steps, bs)
-		acc = &Relation{Cols: append(append([]Col{}, acc.Cols...), rels[bs.target].Cols...)}
-		joined[bs.target] = true
-	}
-	return start, steps, used
-}
-
-// executeJoinSteps runs a simulated sequence: hash joins (nested-loop under
-// ForceNestedLoop) for conjunct steps, cross products otherwise.
-func (e *Engine) executeJoinSteps(rels []*Relation, start int, steps []joinStep) (*Relation, error) {
-	acc := rels[start]
+// executeJoinSteps runs a simulated sequence: hash joins for conjunct steps,
+// cross products otherwise.
+func (e *Engine) executeJoinSteps(rels []*Relation, steps []joinStep) (*Relation, error) {
+	acc := rels[0]
 	for _, s := range steps {
 		var err error
 		if s.conj < 0 {
 			acc, err = e.crossProduct(acc, rels[s.target])
 		} else {
-			out := &Relation{Cols: append(append([]Col{}, acc.Cols...), rels[s.target].Cols...)}
-			if e.ForceNestedLoop {
-				acc, err = e.nestedEquiJoin(acc, rels[s.target], s.li, s.ri, out)
-			} else {
-				acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri, "INNER", out)
-			}
+			acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri)
 		}
 		if err != nil {
 			return nil, err
@@ -254,131 +107,11 @@ func residualOf(conjuncts []sqlast.Expr, used []bool) sqlast.Expr {
 	return sqlast.And(residual...)
 }
 
-func hasCrossStep(steps []joinStep) bool {
-	for _, s := range steps {
-		if s.conj < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// sameSequence reports whether two step lists join the same relations on
-// the same conjuncts in the same order (key indexes are derived data).
-func sameSequence(a, b []joinStep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].target != b[i].target || a[i].conj != b[i].conj {
-			return false
-		}
-	}
-	return true
-}
-
-// provCol is the hidden provenance column widenWithProvenance appends. The
-// NUL prefix keeps it unreachable from SQL (no parsed identifier contains
-// NUL), like the hidden ORDER BY key columns.
-const provCol = "\x00prov"
-
-// widenWithProvenance copies a relation with one extra trailing column
-// holding each row's original index. Rows are fresh arena-backed slices:
-// appending to them can never alias the input's backing arrays.
-func widenWithProvenance(r *Relation) *Relation {
-	cols := make([]Col, 0, len(r.Cols)+1)
-	cols = append(cols, r.Cols...)
-	cols = append(cols, Col{Name: provCol})
-	out := &Relation{Cols: cols, Rows: make([][]Value, len(r.Rows))}
-	arena := newRowArena(len(cols))
-	for i, row := range r.Rows {
-		w := arena.next()
-		copy(w, row)
-		w[len(row)] = IntVal(int64(i))
-		out.Rows[i] = w
-	}
-	return out
-}
-
-// restoreBaselineOrder rewrites a cost-sequence result (over widened
-// relations, column blocks in cost order) into the exact relation the
-// baseline sequence produces: its column blocks permuted to baseline order
-// with provenance dropped, and its rows sorted lexicographically by the
-// per-input row indexes in baseline block order. The baseline's inner hash
-// joins emit exactly that lexicographic order (probe-major, build rows in
-// insertion order), and both sequences produce the same row multiset, so
-// the rewrite reproduces the baseline result byte for byte.
-func (e *Engine) restoreBaselineOrder(acc *Relation, rels []*Relation, costStart int, costSteps, baseSteps []joinStep) *Relation {
-	n := len(rels)
-	costLayout := make([]int, 0, n)
-	costLayout = append(costLayout, costStart)
-	for _, s := range costSteps {
-		costLayout = append(costLayout, s.target)
-	}
-	baseLayout := make([]int, 0, n)
-	baseLayout = append(baseLayout, 0)
-	for _, s := range baseSteps {
-		baseLayout = append(baseLayout, s.target)
-	}
-
-	// Block offsets of each relation inside the cost-ordered row (each block
-	// is the relation's columns plus its trailing provenance column).
-	blockOff := make([]int, n)
-	off := 0
-	for _, rel := range costLayout {
-		blockOff[rel] = off
-		off += len(rels[rel].Cols) + 1
-	}
-	provOff := make([]int, n)
-	for _, rel := range costLayout {
-		provOff[rel] = blockOff[rel] + len(rels[rel].Cols)
-	}
-
-	// Sort by provenance tuples in baseline block order. Tuples are unique
-	// (each combination of input rows appears at most once), so the order is
-	// total and sort.Slice is deterministic.
-	e.ops.Add(int64(len(acc.Rows)))
-	rows := acc.Rows
-	sort.Slice(rows, func(a, b int) bool {
-		ra, rb := rows[a], rows[b]
-		for _, rel := range baseLayout {
-			pa, pb := ra[provOff[rel]].I, rb[provOff[rel]].I
-			if pa != pb {
-				return pa < pb
-			}
-		}
-		return false
-	})
-
-	outCols := make([]Col, 0, off-n)
-	for _, rel := range baseLayout {
-		outCols = append(outCols, rels[rel].Cols...)
-	}
-	out := &Relation{Cols: outCols, Rows: make([][]Value, len(rows))}
-	arena := newRowArena(len(outCols))
-	for i, row := range rows {
-		w := arena.next()
-		pos := 0
-		for _, rel := range baseLayout {
-			width := len(rels[rel].Cols)
-			copy(w[pos:pos+width], row[blockOff[rel]:blockOff[rel]+width])
-			pos += width
-		}
-		out.Rows[i] = w
-	}
-	return out
-}
-
 // connects reports whether conjunct c is an equality joining a column of the
 // accumulated relation to a column of exactly one unjoined relation.
 func (e *Engine) connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined map[int]bool) (accIdx, relIdx, target int, ok bool) {
-	bin, isBin := c.(*sqlast.Binary)
-	if !isBin || bin.Op != "=" {
-		return 0, 0, 0, false
-	}
-	lc, lok := bin.L.(*sqlast.ColumnRef)
-	rc, rok := bin.R.(*sqlast.ColumnRef)
-	if !lok || !rok {
+	lc, rc, ok := colEquality(c)
+	if !ok {
 		return 0, 0, 0, false
 	}
 	try := func(a, b *sqlast.ColumnRef) (int, int, int, bool) {
@@ -404,23 +137,6 @@ func (e *Engine) connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined
 		return ai, bi, t, true
 	}
 	return 0, 0, 0, false
-}
-
-// nestedEquiJoin is the nested-loop inner equi-join used when hash joins are
-// disabled for ablation.
-func (e *Engine) nestedEquiJoin(left, right *Relation, li, ri int, out *Relation) (*Relation, error) {
-	e.ops.Add(int64(len(left.Rows)) * int64(len(right.Rows)))
-	for _, lr := range left.Rows {
-		for _, rr := range right.Rows {
-			if Equal(lr[li], rr[ri]) {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
-				if len(out.Rows) > e.maxRows() {
-					return nil, execErrorf("join result exceeds row cap")
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // splitConjuncts flattens a tree of ANDs into its conjuncts.

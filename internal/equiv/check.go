@@ -229,11 +229,6 @@ type Checker struct {
 	// threaded through to each engine's intra-query parallelism (grouped
 	// aggregation and set operations). 0 or 1 executes sequentially.
 	Parallel int
-	// NoOptimize executes queries without the engine's plan optimizer
-	// (predicate pushdown, join reordering, streaming hash joins). Verdicts
-	// and row outputs are byte-identical either way; the switch exists for
-	// ablation and differential testing.
-	NoOptimize bool
 
 	instances runner.Flight[instanceKey, *engine.DB]
 	engineOps atomic.Int64
@@ -285,7 +280,6 @@ func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (b
 	check := func(ctx context.Context, seed int64) (bool, error) {
 		e := engine.New(c.instance(seed, rows))
 		e.Parallel = c.Parallel
-		e.Optimize = !c.NoOptimize
 		defer func() { c.engineOps.Add(e.Ops()) }()
 		ra, err := e.QueryCtx(ctx, a)
 		if err != nil {

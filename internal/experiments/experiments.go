@@ -102,10 +102,6 @@ type Config struct {
 	Seed int64
 	// VerifyEquivalences engine-checks generated equivalence pairs.
 	VerifyEquivalences bool
-	// NoOptimize turns the engine's plan optimizer off during equivalence
-	// verification (the -no-optimize flag). Artifacts are byte-identical
-	// either way; the switch exists for ablation and differential testing.
-	NoOptimize bool
 	// Parallel is the worker budget for the build and all task runs
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallel int
@@ -173,7 +169,6 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 		VerifyEquivalences: cfg.VerifyEquivalences,
 		Parallel:           cfg.Parallel,
 		Ctx:                buildCtx,
-		NoOptimize:         cfg.NoOptimize,
 	})
 	buildSpan.EndErr(err)
 	if err != nil {

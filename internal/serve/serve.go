@@ -33,10 +33,6 @@ type Config struct {
 	// Parallel is the worker budget for environment builds and eval fan-out
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallel int
-	// NoOptimize turns the engine's plan optimizer off for equivalence
-	// verification during environment builds (ablation; artifact output is
-	// byte-identical either way).
-	NoOptimize bool
 	// EnvCacheCap bounds the number of cached evaluation environments
 	// (seed × verify combinations); least-recently-used environments are
 	// evicted beyond it so long-lived processes don't grow without bound.
@@ -190,7 +186,6 @@ func (s *Server) env(key envKey) (*experiments.Env, error) {
 		return experiments.NewEnvConfig(experiments.Config{
 			Seed:               key.seed,
 			VerifyEquivalences: key.verify,
-			NoOptimize:         s.cfg.NoOptimize,
 			Parallel:           s.cfg.Parallel,
 			Models:             s.cfg.Models,
 			Stats:              s.llmStats,
