@@ -47,6 +47,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/llm"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
 )
@@ -173,14 +174,10 @@ func main() {
 	if *stats {
 		// Per-model client telemetry: how many completions ran, what they
 		// cost in tokens, how they behaved (retries, rate limiting, latency).
-		snap := env.Stats.Snapshot()
 		failedByModel := env.FailedByModel()
-		for _, name := range env.Stats.Names() {
-			ms := snap[name]
-			fmt.Fprintf(os.Stderr,
-				"sqlbench: model %s: requests=%d errors=%d retries=%d failed_examples=%d prompt_tokens=%d completion_tokens=%d latency_mean_ms=%.1f latency_p50_ms=%.1f latency_p95_ms=%.1f latency_p99_ms=%.1f\n",
-				name, ms.Requests, ms.Errors, ms.Retries, failedByModel[name], ms.PromptTokens, ms.CompletionTokens,
-				ms.LatencyMeanMS, ms.LatencyP50MS, ms.LatencyP95MS, ms.LatencyP99MS)
+		for _, m := range env.Stats.Sources() {
+			fmt.Fprintf(os.Stderr, "sqlbench: model %s: %s failed_examples=%d\n",
+				m.Label, metrics.Text(llm.ModelFamilies, m.From), failedByModel[m.Label])
 		}
 	}
 	if *traceOut != "" {

@@ -16,10 +16,12 @@
 //	GET  /v1/experiments                       list paper artifacts
 //	GET  /v1/experiments/{id}?seed=N&verify=0  rendered artifact (cached)
 //	GET  /v1/healthz                           liveness
-//	GET  /v1/metrics                           service counters (JSON)
-//	GET  /v1/metrics/prom                      same counters, Prometheus text format
+//	GET  /v1/metrics                           telemetry families (JSON)
+//	GET  /v1/metrics/prom                      same families, Prometheus text format
 //	GET  /v1/trace                             recent request spans (bounded ring)
-//	GET  /debug/vars                           expvar (counters + memstats)
+//
+// Both metrics endpoints render one registry: the service families in
+// internal/serve and the per-model families (llm.ModelFamilies).
 //
 // Every response carries an X-Request-Id header (propagated from an incoming
 // traceparent or X-Request-Id, else generated); request logs and trace spans
@@ -29,7 +31,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"log/slog"
 	"net/http"
@@ -89,15 +90,10 @@ func main() {
 		Logger:           reqLogger,
 		TraceRing:        *traceRing,
 	})
-	s.Metrics().Publish("sqlserved")
-
-	mux := http.NewServeMux()
-	mux.Handle("/", s.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           mux,
+		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

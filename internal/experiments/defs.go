@@ -167,7 +167,12 @@ func histExperiment(ds string) func(env *Env, w io.Writer) error {
 		for t := range byType {
 			types = append(types, t)
 		}
-		sort.Slice(types, func(i, j int) bool { return byType[types[i]] > byType[types[j]] })
+		sort.Slice(types, func(i, j int) bool {
+			if byType[types[i]] != byType[types[j]] {
+				return byType[types[i]] > byType[types[j]]
+			}
+			return types[i] < types[j]
+		})
 		var counts []int
 		for _, t := range types {
 			counts = append(counts, byType[t])

@@ -233,6 +233,12 @@ var determinismCritical = map[string]bool{
 	"engine":   true,
 	"equiv":    true,
 	"core":     true,
+	// The scoring and rendering layer: a float summed in map order shifts
+	// the low bits of a printed score.
+	"metrics":     true,
+	"report":      true,
+	"stats":       true,
+	"experiments": true,
 }
 
 // isDeterminismCritical reports whether the import path names a package

@@ -9,15 +9,18 @@ import (
 
 // MapOrder flags order-sensitive work inside `for range m` over a map
 // in determinism-critical packages: appending to a slice that is never
-// deterministically sorted afterwards, or writing directly to a sink
-// (fmt printers, Write* methods, channel sends). Go randomizes map
-// iteration order per run, so either is a build-to-build diff waiting
-// to happen. Aggregations (sums, max), writes into other maps, and the
-// collect-then-sort idiom are all fine.
+// deterministically sorted afterwards, writing directly to a sink
+// (fmt printers, Write* methods, channel sends), or accumulating into a
+// float declared outside the loop with +=, -= or *=. Go randomizes map
+// iteration order per run, and float arithmetic is not associative, so
+// each is a build-to-build diff waiting to happen. Integer aggregations
+// (sums, max), writes into other maps, and the collect-then-sort idiom
+// are all fine.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "forbid order-sensitive map iteration (append without a " +
-		"subsequent sort, or direct sink writes) in determinism-critical packages",
+		"subsequent sort, direct sink writes, or float accumulation) in " +
+		"determinism-critical packages",
 	Run: runMapOrder,
 }
 
@@ -82,6 +85,16 @@ func checkMapRange(p *Pass, fn *ast.BlockStmt, rs *ast.RangeStmt) {
 			}
 			return true
 		case *ast.AssignStmt:
+			if stmt.Tok == token.ADD_ASSIGN || stmt.Tok == token.SUB_ASSIGN || stmt.Tok == token.MUL_ASSIGN {
+				obj := assignTarget(p.Info, stmt.Lhs[0])
+				if obj != nil && !reported[obj] && isFloat(obj.Type()) && !declaredWithin(obj, rs.Body) {
+					reported[obj] = true
+					p.Reportf(rs.Pos(),
+						"map iteration accumulates float %q with %s: float arithmetic is not associative, so its low bits depend on the randomized map order; iterate sorted keys instead",
+						obj.Name(), stmt.Tok)
+				}
+				return true
+			}
 			for i, rhs := range stmt.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok || !isBuiltinAppend(p.Info, call) || i >= len(stmt.Lhs) {
@@ -113,6 +126,12 @@ func checkMapRange(p *Pass, fn *ast.BlockStmt, rs *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// isFloat reports whether t is a floating-point type.
+func isFloat(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

@@ -80,3 +80,51 @@ func PerEntry(m map[string][]int) int {
 	}
 	return n
 }
+
+// Mean sums floats in map order: float addition is not associative, so
+// the low bits of the result vary run to run.
+func Mean(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m { // want `map iteration accumulates float "sum" with \+=`
+		sum += v
+	}
+	return sum / float64(len(m))
+}
+
+// weights scales a float field in map order: flagged the same way.
+type weights struct{ scale float64 }
+
+func (w *weights) Apply(m map[string]float64) {
+	for _, v := range m { // want `map iteration accumulates float "scale" with \*=`
+		w.scale *= v
+	}
+}
+
+// SortedMean folds the same floats in sorted key order: fine.
+func SortedMean(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k]
+	}
+	return sum / float64(len(m))
+}
+
+// PerEntryFloat accumulates into a float scoped to one iteration: fine.
+func PerEntryFloat(m map[string][]float64) int {
+	n := 0
+	for _, vs := range m {
+		var local float64
+		for _, v := range vs {
+			local += v
+		}
+		if local > 0 {
+			n++
+		}
+	}
+	return n
+}

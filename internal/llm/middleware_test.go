@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // scriptClient fails with the scripted errors in order, then succeeds.
@@ -355,9 +357,13 @@ func TestInstrument(t *testing.T) {
 	if ms.Latency.Count() != 2 || ms.Latency.Mean() != 2*time.Millisecond {
 		t.Errorf("latency count=%d mean=%v", ms.Latency.Count(), ms.Latency.Mean())
 	}
-	snap := stats.Snapshot()["m"]
-	if snap.Requests != 3 || snap.TotalTokens != 6 {
-		t.Errorf("snapshot = %+v", snap)
+	srcs := stats.Sources()
+	if len(srcs) != 1 || srcs[0].Label != "m" {
+		t.Fatalf("sources = %+v", srcs)
+	}
+	obj := metrics.Object(ModelFamilies, srcs[0].From)
+	if obj["requests"] != 3.0 || obj["total_tokens"] != 6.0 || obj["breaker_state"] != "closed" {
+		t.Errorf("model families = %v", obj)
 	}
 }
 

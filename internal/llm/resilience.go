@@ -20,26 +20,23 @@ import (
 // BreakerState is the circuit breaker's condition.
 type BreakerState int32
 
-// Breaker states. The int values are the wire encoding of the
-// breaker_state metrics gauge, ordered by severity.
+// Breaker states. The int values are the Prometheus encoding of the
+// breaker_state gauge in ModelFamilies, ordered by severity.
 const (
 	BreakerClosed   BreakerState = 0 // requests flow normally
 	BreakerHalfOpen BreakerState = 1 // limited probes test recovery
 	BreakerOpen     BreakerState = 2 // requests fast-fail without reaching the backend
 )
 
+// breakerStateNames spells each BreakerState, indexed by its value.
+var breakerStateNames = []string{"closed", "half_open", "open"}
+
 // String implements fmt.Stringer.
 func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerHalfOpen:
-		return "half_open"
-	case BreakerOpen:
-		return "open"
-	default:
-		return "unknown"
+	if s >= 0 && int(s) < len(breakerStateNames) {
+		return breakerStateNames[s]
 	}
+	return "unknown"
 }
 
 // BreakerConfig tunes the Breaker middleware. The breaker opens on either

@@ -33,8 +33,8 @@ type ModelStats struct {
 	// BreakerOpens counts transitions into the open state; BreakerFastFails
 	// counts requests the breaker shed (code "breaker_open" during the open
 	// cooldown, "breaker_probing" while half-open with the probe budget
-	// saturated); BreakerState is the current state
-	// gauge (0 closed, 1 half-open, 2 open) and BreakerOpenUntil the open
+	// saturated); BreakerState is the current state (the breaker_state
+	// gauge: 0 closed, 1 half-open, 2 open) and BreakerOpenUntil the open
 	// deadline in unix nanos — the serve layer reads both to shed eval
 	// requests with 503 + Retry-After before they start.
 	BreakerOpens     atomic.Int64
@@ -50,31 +50,51 @@ type ModelStats struct {
 	HedgeWastedTokens atomic.Int64
 }
 
-// ModelSnapshot is a point-in-time copy of one model's stats, shaped for
-// JSON (the serve layer's /v1/metrics embeds it).
-type ModelSnapshot struct {
-	Requests         int64   `json:"requests"`
-	Errors           int64   `json:"errors"`
-	Retries          int64   `json:"retries"`
-	RateLimited      int64   `json:"rate_limited,omitempty"`
-	PromptTokens     int64   `json:"prompt_tokens"`
-	CompletionTokens int64   `json:"completion_tokens"`
-	TotalTokens      int64   `json:"total_tokens"`
-	LatencyMeanMS    float64 `json:"latency_mean_ms"`
-	LatencyP50MS     float64 `json:"latency_p50_ms"`
-	LatencyP95MS     float64 `json:"latency_p95_ms"`
-	LatencyP99MS     float64 `json:"latency_p99_ms"`
-	LatencyMaxMS     float64 `json:"latency_max_ms"`
-	// Breaker telemetry: state is "closed", "half_open", or "open" (omitted
-	// while closed with no opens recorded — i.e. no breaker configured or
-	// never tripped).
-	BreakerState     string `json:"breaker_state,omitempty"`
-	BreakerOpens     int64  `json:"breaker_opens,omitempty"`
-	BreakerFastFails int64  `json:"breaker_fast_fails,omitempty"`
-	// Hedge telemetry.
-	HedgesLaunched    int64 `json:"hedges_launched,omitempty"`
-	HedgesWon         int64 `json:"hedges_won,omitempty"`
-	HedgeWastedTokens int64 `json:"hedge_wasted_tokens,omitempty"`
+// ModelFamilies are the per-model telemetry families, each read from one
+// model's stats and fanned out over the model label: /v1/metrics nests them
+// under models.<model>, /v1/metrics/prom renders sqlserved_model_<name>
+// {model="..."}, and sqlbench -stats prints them on each model's line.
+// Adding a per-model counter means adding one entry here.
+var ModelFamilies = []metrics.Family[*ModelStats]{
+	{Name: "requests", Type: metrics.Counter, Help: "Logical requests entering the model client.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.Requests.Load()) }},
+	{Name: "errors", Type: metrics.Counter, Help: "Requests that failed after any retrying.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.Errors.Load()) }},
+	{Name: "retries", Type: metrics.Counter, Help: "Retry attempts scheduled.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.Retries.Load()) }},
+	{Name: "rate_limited", Type: metrics.Counter, Help: "Requests made to wait for a rate-limit token.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.RateLimited.Load()) }},
+	{Name: "prompt_tokens", Type: metrics.Counter, Help: "Prompt tokens consumed.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.PromptTokens.Load()) }},
+	{Name: "completion_tokens", Type: metrics.Counter, Help: "Completion tokens consumed.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.CompletionTokens.Load()) }},
+	{Name: "total_tokens", Type: metrics.Counter, Help: "Prompt plus completion tokens consumed.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.PromptTokens.Load() + ms.CompletionTokens.Load()) }},
+	{Name: "latency_mean_ms", Type: metrics.Gauge, Help: "Mean request latency in milliseconds.",
+		Value: func(ms *ModelStats) float64 { return durMS(ms.Latency.Mean()) }},
+	{Name: "latency_p50_ms", Type: metrics.Gauge, Help: "Median request latency in milliseconds, interpolated within its histogram bucket.",
+		Value: func(ms *ModelStats) float64 { return durMS(ms.Latency.Quantile(0.50)) }},
+	{Name: "latency_p95_ms", Type: metrics.Gauge, Help: "95th-percentile request latency in milliseconds, interpolated within its histogram bucket.",
+		Value: func(ms *ModelStats) float64 { return durMS(ms.Latency.Quantile(0.95)) }},
+	{Name: "latency_p99_ms", Type: metrics.Gauge, Help: "99th-percentile request latency in milliseconds, interpolated within its histogram bucket.",
+		Value: func(ms *ModelStats) float64 { return durMS(ms.Latency.Quantile(0.99)) }},
+	{Name: "latency_max_ms", Type: metrics.Gauge, Help: "Slowest request latency in milliseconds.",
+		Value: func(ms *ModelStats) float64 { return durMS(ms.Latency.Max()) }},
+	{Name: "breaker_state", Type: metrics.Gauge, Help: "Circuit-breaker state: 0 closed, 1 half_open, 2 open.",
+		Value:  func(ms *ModelStats) float64 { return float64(ms.BreakerState.Load()) },
+		States: breakerStateNames},
+	{Name: "breaker_opens", Type: metrics.Counter, Help: "Circuit-breaker transitions into the open state.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.BreakerOpens.Load()) }},
+	{Name: "breaker_fast_fails", Type: metrics.Counter, Help: "Requests shed by an open or probing breaker.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.BreakerFastFails.Load()) }},
+	{Name: "hedges_launched", Type: metrics.Counter, Help: "Hedged extra attempts raced.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.HedgesLaunched.Load()) }},
+	{Name: "hedges_won", Type: metrics.Counter, Help: "Requests answered by a hedge instead of the primary.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.HedgesWon.Load()) }},
+	{Name: "hedge_wasted_tokens", Type: metrics.Counter, Help: "Tokens spent by cancelled hedge losers that completed anyway.",
+		Value: func(ms *ModelStats) float64 { return float64(ms.HedgeWastedTokens.Load()) }},
+	{Name: "latency_seconds", Type: metrics.Histogram, Help: "Model request latency.",
+		Hist: func(ms *ModelStats) *metrics.LatencyHistogram { return &ms.Latency }},
 }
 
 // Stats holds per-model telemetry, keyed by client name. The zero value is
@@ -101,18 +121,6 @@ func (s *Stats) Model(name string) *ModelStats {
 	return ms
 }
 
-// Names returns the model names with recorded stats, sorted.
-func (s *Stats) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.models))
-	for n := range s.models {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RetryHook returns an OnRetry callback (for RetryConfig) that counts
 // retries into the per-model stats.
 func (s *Stats) RetryHook() func(name string, attempt int, err error, delay time.Duration) {
@@ -121,35 +129,16 @@ func (s *Stats) RetryHook() func(name string, attempt int, err error, delay time
 	}
 }
 
-// Snapshot returns a point-in-time copy of every model's stats.
-func (s *Stats) Snapshot() map[string]ModelSnapshot {
-	out := make(map[string]ModelSnapshot)
-	for _, name := range s.Names() {
-		ms := s.Model(name)
-		snap := ModelSnapshot{
-			Requests:          ms.Requests.Load(),
-			Errors:            ms.Errors.Load(),
-			Retries:           ms.Retries.Load(),
-			RateLimited:       ms.RateLimited.Load(),
-			PromptTokens:      ms.PromptTokens.Load(),
-			CompletionTokens:  ms.CompletionTokens.Load(),
-			TotalTokens:       ms.PromptTokens.Load() + ms.CompletionTokens.Load(),
-			LatencyMeanMS:     durMS(ms.Latency.Mean()),
-			LatencyP50MS:      durMS(ms.Latency.Quantile(0.50)),
-			LatencyP95MS:      durMS(ms.Latency.Quantile(0.95)),
-			LatencyP99MS:      durMS(ms.Latency.Quantile(0.99)),
-			LatencyMaxMS:      durMS(ms.Latency.Max()),
-			BreakerOpens:      ms.BreakerOpens.Load(),
-			BreakerFastFails:  ms.BreakerFastFails.Load(),
-			HedgesLaunched:    ms.HedgesLaunched.Load(),
-			HedgesWon:         ms.HedgesWon.Load(),
-			HedgeWastedTokens: ms.HedgeWastedTokens.Load(),
-		}
-		if state := BreakerState(ms.BreakerState.Load()); state != BreakerClosed || snap.BreakerOpens > 0 {
-			snap.BreakerState = state.String()
-		}
-		out[name] = snap
+// Sources returns every model's stats labeled by model name, sorted by
+// name: the sources ModelFamilies fan out over.
+func (s *Stats) Sources() []metrics.Labeled[*ModelStats] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]metrics.Labeled[*ModelStats], 0, len(s.models))
+	for name, ms := range s.models {
+		out = append(out, metrics.Labeled[*ModelStats]{Label: name, From: ms})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
 

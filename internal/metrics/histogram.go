@@ -82,9 +82,10 @@ func (h *LatencyHistogram) Mean() time.Duration {
 // Max returns the largest recorded latency.
 func (h *LatencyHistogram) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1)
-// from the bucket counts: the upper bound of the bucket containing the
-// q-ranked sample (Max for the unbounded bucket). 0 when empty.
+// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts:
+// it finds the bucket holding the q-ranked sample and interpolates linearly
+// inside it, from the previous bound to min(bound, Max), as if the bucket's
+// samples were spread evenly with the last one at the top. 0 when empty.
 func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
@@ -102,13 +103,25 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	}
 	var seen int64
 	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i < len(latencyBounds) {
-				return latencyBounds[i]
-			}
-			return h.Max()
+		c := h.counts[i].Load()
+		if seen+c < rank {
+			seen += c
+			continue
 		}
+		var lo time.Duration
+		if i > 0 {
+			lo = latencyBounds[i-1]
+		}
+		hi := h.Max()
+		if i < len(latencyBounds) && latencyBounds[i] < hi {
+			hi = latencyBounds[i]
+		}
+		if hi < lo {
+			// A concurrent Observe has counted its sample but not yet
+			// raised Max.
+			hi = lo
+		}
+		return lo + time.Duration(float64(hi-lo)*float64(rank-seen)/float64(c))
 	}
 	return h.Max()
 }
@@ -119,23 +132,6 @@ type HistogramBucket struct {
 	// unbounded bucket.
 	UpperBound time.Duration
 	Count      int64
-}
-
-// Buckets returns a point-in-time snapshot of the non-empty buckets.
-func (h *LatencyHistogram) Buckets() []HistogramBucket {
-	var out []HistogramBucket
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		b := HistogramBucket{Count: c}
-		if i < len(latencyBounds) {
-			b.UpperBound = latencyBounds[i]
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 // Sum returns the total of all recorded samples — with Count, the _sum and

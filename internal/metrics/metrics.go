@@ -108,35 +108,41 @@ func (b Binary) Accuracy() float64 {
 	return float64(b.TPs+b.TNs) / float64(b.Total())
 }
 
-// MultiClass accumulates a multi-class confusion and reports
+// MultiClass accumulates a multi-class confusion matrix and reports
 // support-weighted one-vs-rest precision/recall/F1, matching the paper's
-// "weighted accuracy" tables.
+// "weighted accuracy" tables. Add only increments per-class counts; each
+// class's one-vs-rest TP/FP/FN/TN are derived exactly when queried, and
+// the weighted folds run in sorted class order, so scores never depend on
+// map iteration order.
 type MultiClass struct {
-	perClass map[string]*Binary
-	support  map[string]int
-	total    int
+	support map[string]int // examples per truth class
+	tps     map[string]int // correct predictions per class
+	fps     map[string]int // wrong predictions per predicted class
+	total   int
 }
 
 // NewMultiClass returns an empty accumulator.
 func NewMultiClass() *MultiClass {
-	return &MultiClass{perClass: map[string]*Binary{}, support: map[string]int{}}
+	return &MultiClass{support: map[string]int{}, tps: map[string]int{}, fps: map[string]int{}}
 }
 
 // Add records one classification.
 func (m *MultiClass) Add(truth, pred string) {
 	m.total++
 	m.support[truth]++
-	classes := map[string]bool{truth: true, pred: true}
-	for c := range classes {
-		if _, ok := m.perClass[c]; !ok {
-			m.perClass[c] = &Binary{}
-		}
+	if truth == pred {
+		m.tps[truth]++
+	} else {
+		m.fps[pred]++
 	}
-	for c, b := range m.perClass {
-		b.Add(truth == c, pred == c)
-	}
-	// Classes seen for the first time mid-stream lack earlier negatives;
-	// that slightly inflates their TN count, which weighted P/R/F1 ignore.
+}
+
+// oneVsRest returns class c's exact one-vs-rest confusion: every example
+// that is neither labeled nor predicted c is a true negative.
+func (m *MultiClass) oneVsRest(c string) Binary {
+	b := Binary{TPs: m.tps[c], FPs: m.fps[c], FNs: m.support[c] - m.tps[c]}
+	b.TNs = m.total - b.TPs - b.FPs - b.FNs
+	return b
 }
 
 // Classes returns the observed truth classes, sorted.
@@ -149,18 +155,15 @@ func (m *MultiClass) Classes() []string {
 	return out
 }
 
-// weighted folds a per-class measure by class support.
+// weighted folds a per-class measure by class support, in sorted class
+// order.
 func (m *MultiClass) weighted(f func(Binary) float64) float64 {
 	if m.total == 0 {
 		return 0
 	}
 	var sum float64
-	for c, n := range m.support {
-		b := m.perClass[c]
-		if b == nil {
-			continue
-		}
-		sum += f(*b) * float64(n)
+	for _, c := range m.Classes() {
+		sum += f(m.oneVsRest(c)) * float64(m.support[c])
 	}
 	return sum / float64(m.total)
 }
@@ -180,10 +183,8 @@ func (m *MultiClass) Accuracy() float64 {
 		return 0
 	}
 	correct := 0
-	for c, b := range m.perClass {
-		if m.support[c] > 0 {
-			correct += b.TPs
-		}
+	for _, n := range m.tps {
+		correct += n
 	}
 	return float64(correct) / float64(m.total)
 }

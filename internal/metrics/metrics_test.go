@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,61 @@ func TestMultiClassWeighted(t *testing.T) {
 	classes := mc.Classes()
 	if len(classes) != 2 || classes[0] != "a" {
 		t.Errorf("classes = %v", classes)
+	}
+
+	// Six classes, c/d/e first seen mid-stream and f first seen only as a
+	// prediction. Per class (support; TP FP FN):
+	//   a (3; 2 1 1)  P 2/3  R 2/3  F1 2/3
+	//   b (2; 1 1 1)  P 1/2  R 1/2  F1 1/2
+	//   c (2; 1 1 1)  P 1/2  R 1/2  F1 1/2
+	//   d (2; 1 1 1)  P 1/2  R 1/2  F1 1/2
+	//   e (2; 1 0 1)  P 1    R 1/2  F1 2/3
+	//   f (1; 1 1 0)  P 1/2  R 1    F1 2/3
+	stream := [][2]string{
+		{"a", "a"}, {"a", "a"}, {"b", "b"}, {"a", "b"}, {"c", "c"}, {"b", "c"},
+		{"d", "d"}, {"d", "a"}, {"e", "e"}, {"c", "f"}, {"f", "f"}, {"e", "d"},
+	}
+	fwd, rev := NewMultiClass(), NewMultiClass()
+	for i := range stream {
+		fwd.Add(stream[i][0], stream[i][1])
+		rev.Add(stream[len(stream)-1-i][0], stream[len(stream)-1-i][1])
+	}
+	for _, c := range []struct {
+		name string
+		got  func(*MultiClass) float64
+		want float64
+	}{
+		// (3·2/3 + 2·1/2 + 2·1/2 + 2·1/2 + 2·1 + 1·1/2) / 12
+		{"precision", (*MultiClass).WeightedPrecision, 7.5 / 12},
+		// (3·2/3 + 2·1/2 + 2·1/2 + 2·1/2 + 2·1/2 + 1·1) / 12
+		{"recall", (*MultiClass).WeightedRecall, 7.0 / 12},
+		// (3·2/3 + 2·1/2 + 2·1/2 + 2·1/2 + 2·2/3 + 1·2/3) / 12
+		{"f1", (*MultiClass).WeightedF1, 7.0 / 12},
+		{"accuracy", (*MultiClass).Accuracy, 7.0 / 12},
+	} {
+		got := c.got(fwd)
+		if math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("six-class weighted %s = %v, want %v", c.name, got, c.want)
+		}
+		// Same counts, any insertion order, any number of calls: the same
+		// bits, never a map-order-dependent low bit.
+		for i := 0; i < 20; i++ {
+			if a, b := math.Float64bits(c.got(fwd)), math.Float64bits(c.got(rev)); a != math.Float64bits(got) || b != a {
+				t.Fatalf("six-class weighted %s not bit-identical across calls: %v, %v, %v",
+					c.name, got, math.Float64frombits(a), math.Float64frombits(b))
+			}
+		}
+	}
+	// One-vs-rest negatives are exact, including for classes first seen
+	// mid-stream: every other example is a TN.
+	if a := fwd.oneVsRest("a"); a != (Binary{TPs: 2, FPs: 1, FNs: 1, TNs: 8}) {
+		t.Errorf("class a = %+v", a)
+	}
+	if f := fwd.oneVsRest("f"); f != (Binary{TPs: 1, FPs: 1, TNs: 10}) {
+		t.Errorf("class f = %+v, want TN 10 (all other examples)", f)
+	}
+	if got := fwd.Classes(); len(got) != 6 || got[0] != "a" || got[5] != "f" {
+		t.Errorf("classes = %v", got)
 	}
 }
 

@@ -315,6 +315,22 @@ func (t *Tracer) Snapshot() ([]SpanRecord, uint64) {
 	return t.ring.snapshot()
 }
 
+// Retained reports how many spans the ring holds and how many older spans
+// it has evicted, without copying them. Nil tracers and ringless tracers
+// report (0, 0).
+func (t *Tracer) Retained() (int, uint64) {
+	if t == nil || t.ring == nil {
+		return 0, 0
+	}
+	r := t.ring
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.full {
+		return len(r.buf), r.evicted
+	}
+	return r.next, r.evicted
+}
+
 // ---------------------------------------------------------------------------
 // Ring
 

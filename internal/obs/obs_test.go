@@ -123,6 +123,9 @@ func TestRingEviction(t *testing.T) {
 	if evicted != 6 {
 		t.Errorf("evicted = %d, want 6", evicted)
 	}
+	if n, ev := tr.Retained(); n != 4 || ev != 6 {
+		t.Errorf("Retained = %d, %d; want 4, 6", n, ev)
+	}
 	for i, r := range recs {
 		want := fmt.Sprintf("span-%d", 6+i)
 		if r.Name != want {
@@ -142,6 +145,9 @@ func TestRingPartial(t *testing.T) {
 	recs, evicted := tr.Snapshot()
 	if len(recs) != 3 || evicted != 0 {
 		t.Fatalf("got %d spans, %d evicted; want 3, 0", len(recs), evicted)
+	}
+	if n, ev := tr.Retained(); n != 3 || ev != 0 {
+		t.Errorf("Retained = %d, %d; want 3, 0", n, ev)
 	}
 	if recs[0].Name != "s0" || recs[2].Name != "s2" {
 		t.Errorf("order wrong: %v", recs)
@@ -270,6 +276,9 @@ func TestNilSafety(t *testing.T) {
 	nilTr.export(SpanRecord{})
 	if recs, ev := nilTr.Snapshot(); recs != nil || ev != 0 {
 		t.Error("nil tracer snapshot not empty")
+	}
+	if n, ev := nilTr.Retained(); n != 0 || ev != 0 {
+		t.Error("nil tracer retains spans")
 	}
 	if nilTr.Collected() != nil {
 		t.Error("nil tracer collected not empty")

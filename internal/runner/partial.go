@@ -9,8 +9,8 @@ import (
 
 // This file adds the partial-failure mode of the map primitives: instead of
 // cancelling the whole fan-out on the first error (Map/MapStream semantics),
-// MapPartial and MapStreamPartial record per-index errors and keep going, so
-// one dead completion costs one example rather than one run. A failure
+// MapStreamPartial records per-index errors and keeps going, so one dead
+// completion costs one example rather than one run. A failure
 // budget acts as the trip wire that keeps a fully-dead backend from burning
 // through an entire dataset: once more than MaxFailures items have failed,
 // remaining work is cancelled and the run returns a *BudgetError.
@@ -42,12 +42,6 @@ func (e *BudgetError) Error() string {
 
 // Unwrap exposes the tripping failure to errors.Is/As.
 func (e *BudgetError) Unwrap() error { return e.Last }
-
-// IsBudget reports whether err is (or wraps) a failure-budget trip.
-func IsBudget(err error) bool {
-	var be *BudgetError
-	return errors.As(err, &be)
-}
 
 // outcome carries one item's result or failure through the ordering
 // machinery of MapStream, which only ever sees successes.
@@ -104,27 +98,4 @@ func MapStreamPartial[T, R any](ctx context.Context, parallel int, items []T, ma
 		return err
 	}
 	return nil
-}
-
-// MapPartial is Map in continue-on-error mode: it applies fn to every item
-// with at most `parallel` concurrent workers and returns the results in
-// input order alongside the per-index failures (in index order). A failed
-// index holds the zero value in the result slice and appears in the errors
-// slice instead. The run error is non-nil only when the run did not attempt
-// every item: failure-budget trip (*BudgetError) or context cancellation.
-func MapPartial[T, R any](ctx context.Context, parallel int, items []T, maxFailures int, fn func(ctx context.Context, idx int, item T) (R, error)) ([]R, []ItemError, error) {
-	out := make([]R, len(items))
-	var errs []ItemError
-	err := MapStreamPartial(ctx, parallel, items, maxFailures, fn, func(idx int, r R, ierr error) error {
-		if ierr != nil {
-			errs = append(errs, ItemError{Index: idx, Err: ierr})
-			return nil
-		}
-		out[idx] = r
-		return nil
-	})
-	if err != nil {
-		return nil, errs, err
-	}
-	return out, errs, nil
 }

@@ -85,9 +85,6 @@ func TestMapStreamPartialBudgetTrips(t *testing.T) {
 		if !errors.As(err, &be) {
 			t.Fatalf("workers=%d: err = %v, want *BudgetError", workers, err)
 		}
-		if !IsBudget(err) {
-			t.Fatalf("workers=%d: IsBudget(%v) = false", workers, err)
-		}
 		if !errors.Is(err, dead) {
 			t.Fatalf("workers=%d: budget error does not wrap the cause: %v", workers, err)
 		}
@@ -168,34 +165,5 @@ func TestMapStreamPartialParentCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// MapPartial must collect successes in order and failures as indexed errors.
-func TestMapPartial(t *testing.T) {
-	items := []int{10, 20, 30, 40, 50}
-	boom := errors.New("boom")
-	out, errs, err := MapPartial(context.Background(), 2, items, 0, func(_ context.Context, idx int, v int) (int, error) {
-		if idx == 1 || idx == 3 {
-			return 0, boom
-		}
-		return v + 1, nil
-	})
-	if err != nil {
-		t.Fatalf("run error = %v", err)
-	}
-	want := []int{11, 0, 31, 0, 51}
-	for i, v := range out {
-		if v != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-	if len(errs) != 2 || errs[0].Index != 1 || errs[1].Index != 3 {
-		t.Fatalf("errs = %v, want indices 1 and 3", errs)
-	}
-	for _, e := range errs {
-		if !errors.Is(e, boom) {
-			t.Fatalf("item error does not wrap cause: %v", e)
-		}
 	}
 }

@@ -27,9 +27,9 @@ func WithParallelism(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, parallelismKey{}, n)
 }
 
-// FromContext returns the worker budget carried by ctx, or 0 when none is
+// fromContext returns the worker budget carried by ctx, or 0 when none is
 // set.
-func FromContext(ctx context.Context) int {
+func fromContext(ctx context.Context) int {
 	if n, ok := ctx.Value(parallelismKey{}).(int); ok {
 		return n
 	}
@@ -50,7 +50,7 @@ func resolve(ctx context.Context, n int) int {
 	if n > 0 {
 		return n
 	}
-	if c := FromContext(ctx); c > 0 {
+	if c := fromContext(ctx); c > 0 {
 		return c
 	}
 	return runtime.GOMAXPROCS(0)
@@ -131,15 +131,6 @@ func Map[T, R any](ctx context.Context, parallel int, items []T, fn func(ctx con
 		return nil, err
 	}
 	return out, nil
-}
-
-// Do runs the given task functions with at most `parallel` concurrent
-// workers and returns the lowest-index error, if any.
-func Do(ctx context.Context, parallel int, fns ...func(ctx context.Context) error) error {
-	_, err := Map(ctx, parallel, fns, func(ctx context.Context, _ int, fn func(ctx context.Context) error) (struct{}, error) {
-		return struct{}{}, fn(ctx)
-	})
-	return err
 }
 
 // Flight memoizes the result of an expensive computation per key, coalescing
@@ -299,20 +290,4 @@ func (f *Flight[K, V]) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.calls)
-}
-
-// Cached reports whether a completed successful result exists for key.
-func (f *Flight[K, V]) Cached(key K) bool {
-	f.mu.Lock()
-	c, ok := f.calls[key]
-	f.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-c.done:
-		return c.err == nil
-	default:
-		return false
-	}
 }

@@ -138,28 +138,13 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(context.Background(), 2,
-		func(context.Context) error { a.Store(true); return nil },
-		func(context.Context) error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
-	}
-	boom := errors.New("boom")
-	if err := Do(context.Background(), 2, func(context.Context) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do error = %v, want boom", err)
-	}
-}
-
 func TestWithParallelism(t *testing.T) {
 	ctx := WithParallelism(context.Background(), 7)
-	if got := FromContext(ctx); got != 7 {
-		t.Fatalf("FromContext = %d, want 7", got)
+	if got := fromContext(ctx); got != 7 {
+		t.Fatalf("fromContext = %d, want 7", got)
 	}
-	if got := FromContext(context.Background()); got != 0 {
-		t.Fatalf("FromContext(background) = %d, want 0", got)
+	if got := fromContext(context.Background()); got != 0 {
+		t.Fatalf("fromContext(background) = %d, want 0", got)
 	}
 	// Budget flows through to Map when parallel arg is 0.
 	var cur, peak atomic.Int64
@@ -237,5 +222,21 @@ func TestFlightErrorNotCached(t *testing.T) {
 	}
 	if c := calls.Load(); c != 2 {
 		t.Errorf("fn ran %d times, want 2 (error evicted)", c)
+	}
+}
+
+// Cached reports whether a completed successful result exists for key.
+func (f *Flight[K, V]) Cached(key K) bool {
+	f.mu.Lock()
+	c, ok := f.calls[key]
+	f.mu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-c.done:
+		return c.err == nil
+	default:
+		return false
 	}
 }

@@ -31,23 +31,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.EnvCacheSize.Store(int64(s.envs.Len()))
-	s.metrics.ArtifactCacheSize.Store(int64(s.artifacts.Len()))
-	// Service counters at the top level (stable keys), per-model usage
-	// telemetry nested under "models".
-	payload := make(map[string]any)
-	for k, v := range s.metrics.Snapshot() {
-		payload[k] = v
-	}
-	if byTask := s.metrics.FailedByTask(); len(byTask) > 0 {
-		payload["failed_by_task"] = byTask
-	}
-	payload["models"] = s.llmStats.Snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(payload)
-}
-
 // handleTrace serves the bounded in-memory span ring: the most recent
 // completed spans (oldest first) plus how many older spans the ring has
 // evicted. Intended for ad-hoc debugging — scrape it after a request to see

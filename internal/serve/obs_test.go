@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/llm"
+	"repro/internal/metrics"
 )
 
 var hexID32 = regexp.MustCompile(`^[0-9a-f]{32}$`)
@@ -184,27 +187,40 @@ func TestPromExposition(t *testing.T) {
 	if err := json.NewDecoder(jsonResp.Body).Decode(&payload); err != nil {
 		t.Fatalf("decode metrics: %v", err)
 	}
-	for _, m := range promServiceMetrics {
-		got, ok := samples["sqlserved_"+m.key]
+	for _, f := range serviceFamilies {
+		got, ok := samples["sqlserved_"+f.Name]
 		if !ok {
-			t.Errorf("exposition missing sqlserved_%s", m.key)
+			t.Errorf("exposition missing sqlserved_%s", f.Name)
 			continue
 		}
 		// Monotonic counters can only have grown between the two scrapes
-		// (the JSON scrape itself increments requests_total); gauges that
-		// track in-flight state are skipped from the comparison.
-		if m.key == "in_flight" {
-			continue
-		}
-		if want, ok := payload[m.key].(float64); ok && m.typ == "counter" && got > want {
-			t.Errorf("%s: prom %v > later json %v", m.key, got, want)
+		// (the JSON scrape itself increments requests_total); gauges are
+		// skipped from the comparison.
+		if want, ok := payload[f.Name].(float64); !ok {
+			t.Errorf("/v1/metrics %s = %#v, want a number", f.Name, payload[f.Name])
+		} else if f.Type == metrics.Counter && got > want {
+			t.Errorf("%s: prom %v > later json %v", f.Name, got, want)
 		}
 	}
 	if samples["sqlserved_requests_total"] < 1 {
 		t.Errorf("requests_total = %v, want >= 1", samples["sqlserved_requests_total"])
 	}
+	// Every model family has a GPT4-labeled sample; histograms as _count.
+	for _, f := range llm.ModelFamilies {
+		name := "sqlserved_model_" + f.Name
+		if f.Type == metrics.Histogram {
+			name += "_count"
+		}
+		if _, ok := samples[name+`{model="GPT4"}`]; !ok {
+			t.Errorf("exposition missing %s{model=\"GPT4\"}", name)
+		}
+	}
 	if samples[`sqlserved_model_requests{model="GPT4"}`] < 1 {
 		t.Errorf("model requests sample missing or zero")
+	}
+	// Enumerated gauges render their ordinal, not their name.
+	if got := samples[`sqlserved_model_breaker_state{model="GPT4"}`]; got != float64(llm.BreakerClosed) {
+		t.Errorf("breaker_state = %v, want %d (closed)", got, llm.BreakerClosed)
 	}
 
 	// Histogram invariants: bucket counts are cumulative (nondecreasing in

@@ -80,8 +80,8 @@ func TestEvalContinueOnError(t *testing.T) {
 	if got := srv.Metrics().FailedExamples.Load(); got != int64(failed) {
 		t.Errorf("failed_examples = %d, want %d", got, failed)
 	}
-	if got := srv.Metrics().FailedByTask()["syntax"]; got != int64(failed) {
-		t.Errorf("failed_by_task[syntax] = %d, want %d", got, failed)
+	if got := srv.Metrics().FailedByTask(); len(got) != 1 || got[0].Label != "syntax" || got[0].From != int64(failed) {
+		t.Errorf("failed_by_task = %+v, want syntax: %d", got, failed)
 	}
 }
 

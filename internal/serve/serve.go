@@ -196,16 +196,7 @@ func (s *Server) env(key envKey) (*experiments.Env, error) {
 	if shared {
 		s.metrics.CoalesceHits.Add(1)
 	}
-	s.syncCacheMetrics()
 	return env, err
-}
-
-// syncCacheMetrics mirrors the Flight cache sizes and eviction totals into
-// the metrics snapshot.
-func (s *Server) syncCacheMetrics() {
-	s.metrics.EnvCacheSize.Store(int64(s.envs.Len()))
-	s.metrics.ArtifactCacheSize.Store(int64(s.artifacts.Len()))
-	s.metrics.CacheEvictions.Store(s.envs.Evictions() + s.artifacts.Evictions())
 }
 
 // artifact returns the rendered output of one experiment for key, running
@@ -230,6 +221,5 @@ func (s *Server) artifact(key artifactKey) ([]byte, error) {
 	if shared {
 		s.metrics.CoalesceHits.Add(1)
 	}
-	s.syncCacheMetrics()
 	return out, err
 }

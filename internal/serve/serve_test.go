@@ -10,10 +10,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/llm"
+	"repro/internal/metrics"
 )
 
 // newTestServer shares one service (and hence one built environment) across
@@ -335,11 +337,12 @@ func TestExperimentNotFound(t *testing.T) {
 	}
 }
 
-// metricsPayload decodes /v1/metrics: top-level counters plus the per-model
-// usage section.
+// metricsPayload decodes /v1/metrics: top-level counters, the per-task
+// failure breakdown and the per-model section, each value in its JSON type.
 type metricsPayload struct {
 	counters map[string]int64
-	models   map[string]llm.ModelSnapshot
+	byTask   map[string]int64
+	models   map[string]map[string]any
 }
 
 func getMetrics(t *testing.T, url string) metricsPayload {
@@ -355,23 +358,30 @@ func getMetrics(t *testing.T, url string) metricsPayload {
 	}
 	out := metricsPayload{counters: map[string]int64{}}
 	for k, v := range raw {
-		if k == "models" {
-			if err := json.Unmarshal(v, &out.models); err != nil {
-				t.Fatalf("decode models section: %v", err)
+		var dst any
+		switch k {
+		case "models":
+			dst = &out.models
+		case "failed_by_task":
+			dst = &out.byTask
+		default:
+			var n int64
+			if err := json.Unmarshal(v, &n); err != nil {
+				t.Fatalf("counter %s is not an integer: %s", k, v)
 			}
+			out.counters[k] = n
 			continue
 		}
-		var n int64
-		if err := json.Unmarshal(v, &n); err != nil {
-			t.Fatalf("counter %s is not numeric: %s", k, v)
+		if err := json.Unmarshal(v, dst); err != nil {
+			t.Fatalf("decode %s section: %v", k, err)
 		}
-		out.counters[k] = n
 	}
 	return out
 }
 
 // Metrics must report request and streamed-result activity, plus per-model
-// usage telemetry for the models the evals drove.
+// usage telemetry for the models the evals drove: every service family at
+// the top level and every model family under models.<model>.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, url := testServerAndURL(t)
 	// Generate at least one eval line so counters are non-zero.
@@ -380,6 +390,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		SQL:   []string{"SELECT TOP 10 * FROM PhotoObj"},
 	}))
 	m := getMetrics(t, url)
+	for _, f := range serviceFamilies {
+		if _, ok := m.counters[f.Name]; !ok {
+			t.Errorf("family %s missing from /v1/metrics (all: %v)", f.Name, m.counters)
+		}
+	}
 	for _, key := range []string{"requests_total", "eval_requests", "results_streamed", "env_cache_size"} {
 		if m.counters[key] <= 0 {
 			t.Errorf("metric %s = %d, want > 0 (all: %v)", key, m.counters[key], m.counters)
@@ -389,17 +404,84 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("no per-model usage for Gemini: %v", m.models)
 	}
-	if gem.Requests < 1 || gem.PromptTokens <= 0 || gem.CompletionTokens <= 0 {
-		t.Errorf("Gemini usage = %+v", gem)
+	for _, f := range llm.ModelFamilies {
+		v, ok := gem[f.Name]
+		switch {
+		case f.Type == metrics.Histogram:
+			if ok {
+				t.Errorf("histogram family %s rendered in JSON: %v", f.Name, v)
+			}
+		case f.States != nil:
+			if _, isStr := v.(string); !isStr {
+				t.Errorf("models.Gemini.%s = %#v, want a state name", f.Name, v)
+			}
+		default:
+			if _, isNum := v.(float64); !isNum {
+				t.Errorf("models.Gemini.%s = %#v, want a number", f.Name, v)
+			}
+		}
 	}
-	if gem.TotalTokens != gem.PromptTokens+gem.CompletionTokens {
-		t.Errorf("total tokens inconsistent: %+v", gem)
+	num := func(k string) float64 { v, _ := gem[k].(float64); return v }
+	if num("requests") < 1 || num("prompt_tokens") <= 0 || num("completion_tokens") <= 0 {
+		t.Errorf("Gemini usage = %v", gem)
 	}
-	if gem.LatencyMeanMS <= 0 {
-		t.Errorf("latency mean = %v", gem.LatencyMeanMS)
+	if num("total_tokens") != num("prompt_tokens")+num("completion_tokens") {
+		t.Errorf("total tokens inconsistent: %v", gem)
+	}
+	if num("latency_mean_ms") <= 0 {
+		t.Errorf("latency mean = %v", gem["latency_mean_ms"])
 	}
 	if srv.Metrics().Requests.Load() < 2 {
 		t.Errorf("requests counter = %d", srv.Metrics().Requests.Load())
+	}
+}
+
+// The /v1/metrics key set is published API: each of these keys keeps its
+// name, nesting, JSON type and value whatever families are added.
+func TestMetricsKeepsEarlierKeys(t *testing.T) {
+	srv, url := testServerAndURL(t)
+	decodeNDJSON(t, postEval(t, url, "syntax", EvalRequest{Model: "GPT4", SQL: []string{"SELECT objid FROM PhotoObj"}}))
+	srv.Metrics().FailedExample("syntax")
+	m := getMetrics(t, url)
+	for _, k := range []string{
+		"requests_total", "eval_requests", "experiment_requests", "results_streamed",
+		"coalesce_hits", "in_flight", "env_cache_size", "artifact_cache_size",
+		"cache_evictions", "rate_limited", "token_limited", "failed_examples",
+		"breaker_sheds",
+	} {
+		if _, ok := m.counters[k]; !ok {
+			t.Errorf("top-level key %s missing", k)
+		}
+	}
+	if m.counters["results_streamed"] != srv.Metrics().ResultsStreamed.Load() {
+		t.Errorf("results_streamed = %d, counter holds %d", m.counters["results_streamed"], srv.Metrics().ResultsStreamed.Load())
+	}
+	if m.byTask["syntax"] != 1 || m.counters["failed_examples"] != 1 {
+		t.Errorf("failed_by_task = %v, failed_examples = %d; want syntax: 1, 1", m.byTask, m.counters["failed_examples"])
+	}
+	gpt, ok := m.models["GPT4"]
+	if !ok {
+		t.Fatalf("models.GPT4 missing: %v", m.models)
+	}
+	for _, k := range []string{
+		"requests", "errors", "retries", "rate_limited", "prompt_tokens",
+		"completion_tokens", "total_tokens", "latency_mean_ms", "latency_p50_ms",
+		"latency_p95_ms", "latency_p99_ms", "latency_max_ms", "breaker_opens",
+		"breaker_fast_fails", "hedges_launched", "hedges_won", "hedge_wasted_tokens",
+	} {
+		if _, ok := gpt[k].(float64); !ok {
+			t.Errorf("models.GPT4.%s = %#v, want a number", k, gpt[k])
+		}
+	}
+	if gpt["breaker_state"] != "closed" {
+		t.Errorf("models.GPT4.breaker_state = %#v, want \"closed\"", gpt["breaker_state"])
+	}
+	ms := srv.ModelStats().Model("GPT4")
+	if gpt["requests"] != float64(ms.Requests.Load()) || gpt["completion_tokens"] != float64(ms.CompletionTokens.Load()) {
+		t.Errorf("models.GPT4 = %v, stats hold requests=%d completion_tokens=%d", gpt, ms.Requests.Load(), ms.CompletionTokens.Load())
+	}
+	if gpt["latency_max_ms"] != float64(ms.Latency.Max())/float64(time.Millisecond) {
+		t.Errorf("latency_max_ms = %v, histogram max %v", gpt["latency_max_ms"], ms.Latency.Max())
 	}
 }
 
