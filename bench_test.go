@@ -78,6 +78,28 @@ func BenchmarkFig11EquivWordCount(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkFig12EquivPredicates(b *testing.B) { benchExperiment(b, "fig12") }
 func BenchmarkCaseStudyExplanation(b *testing.B) { benchExperiment(b, "casestudy") }
 
+// BenchmarkColdRegeneration renders all experiments from a fresh
+// environment each iteration, so every task cell runs its models cold —
+// the path sqlbench -exp all takes. The verified build is excluded from the
+// timing (BenchmarkBuildBenchmark measures it).
+func BenchmarkColdRegeneration(b *testing.B) {
+	b.ReportAllocs()
+	exps := experiments.All()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, err := experiments.NewEnv(1, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, exp := range exps {
+			if err := exp.Run(env, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkBuildBenchmark measures full benchmark assembly (workload
 // generation, mutation, pair verification) with the default worker pool
 // (GOMAXPROCS).

@@ -1,0 +1,276 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/llm/sim"
+	"repro/internal/runner"
+)
+
+// simResponsesGolden pins every simulated-model response of seed 1: for each
+// task×dataset cell (registry order) and model, the SHA-256 of the cell's
+// responses in example order, one per line. The digests were captured
+// before the simulators memoized any per-SQL fact, so a cache that changes
+// a single response byte fails the test.
+var simResponsesGolden = map[string]string{
+	"equiv/Join-Order/GPT3.5":     "7c9c2cfa7b25b00bcdc9d78540d37a8192df0e66f3f4b937682744c34c8cf063",
+	"equiv/Join-Order/GPT4":       "1385134e083b5865a1eb213d6e7204630b61109a11eeda8794433400ec084090",
+	"equiv/Join-Order/Gemini":     "1d314a8f0d1a268be76cf3d64894f749f33579c4dbb903c1372e583c1f03e77c",
+	"equiv/Join-Order/Llama3":     "ab60b48f7690946691d1bc99351ee3fd3f5719af06e0e9fe9b212b6657574b29",
+	"equiv/Join-Order/MistralAI":  "41524f61da6ab6148f5a5d0cecc2790ac3f3adc4f67f24fefa2f09253d917154",
+	"equiv/SDSS/GPT3.5":           "1f7990fe0504ab837c319fbfda6eede48869ef745ba0e56017e1f75b7b36ae8f",
+	"equiv/SDSS/GPT4":             "98d7b51e6f0988ea104fa8a3b013e96e9ae007712d3ce8848918b77186f23015",
+	"equiv/SDSS/Gemini":           "a6bff39873072a6d4b93c5eb5ea16fe635f847feacb209fce2c64687ebaeb6d6",
+	"equiv/SDSS/Llama3":           "084fc0431ce8fb7fe1728e59f2193c461c276a026a9465e517ba4b80c9ec16d7",
+	"equiv/SDSS/MistralAI":        "76812214dea78638b719af62bb46a6185b0eb93c18404216c402aa080f2af65e",
+	"equiv/SQLShare/GPT3.5":       "2793e39164495437d8722a4dc5e5fd9a0f559bfff4ed706a41bdff31f0a0dc86",
+	"equiv/SQLShare/GPT4":         "fb88635eff62736969faee6505c765b2219fd489c1e675caee728b186af2dbd7",
+	"equiv/SQLShare/Gemini":       "e18dd9ccb6aa260851934878abc181f570c1687f11648cbb08eab3e53dd1c3cb",
+	"equiv/SQLShare/Llama3":       "f075b4ec703b7b47484cd3267376f4ad56da82f2f808b121ef024e92f0afde63",
+	"equiv/SQLShare/MistralAI":    "9a7e3b112551d8e361b4605ea607e1e95dd013bb54808911ce3c11c25518860f",
+	"explain/Spider/GPT3.5":       "139a8d1173d40c90d4568b2046d6df7bd2c4e953efc800f8f9d17474e15b5510",
+	"explain/Spider/GPT4":         "e8db0198abf088a0ce3250d582955e801922f74825afb3d36d337050035b6dd6",
+	"explain/Spider/Gemini":       "88f25e4ebd627bb113a111240a7728e2601db8e38e83c5ac11da4458d4d7c7eb",
+	"explain/Spider/Llama3":       "28c6ebe0e8b47e7c120aac0c7f258aa9dcbe014c6e9cc40d462b6d36eb37645c",
+	"explain/Spider/MistralAI":    "5e29bdf825c3ad6bd89a9c831fc5ade743b7016824bf2beffdae7c0c6c649629",
+	"fill/Join-Order/GPT3.5":      "efaa365607831e356166685a8b3882377acccc827a39d92f2de79b7b0b476d2a",
+	"fill/Join-Order/GPT4":        "2c9f333d6c1e9a383bc013b48dcf35b0d37cd87741f4e86765fabe299db3acf7",
+	"fill/Join-Order/Gemini":      "2caa88223fd8cbb6f5bfee27b98360e7cf38898313b0ac225583092d622c0d30",
+	"fill/Join-Order/Llama3":      "c72df76ced23b2053b4a3124c7a71216cea061a63681bb0a8d79a5a227d24cca",
+	"fill/Join-Order/MistralAI":   "6506c1e3cedc1a74ac6c2d8b760663a99318f7aef99a21260b4a53d010317af8",
+	"fill/SDSS/GPT3.5":            "0f38ad1231f1dfedc4162e76fa71f6ef16e540250338946518b09f9b14c8b8b5",
+	"fill/SDSS/GPT4":              "0e00d0809b47ba8de0520d178c60e7262e10efdd6e6415ff462e67583cc44588",
+	"fill/SDSS/Gemini":            "c4e89185a79ede3ea2b59eed4a0e706f659aa3e17f2f7be8299876aea1a09813",
+	"fill/SDSS/Llama3":            "28a8ca8e99e337c673bfbc088c492dffec663d53aeae5612fc7a1146d45afad3",
+	"fill/SDSS/MistralAI":         "d6fc639b369ff7f32c0edfe5beed3768c9469a7a0022fec9f44f194e4d12db2e",
+	"fill/SQLShare/GPT3.5":        "9205a587052381c122e9b6a7866964690adddbc62565a7ff13951d75689916ae",
+	"fill/SQLShare/GPT4":          "17e76ff3eac1e5095a23f0cb6e61dc284a01507f838e1bad282adc1bcb96b4bf",
+	"fill/SQLShare/Gemini":        "ae32727bb4693a97b1288a902faf385e3b02ccf2d1843ac0d65c1908e8cf19f6",
+	"fill/SQLShare/Llama3":        "ec6d1c118a963c4f7aeebcb3d30b194a12f4736e291b88e4f61e9fa47b3f844d",
+	"fill/SQLShare/MistralAI":     "4c977729dae5c17ab243226c935635af93109f9199510a66f1361b19ded36648",
+	"perf/SDSS/GPT3.5":            "54e194bd91e2931e6cdb23e434f001652f75e58809c00b8e054db63d68224936",
+	"perf/SDSS/GPT4":              "56f8c36d07e4eaad73df99fad4e2e31a2141fd8a36f8e8082920382dc7762a3d",
+	"perf/SDSS/Gemini":            "358f109c4ae5d75459c30a9b8c9d9d7536adcf5a3b7440331f9435ed8189a227",
+	"perf/SDSS/Llama3":            "c5539df629ecc051f381df395d802ff34e3fcf19011baa92c2ad562b99b1a0a4",
+	"perf/SDSS/MistralAI":         "2cb8939ebc1b072b456fbb522df55a28b7758cdd657222e748291c23faa82a8a",
+	"state/Join-Order/GPT3.5":     "d6b59315741206aeda5770b46b67c6342387f620b84768bb53cf12d0c7c39f9b",
+	"state/Join-Order/GPT4":       "c7708fc1140c57faee8f42f71e813ce380f8d577ddd79ca84bef84a1a8674d80",
+	"state/Join-Order/Gemini":     "fd3dd35d34b18be56ad6cc54c97ed69ffa04d8cb1b2fe71ac047a5d72b937cd0",
+	"state/Join-Order/Llama3":     "5ecce33751bb9ed9d81b78d03c8a0b63617eb2ce41220a52d80508e10126c1c0",
+	"state/Join-Order/MistralAI":  "2735a3dc724de8820e8e2d069c7f6d0b4f8c65d538e24d120586bc74fe6f2fa6",
+	"state/SDSS/GPT3.5":           "d5935128e398cc82a299527265ee2daf858e83a66ca13a69e456e5951a947e80",
+	"state/SDSS/GPT4":             "14cf53cc890f6bbac11e1d3b00794776d110694c8dc61d505668a275b7270950",
+	"state/SDSS/Gemini":           "8c1ca4cf0a5f004afe83075eb3a54eb1083f8700c011bd62bcfab4b8294d232b",
+	"state/SDSS/Llama3":           "0af5d71608cf16d66c5682cf7151f0ef6244f485e167250334c8c206be3f6684",
+	"state/SDSS/MistralAI":        "6489a5a0fb690a36c14eb6dbbff358ecbf60f45bf5896400f3d081c72f07d652",
+	"state/SQLShare/GPT3.5":       "a95784a8a66dcbff7a5d87ed4574ca42dec50e678d8bee9aac720392670d553c",
+	"state/SQLShare/GPT4":         "ecf53797992743badca46c06d41793825c5152ca25ca41c0b0217401dbda4eea",
+	"state/SQLShare/Gemini":       "66c88aec4568003cf1cb989438c92300663bef284e65d9f2687e73f9bcf3cfd6",
+	"state/SQLShare/Llama3":       "d0278f2a81d59f296e5c77aeb5d10b1beb13244efa6bbe3d7437f85a934e5769",
+	"state/SQLShare/MistralAI":    "0a1e9632615c294011a0c91009070488a563594e335c190024134a448b4a687a",
+	"syntax/Join-Order/GPT3.5":    "deef6bfce6d6c58d925c139253a391704f9cf05bb89e1111200f9f1586f20e57",
+	"syntax/Join-Order/GPT4":      "d50e9cc5302093a4ca8402d11214c018434a8967ee68f4ac347cfeeab92e710e",
+	"syntax/Join-Order/Gemini":    "1576276ec4ed499fb7f613b99cc4d67761c231ce8583eef3b069a9ad6440b839",
+	"syntax/Join-Order/Llama3":    "1dcd7ca51a5eaf2ffa2b6ea274c48ff1416114af916aa1f64f55837e8bb4d50a",
+	"syntax/Join-Order/MistralAI": "2209346593f3ba142092022988b57c482fc7399bbf8485b7d80237604316e4b4",
+	"syntax/SDSS/GPT3.5":          "dfe333e5a2cbc337f9d7cdcfc0258c7a45e2282b6d03fc295b22907eecde6d0e",
+	"syntax/SDSS/GPT4":            "1f18e9c8c5d0cc29d8432af9dd95409959ebaad9d2b6296196b919a75eceed79",
+	"syntax/SDSS/Gemini":          "3771f83abfa9484d033c40b22814ae528b48c36d3be26596b4d7cbf1a50ec473",
+	"syntax/SDSS/Llama3":          "4c7b4209da9f9a1989ddb274ff79d4f438b6d3c8735060849e3317f8047e35b2",
+	"syntax/SDSS/MistralAI":       "9cc29377a82a1e59035c0a9dca5815e7d848e6245d096ceb2bf25a8569554443",
+	"syntax/SQLShare/GPT3.5":      "fdfecdf1fc36f2483a00dfbc2a9dc39fdbf487be500c856fb541cb082d3ee4de",
+	"syntax/SQLShare/GPT4":        "2d47cdad97b7de2337b926e164272bdc883c6119f242135b328d4e68f6be23de",
+	"syntax/SQLShare/Gemini":      "b5c27f5880a4aca7d10cc7649591f134d37919cd68ce1a86f1a69744763163fd",
+	"syntax/SQLShare/Llama3":      "e5c60255421f310acf09884f69c14bc45c3630140da9313e9f8157bdb9318223",
+	"syntax/SQLShare/MistralAI":   "1829dfa119b78e33733254a277757641035ffd5fab17baa1a6227e02d244e6e1",
+	"tokens/Join-Order/GPT3.5":    "7b00459f52e04e40cf1dad85836e56417975d56d938e42bc898f734827602431",
+	"tokens/Join-Order/GPT4":      "d3253e712f7e5dc829465d828af426ce55cb841254908521b0ad4221d18e9f92",
+	"tokens/Join-Order/Gemini":    "e6fd1894e8a8edcca84882fa9ed79fd7c763948027e37de12046536dce9ff833",
+	"tokens/Join-Order/Llama3":    "2721c168c4ccfadee407feae3a56c9f263e2b2b25df10f5ecc1a38d8dc781b5b",
+	"tokens/Join-Order/MistralAI": "f8260820048d7c9b6f10dabe1f66e20afdd2d8e949dd839581a0018d0b89ea2f",
+	"tokens/SDSS/GPT3.5":          "9129b314402989b820e26b135bf4453056a76be62ee661d60413c596fb26e782",
+	"tokens/SDSS/GPT4":            "44e9927765f832e5cb57c1efa2f03bd6ad94d528e2f002ae3b0e5422809fcfc1",
+	"tokens/SDSS/Gemini":          "2cf3ba9a46b137852a89b89d9e3c3972ef679e5ab61455901f6ce022285168aa",
+	"tokens/SDSS/Llama3":          "83b7c8326cf6fee0db2326cc39aad68532057549f69507c9d50d91d413ff8151",
+	"tokens/SDSS/MistralAI":       "326e2357b495577e7475665c3be552f8ea0a6f78c4eb0ef703f32d07f05d3435",
+	"tokens/SQLShare/GPT3.5":      "76b23ffd9f83caa48fc5787f895adeab04c146307344881b9620ce7edbbc6b8f",
+	"tokens/SQLShare/GPT4":        "88b7f07694e86992e4c8e0ab7dbcca057a42b9952468e2bfeb1f3a9757cc2ee0",
+	"tokens/SQLShare/Gemini":      "9ba4116da88f856bfecd0de9d1c7bd4f5b315a572799f78752aab39c5daa9154",
+	"tokens/SQLShare/Llama3":      "65f2fd381dead2fede3bde05f93f139cb9dc0a567b869c62b01aa4f2430e39a7",
+	"tokens/SQLShare/MistralAI":   "65db6c1472a7136df08a456df2e06df9e1768d73c2be660d8142f8e44f1ad10e",
+}
+
+// experimentsGolden pins the rendered output of every registered experiment
+// for seeds 1 and 2 (verified build, as sqlbench runs it).
+var experimentsGolden = map[int64]map[string]string{
+	1: {
+		"casestudy":   "1b2a58e593fa6660aed91e1e8e0abc87d0e9b2a72b1a7ff3fea4a9aff4bf3136",
+		"ext-fewshot": "8a9b7cce5f312f01a84d7763ef151c9ea1daa35eafbdcdbe67b594d6e75ee6cc",
+		"ext-tasks":   "c9f596e29f5e4d50119519362141977b8a39090c13fd7353dd32c3cf11b8b007",
+		"fig1":        "8ce460eadfeef6cb165154675a4c1aaeeda133343a4b9a4dd143b0c908ef093b",
+		"fig10":       "ece4a5e4313a63c90a67261c9fd406ff686f6a4a5882aa7cef9c09ad129ec3f3",
+		"fig11":       "27617b029b7b48cf4f153aada3e0910c0e4eadd9509ed406e57ec469da947572",
+		"fig12":       "0f787a41344a3739a2547d1e40dbd167ea8869897549c9fcda2c335546da328a",
+		"fig2":        "76eda37b14d804bffc476f182ee26087a8117a21d619bf40202312cd35d75c8a",
+		"fig3":        "71509ebc442e9ba28555dd9a6b0a07da9e5572d88141b771495964f23419712d",
+		"fig4":        "cffdfbe8ec7df0e337414ebbbf8d5fb129fdd39191eb7e836d61f5b021df84a3",
+		"fig5":        "5cdff63b392ab010ceaca552063b9152fc1397fc09a98a9af03ebbb8b9d61127",
+		"fig6":        "6703dff50236954b0dd04fc1c453710dda24b26eb63a0fc1939c625ccb1e6f8d",
+		"fig7":        "65f03201b9462637e280775a266e6d692ad363e130adc09d0c177ad3a07e4ed6",
+		"fig8":        "f98965baa972eabaf6cb7a5750f4f2ca634c38d9b09cc0e401ec76af2f66a263",
+		"fig9":        "21e9375e10bfa00885d4556ef163c67dcb7fb30ffa4824b09cef5e4f0d69448b",
+		"table1":      "6fc7bb4c5eaa11c8a93d6076316c4bea8c0f3a9841617088bb46809d07b2a218",
+		"table2":      "78291f4f7884d6743076b6bbfc18f68c8a00bb3cb6c6857cd7c78d254aaefaa3",
+		"table3":      "cbc2b7b75467352c5fc4ccad221c076cb2c4eec5ac1f64d8aaa582fc2eefe17c",
+		"table4":      "24ce857f4e6a43c71e796909d43c9fa92cab65317eca67afcd9bfe1f27c1d5a6",
+		"table5":      "b74d7c888ac4f555742881722a48d32a5122a2d10259b71b0281ee662a1b55d9",
+		"table6":      "c8a776344fcc88b0fde46ad729f687f63cc581d91eb7012f46cf9ddf846754a0",
+		"table7":      "72fa5eceb3f7eb2ae92813e50b913009cc3c6ceb77a1dd6fe7bafe61b770c877",
+	},
+	2: {
+		"casestudy":   "9ec826319495c2c66aa6e48dca9b93648ac312edb4bc605494dc94a09cc019a2",
+		"ext-fewshot": "87cf6b6d11752dddce4ee3a21288682f5a4fcd41bc7b8dd93a86754aad64d5a8",
+		"ext-tasks":   "f303b75a127b2e5ca2a988d2d4e4cdbc9ddfe128fa04e6e19d582cfcb484f43f",
+		"fig1":        "42a13421aa68f103099bc66e422a33beffc5bc6a15470bd6358e5a7a562c633e",
+		"fig10":       "a3d00335028eaa40ff86596a16fc536e0c0a3170cd64aa6b19faa7f76aae1736",
+		"fig11":       "a0f2084d41d3d4ca554fc2d9b9e381986d290d54d96f26ecd4163267fbc996b2",
+		"fig12":       "9164db0b5e6da6bd3e2cf84f4002619654f4f11b525247ce4de47827b91da7da",
+		"fig2":        "d7ff1f529ad43dc2c6bde72481f60f687c951ca27c6ce78c0022ea4de3fa2cda",
+		"fig3":        "3c1d3c30c8a6dbd0e3e5e34f97249c7460d57c2c34eb31113b6b0c8b75e33587",
+		"fig4":        "c0e882fff5c73d7ea87fbcb290901ad4035d8f0fcd6f7e8676ab35cfe2dd1551",
+		"fig5":        "5cdff63b392ab010ceaca552063b9152fc1397fc09a98a9af03ebbb8b9d61127",
+		"fig6":        "fdc7a7f447bca98bbabe9c080fdc31edc6040180d666b3e3efaaa0abdf57b296",
+		"fig7":        "ba9592e3b39464b9b53e1bddb3214bfa5f7e75f57f248bc2591db77ccbe4b530",
+		"fig8":        "961faf9fb844fe1a8937aa94542ce74f9b7ea2c854d9c94f04c4b6db56e06187",
+		"fig9":        "75511ab94e5d66c87621bf85d1cffa077cf34acf92718ed53a37647a7489dc05",
+		"table1":      "6fc7bb4c5eaa11c8a93d6076316c4bea8c0f3a9841617088bb46809d07b2a218",
+		"table2":      "78291f4f7884d6743076b6bbfc18f68c8a00bb3cb6c6857cd7c78d254aaefaa3",
+		"table3":      "aa27c16206acb8733d38cbe737b5295223a2956b0a4a9dbbc07446f502b3b47a",
+		"table4":      "b2154f9aa91cc8f79e3169c70b4eb2cd2890e44462b389c881feade0130168c9",
+		"table5":      "b4bb7b4a6c42e0eb89baa93b2f3be8af730dcc2cc83b9e07cc7435d6333ae5a0",
+		"table6":      "e6c0358cc78de1ac75b15276ec2cad5503fe8648adfae52946f4ece46166d974",
+		"table7":      "1552810d377832d5542d91cd5f1c2e80e2b7eb6e5e313ff0ad8f34500aea170e",
+	},
+}
+
+// recordingClient forwards to a model and keeps every response text in call
+// order; the cells run at parallelism 1, so call order is example order.
+type recordingClient struct {
+	llm.Client
+	mu    sync.Mutex
+	texts []string
+}
+
+func (c *recordingClient) Do(ctx context.Context, req llm.Request) (llm.Response, error) {
+	resp, err := c.Client.Do(ctx, req)
+	if err == nil {
+		c.mu.Lock()
+		c.texts = append(c.texts, resp.Text)
+		c.mu.Unlock()
+	}
+	return resp, err
+}
+
+// simResponseDigests runs every registered task cell through each fresh
+// simulated model and hashes the responses per cell×model.
+func simResponseDigests(t *testing.T, bench *core.Benchmark) map[string]string {
+	t.Helper()
+	k := sim.NewKnowledge(bench.SchemasByDataset())
+	ctx := runner.WithParallelism(context.Background(), 1)
+	out := map[string]string{}
+	for _, task := range core.Tasks() {
+		for _, ds := range task.Datasets() {
+			examples, ok := task.Cell(bench, ds)
+			if !ok {
+				continue
+			}
+			for _, name := range llm.ModelNames {
+				m, err := sim.New(name, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &recordingClient{Client: m}
+				if err := task.RunStream(ctx, rec, examples, func(any) error { return nil }); err != nil {
+					t.Fatalf("%s/%s/%s: %v", task.ID(), ds, name, err)
+				}
+				if len(rec.texts) != len(examples) {
+					t.Fatalf("%s/%s/%s: %d responses for %d examples", task.ID(), ds, name, len(rec.texts), len(examples))
+				}
+				sum := sha256.Sum256([]byte(strings.Join(rec.texts, "\n")))
+				out[task.ID()+"/"+ds+"/"+name] = hex.EncodeToString(sum[:])
+			}
+		}
+	}
+	return out
+}
+
+// compareGolden reports every key whose digest differs from (or is missing
+// in) the pinned map, printing the got map sorted for easy re-capture.
+func compareGolden(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	bad := len(got) != len(want)
+	for _, k := range keys {
+		if want[k] != got[k] {
+			t.Errorf("%s %s: digest = %s, want %s", what, k, got[k], want[k])
+			bad = true
+		}
+	}
+	if bad {
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, "\t%q: %q,\n", k, got[k])
+		}
+		t.Logf("%s: %d digests, want %d; got:\n%s", what, len(got), len(want), b.String())
+	}
+}
+
+func TestSimResponsesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a verified environment and runs every cell")
+	}
+	bench, err := core.Build(core.BuildConfig{Seed: 1, VerifyEquivalences: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "sim responses", simResponseDigests(t, bench), simResponsesGolden)
+}
+
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two verified environments")
+	}
+	for _, seed := range []int64{1, 2} {
+		env, err := NewEnv(seed, true)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got := map[string]string{}
+		for _, exp := range All() {
+			var buf bytes.Buffer
+			if err := exp.Run(env, &buf); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, exp.ID, err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			got[exp.ID] = hex.EncodeToString(sum[:])
+		}
+		if len(got) != 22 {
+			t.Errorf("seed %d: %d experiments, want 22", seed, len(got))
+		}
+		compareGolden(t, fmt.Sprintf("seed %d", seed), got, experimentsGolden[seed])
+	}
+}

@@ -6,11 +6,9 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
-	"sync"
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/analyze"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/equiv"
@@ -18,7 +16,6 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/nlgen"
 	"repro/internal/prompt"
-	"repro/internal/repair"
 	"repro/internal/semcheck"
 	"repro/internal/sqlast"
 	"repro/internal/sqllex"
@@ -32,9 +29,8 @@ type Knowledge struct {
 	Merged        *catalog.Schema
 	datasetTables map[string]map[string]bool
 
-	checker     *semcheck.Checker
-	checkCache  sync.Map // sql -> []semcheck.Diagnostic
-	repairCache sync.Map // sql -> repair.Result
+	checker *semcheck.Checker
+	facts   factCaches
 }
 
 // NewKnowledge builds the context from per-dataset schemas.
@@ -50,11 +46,13 @@ func NewKnowledge(byDataset map[string]*catalog.Schema) *Knowledge {
 		tables[ds] = set
 	}
 	merged := catalog.Merged("knowledge", all...)
-	return &Knowledge{
+	k := &Knowledge{
 		Merged:        merged,
 		datasetTables: tables,
 		checker:       semcheck.New(merged),
 	}
+	k.facts.setLimit(factCacheLimit)
+	return k
 }
 
 // DetectDataset infers which workload a query belongs to by matching its
@@ -99,24 +97,6 @@ func (k *Knowledge) DetectDataset(sql string) string {
 		}
 	}
 	return best
-}
-
-func (k *Knowledge) check(sql string) []semcheck.Diagnostic {
-	if v, ok := k.checkCache.Load(sql); ok {
-		return v.([]semcheck.Diagnostic)
-	}
-	diags := k.checker.CheckSQL(sql)
-	k.checkCache.Store(sql, diags)
-	return diags
-}
-
-func (k *Knowledge) detectMissing(sql string) repair.Result {
-	if v, ok := k.repairCache.Load(sql); ok {
-		return v.(repair.Result)
-	}
-	res := repair.Detect(sql, k.Merged)
-	k.repairCache.Store(sql, res)
-	return res
 }
 
 // Model is one simulated LLM.
@@ -238,11 +218,14 @@ func (m *Model) simLatency(promptText string, completionTokens int) time.Duratio
 
 // answer renders the model's response text for a prompt.
 func (m *Model) answer(promptText string) string {
-	task, ok := prompt.DetectTask(promptText)
+	// Task detection and prompt quality both match lowercase wording; lower
+	// the prompt once for both.
+	lower := strings.ToLower(promptText)
+	task, ok := prompt.DetectTaskLower(lower)
 	if !ok {
 		return m.style().unsure
 	}
-	quality := promptQuality(promptText)
+	quality := promptQuality(lower)
 	switch task {
 	case prompt.QueryEquiv:
 		q1, q2, ok := prompt.ExtractQueryPair(promptText)
@@ -276,9 +259,9 @@ func (m *Model) answer(promptText string) string {
 // promptQuality returns an error-rate multiplier reflecting how much
 // guidance the instruction gives (the effect the paper's Section 3.4 prompt
 // tuning measures): the published, detailed prompts perform best; terse
-// variants degrade. Detection keys on wording the variant sets use.
-func promptQuality(promptText string) float64 {
-	lower := strings.ToLower(promptText)
+// variants degrade. Detection keys on wording the variant sets use; lower is
+// the prompt text, lowercased.
+func promptQuality(lower string) float64 {
 	// Worked examples sharpen the model: few-shot prompts cut error rates
 	// (the mitigation the paper anticipates in its conclusion).
 	if strings.Contains(lower, "example 1:") && strings.Contains(lower, "answer:") {
@@ -362,17 +345,17 @@ func (m *Model) tilt(base, z float64) float64 {
 // syntax_error / syntax_error_type
 
 func (m *Model) answerSyntax(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	f := m.knowledge.syntaxFacts(sql)
+	dataset := f.dataset
 	target := m.profile.SyntaxError[dataset]
 	if target.Prec == 0 {
 		target = m.profile.SyntaxError[dsSDSS]
 	}
-	diags := m.knowledge.check(sql)
-	z := zWords(dataset, len(sqllex.Words(sql)))
+	z := zWords(dataset, f.words)
 	st := m.style()
 
-	if len(diags) > 0 {
-		primary := semcheck.Primary(diags)
+	if f.hasError {
+		primary := f.primary
 		weight := errorTypeWeight[dataset][primary]
 		if weight == 0 {
 			weight = 1
@@ -388,11 +371,7 @@ func (m *Model) answerSyntax(sql string, quality float64) string {
 				reported = conf
 			}
 		}
-		detail := ""
-		if len(diags) > 0 {
-			detail = diags[0].Msg
-		}
-		return fmt.Sprintf(st.hasError, reported, detail)
+		return fmt.Sprintf(st.hasError, reported, f.detail)
 	}
 	fa := m.tilt(target.falseAlarmRate()*quality, z)
 	if m.unit("syntax", "fa", sql) < fa {
@@ -406,14 +385,13 @@ func (m *Model) answerSyntax(sql string, quality float64) string {
 // miss_token / miss_token_type / miss_token_loc
 
 func (m *Model) answerMissToken(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	f := m.knowledge.missingFacts(sql)
+	dataset, det, words := f.dataset, f.det, f.words
 	target := m.profile.MissToken[dataset]
 	if target.Prec == 0 {
 		target = m.profile.MissToken[dsSDSS]
 	}
-	det := m.knowledge.detectMissing(sql)
-	words := sqllex.Words(sql)
-	z := zWords(dataset, len(words))
+	z := zWords(dataset, words)
 	st := m.style()
 
 	if det.Found {
@@ -430,7 +408,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 		if m.unit("misstok", "type", sql) >= acc {
 			kind = confusionToken[kind]
 		}
-		pos := m.perturbPosition(det.WordIndex, len(words), dataset, sql)
+		pos := m.perturbPosition(det.WordIndex, words, dataset, sql)
 		token := det.Inserted
 		if token == "" {
 			token = "(unknown)"
@@ -441,7 +419,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 	if m.unit("misstok", "fa", sql) < fa {
 		kinds := mutate.TokenKinds
 		kind := kinds[int(m.unit("misstok", "fakind", sql)*float64(len(kinds)))%len(kinds)]
-		pos := int(m.unit("misstok", "fapos", sql) * float64(len(words)))
+		pos := int(m.unit("misstok", "fapos", sql) * float64(words))
 		return fmt.Sprintf(st.missing, kind, "(unclear)", pos+1)
 	}
 	return st.noMissing
@@ -454,13 +432,13 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 // are often plausible-but-wrong — which is precisely the difficulty
 // ordering the paper observes for token kinds.
 func (m *Model) answerFill(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	f := m.knowledge.missingFacts(sql)
+	dataset, det := f.dataset, f.det
 	target := m.profile.MissToken[dataset]
 	if target.Prec == 0 {
 		target = m.profile.MissToken[dsSDSS]
 	}
-	det := m.knowledge.detectMissing(sql)
-	z := zWords(dataset, len(sqllex.Words(sql)))
+	z := zWords(dataset, f.words)
 	st := m.style()
 
 	if det.Found {
@@ -529,19 +507,18 @@ func maxInt(a, b int) int {
 // performance_pred
 
 func (m *Model) answerPerf(sql string) string {
-	dataset := m.knowledge.DetectDataset(sql)
-	props := analyze.Compute(sql)
+	f := m.knowledge.perfFacts(sql)
 	// The simulated models judge cost from surface features — how long and
 	// column-heavy the query looks — plus world knowledge of which SDSS
 	// relations are production-scale (the PerfBigWeight feature; stronger
 	// models weigh real scan volume more, weaker ones lean on length, which
 	// produces the paper's false positives on long cheap queries).
-	z := zWords(dataset, props.WordCount)
-	colZ := (float64(props.ColumnCount) - 8) / 8
+	z := zWords(f.dataset, f.words)
+	colZ := (float64(f.columns) - 8) / 8
 	if colZ > 2.5 {
 		colZ = 2.5
 	}
-	big := float64(countBigTables(sql))
+	big := float64(f.big)
 	score := m.profile.PerfBigWeight*big + z + 0.25*colZ + m.profile.PerfNoise*m.gauss("perf", sql)
 	st := m.style()
 	if score > m.profile.PerfThreshold {
@@ -575,25 +552,24 @@ func countBigTables(sql string) int {
 // query_equiv / query_equiv_type
 
 func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql1)
+	f := m.knowledge.equivFacts(sql1, sql2)
+	dataset := f.dataset
 	target := m.profile.QueryEquiv[dataset]
 	if target.Prec == 0 {
 		target = m.profile.QueryEquiv[dsSDSS]
 	}
 	st := m.style()
-	sel1, err1 := sqlparse.ParseSelect(sql1)
-	sel2, err2 := sqlparse.ParseSelect(sql2)
-	if err1 != nil || err2 != nil {
+	if !f.ok {
 		return st.notEquivalent
 	}
 	key := sql1 + "\x00" + sql2
-	z := zWords(dataset, len(sqllex.Words(sql1)))
-	guessType := equiv.ClassifyPair(sel1, sel2)
+	z := zWords(dataset, f.words)
+	guessType := f.guess
 
-	added, removed := equiv.DiffStats(sql1, sql2)
+	added, removed := f.added, f.removed
 	sayEquivalent := false
 	switch {
-	case equiv.RuleEquivalent(sel1, sel2):
+	case f.rule:
 		// Provably equivalent under normalization: answer yes unless the
 		// model's (small) residual miss rate fires.
 		sayEquivalent = m.unit("equiv", "provable", key) >= m.tilt(target.missRate()*quality, z)
@@ -624,11 +600,11 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 // query_exp
 
 func (m *Model) answerExplain(sql string) string {
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
+	f := m.knowledge.explainFacts(sql)
+	if !f.ok {
 		return m.style().unsure
 	}
-	facts := nlgen.Extract(sel)
+	facts := f.facts
 	skill := m.profile.ExplainSkill
 	opt := nlgen.RenderOptions{
 		DropColumns:     m.unit("exp", "cols", sql) < (1-skill)*0.9,

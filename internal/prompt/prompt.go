@@ -131,7 +131,12 @@ func Default(task Task) Template {
 // DetectTask identifies which task a rendered prompt belongs to. Simulated
 // models use this the way a real model infers intent from instructions.
 func DetectTask(promptText string) (Task, bool) {
-	lower := strings.ToLower(promptText)
+	return DetectTaskLower(strings.ToLower(promptText))
+}
+
+// DetectTaskLower is DetectTask over a prompt already lowercased with
+// strings.ToLower, for callers that match other wording in the same text.
+func DetectTaskLower(lower string) (Task, bool) {
 	switch {
 	// Fill-in is checked before miss_token: both talk about missing tokens,
 	// but only the fill prompts ask for the exact token back.

@@ -39,17 +39,18 @@ var keywordCandidates = []string{
 // Detect analyzes a possibly damaged query. When the query parses and is
 // semantically clean against the schema, it reports Found=false. Otherwise
 // it tries single-token insertions around the failure point and returns the
-// first repair that makes the query parse.
+// first repair that makes the query parse. The query is lexed once; every
+// later parse reuses its tokens.
 func Detect(sql string, schema *catalog.Schema) Result {
 	toks, err := sqllex.LexWords(sql)
 	if err != nil || len(toks) == 0 {
 		return Result{Found: true, Kind: mutate.TokValue, WordIndex: 0, Inserted: "?"}
 	}
-	if _, perr := sqlparse.ParseStatement(sql); perr == nil {
-		return detectSemanticGap(sql, toks, schema)
-	} else {
+	stmt, perr := sqlparse.ParseStatementTokens(toks)
+	if perr != nil {
 		return repairAt(sql, toks, failureIndex(perr, toks))
 	}
+	return detectSemanticGap(sql, toks, stmt, schema)
 }
 
 // failureIndex maps a parse error back to the index of the offending token.
@@ -66,13 +67,44 @@ func failureIndex(err error, toks []sqllex.Token) int {
 	return len(toks)
 }
 
-// repairAt tries inserting candidate tokens at gap positions around the
-// failure token.
-func repairAt(sql string, toks []sqllex.Token, fail int) Result {
-	texts := make([]string, len(toks))
-	for i, t := range toks {
-		texts[i] = t.Text
+// candidate is one token repairAt tries to insert, lexed once.
+type candidate struct {
+	tok  sqllex.Token
+	kind mutate.TokenKind
+}
+
+func lexCandidate(text string, kind mutate.TokenKind) candidate {
+	toks, err := sqllex.LexWords(text)
+	if err != nil || len(toks) != 1 {
+		panic("repair: candidate " + text + " is not one token")
 	}
+	return candidate{toks[0], kind}
+}
+
+var (
+	eqCandidate   = lexCandidate("=", mutate.TokComparison)
+	zeroCandidate = lexCandidate("0", mutate.TokValue)
+	// baseCandidates are tried at every gap: the keywords, most common
+	// first, then an identifier (kind refined by context) and values.
+	baseCandidates = func() []candidate {
+		out := make([]candidate, 0, len(keywordCandidates)+4)
+		for _, kw := range keywordCandidates {
+			out = append(out, lexCandidate(kw, mutate.TokKeyword))
+		}
+		return append(out,
+			lexCandidate("x0", mutate.TokColumn),
+			zeroCandidate,
+			lexCandidate("'v'", mutate.TokValue),
+			eqCandidate,
+		)
+	}()
+)
+
+// repairAt tries inserting candidate tokens at gap positions around the
+// failure token. Each candidate is spliced into one reused token buffer and
+// parsed from tokens, which is equivalent to parsing the re-joined text: the
+// lexer is context-free and the parser ignores token positions.
+func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 	lo := fail - 3
 	if lo < 0 {
 		lo = 0
@@ -81,36 +113,27 @@ func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 	if hi > len(toks) {
 		hi = len(toks)
 	}
-	type candidate struct {
-		text string
-		kind mutate.TokenKind
-	}
-	baseCandidates := func(gap int) []candidate {
+	candidatesAt := func(gap int) []candidate {
 		var out []candidate
 		// A gap flanked by value-like tokens most plausibly lost a
 		// comparison operator; try it first there.
 		if valueLike(toks, gap-1) && valueLike(toks, gap) {
-			out = append(out, candidate{"=", mutate.TokComparison})
+			out = append(out, eqCandidate)
 		}
 		// A gap right after a comparison operator most plausibly lost the
 		// literal operand.
 		if gap > 0 && toks[gap-1].Kind == sqllex.Op && comparisonOp(toks[gap-1].Text) {
-			out = append(out, candidate{"0", mutate.TokValue})
+			out = append(out, zeroCandidate)
 		}
-		for _, kw := range keywordCandidates {
-			out = append(out, candidate{kw, mutate.TokKeyword})
-		}
-		return append(out,
-			candidate{"x0", mutate.TokColumn}, // identifier; kind refined by context
-			candidate{"0", mutate.TokValue},
-			candidate{"'v'", mutate.TokValue},
-			candidate{"=", mutate.TokComparison},
-		)
+		return append(out, baseCandidates...)
 	}
+	buf := make([]sqllex.Token, len(toks)+1)
 	for gap := lo; gap <= hi; gap++ {
-		for _, c := range baseCandidates(gap) {
-			rebuilt := insertAt(texts, gap, c.text)
-			if _, err := sqlparse.ParseStatement(rebuilt); err == nil {
+		copy(buf, toks[:gap])
+		copy(buf[gap+1:], toks[gap:])
+		for _, c := range candidatesAt(gap) {
+			buf[gap] = c.tok
+			if _, err := sqlparse.ParseStatementTokens(buf); err == nil {
 				kind := c.kind
 				if c.kind == mutate.TokColumn {
 					kind = classifyIdentGap(toks, gap)
@@ -119,7 +142,7 @@ func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 					Found:     true,
 					Kind:      kind,
 					WordIndex: wordIndexOfToken(sql, toks, gap),
-					Inserted:  c.text,
+					Inserted:  c.tok.Text,
 				}
 			}
 		}
@@ -148,14 +171,6 @@ func valueLike(toks []sqllex.Token, i int) bool {
 		return true
 	}
 	return false
-}
-
-func insertAt(texts []string, gap int, tok string) string {
-	parts := make([]string, 0, len(texts)+1)
-	parts = append(parts, texts[:gap]...)
-	parts = append(parts, tok)
-	parts = append(parts, texts[gap:]...)
-	return strings.Join(parts, " ")
 }
 
 // classifyIdentGap decides whether an identifier inserted at the gap plays
@@ -236,31 +251,29 @@ func wordIndexOfToken(sql string, toks []sqllex.Token, gap int) int {
 // detectSemanticGap handles removals that leave the query parsable (dropped
 // aliases, AS keywords, or a dropped FROM that turns the table name into an
 // implicit alias): the semantic checker's diagnostics reveal them.
-func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) Result {
+func detectSemanticGap(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) Result {
 	if schema == nil {
 		return Result{}
 	}
 	// A SELECT with no FROM whose projection "alias" names a known table is
 	// the signature of a dropped FROM keyword.
-	if stmt, err := sqlparse.ParseStatement(sql); err == nil {
-		if sel, ok := stmt.(*sqlast.SelectStmt); ok && len(sel.From) == 0 {
-			for _, item := range sel.Items {
-				if item.Alias == "" {
-					continue
-				}
-				if _, found := schema.Table(item.Alias); !found {
-					continue
-				}
-				for i, t := range toks {
-					if (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) &&
-						strings.EqualFold(t.Val(), item.Alias) {
-						return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, i), Inserted: "FROM"}
-					}
+	if sel, ok := stmt.(*sqlast.SelectStmt); ok && len(sel.From) == 0 {
+		for _, item := range sel.Items {
+			if item.Alias == "" {
+				continue
+			}
+			if _, found := schema.Table(item.Alias); !found {
+				continue
+			}
+			for i, t := range toks {
+				if (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) &&
+					strings.EqualFold(t.Val(), item.Alias) {
+					return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, i), Inserted: "FROM"}
 				}
 			}
 		}
 	}
-	diags := semcheck.New(schema).CheckSQL(sql)
+	diags := semcheck.New(schema).Check(stmt)
 	if len(diags) == 0 {
 		return Result{}
 	}
@@ -269,7 +282,7 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 	case semcheck.CodeAliasAmbiguous:
 		// A dropped qualifier: the first unqualified reference that is
 		// ambiguous across the FROM tables marks the spot.
-		if idx, ok := firstAmbiguousRef(sql, toks, schema); ok {
+		if idx, ok := firstAmbiguousRef(sql, toks, stmt, schema); ok {
 			return Result{Found: true, Kind: mutate.TokAlias, WordIndex: idx, Inserted: ""}
 		}
 		return Result{Found: true, Kind: mutate.TokAlias, WordIndex: mid, Inserted: ""}
@@ -281,7 +294,7 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 		}
 		return Result{Found: true, Kind: mutate.TokAlias, WordIndex: mid, Inserted: ""}
 	case semcheck.CodeUnknownColumn:
-		if idx, ok := firstUnknownIdent(sql, toks, schema); ok {
+		if idx, ok := firstUnknownIdent(sql, toks, stmt, schema); ok {
 			return Result{Found: true, Kind: mutate.TokColumn, WordIndex: idx, Inserted: ""}
 		}
 		return Result{Found: true, Kind: mutate.TokColumn, WordIndex: mid, Inserted: ""}
@@ -306,13 +319,9 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 	}
 }
 
-// fromTables extracts the base tables referenced by the query's FROM
+// fromTables extracts the base tables referenced by the statement's FROM
 // clauses (resolvable against the schema).
-func fromTables(sql string, schema *catalog.Schema) []*catalog.Table {
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil
-	}
+func fromTables(stmt sqlast.Stmt, schema *catalog.Schema) []*catalog.Table {
 	var out []*catalog.Table
 	sqlast.Walk(stmt, func(n sqlast.Node) bool {
 		if tn, ok := n.(*sqlast.TableName); ok {
@@ -327,8 +336,8 @@ func fromTables(sql string, schema *catalog.Schema) []*catalog.Table {
 
 // firstAmbiguousRef finds the first unqualified identifier whose name is a
 // column of at least two FROM tables.
-func firstAmbiguousRef(sql string, toks []sqllex.Token, schema *catalog.Schema) (int, bool) {
-	tables := fromTables(sql, schema)
+func firstAmbiguousRef(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) (int, bool) {
+	tables := fromTables(stmt, schema)
 	if len(tables) < 2 {
 		return 0, false
 	}
@@ -357,8 +366,8 @@ func firstAmbiguousRef(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 
 // firstUnknownIdent finds the first bare identifier that is neither a table,
 // a known column of the FROM tables, nor a function name.
-func firstUnknownIdent(sql string, toks []sqllex.Token, schema *catalog.Schema) (int, bool) {
-	tables := fromTables(sql, schema)
+func firstUnknownIdent(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) (int, bool) {
+	tables := fromTables(stmt, schema)
 	aliases := map[string]bool{}
 	for i, t := range toks {
 		if i > 0 && toks[i-1].Is("AS") && (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/mutate"
 	"repro/internal/workload/sdss"
 )
@@ -105,4 +106,26 @@ func TestDetectorAccuracyOverWorkload(t *testing.T) {
 		t.Errorf("kind accuracy %.2f, want >= 0.5", kindRate)
 	}
 	t.Logf("detector: found %.3f, kind accuracy %.3f over %d removals", foundRate, kindRate, removals)
+}
+
+// BenchmarkRepairDetect runs Detect over the seed-1 miss_token inputs, one
+// query per iteration: lexing, the parse, and the candidate search around
+// the failure point.
+func BenchmarkRepairDetect(b *testing.B) {
+	bench, err := core.Build(core.BuildConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := mergedSchema(bench)
+	var inputs []string
+	for _, ds := range core.TaskDatasets {
+		for _, ex := range bench.Tokens[ds] {
+			inputs = append(inputs, ex.SQL)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Detect(inputs[i%len(inputs)], schema)
+	}
 }

@@ -140,27 +140,26 @@ func Map[T, R any](ctx context.Context, parallel int, items []T, fn func(ctx con
 // eviction. Failed calls are forgotten so a later request retries.
 type Flight[K comparable, V any] struct {
 	mu    sync.Mutex
-	calls map[K]*flightCall[V]
+	calls map[K]*flightCall[K, V]
 
 	limit     int // 0 = unbounded
 	evictions int64
-	// LRU bookkeeping over *completed* entries: mru is most recent. Entries
-	// still in flight are not on the list (they cannot be evicted, which is
-	// what preserves coalescing under any limit).
-	lru map[K]*lruEntry[K]
-	mru *lruEntry[K]
-	lrs *lruEntry[K] // least recent
+	// LRU list threaded through the *completed* calls: mru is most recent,
+	// lrs least. Calls still in flight are not on the list (they cannot be
+	// evicted, which is what preserves coalescing under any limit).
+	mru, lrs *flightCall[K, V]
+	listed   int
 }
 
-type lruEntry[K comparable] struct {
+// flightCall is one computation; waiters block on wg, which the computing
+// caller releases once val and err are set. A completed call is also its
+// own LRU list node.
+type flightCall[K comparable, V any] struct {
+	wg         sync.WaitGroup
+	val        V
+	err        error
 	key        K
-	prev, next *lruEntry[K]
-}
-
-type flightCall[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	prev, next *flightCall[K, V]
 }
 
 // SetLimit caps the number of cached completed entries; the least recently
@@ -198,15 +197,21 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 func (f *Flight[K, V]) DoShared(key K, fn func() (V, error)) (V, bool, error) {
 	f.mu.Lock()
 	if f.calls == nil {
-		f.calls = make(map[K]*flightCall[V])
+		f.calls = make(map[K]*flightCall[K, V])
 	}
 	if c, ok := f.calls[key]; ok {
-		f.touchLocked(key)
+		// A hit on a still-in-flight call is not listed yet; the call is
+		// listed when it completes.
+		if f.listedLocked(c) {
+			f.unlinkLocked(c)
+			f.pushLocked(c)
+		}
 		f.mu.Unlock()
-		<-c.done
+		c.wg.Wait()
 		return c.val, true, c.err
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
+	c := &flightCall[K, V]{key: key}
+	c.wg.Add(1)
 	f.calls[key] = c
 	f.mu.Unlock()
 
@@ -215,59 +220,47 @@ func (f *Flight[K, V]) DoShared(key K, fn func() (V, error)) (V, bool, error) {
 	if c.err != nil {
 		delete(f.calls, key)
 	} else {
-		f.insertLocked(key)
+		f.pushLocked(c)
 		f.evictLocked()
 	}
 	f.mu.Unlock()
-	close(c.done)
+	c.wg.Done()
 	return c.val, false, c.err
 }
 
-// touchLocked marks an already-listed key as most recently used. Hits on
-// still-in-flight calls are not listed yet; their entry is added when the
-// call completes. Callers hold f.mu.
-func (f *Flight[K, V]) touchLocked(key K) {
-	if _, ok := f.lru[key]; ok {
-		f.insertLocked(key)
-	}
+// listedLocked reports whether c is on the LRU list. Callers hold f.mu.
+func (f *Flight[K, V]) listedLocked(c *flightCall[K, V]) bool {
+	return c.prev != nil || f.mru == c
 }
 
-// insertLocked puts key at the most-recently-used position, adding it to
-// the list if absent. Callers hold f.mu.
-func (f *Flight[K, V]) insertLocked(key K) {
-	if f.lru == nil {
-		f.lru = make(map[K]*lruEntry[K])
-	}
-	e, ok := f.lru[key]
-	if !ok {
-		e = &lruEntry[K]{key: key}
-		f.lru[key] = e
-	} else {
-		f.unlinkLocked(e)
-	}
-	e.prev = nil
-	e.next = f.mru
+// pushLocked puts an unlisted call at the most-recently-used position.
+// Callers hold f.mu.
+func (f *Flight[K, V]) pushLocked(c *flightCall[K, V]) {
+	c.next = f.mru
 	if f.mru != nil {
-		f.mru.prev = e
+		f.mru.prev = c
 	}
-	f.mru = e
+	f.mru = c
 	if f.lrs == nil {
-		f.lrs = e
+		f.lrs = c
 	}
+	f.listed++
 }
 
-func (f *Flight[K, V]) unlinkLocked(e *lruEntry[K]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if f.mru == e {
-		f.mru = e.next
+// unlinkLocked takes a listed call off the LRU list. Callers hold f.mu.
+func (f *Flight[K, V]) unlinkLocked(c *flightCall[K, V]) {
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		f.mru = c.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if f.lrs == e {
-		f.lrs = e.prev
+	if c.next != nil {
+		c.next.prev = c.prev
+	} else {
+		f.lrs = c.prev
 	}
-	e.prev, e.next = nil, nil
+	c.prev, c.next = nil, nil
+	f.listed--
 }
 
 // evictLocked drops least-recently-used completed entries until the cache
@@ -276,10 +269,9 @@ func (f *Flight[K, V]) evictLocked() {
 	if f.limit <= 0 {
 		return
 	}
-	for len(f.lru) > f.limit && f.lrs != nil {
+	for f.listed > f.limit {
 		victim := f.lrs
 		f.unlinkLocked(victim)
-		delete(f.lru, victim.key)
 		delete(f.calls, victim.key)
 		f.evictions++
 	}

@@ -225,18 +225,11 @@ func TestFlightErrorNotCached(t *testing.T) {
 	}
 }
 
-// Cached reports whether a completed successful result exists for key.
+// Cached reports whether a completed successful result exists for key: only
+// those sit on the LRU list.
 func (f *Flight[K, V]) Cached(key K) bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	c, ok := f.calls[key]
-	f.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-c.done:
-		return c.err == nil
-	default:
-		return false
-	}
+	return ok && f.listedLocked(c)
 }

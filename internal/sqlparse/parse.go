@@ -46,6 +46,21 @@ func ParseStatement(sql string) (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.statement()
+}
+
+// ParseStatementTokens is ParseStatement over already-lexed word tokens (the
+// sqllex.LexWords view, comments removed). The parser reads token positions
+// only to locate a ParseError, so spliced token slices parse exactly as
+// their re-lexed text would; toks is not modified.
+func ParseStatementTokens(toks []sqllex.Token) (sqlast.Stmt, error) {
+	p := &parser{toks: toks}
+	return p.statement()
+}
+
+// statement parses one whole statement: an optional trailing semicolon is
+// consumed and anything after it is an error.
+func (p *parser) statement() (sqlast.Stmt, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
