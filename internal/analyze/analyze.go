@@ -58,7 +58,7 @@ func Compute(sql string) Properties {
 func ComputeStmt(stmt sqlast.Stmt, sql string) Properties {
 	p := Properties{
 		CharCount: len(sql),
-		WordCount: len(sqllex.Words(sql)),
+		WordCount: sqllex.WordCount(sql),
 		QueryType: QueryType(stmt, sql),
 	}
 	tables := map[string]bool{}
@@ -326,7 +326,7 @@ func exprDepth(e sqlast.Expr) int {
 func lexicalFallback(sql string) Properties {
 	p := Properties{
 		CharCount: len(sql),
-		WordCount: len(sqllex.Words(sql)),
+		WordCount: sqllex.WordCount(sql),
 		QueryType: "UNKNOWN",
 	}
 	toks, err := sqllex.LexWords(sql)

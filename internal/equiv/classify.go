@@ -42,8 +42,16 @@ func Similarity(sql1, sql2 string) float64 {
 // which is how the simulated models distinguish "modified condition" pairs
 // from structural rewrites.
 func DiffStats(sql1, sql2 string) (added, removed int) {
-	a := tokenCounts(sql1)
-	b := tokenCounts(sql2)
+	return diffCounts(tokenCounts(sql1), tokenCounts(sql2))
+}
+
+// DiffTokens is DiffStats over the sqllex.LexWords tokens of two queries
+// that both lex.
+func DiffTokens(toks1, toks2 []sqllex.Token) (added, removed int) {
+	return diffCounts(countTokens(toks1), countTokens(toks2))
+}
+
+func diffCounts(a, b map[string]int) (added, removed int) {
 	for tok, cb := range b {
 		if ca := a[tok]; cb > ca {
 			added += cb - ca
@@ -57,15 +65,22 @@ func DiffStats(sql1, sql2 string) (added, removed int) {
 	return added, removed
 }
 
+// tokenCounts counts the query's tokens by uppercase text, or its
+// lowercased whitespace words when it does not lex.
 func tokenCounts(sql string) map[string]int {
 	toks, err := sqllex.LexWords(sql)
-	out := map[string]int{}
 	if err != nil {
+		out := map[string]int{}
 		for _, w := range sqllex.Words(sql) {
 			out[strings.ToLower(w)]++
 		}
 		return out
 	}
+	return countTokens(toks)
+}
+
+func countTokens(toks []sqllex.Token) map[string]int {
+	out := make(map[string]int, len(toks))
 	for _, t := range toks {
 		out[t.Upper()]++
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/repair"
 	"repro/internal/runner"
 	"repro/internal/semcheck"
+	"repro/internal/sqlast"
 	"repro/internal/sqllex"
 	"repro/internal/sqlparse"
 )
@@ -104,35 +105,57 @@ func cached[V any](cache *runner.Flight[digest, V], key digest, compute func() V
 	return v
 }
 
+// Each compute function below lexes its text once (each side of a pair
+// once) and derives every field from those tokens. A text that does not lex
+// takes the string forms, whose messages and fallbacks stay byte-identical.
+
 func (k *Knowledge) syntaxFacts(sql string) syntaxFacts {
 	return cached(&k.facts.syntax, digestOf(sql), func() syntaxFacts {
-		f := syntaxFacts{dataset: k.DetectDataset(sql), words: len(sqllex.Words(sql))}
-		if diags := k.checker.CheckSQL(sql); len(diags) > 0 {
+		toks, err := sqllex.LexWords(sql)
+		f := syntaxFacts{dataset: k.detectDatasetTokens(toks, err), words: sqllex.WordCount(sql)}
+		if diags := k.diagnostics(sql, toks, err); len(diags) > 0 {
 			f.hasError, f.primary, f.detail = true, semcheck.Primary(diags), diags[0].Msg
 		}
 		return f
 	})
 }
 
+// diagnostics is k.checker.CheckSQL(sql) over the result of
+// sqllex.LexWords(sql).
+func (k *Knowledge) diagnostics(sql string, toks []sqllex.Token, err error) []semcheck.Diagnostic {
+	if err != nil {
+		return k.checker.CheckSQL(sql)
+	}
+	stmt, err := sqlparse.ParseStatementTokens(toks)
+	if err != nil {
+		return []semcheck.Diagnostic{{Code: semcheck.CodeParse, Msg: err.Error()}}
+	}
+	return k.checker.Check(stmt)
+}
+
 func (k *Knowledge) missingFacts(sql string) missingFacts {
 	return cached(&k.facts.missing, digestOf(sql), func() missingFacts {
+		toks, err := sqllex.LexWords(sql)
 		return missingFacts{
-			dataset: k.DetectDataset(sql),
-			words:   len(sqllex.Words(sql)),
-			det:     repair.Detect(sql, k.Merged),
+			dataset: k.detectDatasetTokens(toks, err),
+			words:   sqllex.WordCount(sql),
+			det:     repair.DetectTokens(sql, toks, err, k.Merged),
 		}
 	})
 }
 
 func (k *Knowledge) perfFacts(sql string) perfFacts {
 	return cached(&k.facts.perf, digestOf(sql), func() perfFacts {
-		props := analyze.Compute(sql)
-		return perfFacts{
-			dataset: k.DetectDataset(sql),
-			words:   props.WordCount,
-			columns: props.ColumnCount,
-			big:     countBigTables(sql),
+		toks, err := sqllex.LexWords(sql)
+		f := perfFacts{dataset: k.detectDatasetTokens(toks, err), words: sqllex.WordCount(sql)}
+		if err != nil {
+			return f // analyze's lexical fallback: no columns, no tables
 		}
+		if stmt, err := sqlparse.ParseStatementTokens(toks); err == nil {
+			f.columns = analyze.ComputeStmt(stmt, sql).ColumnCount
+		}
+		f.big = countBigTables(toks)
+		return f
 	})
 }
 
@@ -150,17 +173,33 @@ func (k *Knowledge) explainFacts(sql string) explainFacts {
 
 func (k *Knowledge) equivFacts(sql1, sql2 string) equivFacts {
 	return cached(&k.facts.equiv, pairDigest(sql1, sql2), func() equivFacts {
-		f := equivFacts{dataset: k.DetectDataset(sql1)}
-		sel1, err1 := sqlparse.ParseSelect(sql1)
-		sel2, err2 := sqlparse.ParseSelect(sql2)
+		toks1, err1 := sqllex.LexWords(sql1)
+		toks2, err2 := sqllex.LexWords(sql2)
+		f := equivFacts{dataset: k.detectDatasetTokens(toks1, err1)}
 		if err1 != nil || err2 != nil {
 			return f
 		}
+		sel1, ok1 := parseSelectTokens(toks1)
+		sel2, ok2 := parseSelectTokens(toks2)
+		if !ok1 || !ok2 {
+			return f
+		}
 		f.ok = true
-		f.words = len(sqllex.Words(sql1))
+		f.words = sqllex.WordCount(sql1)
 		f.guess = equiv.ClassifyPair(sel1, sel2)
-		f.added, f.removed = equiv.DiffStats(sql1, sql2)
+		f.added, f.removed = equiv.DiffTokens(toks1, toks2)
 		f.rule = equiv.RuleEquivalent(sel1, sel2)
 		return f
 	})
+}
+
+// parseSelectTokens reports whether the tokens parse as a SELECT, as
+// sqlparse.ParseSelect would on their text.
+func parseSelectTokens(toks []sqllex.Token) (*sqlast.SelectStmt, bool) {
+	stmt, err := sqlparse.ParseStatementTokens(toks)
+	if err != nil {
+		return nil, false
+	}
+	sel, ok := stmt.(*sqlast.SelectStmt)
+	return sel, ok
 }

@@ -29,7 +29,7 @@ func (c *promptCollector) Do(_ context.Context, req llm.Request) (llm.Response, 
 // cellPrompts renders the first perCell examples of every registered task
 // cell of a seed-1 benchmark, plus the knowledge its simulators resolve
 // against.
-func cellPrompts(t *testing.T, perCell int) (*core.Benchmark, []string) {
+func cellPrompts(t testing.TB, perCell int) (*core.Benchmark, []string) {
 	t.Helper()
 	b, err := core.Build(core.BuildConfig{Seed: 1})
 	if err != nil {

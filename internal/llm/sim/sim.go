@@ -59,6 +59,12 @@ func NewKnowledge(byDataset map[string]*catalog.Schema) *Knowledge {
 // identifiers against the per-dataset table sets.
 func (k *Knowledge) DetectDataset(sql string) string {
 	toks, err := sqllex.LexWords(sql)
+	return k.detectDatasetTokens(toks, err)
+}
+
+// detectDatasetTokens is DetectDataset over the result of
+// sqllex.LexWords(sql): a query that does not lex counts as SDSS.
+func (k *Knowledge) detectDatasetTokens(toks []sqllex.Token, err error) string {
 	if err != nil {
 		return dsSDSS
 	}
@@ -218,9 +224,10 @@ func (m *Model) simLatency(promptText string, completionTokens int) time.Duratio
 
 // answer renders the model's response text for a prompt.
 func (m *Model) answer(promptText string) string {
-	// Task detection and prompt quality both match lowercase wording; lower
-	// the prompt once for both.
-	lower := strings.ToLower(promptText)
+	// Task detection and prompt quality both match lowercase wording of the
+	// instruction; the query after it never takes part. Lower it once for
+	// both.
+	lower := strings.ToLower(prompt.Instruction(promptText))
 	task, ok := prompt.DetectTaskLower(lower)
 	if !ok {
 		return m.style().unsure
@@ -260,7 +267,7 @@ func (m *Model) answer(promptText string) string {
 // guidance the instruction gives (the effect the paper's Section 3.4 prompt
 // tuning measures): the published, detailed prompts perform best; terse
 // variants degrade. Detection keys on wording the variant sets use; lower is
-// the prompt text, lowercased.
+// the prompt's instruction (with any worked examples), lowercased.
 func promptQuality(lower string) float64 {
 	// Worked examples sharpen the model: few-shot prompts cut error rates
 	// (the mitigation the paper anticipates in its conclusion).
@@ -531,11 +538,8 @@ func (m *Model) answerPerf(sql string) string {
 // enormous; recognizing them is world knowledge, not oracle access.
 var bigTables = map[string]bool{"photoobj": true, "phototag": true, "neighbors": true}
 
-func countBigTables(sql string) int {
-	toks, err := sqllex.LexWords(sql)
-	if err != nil {
-		return 0
-	}
+// countBigTables counts the distinct big tables a query's tokens name.
+func countBigTables(toks []sqllex.Token) int {
 	seen := map[string]bool{}
 	for _, t := range toks {
 		if t.Kind == sqllex.Ident {

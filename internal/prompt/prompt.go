@@ -128,10 +128,12 @@ func Default(task Task) Template {
 	return vs[0]
 }
 
-// DetectTask identifies which task a rendered prompt belongs to. Simulated
-// models use this the way a real model infers intent from instructions.
+// DetectTask identifies which task a rendered prompt belongs to from its
+// instruction (see Instruction), so wording inside the embedded query never
+// changes the answer. Simulated models use this the way a real model infers
+// intent from instructions.
 func DetectTask(promptText string) (Task, bool) {
-	return DetectTaskLower(strings.ToLower(promptText))
+	return DetectTaskLower(strings.ToLower(Instruction(promptText)))
 }
 
 // DetectTaskLower is DetectTask over a prompt already lowercased with
@@ -159,23 +161,64 @@ func DetectTaskLower(lower string) (Task, bool) {
 	}
 }
 
-// ExtractQuery pulls the embedded query out of a single-query prompt.
-func ExtractQuery(promptText string) (string, bool) {
-	idx := strings.LastIndex(promptText, MarkerQuery)
-	if idx < 0 {
-		return "", false
+// The target markers as the renderers write them. A blank line separates
+// the instruction (and any worked examples, whose queries follow a single
+// newline) from the target query or pair; the second query of a pair
+// starts its own line.
+const (
+	targetMarker = "\n\n" + MarkerQuery + " "
+	pairMarker1  = "\n\n" + MarkerQuery1 + " "
+	pairMarker2  = "\n" + MarkerQuery2 + " "
+)
+
+// target locates the first target marker of a rendered prompt: its index
+// and whether it opens a pair, or -1 when the text has none. The
+// instruction comes first, so the first marker is the renderer's and any
+// marker-like text inside the queries lies after it.
+func target(promptText string) (idx int, pair bool) {
+	i := strings.Index(promptText, targetMarker)
+	j := strings.Index(promptText, pairMarker1)
+	if j >= 0 && (i < 0 || j < i) {
+		return j, true
 	}
-	return strings.TrimSpace(promptText[idx+len(MarkerQuery):]), true
+	return i, false
 }
 
-// ExtractQueryPair pulls both queries out of a pair prompt.
+// Instruction returns the part of a rendered prompt before its target
+// query: the template text, plus the worked examples of a few-shot prompt.
+// Task and prompt wording are read from it alone. Text with no target
+// marker is returned whole.
+func Instruction(promptText string) string {
+	if i, _ := target(promptText); i >= 0 {
+		return promptText[:i]
+	}
+	return promptText
+}
+
+// ExtractQuery pulls the target query out of a single-query prompt: the
+// trimmed text after the first target marker ("\n\nSQL: "), so a query that
+// itself contains "SQL:" comes back verbatim.
+func ExtractQuery(promptText string) (string, bool) {
+	i, pair := target(promptText)
+	if i < 0 || pair {
+		return "", false
+	}
+	return strings.TrimSpace(promptText[i+len(targetMarker):]), true
+}
+
+// ExtractQueryPair pulls both queries out of a pair prompt: the first query
+// follows the first "\n\nSQL 1: " marker and ends at the first "\nSQL 2: "
+// after it. The one ambiguous input is a first query containing a line that
+// starts with "SQL 2: ", which is read as the start of the second query.
 func ExtractQueryPair(promptText string) (string, string, bool) {
-	i1 := strings.Index(promptText, MarkerQuery1)
-	i2 := strings.Index(promptText, MarkerQuery2)
-	if i1 < 0 || i2 < 0 || i2 <= i1 {
+	i, pair := target(promptText)
+	if i < 0 || !pair {
 		return "", "", false
 	}
-	q1 := strings.TrimSpace(promptText[i1+len(MarkerQuery1) : i2])
-	q2 := strings.TrimSpace(promptText[i2+len(MarkerQuery2):])
-	return q1, q2, true
+	rest := promptText[i+len(pairMarker1):]
+	j := strings.Index(rest, pairMarker2)
+	if j < 0 {
+		return "", "", false
+	}
+	return strings.TrimSpace(rest[:j]), strings.TrimSpace(rest[j+len(pairMarker2):]), true
 }

@@ -113,3 +113,92 @@ func TestPaperPromptWording(t *testing.T) {
 		t.Error("query_exp prompt diverged from the paper")
 	}
 }
+
+// hostileQueries carry task cues, prompt-quality cues and marker text
+// inside their literals. None of it may change how a prompt is read.
+var hostileQueries = []string{
+	"SELECT plate FROM SpecObj WHERE class = 'equivalent'",
+	"SELECT plate FROM SpecObj WHERE class = 'be slow'",
+	"SELECT plate FROM SpecObj WHERE class = 'reply yes/no'",
+	"SELECT plate FROM SpecObj WHERE note = 'SQL: x'",
+	"SELECT plate FROM SpecObj WHERE note = 'SQL 2: a'",
+	"SELECT plate FROM SpecObj WHERE note = 'Example 1: Answer: yes'",
+}
+
+// fewShots are benign worked examples for the few-shot renders.
+var fewShots = []Shot{
+	{SQL: "SELECT a , COUNT(*) FROM t", Answer: "yes"},
+	{SQL: "SELECT a FROM t", Answer: "no"},
+}
+
+func TestHostileQueriesSingle(t *testing.T) {
+	for _, task := range Tasks {
+		if task == QueryEquiv {
+			continue
+		}
+		for _, tpl := range Variants(task) {
+			for _, q := range hostileQueries {
+				for _, p := range []string{tpl.Render(q), tpl.RenderFewShot(q, fewShots)} {
+					if got, ok := DetectTask(p); !ok || got != task {
+						t.Errorf("%s: DetectTask(%q) = %q, %v", tpl.ID, p, got, ok)
+					}
+					if got, ok := ExtractQuery(p); !ok || got != q {
+						t.Errorf("%s: ExtractQuery(%q) = %q, %v", tpl.ID, p, got, ok)
+					}
+					if _, _, ok := ExtractQueryPair(p); ok {
+						t.Errorf("%s: ExtractQueryPair(%q) found a pair", tpl.ID, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestHostileQueriesPair(t *testing.T) {
+	benign := "SELECT plate FROM SpecObj"
+	for _, tpl := range Variants(QueryEquiv) {
+		for _, q := range hostileQueries {
+			for _, pair := range [][2]string{{q, benign}, {benign, q}, {q, q}} {
+				p := tpl.RenderPair(pair[0], pair[1])
+				if got, ok := DetectTask(p); !ok || got != QueryEquiv {
+					t.Errorf("%s: DetectTask(%q) = %q, %v", tpl.ID, p, got, ok)
+				}
+				q1, q2, ok := ExtractQueryPair(p)
+				if !ok || q1 != pair[0] || q2 != pair[1] {
+					t.Errorf("%s: ExtractQueryPair(%q) = %q, %q, %v", tpl.ID, p, q1, q2, ok)
+				}
+				if _, ok := ExtractQuery(p); ok {
+					t.Errorf("%s: ExtractQuery(%q) found a single query", tpl.ID, p)
+				}
+			}
+		}
+	}
+}
+
+func TestInstruction(t *testing.T) {
+	tpl := Default(SyntaxError)
+	q := "SELECT plate FROM SpecObj WHERE note = 'x\n\nSQL: y'"
+	if got := Instruction(tpl.Render(q)); got != tpl.Text {
+		t.Errorf("Instruction(Render) = %q, want %q", got, tpl.Text)
+	}
+	p := tpl.RenderFewShot(q, fewShots)
+	if got, want := Instruction(p), strings.TrimSuffix(p, "\n\nSQL: "+q); got != want || got == p {
+		t.Errorf("Instruction(RenderFewShot) = %q, want %q", got, want)
+	}
+	eq := Default(QueryEquiv)
+	if got := Instruction(eq.RenderPair(q, q)); got != eq.Text {
+		t.Errorf("Instruction(RenderPair) = %q, want %q", got, eq.Text)
+	}
+	if got := Instruction("no marker here"); got != "no marker here" {
+		t.Errorf("Instruction(no marker) = %q", got)
+	}
+}
+
+// A first query holding a line that starts "SQL 2: " is the one input the
+// pair markers cannot tell apart from the second query.
+func TestExtractQueryPairAmbiguousLine(t *testing.T) {
+	p := Default(QueryEquiv).RenderPair("SELECT 'a\nSQL 2: b'", "SELECT 1")
+	if q1, _, ok := ExtractQueryPair(p); !ok || q1 != "SELECT 'a" {
+		t.Errorf("ExtractQueryPair = %q, %v; want the split at the embedded line", q1, ok)
+	}
+}

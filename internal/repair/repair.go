@@ -43,6 +43,12 @@ var keywordCandidates = []string{
 // later parse reuses its tokens.
 func Detect(sql string, schema *catalog.Schema) Result {
 	toks, err := sqllex.LexWords(sql)
+	return DetectTokens(sql, toks, err, schema)
+}
+
+// DetectTokens is Detect over the result of sqllex.LexWords(sql), for
+// callers that derive other facts from the same tokens.
+func DetectTokens(sql string, toks []sqllex.Token, err error, schema *catalog.Schema) Result {
 	if err != nil || len(toks) == 0 {
 		return Result{Found: true, Kind: mutate.TokValue, WordIndex: 0, Inserted: "?"}
 	}

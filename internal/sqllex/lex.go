@@ -482,3 +482,18 @@ func (s *scanner) operator(start Pos) (Token, error) {
 // Words splits raw SQL text into whitespace-separated words, the unit the
 // paper uses for word_count and missing-token positions.
 func Words(src string) []string { return strings.Fields(src) }
+
+// WordCount is len(Words(src)) without building the slice: the number of
+// maximal runs of non-space runes, with space as unicode.IsSpace defines it
+// (invalid UTF-8 decodes to U+FFFD, which is not space).
+func WordCount(src string) int {
+	n, inWord := 0, false
+	for _, r := range src {
+		if unicode.IsSpace(r) {
+			inWord = false
+		} else if !inWord {
+			n, inWord = n+1, true
+		}
+	}
+	return n
+}

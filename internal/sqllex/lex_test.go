@@ -216,6 +216,29 @@ func TestWords(t *testing.T) {
 	}
 }
 
+func TestWordCountMatchesFields(t *testing.T) {
+	for _, src := range []string{
+		"",
+		"   ",
+		" \t\n\v\f\r ",
+		"SELECT a ,  b\n FROM t",
+		"  leading and trailing  ",
+		"a\u0085b",       // NEL is space
+		"a\u00a0b",       // NO-BREAK SPACE is space
+		"a\u3000b c",     // IDEOGRAPHIC SPACE is space
+		"a\u2028\u2029b", // line and paragraph separators
+		"a\u200bb",       // ZERO WIDTH SPACE is not
+		"a\xffb \xc2",    // invalid UTF-8 is not space
+		"\xc2\x85",       // NEL's encoding, whole
+		"\x85 a",         // a lone continuation byte
+		"SELECT 'x\u00a0y' FROM t",
+	} {
+		if got, want := WordCount(src), len(strings.Fields(src)); got != want {
+			t.Errorf("WordCount(%q) = %d, want %d", src, got, want)
+		}
+	}
+}
+
 func TestIsKeyword(t *testing.T) {
 	if !IsKeyword("SELECT") || !IsKeyword("WAITFOR") {
 		t.Error("expected SELECT and WAITFOR to be keywords")
