@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -107,42 +108,35 @@ func mergedSchema(b *core.Benchmark) *catalog.Schema {
 	return catalog.Merged("knowledge", all...)
 }
 
-// TestDetectMatchesOracleOnCells compares Detect with the string-rebuild
-// oracle on every syntax, tokens and fill input of seeds 1-3.
-func TestDetectMatchesOracleOnCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds three benchmarks")
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		b, err := core.Build(core.BuildConfig{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+// input is one query the repair tests feed to Detect, with where it came
+// from.
+type input struct{ where, sql string }
+
+// cellInputs returns the distinct syntax, tokens and fill inputs of b.
+func cellInputs(t *testing.T, b *core.Benchmark) []input {
+	var out []input
+	seen := map[string]bool{}
+	for _, id := range []string{"syntax", "tokens", "fill"} {
+		task, ok := core.TaskByID(id)
+		if !ok {
+			t.Fatalf("task %s not registered", id)
 		}
-		schema := mergedSchema(b)
-		seen := map[string]bool{}
-		for _, id := range []string{"syntax", "tokens", "fill"} {
-			task, ok := core.TaskByID(id)
-			if !ok {
-				t.Fatalf("task %s not registered", id)
-			}
-			for _, ds := range task.Datasets() {
-				examples, _ := task.Cell(b, ds)
-				for _, ex := range examples {
-					sql := ex.SQL[0]
-					if seen[sql] {
-						continue
-					}
-					seen[sql] = true
-					if got, want := Detect(sql, schema), detectOracle(sql, schema); got != want {
-						t.Errorf("seed %d %s %s: Detect = %+v, oracle %+v\n%s", seed, id, ex.ID, got, want, sql)
-					}
+		for _, ds := range task.Datasets() {
+			examples, _ := task.Cell(b, ds)
+			for _, ex := range examples {
+				sql := ex.SQL[0]
+				if seen[sql] {
+					continue
 				}
+				seen[sql] = true
+				out = append(out, input{id + " " + ex.ID, sql})
 			}
 		}
-		if len(seen) == 0 {
-			t.Fatalf("seed %d: no inputs", seed)
-		}
 	}
+	if len(out) == 0 {
+		t.Fatal("no cell inputs")
+	}
+	return out
 }
 
 // deletionStride thins the deletion sweep over the three workloads with long
@@ -151,19 +145,10 @@ func TestDetectMatchesOracleOnCells(t *testing.T) {
 // in full.
 var deletionStride = map[string]int{core.SDSS: 32, core.SQLShare: 32, core.JoinOrder: 32, core.Spider: 1}
 
-// TestDetectMatchesOracleOnDeletions compares Detect with the oracle on
-// every single-token deletion of the workload SELECTs of seed 1 (every
-// deletionStride-th SELECT per workload).
-func TestDetectMatchesOracleOnDeletions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the oracle over every deletion of workload queries")
-	}
-	b, err := core.Build(core.BuildConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := mergedSchema(b)
-	n := 0
+// deletionInputs returns every single-token deletion of the workload
+// SELECTs of b (every deletionStride-th SELECT per workload).
+func deletionInputs(t *testing.T, b *core.Benchmark) []input {
+	var out []input
 	for _, ds := range []string{core.SDSS, core.SQLShare, core.JoinOrder, core.Spider} {
 		for i, q := range b.Workloads[ds].Queries {
 			if i%deletionStride[ds] != 0 {
@@ -178,14 +163,51 @@ func TestDetectMatchesOracleOnDeletions(t *testing.T) {
 			}
 			for _, tok := range toks {
 				sql := q.SQL[:tok.Pos.Offset] + q.SQL[tok.Pos.Offset+len(tok.Text):]
-				n++
-				if got, want := Detect(sql, schema), detectOracle(sql, schema); got != want {
-					t.Errorf("%s without %q: Detect = %+v, oracle %+v\n%s", q.ID, tok.Text, got, want, sql)
-				}
+				out = append(out, input{fmt.Sprintf("%s without %q", q.ID, tok.Text), sql})
 			}
 		}
 	}
-	if n == 0 {
+	if len(out) == 0 {
 		t.Fatal("no deletions")
+	}
+	return out
+}
+
+// TestDetectMatchesOracleOnCells compares Detect with the string-rebuild
+// oracle on every syntax, tokens and fill input of seeds 1-3.
+func TestDetectMatchesOracleOnCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three benchmarks")
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		b, err := core.Build(core.BuildConfig{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := mergedSchema(b)
+		for _, in := range cellInputs(t, b) {
+			if got, want := Detect(in.sql, schema), detectOracle(in.sql, schema); got != want {
+				t.Errorf("seed %d %s: Detect = %+v, oracle %+v\n%s", seed, in.where, got, want, in.sql)
+			}
+		}
+	}
+}
+
+// TestDetectMatchesOracleOnDeletions compares Detect with the oracle on
+// every single-token deletion of the workload SELECTs of seed 1 (every
+// deletionStride-th SELECT per workload).
+func TestDetectMatchesOracleOnDeletions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the oracle over every deletion of workload queries")
+	}
+	b, err := core.Build(core.BuildConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := mergedSchema(b)
+	for _, in := range deletionInputs(t, b) {
+		if got, want := Detect(in.sql, schema), detectOracle(in.sql, schema); got != want {
+			t.Errorf("%s: Detect = %+v, oracle %+v\n%s", in.where, got, want, in.sql)
+		}
 	}
 }

@@ -107,10 +107,40 @@ var (
 )
 
 // repairAt tries inserting candidate tokens at gap positions around the
-// failure token. Each candidate is spliced into one reused token buffer and
-// parsed from tokens, which is equivalent to parsing the re-joined text: the
-// lexer is context-free and the parser ignores token positions.
+// failure token and returns the first insertion that parses. Candidates are
+// recognized from tokens, which is equivalent to parsing the re-joined text:
+// the lexer is context-free and the parser ignores token positions. Every
+// buffer agrees with toks before its gap, so one sqlparse.Prefix serves the
+// whole search with shared = gap: a candidate parse reuses the select items,
+// table references and conjuncts that end before the gap and parses only
+// the element that contains it. Gaps are tried in increasing order, so what
+// one gap stores stays reusable at every later one.
 func repairAt(sql string, toks []sqllex.Token, fail int) Result {
+	var prefix sqlparse.Prefix
+	gap, c, ok := search(toks, fail, func(buf []sqllex.Token, gap int, _ candidate) bool {
+		return prefix.Recognize(buf, gap) == nil
+	})
+	if !ok {
+		// Unrepairable with one token: still clearly damaged.
+		return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, fail), Inserted: ""}
+	}
+	kind := c.kind
+	if c.kind == mutate.TokColumn {
+		kind = classifyIdentGap(toks, gap)
+	}
+	return Result{
+		Found:     true,
+		Kind:      kind,
+		WordIndex: wordIndexOfToken(sql, toks, gap),
+		Inserted:  c.tok.Text,
+	}
+}
+
+// search splices candidate tokens into toks at each gap from three before
+// the failure token to two after it, in increasing order, and calls try with
+// each spliced buffer until try accepts one. The buffer is reused between
+// calls; try must not keep it.
+func search(toks []sqllex.Token, fail int, try func(buf []sqllex.Token, gap int, c candidate) bool) (int, candidate, bool) {
 	lo := fail - 3
 	if lo < 0 {
 		lo = 0
@@ -119,42 +149,31 @@ func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 	if hi > len(toks) {
 		hi = len(toks)
 	}
-	candidatesAt := func(gap int) []candidate {
-		var out []candidate
+	buf := make([]sqllex.Token, len(toks)+1)
+	cands := make([]candidate, 0, len(baseCandidates)+2)
+	for gap := lo; gap <= hi; gap++ {
+		copy(buf, toks[:gap])
+		copy(buf[gap+1:], toks[gap:])
+		cands = cands[:0]
 		// A gap flanked by value-like tokens most plausibly lost a
 		// comparison operator; try it first there.
 		if valueLike(toks, gap-1) && valueLike(toks, gap) {
-			out = append(out, eqCandidate)
+			cands = append(cands, eqCandidate)
 		}
 		// A gap right after a comparison operator most plausibly lost the
 		// literal operand.
 		if gap > 0 && toks[gap-1].Kind == sqllex.Op && comparisonOp(toks[gap-1].Text) {
-			out = append(out, zeroCandidate)
+			cands = append(cands, zeroCandidate)
 		}
-		return append(out, baseCandidates...)
-	}
-	buf := make([]sqllex.Token, len(toks)+1)
-	for gap := lo; gap <= hi; gap++ {
-		copy(buf, toks[:gap])
-		copy(buf[gap+1:], toks[gap:])
-		for _, c := range candidatesAt(gap) {
+		cands = append(cands, baseCandidates...)
+		for _, c := range cands {
 			buf[gap] = c.tok
-			if _, err := sqlparse.ParseStatementTokens(buf); err == nil {
-				kind := c.kind
-				if c.kind == mutate.TokColumn {
-					kind = classifyIdentGap(toks, gap)
-				}
-				return Result{
-					Found:     true,
-					Kind:      kind,
-					WordIndex: wordIndexOfToken(sql, toks, gap),
-					Inserted:  c.tok.Text,
-				}
+			if try(buf, gap, c) {
+				return gap, c, true
 			}
 		}
 	}
-	// Unrepairable with one token: still clearly damaged.
-	return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, fail), Inserted: ""}
+	return 0, candidate{}, false
 }
 
 // comparisonOp reports whether the operator text is a comparison.

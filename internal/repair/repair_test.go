@@ -7,6 +7,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/mutate"
+	"repro/internal/sqllex"
+	"repro/internal/sqlparse"
 	"repro/internal/workload/sdss"
 )
 
@@ -129,3 +131,43 @@ func BenchmarkRepairDetect(b *testing.B) {
 		Detect(inputs[i%len(inputs)], schema)
 	}
 }
+
+// BenchmarkRepairSearch runs the candidate search alone over the seed-1
+// miss_token inputs that fail to parse, one query per iteration, lexed and
+// located beforehand: the number isolates repairAt from lexing, the first
+// parse and the semantic-gap path that BenchmarkRepairDetect also covers.
+func BenchmarkRepairSearch(b *testing.B) {
+	bench, err := core.Build(core.BuildConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type failing struct {
+		sql  string
+		toks []sqllex.Token
+		fail int
+	}
+	var inputs []failing
+	for _, ds := range core.TaskDatasets {
+		for _, ex := range bench.Tokens[ds] {
+			toks, err := sqllex.LexWords(ex.SQL)
+			if err != nil || len(toks) == 0 {
+				continue
+			}
+			if _, perr := sqlparse.ParseStatementTokens(toks); perr != nil {
+				inputs = append(inputs, failing{ex.SQL, toks, failureIndex(perr, toks)})
+			}
+		}
+	}
+	if len(inputs) == 0 {
+		b.Fatal("no failing inputs")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := inputs[i%len(inputs)]
+		searchSink = repairAt(in.sql, in.toks, in.fail)
+	}
+}
+
+// searchSink keeps the benchmarked repairs observable.
+var searchSink Result

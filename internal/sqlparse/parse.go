@@ -34,9 +34,17 @@ func (e *ParseError) Error() string {
 // Unwrap makes errors.Is(err, ErrSyntax) true.
 func (e *ParseError) Unwrap() error { return ErrSyntax }
 
+// parser is a recursive-descent parser over one token slice. A rule's
+// result is a function of toks and the start pos alone, and every read of
+// toks goes through cur, peekAt or atEOF (errorf reads the last token only
+// once cur is at EOF), which record the highest index read in horizon. That
+// is what lets a Prefix reuse a rule result on another token slice that
+// agrees with this one up to and including the horizon.
 type parser struct {
-	toks []sqllex.Token
-	pos  int
+	toks    []sqllex.Token
+	pos     int
+	horizon int     // highest token index read so far; may be >= len(toks)
+	prefix  *Prefix // rule memo of Prefix.Recognize; nil for a plain parse
 }
 
 // ParseStatement parses a single SQL statement (an optional trailing
@@ -52,7 +60,10 @@ func ParseStatement(sql string) (sqlast.Stmt, error) {
 // ParseStatementTokens is ParseStatement over already-lexed word tokens (the
 // sqllex.LexWords view, comments removed). The parser reads token positions
 // only to locate a ParseError, so spliced token slices parse exactly as
-// their re-lexed text would; toks is not modified.
+// their re-lexed text would; toks is not modified. A caller that only needs
+// to know whether many related slices parse, and where they fail, should use
+// Prefix.Recognize, which returns the same error without re-parsing a prefix
+// the slices share.
 func ParseStatementTokens(toks []sqllex.Token) (sqlast.Stmt, error) {
 	p := &parser{toks: toks}
 	return p.statement()
@@ -113,7 +124,17 @@ func newParser(sql string) (*parser, error) {
 	return &parser{toks: toks}, nil
 }
 
-func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
+// see raises the horizon to token index i.
+func (p *parser) see(i int) {
+	if i > p.horizon {
+		p.horizon = i
+	}
+}
+
+func (p *parser) atEOF() bool {
+	p.see(p.pos)
+	return p.pos >= len(p.toks)
+}
 
 func (p *parser) cur() sqllex.Token {
 	if p.atEOF() {
@@ -123,6 +144,7 @@ func (p *parser) cur() sqllex.Token {
 }
 
 func (p *parser) peekAt(n int) sqllex.Token {
+	p.see(p.pos + n)
 	if p.pos+n >= len(p.toks) {
 		return sqllex.Token{Kind: sqllex.EOF}
 	}
@@ -368,27 +390,17 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 		}
 		break
 	}
-	for {
-		item, err := p.parseSelectItem()
+	items, err := p.selectList()
+	if err != nil {
+		return nil, err
+	}
+	sel.Items = items
+	if p.acceptKw("FROM") {
+		from, err := p.fromList()
 		if err != nil {
 			return nil, err
 		}
-		sel.Items = append(sel.Items, item)
-		if !p.accept(sqllex.Comma, "") {
-			break
-		}
-	}
-	if p.acceptKw("FROM") {
-		for {
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			sel.From = append(sel.From, tr)
-			if !p.accept(sqllex.Comma, "") {
-				break
-			}
-		}
+		sel.From = from
 	}
 	if p.acceptKw("WHERE") {
 		e, err := p.parseExpr()
@@ -422,6 +434,21 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 	return sel, nil
 }
 
+// parseSelectList parses the comma-separated items of a select list.
+func (p *parser) parseSelectList() ([]sqlast.SelectItem, error) {
+	var items []sqlast.SelectItem
+	for {
+		item, err := p.selectItem()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item)
+		if !p.accept(sqllex.Comma, "") {
+			return items, nil
+		}
+	}
+}
+
 func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 	t := p.cur()
 	// Bare star.
@@ -453,6 +480,21 @@ func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 		item.Alias = c.Val()
 	}
 	return item, nil
+}
+
+// parseFromList parses the comma-separated table references after FROM.
+func (p *parser) parseFromList() ([]sqlast.TableRef, error) {
+	var from []sqlast.TableRef
+	for {
+		tr, err := p.tableRef()
+		if err != nil {
+			return nil, err
+		}
+		from = append(from, tr)
+		if !p.accept(sqllex.Comma, "") {
+			return from, nil
+		}
+	}
 }
 
 func (p *parser) parseTableRef() (sqlast.TableRef, error) {
@@ -520,7 +562,7 @@ func (p *parser) parseTablePrimary() (sqlast.TableRef, error) {
 			st.Alias = p.optionalAlias()
 			return st, nil
 		}
-		ref, err := p.parseTableRef()
+		ref, err := p.tableRef()
 		if err != nil {
 			return nil, err
 		}
@@ -538,17 +580,15 @@ func (p *parser) parseTablePrimary() (sqlast.TableRef, error) {
 	return tn, nil
 }
 
-// optionalAlias consumes [AS] ident if present.
+// optionalAlias consumes [AS] ident if present. An AS not followed by an
+// identifier is left in place for the caller to fail on.
 func (p *parser) optionalAlias() string {
-	if p.acceptKw("AS") {
-		if alias, err := p.identifier("alias"); err == nil {
-			return alias
-		}
-		p.pos-- // restore the AS we consumed; caller will fail later
-		return ""
+	n := 0
+	if p.cur().Is("AS") {
+		n = 1
 	}
-	if c := p.cur(); c.Kind == sqllex.Ident || c.Kind == sqllex.QuotedIdent {
-		p.pos++
+	if c := p.peekAt(n); c.Kind == sqllex.Ident || c.Kind == sqllex.QuotedIdent {
+		p.pos += n + 1
 		return c.Val()
 	}
 	return ""
@@ -922,12 +962,12 @@ func (p *parser) parseOr() (sqlast.Expr, error) {
 }
 
 func (p *parser) parseAnd() (sqlast.Expr, error) {
-	left, err := p.parseNot()
+	left, err := p.conjunct()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKw("AND") {
-		right, err := p.parseNot()
+		right, err := p.conjunct()
 		if err != nil {
 			return nil, err
 		}

@@ -340,6 +340,32 @@ func TestParseErrorHasPosition(t *testing.T) {
 	}
 }
 
+// An AS after a table that no identifier follows is not an alias: the
+// parser leaves it in place (it never steps back) and the statement fails
+// on it.
+func TestParseTableAliasASWithoutIdentifier(t *testing.T) {
+	cases := map[string]string{
+		"SELECT a FROM t AS WHERE x = 1":           "syntax error at 1:17: unexpected trailing input (near \"AS\")",
+		"SELECT a FROM t AS":                       "syntax error at 1:17: unexpected trailing input (near \"AS\")",
+		"SELECT a FROM t AS 5":                     "syntax error at 1:17: unexpected trailing input (near \"AS\")",
+		"SELECT a FROM ( SELECT b FROM u ) AS , v": "syntax error at 1:35: unexpected trailing input (near \"AS\")",
+	}
+	for q, want := range cases {
+		if _, err := ParseStatement(q); err == nil || err.Error() != want {
+			t.Errorf("ParseStatement(%q) = %v, want %s", q, err, want)
+		}
+	}
+	sel, err := ParseSelect(`SELECT a FROM t AS [q] , u AS "v" , w x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"q", "v", "x"} {
+		if got := sel.From[i].(*sqlast.TableName).Alias; got != want {
+			t.Errorf("table %d alias = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestParseSelectRejectsNonSelect(t *testing.T) {
 	if _, err := ParseSelect("DROP TABLE t"); err == nil {
 		t.Error("ParseSelect accepted DROP")

@@ -1,0 +1,116 @@
+package sqlparse
+
+import (
+	"repro/internal/sqlast"
+	"repro/internal/sqllex"
+)
+
+// Prefix recognizes a sequence of related token slices that share a prefix,
+// such as one statement with a different token spliced in at a later point
+// each time. It runs the same grammar as ParseStatementTokens and memoizes
+// the list rules — the select list and its items, the FROM list and its
+// table references, and AND conjuncts (every expression is a list of those)
+// — by start index, in the manner of a packrat parser. Each stored result,
+// failures included, carries the highest token index its rule read (its
+// horizon). A result is stored only when its horizon lies inside the call's
+// shared prefix and reused only when it lies inside the current one, so a
+// reused result is exactly what a re-parse would return: a rule's result
+// depends on nothing but the tokens from its start up to its horizon.
+//
+// A Prefix is not safe for concurrent use. The zero value is ready to use.
+type Prefix struct {
+	p      parser // reused by every call, so a call allocates no parser
+	shared int
+	rows   []memoRow // by start index
+}
+
+// Recognize reports whether toks parses as one statement and returns the
+// error ParseStatementTokens(toks) would return, with the same Pos, Msg and
+// Near. Every slice given to one Prefix must start like one reference
+// sequence: toks[:shared] (0 <= shared <= len(toks)) equals the reference's
+// first shared tokens, and toks may differ from it anywhere after. For the
+// repair search the reference is the damaged query, and a buffer with a
+// token spliced in at a gap agrees with it up to the gap. Calls with
+// non-decreasing shared reuse the most.
+func (r *Prefix) Recognize(toks []sqllex.Token, shared int) error {
+	// A rule may start at end of input, one past the last token.
+	if n := len(toks) + 1; len(r.rows) < n {
+		r.rows = append(r.rows, make([]memoRow, n-len(r.rows))...)
+	}
+	r.shared = shared
+	r.p = parser{toks: toks, horizon: -1, prefix: r}
+	_, err := r.p.statement()
+	return err
+}
+
+// memoRow holds the results of the memoized rules that start at one index.
+type memoRow struct {
+	selectList memoEntry[[]sqlast.SelectItem]
+	selectItem memoEntry[sqlast.SelectItem]
+	fromList   memoEntry[[]sqlast.TableRef]
+	tableRef   memoEntry[sqlast.TableRef]
+	conjunct   memoEntry[sqlast.Expr]
+}
+
+type memoEntry[T any] struct {
+	stored  bool
+	end     int32 // position after the rule returned
+	horizon int32 // highest token index the rule read
+	node    T
+	err     error
+}
+
+// recall runs rule at the current position through its memo entry e.
+func recall[T any](p *parser, e *memoEntry[T], rule func(*parser) (T, error)) (T, error) {
+	if e.stored && int(e.horizon) < p.prefix.shared {
+		p.pos = int(e.end)
+		p.see(int(e.horizon))
+		return e.node, e.err
+	}
+	// Track the rule's own horizon, then fold it into the caller's.
+	outer := p.horizon
+	p.horizon = p.pos
+	node, err := rule(p)
+	h := p.horizon
+	p.see(outer)
+	if h < p.prefix.shared {
+		*e = memoEntry[T]{stored: true, end: int32(p.pos), horizon: int32(h), node: node, err: err}
+	}
+	return node, err
+}
+
+func (p *parser) selectList() ([]sqlast.SelectItem, error) {
+	if p.prefix == nil {
+		return p.parseSelectList()
+	}
+	return recall(p, &p.prefix.rows[p.pos].selectList, (*parser).parseSelectList)
+}
+
+func (p *parser) selectItem() (sqlast.SelectItem, error) {
+	if p.prefix == nil {
+		return p.parseSelectItem()
+	}
+	return recall(p, &p.prefix.rows[p.pos].selectItem, (*parser).parseSelectItem)
+}
+
+func (p *parser) fromList() ([]sqlast.TableRef, error) {
+	if p.prefix == nil {
+		return p.parseFromList()
+	}
+	return recall(p, &p.prefix.rows[p.pos].fromList, (*parser).parseFromList)
+}
+
+func (p *parser) tableRef() (sqlast.TableRef, error) {
+	if p.prefix == nil {
+		return p.parseTableRef()
+	}
+	return recall(p, &p.prefix.rows[p.pos].tableRef, (*parser).parseTableRef)
+}
+
+// conjunct parses one operand of AND.
+func (p *parser) conjunct() (sqlast.Expr, error) {
+	if p.prefix == nil {
+		return p.parseNot()
+	}
+	return recall(p, &p.prefix.rows[p.pos].conjunct, (*parser).parseNot)
+}
