@@ -18,11 +18,10 @@
 //	sqlbench -explain-plan 'SELECT ...'           # plan before/after predicate pushdown
 //
 // Output is byte-identical at every -parallel setting; -parallel 1
-// reproduces the fully sequential pipeline. The -parallel budget reaches
-// every layer: workload generation, per-dataset labeling, example fan-out,
-// and the engine's own grouped aggregation and set operations during
-// equivalence verification. -stats reports wall times, per-dataset engine op
-// counts, and per-model request/token/latency telemetry to stderr.
+// reproduces the fully sequential pipeline. The -parallel budget bounds
+// workload generation, per-dataset labeling and example fan-out; each query
+// runs serially. -stats reports wall times, per-dataset engine op counts,
+// and per-model request/token/latency telemetry to stderr.
 //
 // -models replaces the five simulated models with a JSON spec set (inline or
 // @file): provider "sim" rebuilds a calibrated simulator, provider "http"
@@ -59,7 +58,7 @@ func main() {
 		noVerify = flag.Bool("noverify", false, "skip engine verification of equivalence pairs (faster)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		tasks    = flag.Bool("tasks", false, "list registered tasks (id, paper name, datasets) and exit")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for benchmark build, task runs, and intra-query engine execution (1 = sequential)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for benchmark build and task runs (1 = sequential)")
 		stats    = flag.Bool("stats", false, "report build/run wall times, engine op counts, and per-model usage to stderr")
 		models   = flag.String("models", "", "JSON model specs (or @file) replacing the default simulated models; providers: sim, http")
 

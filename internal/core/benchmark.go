@@ -126,11 +126,11 @@ type BuildConfig struct {
 	// empirically. Slower but guarantees label integrity (default on via
 	// Build; disable for quick runs).
 	VerifyEquivalences bool
-	// Parallel bounds the worker pool used for the per-dataset build stages
-	// and the equivalence-verification fan-out. 0 means GOMAXPROCS; 1 forces
-	// a sequential build. Output is byte-identical at every setting: each
-	// dataset derives its own rand.Rand from Seed, exactly as the sequential
-	// build always has, so scheduling never reaches the random streams.
+	// Parallel bounds the worker pool used for the per-dataset build stages.
+	// 0 means GOMAXPROCS; 1 forces a sequential build. Output is
+	// byte-identical at every setting: each dataset derives its own
+	// rand.Rand from Seed, exactly as the sequential build always has, so
+	// scheduling never reaches the random streams.
 	Parallel int
 	// Ctx, when set, is the base context for the build's internal fan-out —
 	// it carries an obs tracer/span so engine executions during equivalence
@@ -364,7 +364,6 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 	if verify {
 		checker = equiv.NewChecker(w.Schema)
 		checker.Seeds = []int64{11, 29}
-		checker.Parallel = runner.Parallelism(ctx)
 	}
 	var out []EquivExample
 	eqCursor, neCursor := 0, 0

@@ -1,11 +1,9 @@
 package engine
 
 // Grouped expression evaluation: groupEnv evaluates expressions in a
-// grouping context for one group of rows (the groupOp in op_group.go holds
-// the group-building and parallel fan-out machinery). Aggregates fold over
-// the group's rows in input order through streaming accumulators, so the
-// result — including float accumulation order — is identical no matter how
-// groups are scheduled across workers.
+// grouping context for one group of rows (the groupOp in op_group.go builds
+// the groups). Aggregates fold over the group's rows in input order through
+// streaming accumulators, so float accumulation order is fixed by the input.
 
 import (
 	"math"

@@ -4,7 +4,8 @@ package engine_test
 // workload SELECT of the task datasets, plus one rewrite per equivalence and
 // non-equivalence transform type, runs on the equivalence checker's
 // verification instances through the optimized engine and the unoptimized
-// oracle, which must agree on error text, columns, rows and row order.
+// oracle, which must agree on error text, columns, rows and row order. A
+// second set of queries runs the same comparison over a large instance.
 
 import (
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
@@ -77,6 +79,39 @@ func TestOptimizerDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// largeInputQueries cover grouped aggregation with few and many groups,
+// HAVING, DISTINCT aggregates, expression group keys, DISTINCT,
+// UNION/INTERSECT/EXCEPT with and without ALL, and ORDER BY before and after
+// set operations, over inputs of thousands of rows.
+var largeInputQueries = []string{
+	"SELECT kind_id , COUNT(*) , AVG( production_year ) , MIN( title ) , MAX( production_year ) FROM title GROUP BY kind_id ORDER BY kind_id ASC",
+	"SELECT production_year , COUNT(*) , SUM( kind_id ) FROM title GROUP BY production_year ORDER BY production_year ASC",
+	"SELECT production_year , COUNT(*) FROM title GROUP BY production_year HAVING COUNT(*) > 3 ORDER BY COUNT(*) DESC , production_year ASC",
+	"SELECT COUNT( DISTINCT production_year ) , STDEV( production_year ) , VAR( kind_id ) FROM title",
+	"SELECT production_year > 1980 , COUNT(*) FROM title GROUP BY production_year > 1980 ORDER BY COUNT(*) ASC",
+	"SELECT DISTINCT production_year FROM title ORDER BY production_year DESC",
+	"SELECT movie_id FROM movie_companies UNION SELECT movie_id FROM movie_keyword ORDER BY movie_id ASC",
+	"SELECT movie_id FROM movie_companies UNION ALL SELECT movie_id FROM movie_keyword",
+	"SELECT movie_id FROM movie_companies INTERSECT SELECT movie_id FROM movie_keyword ORDER BY movie_id DESC",
+	"SELECT movie_id FROM movie_companies EXCEPT SELECT movie_id FROM movie_keyword ORDER BY movie_id ASC",
+	"SELECT t.kind_id , COUNT(*) FROM title AS t JOIN movie_companies AS mc ON t.id = mc.movie_id WHERE t.production_year > 1950 GROUP BY t.kind_id ORDER BY t.kind_id ASC",
+}
+
+func TestOptimizerDifferentialLargeInputs(t *testing.T) {
+	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 21, Rows: 2500})
+	opt, raw := engine.New(db), engine.NewUnoptimized(db)
+	for _, sql := range largeInputQueries {
+		got, gotErr := opt.QuerySQL(sql)
+		want, wantErr := raw.QuerySQL(sql)
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%q: optimized error %v, unoptimized error %v", sql, gotErr, wantErr)
+		}
+		if diff := resultDiff(got, want, nil, nil); diff != "" {
+			t.Errorf("%q: %s", sql, diff)
+		}
+	}
+}
+
 // resultDiff describes how an optimized result differs from the oracle's,
 // or returns "" when they agree exactly.
 func resultDiff(got, want *engine.Relation, gotErr, wantErr error) string {
@@ -90,4 +125,20 @@ func resultDiff(got, want *engine.Relation, gotErr, wantErr error) string {
 		return fmt.Sprintf("results differ: optimized %d rows, unoptimized %d rows", len(got.Rows), len(want.Rows))
 	}
 	return ""
+}
+
+func relFingerprint(rel *engine.Relation) string {
+	var b strings.Builder
+	for _, c := range rel.Cols {
+		b.WriteString(c.Qualifier)
+		b.WriteByte('.')
+		b.WriteString(c.Name)
+		b.WriteByte('|')
+	}
+	b.WriteByte('\n')
+	for _, row := range rel.Rows {
+		b.WriteString(engine.Key(row))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -19,17 +19,13 @@ import (
 )
 
 // Engine executes SELECT statements against a DB. An Engine is safe for
-// concurrent use by multiple goroutines (it never mutates base tables), and
-// additionally parallelizes inside single queries when Parallel > 1.
+// concurrent use by multiple goroutines (it never mutates base tables); each
+// query runs on the calling goroutine.
 type Engine struct {
 	DB *DB
 	// MaxRows caps intermediate result sizes; exceeding it aborts the query.
 	// Zero means the default of 1,000,000.
 	MaxRows int
-	// Parallel bounds the intra-query worker pool used by grouped
-	// aggregation and set operations. 0 or 1 executes serially; results are
-	// byte-identical at any setting.
-	Parallel int
 
 	// raw skips the plan optimizer and executes the BuildPlan lowering as
 	// is. Only the unoptimized test oracle sets it.
@@ -45,7 +41,8 @@ type Engine struct {
 func New(db *DB) *Engine { return &Engine{DB: db} }
 
 // Ops returns the number of row operations performed since construction;
-// a cheap proxy for work done. The count does not depend on Parallel.
+// a cheap proxy for work done. For a given database and sequence of
+// queries the count is deterministic.
 func (e *Engine) Ops() int64 { return e.ops.Load() }
 
 func (e *Engine) maxRows() int {

@@ -2,28 +2,14 @@ package engine
 
 // groupOp: the grouped-aggregation operator. Rows are bucketed by their
 // GROUP BY key, then each group is folded through HAVING and the SELECT
-// items (aggregates fold over the group's rows in input order).
-//
-// Both stages parallelize under Engine.Parallel with byte-identical output:
-//
-//   - Key computation splits the input into contiguous chunks; each worker
-//     evaluates the grouping keys for its own rows (row-independent work),
-//     writing into a disjoint slice range. The group map itself is then
-//     built by one cheap serial scan over the precomputed keys, so group
-//     order (first appearance) and within-group row order are exactly the
-//     serial engine's.
-//   - Group evaluation fans out one task per group. Every group runs to
-//     completion and results combine in first-appearance order (the same
-//     runner.Map discipline the equivalence checker uses for its seeds), so
-//     HAVING filtering, float accumulation order, and error selection all
-//     match a sequential run.
+// items (aggregates fold over the group's rows in input order). Group order
+// is first appearance in the input, and rows keep input order within a
+// group.
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/runner"
 	"repro/internal/sqlast"
 )
 
@@ -119,76 +105,43 @@ func (o *groupOp) buildGroups(src *Relation) ([][][]Value, error) {
 // groupKeys computes the canonical grouping key of every source row.
 // When every GROUP BY expression is a plain column reference that resolves
 // uniquely in the source, keys are built straight from row values without
-// going through the expression evaluator.
+// going through the expression evaluator. Every row is evaluated even after
+// an error, and the first error is returned.
 func (o *groupOp) groupKeys(src *Relation) ([]string, error) {
 	e := o.oe.e
-	n := len(src.Rows)
-	keys := make([]string, n)
-
-	colIdx, fastOK := groupKeyColumns(o.node.GroupBy, src)
-
-	// keyChunk fills keys[lo:hi] and returns the first error with the row
-	// it occurred on. Every row is evaluated even after an error — work
-	// (and hence the ops counter, including any correlated subqueries
-	// inside key expressions) must not depend on how the input is chunked
-	// across workers.
-	keyChunk := func(lo, hi int) (int, error) {
-		e.ops.Add(int64(hi - lo))
-		var buf []byte
-		if fastOK {
-			scratch := make([]Value, len(colIdx))
-			for i := lo; i < hi; i++ {
-				row := src.Rows[i]
-				for j, ci := range colIdx {
-					scratch[j] = row[ci]
-				}
-				buf = rowKey(buf[:0], scratch)
-				keys[i] = string(buf)
-			}
-			return 0, nil
-		}
-		ev := o.oe.evalEnv(src.Cols)
-		scratch := make([]Value, len(o.node.GroupBy))
-		errRow, firstErr := hi, error(nil)
-		for i := lo; i < hi; i++ {
-			ev.row = src.Rows[i]
-			for j, g := range o.node.GroupBy {
-				v, err := e.evalExpr(g, ev)
-				if err != nil {
-					if firstErr == nil {
-						errRow, firstErr = i, err
-					}
-					v = NullValue
-				}
-				scratch[j] = v
+	keys := make([]string, len(src.Rows))
+	e.ops.Add(int64(len(src.Rows)))
+	var buf []byte
+	if colIdx, ok := groupKeyColumns(o.node.GroupBy, src); ok {
+		scratch := make([]Value, len(colIdx))
+		for i, row := range src.Rows {
+			for j, ci := range colIdx {
+				scratch[j] = row[ci]
 			}
 			buf = rowKey(buf[:0], scratch)
 			keys[i] = string(buf)
 		}
-		return errRow, firstErr
+		return keys, nil
 	}
-
-	workers := e.intraQueryWorkers(n)
-	if workers <= 1 {
-		_, err := keyChunk(0, n)
-		return keys, err
-	}
-	type chunkErr struct {
-		row int
-		err error
-	}
-	bounds := chunkBounds(n, workers)
-	verdicts, _ := runner.Map(context.Background(), workers, bounds, func(_ context.Context, _ int, b [2]int) (chunkErr, error) {
-		row, err := keyChunk(b[0], b[1])
-		return chunkErr{row, err}, nil
-	})
-	first := chunkErr{row: n}
-	for _, v := range verdicts {
-		if v.err != nil && v.row < first.row {
-			first = v
+	ev := o.oe.evalEnv(src.Cols)
+	scratch := make([]Value, len(o.node.GroupBy))
+	var firstErr error
+	for i, row := range src.Rows {
+		ev.row = row
+		for j, g := range o.node.GroupBy {
+			v, err := e.evalExpr(g, ev)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				v = NullValue
+			}
+			scratch[j] = v
 		}
+		buf = rowKey(buf[:0], scratch)
+		keys[i] = string(buf)
 	}
-	return keys, first.err
+	return keys, firstErr
 }
 
 // groupKeyColumns resolves GROUP BY expressions to source column indexes
@@ -247,34 +200,23 @@ func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, erro
 		return groupResult{row: row}
 	}
 
-	var results []groupResult
-	workers := o.oe.e.intraQueryWorkers(len(src.Rows))
-	if workers > 1 && len(groups) > 1 {
-		// Each group runs to completion; verdicts combine in group order so
-		// the outcome (including which group's error wins) matches a
-		// sequential run exactly.
-		results, _ = runner.Map(context.Background(), workers, groups, func(_ context.Context, _ int, rows [][]Value) (groupResult, error) {
-			return evalOne(rows), nil
-		})
-	} else {
-		// Every group is evaluated even after an error, mirroring the
-		// parallel path, so the work done (and the ops counter) does not
-		// depend on the parallelism setting.
-		results = make([]groupResult, len(groups))
-		for i, rows := range groups {
-			results[i] = evalOne(rows)
+	// Every group is evaluated even after an error; the first group's
+	// error wins.
+	out := make([][]Value, 0, len(groups))
+	var firstErr error
+	for _, rows := range groups {
+		r := evalOne(rows)
+		switch {
+		case r.err != nil:
+			if firstErr == nil {
+				firstErr = r.err
+			}
+		case !r.skip:
+			out = append(out, r.row)
 		}
 	}
-
-	out := make([][]Value, 0, len(groups))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.skip {
-			continue
-		}
-		out = append(out, r.row)
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
 }
@@ -304,28 +246,4 @@ func (o *groupOp) groupOrderKeys(gctx *groupEnv, row []Value) error {
 		row[nVis+j] = v
 	}
 	return nil
-}
-
-// intraQueryWorkers returns the worker budget for a pipeline-breaking
-// operator over n input rows: Engine.Parallel when the input is large
-// enough to amortize fan-out, else 1.
-func (e *Engine) intraQueryWorkers(n int) int {
-	if e.Parallel <= 1 || n < minParallelRows {
-		return 1
-	}
-	return e.Parallel
-}
-
-// chunkBounds splits [0, n) into at most `workers` contiguous ranges.
-func chunkBounds(n, workers int) [][2]int {
-	size := (n + workers - 1) / workers
-	var bounds [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		bounds = append(bounds, [2]int{lo, hi})
-	}
-	return bounds
 }

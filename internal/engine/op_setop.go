@@ -2,55 +2,18 @@ package engine
 
 // distinctOp and setOpOp: duplicate elimination and UNION/INTERSECT/EXCEPT.
 //
-// Both are keyed by the canonical row key (Key/rowKey). Key computation is
-// embarrassingly parallel and splits into contiguous chunks under
-// Engine.Parallel. The set operations additionally partition rows by a
-// deterministic hash of their key: every occurrence of a key lands in
-// exactly one partition, so each partition can run the sequential
-// first-occurrence algorithm independently over its own rows (in ascending
-// input order) and the merged result — kept row indexes, sorted — is
-// byte-identical to the sequential output at any parallelism.
+// Both are keyed by the canonical row key (Key/rowKey) and keep the first
+// occurrence of each key in input order.
 
-import (
-	"context"
-	"sort"
-
-	"repro/internal/runner"
-)
-
-// rowKeysOf computes the canonical key of every row, fanning out across
-// contiguous chunks when the engine has an intra-query worker budget.
-func (e *Engine) rowKeysOf(rows [][]Value) []string {
-	n := len(rows)
-	keys := make([]string, n)
-	fill := func(lo, hi int) {
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			buf = rowKey(buf[:0], rows[i])
-			keys[i] = string(buf)
-		}
+// rowKeysOf computes the canonical key of every row.
+func rowKeysOf(rows [][]Value) []string {
+	keys := make([]string, len(rows))
+	var buf []byte
+	for i, row := range rows {
+		buf = rowKey(buf[:0], row)
+		keys[i] = string(buf)
 	}
-	workers := e.intraQueryWorkers(n)
-	if workers <= 1 {
-		fill(0, n)
-		return keys
-	}
-	bounds := chunkBounds(n, workers)
-	runner.Map(context.Background(), workers, bounds, func(_ context.Context, _ int, b [2]int) (struct{}, error) {
-		fill(b[0], b[1])
-		return struct{}{}, nil
-	})
 	return keys
-}
-
-// partitionOf assigns a key to one of n partitions via FNV-1a (a fixed hash:
-// partitioning must not depend on Go's per-process map seed).
-func partitionOf(key string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // ---------------------------------------------------------------------------
@@ -85,7 +48,7 @@ func (o *distinctOp) open() error {
 			keyed[i] = row[:vis]
 		}
 	}
-	keys := o.oe.e.rowKeysOf(keyed)
+	keys := rowKeysOf(keyed)
 	seen := make(map[string]bool, len(keys))
 	out := &Relation{Cols: in.Cols}
 	for i, row := range in.Rows {
@@ -164,85 +127,49 @@ func (e *Engine) combineSetOp(a, b *Relation, op string, all bool) (*Relation, e
 		return out, nil
 	}
 	e.ops.Add(int64(len(a.Rows) + len(b.Rows)))
-	keysA := e.rowKeysOf(a.Rows)
-	keysB := e.rowKeysOf(b.Rows)
-	if workers := e.intraQueryWorkers(len(a.Rows) + len(b.Rows)); workers > 1 {
-		return e.setOpPartitioned(a, b, keysA, keysB, op, all, out, workers), nil
-	}
-	setOpKeep(keysA, keysB, op, all, indexSeq{n: len(keysA)}, indexSeq{n: len(keysB)}, func(side, i int) {
-		if side == 0 {
-			out.Rows = append(out.Rows, a.Rows[i])
-		} else {
-			out.Rows = append(out.Rows, b.Rows[i])
-		}
-	})
+	out.Rows = setOpKeep(a.Rows, b.Rows, op, all)
 	return out, nil
 }
 
-// indexSeq enumerates either all of [0, n) (when idx is nil, the serial
-// path) or an explicit ascending subset (a partition's rows).
-type indexSeq struct {
-	n   int
-	idx []int
-}
-
-func (s indexSeq) len() int {
-	if s.idx != nil {
-		return len(s.idx)
-	}
-	return s.n
-}
-
-func (s indexSeq) at(j int) int {
-	if s.idx != nil {
-		return s.idx[j]
-	}
-	return j
-}
-
-// setOpKeep runs the sequential first-occurrence algorithm over precomputed
-// row keys and reports kept rows as (side, index) pairs in emission order:
-// all of side 0 (a) before any of side 1 (b) — b rows are only ever kept by
-// UNION. The index sequences select which rows each call owns, which is how
-// the partitioned path reuses the algorithm verbatim.
-func setOpKeep(keysA, keysB []string, op string, all bool, seqA, seqB indexSeq, emit func(side, i int)) {
+// setOpKeep runs the first-occurrence algorithm over both operands' row
+// keys and returns the kept rows in emission order: all kept rows of a
+// before any of b (b rows are only ever kept by UNION).
+func setOpKeep(a, b [][]Value, op string, all bool) [][]Value {
+	keysA, keysB := rowKeysOf(a), rowKeysOf(b)
+	var out [][]Value
 	if op == "UNION" {
-		seen := make(map[string]bool, seqA.len()+seqB.len())
-		for j := 0; j < seqA.len(); j++ {
-			i := seqA.at(j)
-			if !seen[keysA[i]] {
-				seen[keysA[i]] = true
-				emit(0, i)
+		seen := make(map[string]bool, len(keysA)+len(keysB))
+		for i, k := range keysA {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, a[i])
 			}
 		}
-		for j := 0; j < seqB.len(); j++ {
-			i := seqB.at(j)
-			if !seen[keysB[i]] {
-				seen[keysB[i]] = true
-				emit(1, i)
+		for i, k := range keysB {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, b[i])
 			}
 		}
-		return
+		return out
 	}
-	inB := make(map[string]int, seqB.len())
-	for j := 0; j < seqB.len(); j++ {
-		inB[keysB[seqB.at(j)]]++
+	inB := make(map[string]int, len(keysB))
+	for _, k := range keysB {
+		inB[k]++
 	}
 	var seen map[string]bool
 	if !all {
 		seen = make(map[string]bool)
 	}
-	for j := 0; j < seqA.len(); j++ {
-		i := seqA.at(j)
-		k := keysA[i]
+	for i, k := range keysA {
 		if op == "INTERSECT" {
 			if inB[k] > 0 {
 				if all {
 					inB[k]--
-					emit(0, i)
+					out = append(out, a[i])
 				} else if !seen[k] {
 					seen[k] = true
-					emit(0, i)
+					out = append(out, a[i])
 				}
 			}
 			continue
@@ -253,61 +180,10 @@ func setOpKeep(keysA, keysB []string, op string, all bool, seqA, seqB indexSeq, 
 				inB[k]--
 				continue
 			}
-			emit(0, i)
+			out = append(out, a[i])
 		} else if inB[k] == 0 && !seen[k] {
 			seen[k] = true
-			emit(0, i)
-		}
-	}
-}
-
-// setOpPartitioned splits both operands' rows by a deterministic hash of
-// their key, runs the sequential algorithm per partition (each partition
-// owns every occurrence of its keys, in ascending input order), and merges
-// the kept rows back into global input order — byte-identical to the
-// serial path.
-func (e *Engine) setOpPartitioned(a, b *Relation, keysA, keysB []string, op string, all bool, out *Relation, workers int) *Relation {
-	type part struct {
-		aIdx, bIdx []int
-	}
-	parts := make([]part, workers)
-	for i, k := range keysA {
-		p := partitionOf(k, workers)
-		parts[p].aIdx = append(parts[p].aIdx, i)
-	}
-	for i, k := range keysB {
-		p := partitionOf(k, workers)
-		parts[p].bIdx = append(parts[p].bIdx, i)
-	}
-	// Kept rows are reported as global indexes, b rows offset by len(a.Rows),
-	// so one ascending sort restores the serial emission order.
-	na := len(a.Rows)
-	kept, _ := runner.Map(context.Background(), workers, parts, func(_ context.Context, _ int, p part) ([]int, error) {
-		var keep []int
-		setOpKeep(keysA, keysB, op, all, indexSeq{idx: p.aIdx}, indexSeq{idx: p.bIdx}, func(side, i int) {
-			if side == 0 {
-				keep = append(keep, i)
-			} else {
-				keep = append(keep, na+i)
-			}
-		})
-		return keep, nil
-	})
-	var total int
-	for _, k := range kept {
-		total += len(k)
-	}
-	merged := make([]int, 0, total)
-	for _, k := range kept {
-		merged = append(merged, k...)
-	}
-	sort.Ints(merged)
-	out.Rows = make([][]Value, len(merged))
-	for j, i := range merged {
-		if i < na {
-			out.Rows[j] = a.Rows[i]
-		} else {
-			out.Rows[j] = b.Rows[i-na]
+			out = append(out, a[i])
 		}
 	}
 	return out

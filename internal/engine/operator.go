@@ -10,21 +10,11 @@ import (
 // in op_project.go, grouped aggregation in op_group.go, and
 // distinct/set-operations in op_setop.go. Operators are instantiated per
 // execution from the immutable logical plan (plan.go) by buildOperator in
-// exec.go; they are single-use and not safe for concurrent calls (intra-
-// query parallelism happens *inside* pipeline-breaking operators, bounded by
-// Engine.Parallel, never across the operator tree).
+// exec.go; they are single-use and not safe for concurrent calls.
 
 // batchRows is the number of rows a streaming operator hands downstream per
 // next() call.
 const batchRows = 1024
-
-// minParallelRows is the smallest input (total rows across operands) for
-// which a pipeline breaker switches to its partitioned parallel
-// implementation; below it the fan-out overhead dominates. Parallel and
-// serial implementations are byte-identical, so the threshold affects only
-// performance. A variable so tests can force the parallel paths on small
-// handcrafted inputs.
-var minParallelRows = 512
 
 // operator is a physical plan operator. The contract is open-once,
 // batch-pull until a nil batch, close-once:

@@ -10,8 +10,8 @@ package engine
 // values, so joins build and probe smaller inputs.
 //
 // Byte-identity contract: for every statement, the optimized plan yields
-// the same columns, rows, and row order as the unoptimized plan, at any
-// Engine.Parallel setting. Error *presence* is also preserved; pushdown is
+// the same columns, rows, and row order as the unoptimized plan. Error
+// *presence* is also preserved; pushdown is
 // restricted to total predicates (comparisons, LIKE, BETWEEN, IS NULL,
 // IN-list, boolean combinators over column refs and literals — nothing that
 // can fail at evaluation time) so a pushed filter can never raise a value

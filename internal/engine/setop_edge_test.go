@@ -1,8 +1,7 @@
 package engine
 
-// Set-operation edge cases, asserted identical at parallelism 1 and 8 (the
-// parallel threshold is forced down so the partitioned implementations run
-// even on these small handcrafted inputs).
+// Set-operation edge cases: NULL rows, ALL multiplicities, width mismatches
+// and ORDER BY after a set operation.
 
 import (
 	"strings"
@@ -37,41 +36,14 @@ func setOpDB() *DB {
 	return db
 }
 
-// forceParallelThreshold lowers the parallel cutoff for the duration of a
-// test so tiny inputs exercise the partitioned implementations.
-func forceParallelThreshold(t *testing.T) {
+// query runs sql on a fresh engine over db and fails the test on error.
+func query(t *testing.T, db *DB, sql string) *Relation {
 	t.Helper()
-	old := minParallelRows
-	minParallelRows = 1
-	t.Cleanup(func() { minParallelRows = old })
-}
-
-// bothParallelisms runs the query at parallel 1 and 8 and asserts identical
-// results before returning the rows.
-func bothParallelisms(t *testing.T, db *DB, sql string) *Relation {
-	t.Helper()
-	serial := New(db)
-	serial.Parallel = 1
-	want, err := serial.QuerySQL(sql)
+	rel, err := New(db).QuerySQL(sql)
 	if err != nil {
-		t.Fatalf("serial %q: %v", sql, err)
+		t.Fatalf("%q: %v", sql, err)
 	}
-	par := New(db)
-	par.Parallel = 8
-	got, err := par.QuerySQL(sql)
-	if err != nil {
-		t.Fatalf("parallel %q: %v", sql, err)
-	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%q: serial %d rows, parallel %d rows", sql, len(want.Rows), len(got.Rows))
-	}
-	for i := range want.Rows {
-		if Key(want.Rows[i]) != Key(got.Rows[i]) {
-			t.Fatalf("%q: row %d differs: serial %q parallel %q",
-				sql, i, Key(want.Rows[i]), Key(got.Rows[i]))
-		}
-	}
-	return want
+	return rel
 }
 
 func keyedRows(rel *Relation) []string {
@@ -83,8 +55,7 @@ func keyedRows(rel *Relation) []string {
 }
 
 func TestIntersectWithNullRows(t *testing.T) {
-	forceParallelThreshold(t)
-	rel := bothParallelisms(t, setOpDB(), "SELECT x , y FROM a INTERSECT SELECT x , y FROM b")
+	rel := query(t, setOpDB(), "SELECT x , y FROM a INTERSECT SELECT x , y FROM b")
 	got := keyedRows(rel)
 	// Set operations treat NULLs as equal (unlike = comparison), so the
 	// all-NULL row and (2, two) intersect; first-occurrence order of a.
@@ -95,8 +66,7 @@ func TestIntersectWithNullRows(t *testing.T) {
 }
 
 func TestExceptWithNullRows(t *testing.T) {
-	forceParallelThreshold(t)
-	rel := bothParallelisms(t, setOpDB(), "SELECT x , y FROM a EXCEPT SELECT x , y FROM b")
+	rel := query(t, setOpDB(), "SELECT x , y FROM a EXCEPT SELECT x , y FROM b")
 	got := keyedRows(rel)
 	want := []string{"1\x1fone", "3\x1fthree"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
@@ -104,7 +74,7 @@ func TestExceptWithNullRows(t *testing.T) {
 	}
 	// EXCEPT ALL consumes right-side multiplicities: the second all-NULL
 	// left row survives because b has only one.
-	rel = bothParallelisms(t, setOpDB(), "SELECT x , y FROM a EXCEPT ALL SELECT x , y FROM b")
+	rel = query(t, setOpDB(), "SELECT x , y FROM a EXCEPT ALL SELECT x , y FROM b")
 	got = keyedRows(rel)
 	want = []string{"1\x1fone", "2\x1ftwo", "3\x1fthree", "NULL\x1fNULL"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
@@ -113,8 +83,7 @@ func TestExceptWithNullRows(t *testing.T) {
 }
 
 func TestUnionWithNullRowsDeduplicates(t *testing.T) {
-	forceParallelThreshold(t)
-	rel := bothParallelisms(t, setOpDB(), "SELECT x , y FROM a UNION SELECT x , y FROM b")
+	rel := query(t, setOpDB(), "SELECT x , y FROM a UNION SELECT x , y FROM b")
 	got := keyedRows(rel)
 	want := []string{
 		"1\x1fone", "NULL\x1fnull-x", "2\x1ftwo", "NULL\x1fNULL", "3\x1fthree", "4\x1ffour",
@@ -122,38 +91,32 @@ func TestUnionWithNullRowsDeduplicates(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("UNION rows = %q, want %q", got, want)
 	}
-	rel = bothParallelisms(t, setOpDB(), "SELECT x , y FROM a UNION ALL SELECT x , y FROM b")
+	rel = query(t, setOpDB(), "SELECT x , y FROM a UNION ALL SELECT x , y FROM b")
 	if len(rel.Rows) != 11 {
 		t.Errorf("UNION ALL rows = %d, want 11", len(rel.Rows))
 	}
 }
 
 func TestUnionColumnCountMismatchErrors(t *testing.T) {
-	forceParallelThreshold(t)
-	db := setOpDB()
-	for _, parallel := range []int{1, 8} {
-		e := New(db)
-		e.Parallel = parallel
-		for _, sql := range []string{
-			"SELECT x , y FROM a UNION SELECT x FROM b",
-			"SELECT x FROM a INTERSECT SELECT x , y FROM b",
-			"SELECT x , y FROM a EXCEPT SELECT y FROM b",
-		} {
-			_, err := e.QuerySQL(sql)
-			if err == nil {
-				t.Errorf("parallel=%d: %q should fail on width mismatch", parallel, sql)
-				continue
-			}
-			if !strings.Contains(err.Error(), "different widths") {
-				t.Errorf("parallel=%d: %q error = %v, want width mismatch", parallel, sql, err)
-			}
+	e := New(setOpDB())
+	for _, sql := range []string{
+		"SELECT x , y FROM a UNION SELECT x FROM b",
+		"SELECT x FROM a INTERSECT SELECT x , y FROM b",
+		"SELECT x , y FROM a EXCEPT SELECT y FROM b",
+	} {
+		_, err := e.QuerySQL(sql)
+		if err == nil {
+			t.Errorf("%q should fail on width mismatch", sql)
+			continue
+		}
+		if !strings.Contains(err.Error(), "different widths") {
+			t.Errorf("%q error = %v, want width mismatch", sql, err)
 		}
 	}
 }
 
 func TestOrderByAfterSetOps(t *testing.T) {
-	forceParallelThreshold(t)
-	rel := bothParallelisms(t, setOpDB(),
+	rel := query(t, setOpDB(),
 		"SELECT x FROM a UNION SELECT x FROM b ORDER BY x DESC")
 	got := keyedRows(rel)
 	// NULLs sort first, so descending puts them last.
@@ -161,7 +124,7 @@ func TestOrderByAfterSetOps(t *testing.T) {
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("ORDER BY after UNION = %q, want %q", got, want)
 	}
-	rel = bothParallelisms(t, setOpDB(),
+	rel = query(t, setOpDB(),
 		"SELECT x , y FROM a INTERSECT SELECT x , y FROM b ORDER BY y ASC")
 	got = keyedRows(rel)
 	want = []string{"NULL\x1fNULL", "NULL\x1fnull-x", "2\x1ftwo"}

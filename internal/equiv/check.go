@@ -225,10 +225,6 @@ type Checker struct {
 	// Rows per generated table (default 24; kept small so wide joins stay
 	// fast).
 	Rows int
-	// Parallel bounds the per-seed execution fan-out of Equivalent and is
-	// threaded through to each engine's intra-query parallelism (grouped
-	// aggregation and set operations). 0 or 1 executes sequentially.
-	Parallel int
 
 	instances runner.Flight[instanceKey, *engine.DB]
 	engineOps atomic.Int64
@@ -258,11 +254,11 @@ func (c *Checker) instance(seed int64, rows int) *engine.DB {
 	return db
 }
 
-// Equivalent executes both queries on every seeded instance and reports
-// whether the results always match (as multisets, or ordered when the
-// queries declare ORDER BY). An execution error on either side is returned.
-// With Parallel > 1 the seeds run concurrently; verdicts combine in seed
-// order, so the outcome is identical to a sequential check.
+// Equivalent executes both queries on the seeded instances, in seed order,
+// and reports whether the results always match (as multisets, or ordered
+// when the queries declare ORDER BY). It stops at the first seed whose
+// results differ or whose execution fails; an execution error on either
+// side is returned.
 func (c *Checker) Equivalent(a, b *sqlast.SelectStmt) (bool, error) {
 	return c.EquivalentCtx(context.Background(), a, b)
 }
@@ -270,16 +266,16 @@ func (c *Checker) Equivalent(a, b *sqlast.SelectStmt) (bool, error) {
 // EquivalentCtx is Equivalent threading the caller's context into each
 // engine execution, so a tracer riding the context produces per-seed
 // engine.exec child spans (plan-cache hits, row operations, result sizes).
-// The context does not cancel the check — every seed still runs to
-// completion so the verdict stays order-deterministic.
+// The context does not cancel the check: the seeds run in order up to the
+// first mismatch or error, so the verdict and the work done depend only on
+// the queries and the seeds.
 func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (bool, error) {
 	rows := c.Rows
 	if rows <= 0 {
 		rows = 24
 	}
-	check := func(ctx context.Context, seed int64) (bool, error) {
+	check := func(seed int64) (bool, error) {
 		e := engine.New(c.instance(seed, rows))
-		e.Parallel = c.Parallel
 		defer func() { c.engineOps.Add(e.Ops()) }()
 		ra, err := e.QueryCtx(ctx, a)
 		if err != nil {
@@ -292,32 +288,10 @@ func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (b
 		ordered := len(a.OrderBy) > 0 && len(b.OrderBy) > 0
 		return engine.EqualRelations(ra, rb, ordered), nil
 	}
-	if c.Parallel <= 1 || len(c.Seeds) <= 1 {
-		for _, seed := range c.Seeds {
-			equal, err := check(ctx, seed)
-			if err != nil || !equal {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	type verdict struct {
-		equal bool
-		err   error
-	}
-	// Every seed runs to completion and the verdicts combine in seed order,
-	// reproducing the sequential outcome exactly (including which seed's
-	// error or mismatch is reported first). The span context is carried
-	// explicitly into the workers; the Map context stays Background so a
-	// caller cancellation cannot make the verdict seed-dependent.
-	spanCtx := ctx
-	verdicts, _ := runner.Map(context.Background(), c.Parallel, c.Seeds, func(_ context.Context, _ int, seed int64) (verdict, error) {
-		equal, err := check(spanCtx, seed)
-		return verdict{equal, err}, nil
-	})
-	for _, v := range verdicts {
-		if v.err != nil || !v.equal {
-			return false, v.err
+	for _, seed := range c.Seeds {
+		equal, err := check(seed)
+		if err != nil || !equal {
+			return false, err
 		}
 	}
 	return true, nil

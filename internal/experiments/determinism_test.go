@@ -11,8 +11,8 @@ import (
 // guarantee: every registered experiment must produce byte-identical output
 // whether the environment runs sequentially (parallel=1) or on a worker pool
 // (parallel=8). Both environments build with equivalence verification on, so
-// the parallel benchmark build and the checker's seed fan-out are covered
-// too, not just the model task runs.
+// the parallel benchmark build is covered too, not just the model task runs;
+// the verification's engine row operations must match per dataset as well.
 func TestParallelismDoesNotChangeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two verified environments")
@@ -34,6 +34,10 @@ func TestParallelismDoesNotChangeOutput(t *testing.T) {
 		if len(seq.Bench.Syntax[ds]) != len(par.Bench.Syntax[ds]) {
 			t.Fatalf("%s syntax dataset size differs: %d vs %d",
 				ds, len(seq.Bench.Syntax[ds]), len(par.Bench.Syntax[ds]))
+		}
+		if seq.Bench.EngineOps[ds] != par.Bench.EngineOps[ds] {
+			t.Errorf("%s verification engine ops differ: %d at parallel=1, %d at parallel=8",
+				ds, seq.Bench.EngineOps[ds], par.Bench.EngineOps[ds])
 		}
 		if len(seq.Bench.Equiv[ds]) != len(par.Bench.Equiv[ds]) {
 			t.Fatalf("%s equiv dataset size differs: %d vs %d",

@@ -2,8 +2,8 @@
 // evaluation pipeline: an order-preserving parallel map over a slice, a
 // heterogeneous task group, and per-key singleflight memoization. All
 // experiment fan-out (examples within a task run, model×dataset cells,
-// benchmark build stages, equivalence-check seeds) goes through this package
-// so that results stay deterministic regardless of goroutine scheduling.
+// benchmark build stages) goes through this package so that results stay
+// deterministic regardless of goroutine scheduling.
 // Budgets are per-Map call: nested fan-out (a prefetch whose cells each run
 // their own Map) multiplies in-flight goroutines, which is intentional —
 // goroutines are cheap, OS-thread parallelism stays capped at GOMAXPROCS by
