@@ -53,9 +53,7 @@ func normalizeSelect(sel *sqlast.SelectStmt) {
 	sel.Where = normalizeExpr(sel.Where)
 	sel.Having = normalizeExpr(sel.Having)
 	// Sort GROUP BY keys (grouping is order-insensitive).
-	sort.Slice(sel.GroupBy, func(i, j int) bool {
-		return sqlast.PrintExpr(sel.GroupBy[i]) < sqlast.PrintExpr(sel.GroupBy[j])
-	})
+	sortByPrint(sel.GroupBy)
 	for i := range sel.With {
 		normalizeSelect(sel.With[i].Select)
 	}
@@ -139,19 +137,14 @@ func normalizeExpr(e sqlast.Expr) sqlast.Expr {
 	case *sqlast.Binary:
 		switch t.Op {
 		case "AND", "OR":
-			parts := flatten(t, t.Op)
-			for i := range parts {
-				parts[i] = normalizeExpr(parts[i])
-			}
+			parts := flatten(nil, t, t.Op)
 			// Normalization can introduce nested conjunctions (BETWEEN
 			// expansion); re-flatten to a fixpoint before sorting.
 			var flat []sqlast.Expr
 			for _, p := range parts {
-				flat = append(flat, flatten(p, t.Op)...)
+				flat = flatten(flat, normalizeExpr(p), t.Op)
 			}
-			sort.Slice(flat, func(i, j int) bool {
-				return sqlast.PrintExpr(flat[i]) < sqlast.PrintExpr(flat[j])
-			})
+			sortByPrint(flat)
 			if t.Op == "AND" {
 				return sqlast.And(flat...)
 			}
@@ -166,8 +159,7 @@ func normalizeExpr(e sqlast.Expr) sqlast.Expr {
 			// Canonicalize direction: a < b stays; but b > a becomes a < b.
 			return t
 		case ">", ">=":
-			flip := map[string]string{">": "<", ">=": "<="}
-			return &sqlast.Binary{Op: flip[t.Op], L: t.R, R: t.L}
+			return &sqlast.Binary{Op: flips[t.Op], L: t.R, R: t.L}
 		default:
 			return t
 		}
@@ -183,12 +175,40 @@ var negations = map[string]string{
 	">": "<=", "<": ">=", ">=": "<", "<=": ">", "=": "<>", "<>": "=",
 }
 
-func flatten(e sqlast.Expr, op string) []sqlast.Expr {
-	bin, ok := e.(*sqlast.Binary)
-	if ok && bin.Op == op {
-		return append(flatten(bin.L, op), flatten(bin.R, op)...)
+// flips turns a greater-than comparison into the less-than one with its
+// operands swapped.
+var flips = map[string]string{">": "<", ">=": "<="}
+
+// flatten appends to dst the operands of e's maximal chain of op.
+func flatten(dst []sqlast.Expr, e sqlast.Expr, op string) []sqlast.Expr {
+	if bin, ok := e.(*sqlast.Binary); ok && bin.Op == op {
+		return flatten(flatten(dst, bin.L, op), bin.R, op)
 	}
-	return []sqlast.Expr{e}
+	return append(dst, e)
+}
+
+// printedExpr is an expression with its printed form.
+type printedExpr struct {
+	key  string
+	expr sqlast.Expr
+}
+
+// sortByPrint sorts exprs by their printed form, printing each expression
+// once. The comparator is the same < over the same strings as a sort.Slice
+// whose comparator prints both operands, so the sort sees the same outcome
+// for every comparison and leaves the same order.
+func sortByPrint(exprs []sqlast.Expr) {
+	if len(exprs) < 2 {
+		return
+	}
+	keyed := make([]printedExpr, len(exprs))
+	for i, e := range exprs {
+		keyed[i] = printedExpr{sqlast.PrintExpr(e), e}
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	for i, k := range keyed {
+		exprs[i] = k.expr
+	}
 }
 
 // inlineTrivialCTE unwraps WITH c AS ( q ) SELECT * FROM c into q.

@@ -46,9 +46,25 @@ func DiffStats(sql1, sql2 string) (added, removed int) {
 }
 
 // DiffTokens is DiffStats over the sqllex.LexWords tokens of two queries
-// that both lex.
+// that both lex. It counts both sides into one map of net counts (second
+// side minus first): a positive count is that many added occurrences, a
+// negative one that many removed.
 func DiffTokens(toks1, toks2 []sqllex.Token) (added, removed int) {
-	return diffCounts(countTokens(toks1), countTokens(toks2))
+	net := make(map[string]int, len(toks1))
+	for _, t := range toks1 {
+		net[t.Upper()]--
+	}
+	for _, t := range toks2 {
+		net[t.Upper()]++
+	}
+	for _, n := range net {
+		if n > 0 {
+			added += n
+		} else {
+			removed -= n
+		}
+	}
+	return added, removed
 }
 
 func diffCounts(a, b map[string]int) (added, removed int) {
@@ -137,30 +153,32 @@ func ClassifyPair(a, b *sqlast.SelectStmt) Type {
 // ConfusePair returns the transformation most often mistaken for the given
 // one (used when the calibrated type-accuracy roll fails).
 func ConfusePair(t Type) Type {
-	confusion := map[Type]Type{
-		ReorderConditions:   NotPushdown,
-		CTEWrap:             NestedJoin,
-		JoinNested:          NestedJoin,
-		NestedJoin:          JoinNested,
-		SwapSubqueries:      JoinNested,
-		BetweenSplit:        ReorderConditions,
-		InListOr:            LogicalConditions,
-		NotPushdown:         ComparisonOp,
-		DistinctGroupBy:     DistinctToggle,
-		CommuteJoin:         ReorderConditions,
-		AggFunction:         ProjectionChange,
-		ChangeJoinCondition: CommuteJoin,
-		LogicalConditions:   ReorderConditions,
-		ValueChange:         ComparisonOp,
-		ComparisonOp:        ValueChange,
-		DropPredicate:       ReorderConditions,
-		ProjectionChange:    AggFunction,
-		DistinctToggle:      DistinctGroupBy,
-	}
-	if c, ok := confusion[t]; ok {
+	if c, ok := confusions[t]; ok {
 		return c
 	}
 	return ReorderConditions
+}
+
+// confusions maps each transformation to the one most often mistaken for it.
+var confusions = map[Type]Type{
+	ReorderConditions:   NotPushdown,
+	CTEWrap:             NestedJoin,
+	JoinNested:          NestedJoin,
+	NestedJoin:          JoinNested,
+	SwapSubqueries:      JoinNested,
+	BetweenSplit:        ReorderConditions,
+	InListOr:            LogicalConditions,
+	NotPushdown:         ComparisonOp,
+	DistinctGroupBy:     DistinctToggle,
+	CommuteJoin:         ReorderConditions,
+	AggFunction:         ProjectionChange,
+	ChangeJoinCondition: CommuteJoin,
+	LogicalConditions:   ReorderConditions,
+	ValueChange:         ComparisonOp,
+	ComparisonOp:        ValueChange,
+	DropPredicate:       ReorderConditions,
+	ProjectionChange:    AggFunction,
+	DistinctToggle:      DistinctGroupBy,
 }
 
 type pairFeature struct {

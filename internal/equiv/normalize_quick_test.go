@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/sqlast"
@@ -112,5 +113,44 @@ func TestDiffStatsSymmetry(t *testing.T) {
 	}
 	if add, rem := DiffStats(a, a); add != 0 || rem != 0 {
 		t.Errorf("self diff = (%d,%d)", add, rem)
+	}
+}
+
+// Property: sortByPrint leaves exactly the order that sort.Slice leaves with
+// a comparator printing both operands, equal keys included (clones of one
+// expression, and the same expression twice), over lists of random
+// expressions long enough to take the sort past insertion sort.
+func TestSortByPrintMatchesPrintComparator(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	var pool []sqlast.Expr
+	for len(pool) < 400 {
+		sel := sqlast.RandSelect(r, sqlast.RandConfig{Columns: []string{"a", "b", "c"}})
+		sqlast.Walk(sel, func(n sqlast.Node) bool {
+			if e, ok := n.(sqlast.Expr); ok {
+				pool = append(pool, e)
+			}
+			return true
+		})
+	}
+	for i := 0; i < 500; i++ {
+		exprs := make([]sqlast.Expr, r.Intn(80))
+		for j := range exprs {
+			e := pool[r.Intn(len(pool))]
+			if r.Intn(4) == 0 {
+				e = sqlast.CloneExpr(e)
+			}
+			exprs[j] = e
+		}
+		want := append([]sqlast.Expr(nil), exprs...)
+		sort.Slice(want, func(a, b int) bool {
+			return sqlast.PrintExpr(want[a]) < sqlast.PrintExpr(want[b])
+		})
+		sortByPrint(exprs)
+		for j := range exprs {
+			if exprs[j] != want[j] {
+				t.Fatalf("list %d (%d exprs): position %d holds %s (%p), want %s (%p)", i, len(exprs), j,
+					sqlast.PrintExpr(exprs[j]), exprs[j], sqlast.PrintExpr(want[j]), want[j])
+			}
+		}
 	}
 }

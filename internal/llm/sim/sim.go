@@ -566,7 +566,8 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 	if !f.ok {
 		return st.notEquivalent
 	}
-	key := sql1 + "\x00" + sql2
+	// The rolls below hash the pair as two parts; unit joins parts with a
+	// NUL, so no joined copy of the pair is built.
 	z := zWords(dataset, f.words)
 	guessType := f.guess
 
@@ -576,22 +577,22 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 	case f.rule:
 		// Provably equivalent under normalization: answer yes unless the
 		// model's (small) residual miss rate fires.
-		sayEquivalent = m.unit("equiv", "provable", key) >= m.tilt(target.missRate()*quality, z)
+		sayEquivalent = m.unit("equiv", "provable", sql1, sql2) >= m.tilt(target.missRate()*quality, z)
 	case added+removed <= 4 || added == 0:
 		// A subtle token edit (changed value/operator/aggregate/join
 		// keyword) or pure deletion. The true answer is almost always "not
 		// equivalent"; the calibrated false-alarm rate — tilted upward for
 		// long queries — reproduces the paper's FPs on modified conditions.
-		sayEquivalent = m.unit("equiv", "subtle", key) < m.tilt(target.falseAlarmRate()*quality, z)
+		sayEquivalent = m.unit("equiv", "subtle", sql1, sql2) < m.tilt(target.falseAlarmRate()*quality, z)
 	default:
 		// A structural rewrite the normalizer cannot prove. Models lean
 		// "equivalent" here (the paper's near-perfect recall).
-		sayEquivalent = m.unit("equiv", "structural", key) >= m.tilt(target.missRate()*quality, z)
+		sayEquivalent = m.unit("equiv", "structural", sql1, sql2) >= m.tilt(target.missRate()*quality, z)
 	}
 
 	reported := guessType
 	acc := m.profile.EquivTypeAcc[dataset]
-	if m.unit("equiv", "type", key) >= acc {
+	if m.unit("equiv", "type", sql1, sql2) >= acc {
 		reported = equiv.ConfusePair(guessType)
 	}
 	if sayEquivalent {

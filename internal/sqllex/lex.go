@@ -2,7 +2,9 @@
 // benchmark workloads (ANSI SQL plus the T-SQL constructs that appear in the
 // SDSS and SQLShare logs: TOP, bracketed identifiers, DECLARE/SET/EXEC,
 // WAITFOR). Tokens carry byte, line, column, and word-index positions; the
-// word index is the position metric used by the miss_token_loc task.
+// word index counts non-comment tokens. The miss_token_loc task measures
+// positions in whitespace words instead (Words, WordCount), which the
+// mutation and repair packages count from the text.
 package sqllex
 
 import (
@@ -12,7 +14,7 @@ import (
 )
 
 // Kind classifies a token.
-type Kind int
+type Kind uint8
 
 // Token kinds.
 const (
@@ -57,20 +59,22 @@ func (k Kind) String() string {
 
 // Pos locates a token within the input text.
 type Pos struct {
-	Offset int // byte offset, 0-based
-	Line   int // 1-based
-	Col    int // 1-based, in bytes
+	Offset int   // byte offset, 0-based
+	Line   int32 // 1-based
+	Col    int32 // 1-based, in bytes
 }
 
 // String renders the position as line:col.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a single lexical element.
+// Token is a single lexical element. Its field sizes and order pack it
+// into 40 bytes on 64-bit platforms: token slices are the lexer's whole
+// allocation, so their size is its cost.
 type Token struct {
-	Kind Kind
 	Text string // exactly as written, including quotes/brackets
 	Pos  Pos
-	Word int // index among non-comment tokens, 0-based
+	Word int32 // index among non-comment tokens, 0-based
+	Kind Kind
 }
 
 // Upper returns the uppercase form of Text for case-insensitive matching.
@@ -191,18 +195,20 @@ func (e *Error) Error() string { return fmt.Sprintf("lex error at %s: %s", e.Pos
 type scanner struct {
 	src  string
 	off  int
-	line int
-	col  int
-	word int
+	line int32
+	col  int32
+	word int32
 }
 
 // Lex scans the input and returns its tokens, excluding the trailing EOF
 // token. Comments are returned in place but do not consume word indices.
 func Lex(src string) ([]Token, error) {
 	s := &scanner{src: src, line: 1, col: 1}
-	// SQL averages one token per ~5 source bytes; pre-sizing skips the
-	// doubling reallocations that otherwise dominate lexing cost.
-	toks := make([]Token, 0, len(src)/5+8)
+	// The seed workloads average one token per 3.6 source bytes (cell
+	// inputs and workload queries of seeds 1 and 2). Sizing for one per 3
+	// bytes means about 97% of those lexes fit without regrowing, so Lex
+	// allocates once.
+	toks := make([]Token, 0, len(src)/3+8)
 	for {
 		tok, err := s.next()
 		if err != nil {
@@ -222,29 +228,33 @@ func LexWords(src string) ([]Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := toks[:0]
-	for _, t := range toks {
-		if t.Kind != Comment {
-			out = append(out, t)
+	// Most SQL has no comments; leave those token slices untouched.
+	for i, t := range toks {
+		if t.Kind == Comment {
+			out := toks[:i]
+			for _, t := range toks[i+1:] {
+				if t.Kind != Comment {
+					out = append(out, t)
+				}
+			}
+			return out, nil
 		}
 	}
-	return out, nil
+	return toks, nil
 }
 
 func (s *scanner) pos() Pos { return Pos{Offset: s.off, Line: s.line, Col: s.col} }
 
-func (s *scanner) peek() byte {
-	if s.off >= len(s.src) {
-		return 0
-	}
-	return s.src[s.off]
-}
+func (s *scanner) peek() byte { return s.at(s.off) }
 
-func (s *scanner) peekAt(n int) byte {
-	if s.off+n >= len(s.src) {
+func (s *scanner) peekAt(n int) byte { return s.at(s.off + n) }
+
+// at returns the byte at offset i, or 0 past the end.
+func (s *scanner) at(i int) byte {
+	if i >= len(s.src) {
 		return 0
 	}
-	return s.src[s.off+n]
+	return s.src[i]
 }
 
 func (s *scanner) advance() byte {
@@ -270,12 +280,40 @@ func (s *scanner) skipSpace() {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '#' || unicode.IsLetter(rune(c))
+// identStart and identPart classify identifier bytes. Each byte is read
+// as the code point of the same value (Latin-1), so bytes 0x80-0xFF that
+// Latin-1 calls letters are identifier bytes. Neither table holds a
+// newline, so an identifier run never changes the line.
+var identStart, identPart [256]bool
+
+func init() {
+	for i := range identStart {
+		c, r := byte(i), rune(i)
+		identStart[i] = c == '_' || c == '#' || unicode.IsLetter(r)
+		identPart[i] = identStart[i] || c == '$' || unicode.IsDigit(r)
+	}
 }
 
-func isIdentPart(c byte) bool {
-	return c == '_' || c == '#' || c == '$' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+// skipRun advances over n bytes that hold no newline.
+func (s *scanner) skipRun(n int) {
+	s.off += n
+	s.col += int32(n)
+}
+
+// identRun returns the end of the identifier bytes starting at from.
+func (s *scanner) identRun(from int) int {
+	for from < len(s.src) && identPart[s.src[from]] {
+		from++
+	}
+	return from
+}
+
+// digitRun returns the end of the ASCII digits starting at from.
+func (s *scanner) digitRun(from int) int {
+	for from < len(s.src) && isDigit(s.src[from]) {
+		from++
+	}
+	return from
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -292,7 +330,7 @@ func (s *scanner) next() (Token, error) {
 		return s.lineComment(start), nil
 	case c == '/' && s.peekAt(1) == '*':
 		return s.blockComment(start)
-	case isIdentStart(c):
+	case identStart[c]:
 		return s.identifier(start), nil
 	case isDigit(c) || (c == '.' && isDigit(s.peekAt(1))):
 		return s.number(start), nil
@@ -365,9 +403,7 @@ func (s *scanner) blockComment(start Pos) (Token, error) {
 
 func (s *scanner) identifier(start Pos) Token {
 	begin := s.off
-	for s.off < len(s.src) && isIdentPart(s.src[s.off]) {
-		s.advance()
-	}
+	s.skipRun(s.identRun(begin) - begin)
 	text := s.src[begin:s.off]
 	kind := Ident
 	if isKeywordWord(text) {
@@ -378,37 +414,27 @@ func (s *scanner) identifier(start Pos) Token {
 	return t
 }
 
+// number scans a numeric literal: digits, an optional fraction (or a
+// trailing dot such as "1."), and an optional exponent. An E not followed
+// by digits (after an optional sign) is not part of the number.
 func (s *scanner) number(start Pos) Token {
 	begin := s.off
-	for s.off < len(s.src) && isDigit(s.src[s.off]) {
-		s.advance()
+	end := s.digitRun(begin)
+	if s.at(end) == '.' && isDigit(s.at(end+1)) {
+		end = s.digitRun(end + 1)
+	} else if s.at(end) == '.' && !identStart[s.at(end+1)] {
+		end++ // trailing-dot float such as "1."
 	}
-	if s.peek() == '.' && isDigit(s.peekAt(1)) {
-		s.advance()
-		for s.off < len(s.src) && isDigit(s.src[s.off]) {
-			s.advance()
+	if c := s.at(end); c == 'e' || c == 'E' {
+		exp := end + 1
+		if c := s.at(exp); c == '+' || c == '-' {
+			exp++
 		}
-	} else if s.peek() == '.' && !isIdentStart(s.peekAt(1)) {
-		// trailing-dot float such as "1."
-		s.advance()
-	}
-	if c := s.peek(); c == 'e' || c == 'E' {
-		save := s.off
-		s.advance()
-		if s.peek() == '+' || s.peek() == '-' {
-			s.advance()
-		}
-		if isDigit(s.peek()) {
-			for s.off < len(s.src) && isDigit(s.src[s.off]) {
-				s.advance()
-			}
-		} else {
-			// not an exponent after all; back out is impossible with the
-			// line-tracking scanner, but 'e' not followed by digits cannot
-			// occur mid-number in valid SQL, so treat as boundary.
-			s.off = save
+		if isDigit(s.at(exp)) {
+			end = s.digitRun(exp)
 		}
 	}
+	s.skipRun(end - begin)
 	return s.emit(Number, s.src[begin:s.off], start)
 }
 
@@ -450,9 +476,7 @@ func (s *scanner) variable(start Pos) Token {
 	if s.peek() == '@' {
 		s.advance() // system variable @@x
 	}
-	for s.off < len(s.src) && isIdentPart(s.src[s.off]) {
-		s.advance()
-	}
+	s.skipRun(s.identRun(s.off) - s.off)
 	return s.emit(Variable, s.src[begin:s.off], start)
 }
 
@@ -473,8 +497,9 @@ func (s *scanner) operator(start Pos) (Token, error) {
 	c := s.peek()
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '.':
-		s.advance()
-		return s.emit(Op, string(c), start), nil
+		// The text is sliced from the source: string(c) would allocate.
+		s.skipRun(1)
+		return s.emit(Op, s.src[s.off-1:s.off], start), nil
 	}
 	return Token{}, &Error{Pos: start, Msg: fmt.Sprintf("unexpected character %q", string(c))}
 }

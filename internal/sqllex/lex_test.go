@@ -3,6 +3,7 @@ package sqllex
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func kinds(toks []Token) []Kind {
@@ -58,7 +59,7 @@ func TestLexWordIndices(t *testing.T) {
 		}
 	}
 	for i, tok := range nonComment {
-		if tok.Word != i {
+		if int(tok.Word) != i {
 			t.Errorf("token %q word index = %d, want %d", tok.Text, tok.Word, i)
 		}
 	}
@@ -264,5 +265,54 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still render")
+	}
+}
+
+// An E after a number that does not start an exponent ends the number; the
+// tokens after it keep their true columns.
+func TestLexNumberExponentBackoutColumns(t *testing.T) {
+	type tok struct {
+		text           string
+		off, line, col int
+	}
+	cases := []struct {
+		in   string
+		want []tok
+	}{
+		{"SELECT 1e FROM t", []tok{
+			{"SELECT", 0, 1, 1}, {"1", 7, 1, 8}, {"e", 8, 1, 9}, {"FROM", 10, 1, 11}, {"t", 15, 1, 16},
+		}},
+		{"SELECT 1e+ FROM t", []tok{
+			{"SELECT", 0, 1, 1}, {"1", 7, 1, 8}, {"e", 8, 1, 9}, {"+", 9, 1, 10}, {"FROM", 11, 1, 12}, {"t", 16, 1, 17},
+		}},
+		{"x = 2.5E-y\nAND 3e2 z", []tok{
+			{"x", 0, 1, 1}, {"=", 2, 1, 3}, {"2.5", 4, 1, 5}, {"E", 7, 1, 8}, {"-", 8, 1, 9}, {"y", 9, 1, 10},
+			{"AND", 11, 2, 1}, {"3e2", 15, 2, 5}, {"z", 19, 2, 9},
+		}},
+	}
+	for _, c := range cases {
+		toks, err := Lex(c.in)
+		if err != nil {
+			t.Fatalf("Lex(%q): %v", c.in, err)
+		}
+		if len(toks) != len(c.want) {
+			t.Fatalf("Lex(%q) = %d tokens, want %d", c.in, len(toks), len(c.want))
+		}
+		for i, w := range c.want {
+			got := toks[i]
+			if got.Text != w.text || got.Pos != (Pos{Offset: w.off, Line: int32(w.line), Col: int32(w.col)}) {
+				t.Errorf("Lex(%q) token %d = %q at %+v, want %q at {Offset:%d Line:%d Col:%d}",
+					c.in, i, got.Text, got.Pos, w.text, w.off, w.line, w.col)
+			}
+		}
+	}
+}
+
+func TestTokenSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Token{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d, want 40", got)
 	}
 }

@@ -197,7 +197,7 @@ func (p *parser) errorf(format string, args ...any) error {
 		last := p.toks[len(p.toks)-1]
 		pos = last.Pos
 		pos.Offset += len(last.Text)
-		pos.Col += len(last.Text)
+		pos.Col += int32(len(last.Text))
 	}
 	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...), Near: t.Text}
 }
@@ -1277,9 +1277,11 @@ func (p *parser) parseNameExpr() (sqlast.Expr, error) {
 	}
 	// Qualified reference: a.b or a.b.c (schema.table.column collapses the
 	// first two parts into the qualifier). Collected before deciding between
-	// function call and column so that schema-qualified calls work.
-	var parts []string
-	parts = append(parts, first)
+	// function call and column so that schema-qualified calls work. The
+	// parts live in a stack buffer: names of up to three parts, all that
+	// SQL writes, never allocate a slice.
+	var buf [3]string
+	parts := append(buf[:0], first)
 	for p.cur().Kind == sqllex.Op && p.cur().Text == "." {
 		next := p.peekAt(1)
 		if next.Kind == sqllex.Op && next.Text == "*" {

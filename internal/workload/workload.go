@@ -134,7 +134,7 @@ func (g *Gen) EqualityPredicate(qualifier string, col catalog.Column) sqlast.Exp
 
 // WordCount reports the whitespace word count of a statement's printed form.
 func WordCount(stmt sqlast.Stmt) int {
-	return len(sqllex.Words(sqlast.Print(stmt)))
+	return sqllex.WordCount(sqlast.Print(stmt))
 }
 
 // PadProjection appends additional projection columns to a SELECT until its
