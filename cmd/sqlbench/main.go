@@ -91,6 +91,11 @@ func main() {
 		return
 	}
 
+	if *maxFailures < 0 {
+		fmt.Fprintf(os.Stderr, "sqlbench: invalid -max-failures %d (0 = unlimited)\n", *maxFailures)
+		os.Exit(2)
+	}
+
 	var ids []string
 	if *expFlag == "all" {
 		for _, e := range experiments.All() {

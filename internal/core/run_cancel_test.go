@@ -21,14 +21,15 @@ func TestRunStreamStopsOnCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := b.Syntax[SDSS]
+	task, _ := TaskByID(SyntaxTask.TaskID)
+	ds, _ := task.Cell(b, SDSS)
 	if len(ds) < 20 {
 		t.Fatalf("dataset too small: %d", len(ds))
 	}
 
 	ctx, cancel := context.WithCancel(runner.WithParallelism(context.Background(), 2))
 	delivered := 0
-	err = RunStream(ctx, client, SyntaxTask, ds, func(r SyntaxResult) error {
+	err = task.RunStreamOpts(ctx, client, ds, RunOpts{}, func(int, any, error) error {
 		delivered++
 		if delivered == 3 {
 			cancel()

@@ -15,8 +15,8 @@ import (
 
 // This file defines the generic task-execution API: one typed contract
 // (TaskDef) every SQL-understanding task implements, a package-level
-// registry of type-erased entries (Task), and one generic driver
-// (Run/RunStream/RunWith) replacing the per-task Run* function families.
+// registry of type-erased entries (Task), and the generic drivers (Run,
+// RunWith and Task.RunStreamOpts) replacing the per-task Run* families.
 // The serve, experiments, and report layers consume tasks only through the
 // registry, so adding a task is one definition file plus RegisterTask — no
 // dispatch code changes anywhere else.
@@ -112,7 +112,7 @@ type TaskDef[E, R any] struct {
 	TaskSkills map[Skill]int
 
 	// PromptTask selects the task's prompt-template family; the drivers use
-	// prompt.Default(PromptTask) unless a template is supplied explicitly.
+	// prompt.Default(PromptTask) unless RunWith is given another renderer.
 	PromptTask prompt.Task
 	// Pair marks tasks whose examples are statement pairs (ad-hoc input is
 	// then [left, right] pairs instead of single statements).
@@ -150,33 +150,15 @@ type TaskDef[E, R any] struct {
 // ---------------------------------------------------------------------------
 // Generic drivers
 
-// The drivers fan each example out through runner.MapStream: completions
-// run on a bounded worker pool (budget taken from the context via
-// runner.WithParallelism, defaulting to GOMAXPROCS) while results are
-// delivered to the sink in dataset order as soon as each prefix completes,
-// so output order is identical to a sequential run. RunWith is the
-// streaming primitive; RunStream fixes the renderer to the task's default
-// template; Run and RunTemplate are the buffered forms (a slice-collecting
-// sink over the same path), so every consumer — the NDJSON serve layer and
-// the buffered experiments cells alike — funnels through one code path.
-
-// dropIdx adapts a result-only sink to runner.MapStream's indexed sink.
-func dropIdx[R any](sink func(R) error) func(int, R) error {
-	return func(_ int, r R) error { return sink(r) }
-}
-
-// collect runs a streaming driver with a slice-appending sink and returns
-// the buffered results.
-func collect[R any](n int, stream func(sink func(R) error) error) ([]R, error) {
-	out := make([]R, 0, n)
-	if err := stream(func(r R) error {
-		out = append(out, r)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// Three entry points run a task, all over runner's one worker pool (budget
+// taken from the context via runner.WithParallelism, defaulting to
+// GOMAXPROCS), so results arrive in dataset order whatever the parallelism.
+// RunWith is the buffered driver with a caller-supplied renderer (few-shot
+// prompting and prompt tuning plug in their own); Run is RunWith with the
+// task's default template. Task.RunStreamOpts is the one streaming form: it
+// hands each result to a sink as soon as its prefix completes, optionally
+// continuing past failed completions, and is what the serve layer and the
+// experiment cells drive.
 
 // runExample renders, completes, and grades one example — the shared worker
 // body under every driver form. When a tracer rides the context it wraps the
@@ -205,37 +187,24 @@ func runExample[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, 
 	return r, nil
 }
 
-// RunWith drives one model over a dataset with a custom prompt renderer,
-// delivering each graded result to sink in dataset order as soon as its
-// prefix completes. It is the primitive under every other driver form
-// (few-shot prompting and prompt tuning plug in their own renderers).
-func RunWith[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], render func(E) string, ds []E, sink func(R) error) error {
-	return runner.MapStream(ctx, 0, ds, func(ctx context.Context, _ int, ex E) (R, error) {
+// RunWith drives one model over a dataset with a custom prompt renderer and
+// returns the graded results in dataset order.
+func RunWith[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], render func(E) string, ds []E) ([]R, error) {
+	return runner.Map(ctx, 0, ds, func(ctx context.Context, _ int, ex E) (R, error) {
 		return runExample(ctx, client, t, render, ex)
-	}, dropIdx(sink))
-}
-
-// RunStream drives one model over a dataset with the task's default prompt,
-// streaming results to sink in dataset order.
-func RunStream[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E, sink func(R) error) error {
-	tpl := prompt.Default(t.PromptTask)
-	return RunWith(ctx, client, t, func(ex E) string { return t.Render(tpl, ex) }, ds, sink)
+	})
 }
 
 // Run drives one model over a dataset with the task's default prompt and
-// buffers the results.
+// returns the graded results in dataset order.
 func Run[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E) ([]R, error) {
-	return collect(len(ds), func(sink func(R) error) error {
-		return RunStream(ctx, client, t, ds, sink)
-	})
+	return RunWith(ctx, client, t, defaultRender(t), ds)
 }
 
-// RunTemplate is Run with an explicit prompt template — the form the
-// prompt-tuning experiments drive variants through.
-func RunTemplate[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], tpl prompt.Template, ds []E) ([]R, error) {
-	return collect(len(ds), func(sink func(R) error) error {
-		return RunWith(ctx, client, t, func(ex E) string { return t.Render(tpl, ex) }, ds, sink)
-	})
+// defaultRender renders examples with the task's default template.
+func defaultRender[E, R any](t *TaskDef[E, R]) func(E) string {
+	tpl := prompt.Default(t.PromptTask)
+	return func(ex E) string { return t.Render(tpl, ex) }
 }
 
 // RunOpts controls a driver run's failure handling.
@@ -248,18 +217,6 @@ type RunOpts struct {
 	// have failed — the budget that bounds wasted work against a dead
 	// backend. 0 means unlimited. Ignored unless ContinueOnError is set.
 	MaxFailures int
-}
-
-// RunStreamPartial drives one model over a dataset in partial-failure mode
-// with the task's default prompt: each example yields exactly one sink
-// call in dataset order — a graded result, or the completion error. The
-// returned error is nil when every example was attempted (even if all
-// failed); it is a *runner.BudgetError when the failure budget tripped.
-func RunStreamPartial[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E, maxFailures int, sink func(idx int, r R, err error) error) error {
-	tpl := prompt.Default(t.PromptTask)
-	return runner.MapStreamPartial(ctx, 0, ds, maxFailures, func(ctx context.Context, _ int, ex E) (R, error) {
-		return runExample(ctx, client, t, func(ex E) string { return t.Render(tpl, ex) }, ex)
-	}, sink)
 }
 
 // ---------------------------------------------------------------------------
@@ -298,15 +255,14 @@ type Task interface {
 	Cell(b *Benchmark, ds string) ([]Example, bool)
 	AdHoc(id string, sql []string) (Example, error)
 
-	// RunStream drives one model over erased examples, delivering each
-	// graded result (the task's concrete result type, boxed) to sink in
-	// example order as soon as its prefix completes.
-	RunStream(ctx context.Context, client llm.Client, examples []Example, sink func(result any) error) error
-	// RunStreamOpts is RunStream with failure control: in partial mode
-	// (opts.ContinueOnError) every example yields exactly one sink call in
-	// example order — a boxed graded result with a nil error, or a nil
-	// result with the completion error — and the run continues past
-	// failures until opts.MaxFailures trips the budget.
+	// RunStreamOpts drives one model over erased examples with the task's
+	// default prompt, delivering each result to sink in example order as
+	// soon as its prefix completes: a boxed graded result with a nil error.
+	// By default the first failed completion aborts the run and sink sees
+	// only the examples before it. In partial mode (opts.ContinueOnError)
+	// every example yields exactly one sink call, a failed one as a nil
+	// result with the completion error, and the run continues past failures
+	// until opts.MaxFailures trips the budget (a *runner.BudgetError).
 	RunStreamOpts(ctx context.Context, client llm.Client, examples []Example, opts RunOpts, sink func(idx int, result any, err error) error) error
 	// Grade post-processes one raw response for one example (boxed result).
 	Grade(ex Example, resp llm.Response) (any, error)
@@ -390,28 +346,19 @@ func (a taskAdapter[E, R]) unwrap(examples []Example) ([]E, error) {
 	return ds, nil
 }
 
-func (a taskAdapter[E, R]) RunStream(ctx context.Context, client llm.Client, examples []Example, sink func(any) error) error {
-	ds, err := a.unwrap(examples)
-	if err != nil {
-		return err
-	}
-	return RunStream(ctx, client, a.def, ds, func(r R) error { return sink(r) })
-}
-
 func (a taskAdapter[E, R]) RunStreamOpts(ctx context.Context, client llm.Client, examples []Example, opts RunOpts, sink func(int, any, error) error) error {
 	ds, err := a.unwrap(examples)
 	if err != nil {
 		return err
 	}
-	if !opts.ContinueOnError {
-		idx := 0
-		return RunStream(ctx, client, a.def, ds, func(r R) error {
-			err := sink(idx, r, nil)
-			idx++
-			return err
-		})
+	render := defaultRender(a.def)
+	fn := func(ctx context.Context, _ int, ex E) (R, error) {
+		return runExample(ctx, client, a.def, render, ex)
 	}
-	return RunStreamPartial(ctx, client, a.def, ds, opts.MaxFailures, func(idx int, r R, err error) error {
+	if !opts.ContinueOnError {
+		return runner.MapStream(ctx, 0, ds, fn, func(idx int, r R) error { return sink(idx, r, nil) })
+	}
+	return runner.MapStreamPartial(ctx, 0, ds, opts.MaxFailures, fn, func(idx int, r R, err error) error {
 		if err != nil {
 			return sink(idx, nil, err)
 		}

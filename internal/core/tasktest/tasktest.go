@@ -183,12 +183,12 @@ func Run(t *testing.T, opts Options) {
 		run := func(parallel int) []string {
 			ctx := runner.WithParallelism(context.Background(), parallel)
 			var out []string
-			err := task.RunStream(ctx, opts.Client, cell, func(r any) error {
+			err := task.RunStreamOpts(ctx, opts.Client, cell, core.RunOpts{}, func(_ int, r any, _ error) error {
 				out = append(out, fmt.Sprintf("%#v", r))
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("RunStream (parallel=%d): %v", parallel, err)
+				t.Fatalf("RunStreamOpts (parallel=%d): %v", parallel, err)
 			}
 			return out
 		}

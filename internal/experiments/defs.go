@@ -100,11 +100,9 @@ func runExtFewShot(env *Env, w io.Writer) error {
 		if err != nil {
 			return row{}, err
 		}
-		var few []core.SyntaxResult
-		err = core.RunWith(ctx, client, core.SyntaxTask,
+		few, err := core.RunWith(ctx, client, core.SyntaxTask,
 			func(ex core.SyntaxExample) string { return tpl.RenderFewShot(ex.SQL, shots) },
-			env.Bench.Syntax[core.SDSS],
-			func(r core.SyntaxResult) error { few = append(few, r); return nil })
+			env.Bench.Syntax[core.SDSS])
 		if err != nil {
 			return row{}, err
 		}

@@ -200,7 +200,7 @@ func simResponseDigests(t *testing.T, bench *core.Benchmark) map[string]string {
 					t.Fatal(err)
 				}
 				rec := &recordingClient{Client: m}
-				if err := task.RunStream(ctx, rec, examples, func(any) error { return nil }); err != nil {
+				if err := task.RunStreamOpts(ctx, rec, examples, core.RunOpts{}, func(int, any, error) error { return nil }); err != nil {
 					t.Fatalf("%s/%s/%s: %v", task.ID(), ds, name, err)
 				}
 				if len(rec.texts) != len(examples) {

@@ -43,7 +43,7 @@ func cellPrompts(t testing.TB, perCell int) (*core.Benchmark, []string) {
 			if len(examples) > perCell {
 				examples = examples[:perCell]
 			}
-			if err := task.RunStream(ctx, c, examples, func(any) error { return nil }); err != nil {
+			if err := task.RunStreamOpts(ctx, c, examples, core.RunOpts{}, func(int, any, error) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,10 +1,11 @@
 // Package runner provides the bounded-concurrency primitives behind the
-// evaluation pipeline: an order-preserving parallel map over a slice, a
-// heterogeneous task group, and per-key singleflight memoization. All
-// experiment fan-out (examples within a task run, model×dataset cells,
-// benchmark build stages) goes through this package so that results stay
-// deterministic regardless of goroutine scheduling.
-// Budgets are per-Map call: nested fan-out (a prefetch whose cells each run
+// evaluation pipeline: an order-preserving streaming map over a slice
+// (MapStream, the package's one worker pool), its collecting form (Map) and
+// continue-on-error form (MapStreamPartial), and per-key singleflight
+// memoization (Flight). All experiment fan-out (examples within a task run,
+// model×dataset cells, benchmark build stages) goes through this package so
+// that results stay deterministic regardless of goroutine scheduling.
+// Budgets are per-call: nested fan-out (a prefetch whose cells each run
 // their own Map) multiplies in-flight goroutines, which is intentional —
 // goroutines are cheap, OS-thread parallelism stays capped at GOMAXPROCS by
 // the Go runtime, and per-call budgets avoid the nested-pool deadlocks a
@@ -15,7 +16,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 type parallelismKey struct{}
@@ -36,14 +36,6 @@ func fromContext(ctx context.Context) int {
 	return 0
 }
 
-// Parallelism returns the effective worker budget for ctx: the carried
-// value when positive, else GOMAXPROCS. Use this when handing the budget to
-// code outside runner (e.g. a struct field) so that "unset" keeps meaning
-// "default" rather than "sequential".
-func Parallelism(ctx context.Context) int {
-	return resolve(ctx, 0)
-}
-
 // resolve picks the effective worker count: the explicit argument if
 // positive, else the context's budget, else GOMAXPROCS.
 func resolve(ctx context.Context, n int) int {
@@ -61,73 +53,17 @@ func resolve(ctx context.Context, n int) int {
 // input order. The first error cancels the remaining work; among the items
 // that did run, the error with the lowest index is returned, so error
 // reporting matches a sequential run whenever fn is deterministic. fn
-// receives a context that is cancelled once any item fails.
+// receives a context that is cancelled once any item fails. Map is MapStream
+// with a sink that fills the result slice.
 func Map[T, R any](ctx context.Context, parallel int, items []T, fn func(ctx context.Context, idx int, item T) (R, error)) ([]R, error) {
 	if len(items) == 0 {
 		return nil, ctx.Err()
 	}
-	workers := resolve(ctx, parallel)
-	if workers > len(items) {
-		workers = len(items)
-	}
 	out := make([]R, len(items))
-	if workers <= 1 {
-		for i, item := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := fn(ctx, i, item)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = len(items)
-		wg       sync.WaitGroup
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if err := cctx.Err(); err != nil {
-					return
-				}
-				r, err := fn(cctx, i, items[i])
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	if err := MapStream(ctx, parallel, items, fn, func(i int, r R) error {
+		out[i] = r
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil

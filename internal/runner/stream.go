@@ -9,10 +9,9 @@ import (
 // MapStream applies fn to every item with at most `parallel` concurrent
 // workers (0 means the context's budget, or GOMAXPROCS) and delivers results
 // to sink strictly in input order, each as soon as its whole prefix has
-// completed. It is the streaming counterpart of Map: the set of sink calls a
-// successful MapStream makes is exactly the slice Map would have returned,
-// in the same order, but delivery overlaps computation instead of waiting
-// for the last item.
+// completed. It is the package's one worker pool: Map collects its sink
+// calls into a slice, and MapStreamPartial decorates fn and sink to keep
+// going past failures.
 //
 // Memory is bounded by a reorder window of a few multiples of the worker
 // count, not by the result set: a worker that runs ahead of the delivery
@@ -23,8 +22,9 @@ import (
 // The sink is never called concurrently with itself, and never called for an
 // index at or beyond the first failing index, so a consumer observes a clean
 // prefix of results followed by at most one error. The first error (lowest
-// index among items that ran, matching Map) cancels remaining work; an error
-// returned by sink likewise cancels remaining work and is returned.
+// index among items that ran, as a sequential run would report) cancels
+// remaining work; an error returned by sink likewise cancels remaining work
+// and is returned.
 func MapStream[T, R any](ctx context.Context, parallel int, items []T, fn func(ctx context.Context, idx int, item T) (R, error), sink func(idx int, r R) error) error {
 	if len(items) == 0 {
 		return ctx.Err()

@@ -178,6 +178,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "invalid max_tokens %d", req.Params.MaxTokens)
 			return
 		}
+		if req.Params.MaxFailures < 0 {
+			httpError(w, http.StatusBadRequest, "invalid max_failures %d", req.Params.MaxFailures)
+			return
+		}
 		if t := req.Params.Temperature; t != nil && (*t < 0 || *t > 2) {
 			httpError(w, http.StatusBadRequest, "invalid temperature %v", *t)
 			return

@@ -63,6 +63,7 @@ func TestEvalParamsValidation(t *testing.T) {
 	_, url := testServerAndURL(t)
 	bad := []EvalRequest{
 		{Model: "GPT4", SQL: []string{"SELECT 1"}, Params: &EvalParams{MaxTokens: -1}},
+		{Model: "GPT4", SQL: []string{"SELECT 1"}, Params: &EvalParams{ContinueOnError: true, MaxFailures: -1}},
 		{Model: "GPT4", SQL: []string{"SELECT 1"}, Params: &EvalParams{Temperature: f(-0.5)}},
 		{Model: "GPT4", SQL: []string{"SELECT 1"}, Params: &EvalParams{Temperature: f(9)}},
 	}

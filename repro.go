@@ -162,7 +162,7 @@ func RunTask(ctx context.Context, client Client, b *Benchmark, taskID, dataset s
 		return nil, fmt.Errorf("task %s has no %q cell (datasets: %v)", taskID, dataset, task.Datasets())
 	}
 	var out []core.ResultView
-	err := task.RunStream(ctx, client, cell, func(r any) error {
+	err := task.RunStreamOpts(ctx, client, cell, core.RunOpts{}, func(_ int, r any, _ error) error {
 		out = append(out, task.View(r, true))
 		return nil
 	})
