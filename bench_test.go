@@ -100,9 +100,9 @@ func BenchmarkColdRegeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildBenchmark measures full benchmark assembly (workload
-// generation, mutation, pair verification) with the default worker pool
-// (GOMAXPROCS).
+// BenchmarkBuildBenchmark measures benchmark assembly without equivalence
+// verification (workload generation, labeling, pair derivation) with the
+// default worker pool (GOMAXPROCS).
 func BenchmarkBuildBenchmark(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -119,6 +119,19 @@ func BenchmarkBuildBenchmarkSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Build(core.BuildConfig{Seed: 1, VerifyEquivalences: false, Parallel: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildBenchmarkVerified measures the build sqlbench runs: pair
+// verification on, so every candidate equivalence pair executes both queries
+// on the engine. One worker keeps the engine's allocations comparable
+// across machines.
+func BenchmarkBuildBenchmarkVerified(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Build(core.BuildConfig{Seed: 1, VerifyEquivalences: true, Parallel: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,23 +13,32 @@ import (
 
 // rowArena block-allocates fixed-width result rows, replacing the per-row
 // make in the join and cross-product inner loops with one allocation per
-// block. Rows handed out are capacity-clipped so an append on one can never
-// bleed into the next.
+// block. The first block holds arenaFirstRows rows and each later one twice
+// the previous, up to arenaBlockRows, so a join that emits a handful of rows
+// allocates for a handful. Rows handed out are capacity-clipped so an append
+// on one can never bleed into the next.
 type rowArena struct {
-	width int
-	buf   []Value
+	width     int
+	blockRows int // rows in the next block
+	buf       []Value
 }
 
-const arenaBlockRows = 256
+const (
+	arenaFirstRows = 4
+	arenaBlockRows = 256
+)
 
-func newRowArena(width int) *rowArena { return &rowArena{width: width} }
+func newRowArena(width int) *rowArena {
+	return &rowArena{width: width, blockRows: arenaFirstRows}
+}
 
 func (a *rowArena) next() []Value {
 	if a.width == 0 {
 		return nil
 	}
 	if cap(a.buf)-len(a.buf) < a.width {
-		a.buf = make([]Value, 0, a.width*arenaBlockRows)
+		a.buf = make([]Value, 0, a.width*a.blockRows)
+		a.blockRows = min(2*a.blockRows, arenaBlockRows)
 	}
 	n := len(a.buf)
 	a.buf = a.buf[:n+a.width]
@@ -52,8 +61,15 @@ func nullRow(n int) []Value {
 	return row
 }
 
-func (e *Engine) crossProduct(a, b *Relation) (*Relation, error) {
-	out := &Relation{Cols: append(append([]Col{}, a.Cols...), b.Cols...)}
+// concatCols returns l++r in a new exact-size header.
+func concatCols(l, r []Col) []Col {
+	return append(append(make([]Col, 0, len(l)+len(r)), l...), r...)
+}
+
+// crossProduct returns a×b under the header cols, which must be a.Cols++b.Cols
+// (an implicit-join sequence passes a prefix of its one grown header).
+func (e *Engine) crossProduct(a, b *Relation, cols []Col) (*Relation, error) {
+	out := &Relation{Cols: cols}
 	n := len(a.Rows) * len(b.Rows)
 	if n > e.maxRows() {
 		return nil, execErrorf("cross product exceeds row cap (%d x %d)", len(a.Rows), len(b.Rows))
@@ -74,7 +90,7 @@ func (e *Engine) crossProduct(a, b *Relation) (*Relation, error) {
 // scratch row reused across candidates (expression evaluation only reads the
 // current row); only matching rows are materialized, from the arena.
 func (e *Engine) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, oe *opEnv) (*Relation, error) {
-	out := &Relation{Cols: append(append([]Col{}, left.Cols...), right.Cols...)}
+	out := &Relation{Cols: concatCols(left.Cols, right.Cols)}
 	joined := &env{rel: out, outer: oe.outer, ctes: oe.ctes}
 	rightMatched := make([]bool, len(right.Rows))
 	arena := newRowArena(len(out.Cols))
@@ -177,9 +193,9 @@ type hashProbe struct {
 	mixed bool
 	all   []int // every build row index, built on the first scan
 
-	padProbe   bool   // LEFT/FULL
-	matched    []bool // RIGHT/FULL: build rows matched so far
-	buildPad   []Value
+	padProbe   bool    // LEFT/FULL
+	matched    []bool  // RIGHT/FULL: build rows matched so far
+	buildPad   []Value // LEFT/FULL: the NULL build row padding unmatched probes
 	probeWidth int
 	arena      *rowArena
 	emitted    int // rows emitted, for the row-cap check
@@ -196,10 +212,12 @@ func (e *Engine) newHashProbe(build *Relation, buildKey, probeKey, probeWidth in
 		probeKey:   probeKey,
 		index:      make(map[string][]int, len(build.Rows)),
 		padProbe:   joinType == "LEFT" || joinType == "FULL",
-		buildPad:   nullRow(len(build.Cols)),
 		probeWidth: probeWidth,
 		arena:      newRowArena(probeWidth + len(build.Cols)),
 		maxRows:    e.maxRows(),
+	}
+	if h.padProbe {
+		h.buildPad = nullRow(len(build.Cols))
 	}
 	for idx, row := range build.Rows {
 		v := row[buildKey]
@@ -295,15 +313,16 @@ func (h *hashProbe) tail() [][]Value {
 }
 
 // hashJoin is the implicit-join steps' inner equi-join: the hash probe over
-// right, run with all of left as one batch.
-func (e *Engine) hashJoin(left, right *Relation, li, ri int) (*Relation, error) {
+// right, run with all of left as one batch, under the step's header cols
+// (left.Cols++right.Cols).
+func (e *Engine) hashJoin(left, right *Relation, li, ri int, cols []Col) (*Relation, error) {
 	h := e.newHashProbe(right, ri, li, len(left.Cols), "INNER")
 	rows, err := h.probe(left.Rows)
 	if err != nil {
 		return nil, err
 	}
 	e.ops.Add(int64(len(left.Rows)))
-	return &Relation{Cols: append(append([]Col{}, left.Cols...), right.Cols...), Rows: rows}, nil
+	return &Relation{Cols: cols, Rows: rows}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +386,7 @@ func (o *joinOp) open() error {
 		}
 		return o.materialize(left, build)
 	}
-	o.cols = append(append(make([]Col, 0, len(probeCols)+len(build.Cols)), probeCols...), build.Cols...)
+	o.cols = concatCols(probeCols, build.Cols)
 	o.hp = o.oe.e.newHashProbe(build, ri, li, len(probeCols), o.node.Type)
 	return nil
 }
@@ -378,7 +397,7 @@ func (o *joinOp) materialize(left, right *Relation) error {
 	var rel *Relation
 	var err error
 	if o.node.Type == "CROSS" || o.node.On == nil {
-		rel, err = o.oe.e.crossProduct(left, right)
+		rel, err = o.oe.e.crossProduct(left, right, concatCols(left.Cols, right.Cols))
 	} else {
 		rel, err = o.oe.e.nestedLoopJoin(left, right, o.node.Type, o.node.On, o.oe)
 	}
@@ -448,7 +467,7 @@ func (o *crossOp) open() error {
 			acc = rel
 			continue
 		}
-		acc, err = o.oe.e.crossProduct(acc, rel)
+		acc, err = o.oe.e.crossProduct(acc, rel, concatCols(acc.Cols, rel.Cols))
 		if err != nil {
 			return err
 		}

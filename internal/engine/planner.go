@@ -17,14 +17,18 @@ import (
 // logical plan carries it as an ImplicitJoinNode. Sequence selection is split
 // from execution: planJoins simulates the greedy ordering over column headers
 // only (no rows move), producing joinSteps that executeJoinSteps then runs.
+// The sequence's headers are prefixes of one header grown in step order, so
+// no step copies the columns accumulated before it.
 
 // joinStep is one step of a left-deep implicit-join sequence: join relation
 // `target` into the accumulated prefix, either on conjunct `conj` with the
-// given key column indexes, or (conj < 0) as a cross product.
+// given key column indexes, or (conj < 0) as a cross product. cols is the
+// header after the step: the prefix's columns followed by target's.
 type joinStep struct {
 	target int
 	conj   int
 	li, ri int
+	cols   []Col
 }
 
 // orderImplicitJoins joins the relations in greedy order.
@@ -45,8 +49,24 @@ func (e *Engine) orderImplicitJoins(rels []*Relation, where sqlast.Expr) (*Relat
 func (e *Engine) planJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinStep, []bool) {
 	used := make([]bool, len(conjuncts))
 	joined := map[int]bool{0: true}
-	acc := &Relation{Cols: rels[0].Cols}
-	var steps []joinStep
+	width := 0
+	for _, rel := range rels {
+		width += len(rel.Cols)
+	}
+	// header is sized to the whole sequence, so appending never moves it and
+	// every step's prefix stays valid. Each prefix is capacity-clipped: an
+	// append on a step's header copies instead of overwriting the next step's
+	// columns.
+	header := append(make([]Col, 0, width), rels[0].Cols...)
+	acc := &Relation{Cols: header}
+	steps := make([]joinStep, 0, len(rels)-1)
+	join := func(s joinStep) {
+		header = append(header, rels[s.target].Cols...)
+		s.cols = header[:len(header):len(header)]
+		acc.Cols = s.cols
+		steps = append(steps, s)
+		joined[s.target] = true
+	}
 	for len(joined) < len(rels) {
 		progressed := false
 		for ci, c := range conjuncts {
@@ -57,9 +77,7 @@ func (e *Engine) planJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinSte
 			if !ok {
 				continue
 			}
-			steps = append(steps, joinStep{target: target, conj: ci, li: li, ri: ri})
-			acc = &Relation{Cols: append(append([]Col{}, acc.Cols...), rels[target].Cols...)}
-			joined[target] = true
+			join(joinStep{target: target, conj: ci, li: li, ri: ri})
 			used[ci] = true
 			progressed = true
 		}
@@ -68,9 +86,7 @@ func (e *Engine) planJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinSte
 			// relation and keep going.
 			for i := range rels {
 				if !joined[i] {
-					steps = append(steps, joinStep{target: i, conj: -1})
-					acc = &Relation{Cols: append(append([]Col{}, acc.Cols...), rels[i].Cols...)}
-					joined[i] = true
+					join(joinStep{target: i, conj: -1})
 					break
 				}
 			}
@@ -86,9 +102,9 @@ func (e *Engine) executeJoinSteps(rels []*Relation, steps []joinStep) (*Relation
 	for _, s := range steps {
 		var err error
 		if s.conj < 0 {
-			acc, err = e.crossProduct(acc, rels[s.target])
+			acc, err = e.crossProduct(acc, rels[s.target], s.cols)
 		} else {
-			acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri)
+			acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri, s.cols)
 		}
 		if err != nil {
 			return nil, err

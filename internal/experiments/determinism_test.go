@@ -12,7 +12,8 @@ import (
 // whether the environment runs sequentially (parallel=1) or on a worker pool
 // (parallel=8). Both environments build with equivalence verification on, so
 // the parallel benchmark build is covered too, not just the model task runs;
-// the verification's engine row operations must match per dataset as well.
+// the verification's engine row operations must match per dataset as well,
+// and equal the seed's pinned counts.
 func TestParallelismDoesNotChangeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two verified environments")
@@ -24,6 +25,21 @@ func TestParallelismDoesNotChangeOutput(t *testing.T) {
 	par, err := NewEnvConfig(Config{Seed: 1, VerifyEquivalences: true, Parallel: 8})
 	if err != nil {
 		t.Fatalf("parallel env: %v", err)
+	}
+
+	// Engine ops are a pure function of the seed. Pinning them catches an
+	// engine change that silently skips (or repeats) row work while every
+	// label stays the same.
+	wantOps := map[string]int64{core.SDSS: 40_181, core.SQLShare: 30_865, core.JoinOrder: 44_884}
+	var totalOps int64
+	for _, ds := range core.TaskDatasets {
+		if got := seq.Bench.EngineOps[ds]; got != wantOps[ds] {
+			t.Errorf("%s verification engine ops = %d, want %d", ds, got, wantOps[ds])
+		}
+		totalOps += seq.Bench.EngineOps[ds]
+	}
+	if totalOps != 115_930 {
+		t.Errorf("total verification engine ops = %d, want 115930", totalOps)
 	}
 
 	// The benchmarks themselves must match before any experiment runs.
