@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -51,21 +52,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, err := repro.RunSyntaxTask(ctx, client, bench, "NoSuch"); err == nil {
 		t.Error("unknown dataset should fail")
 	}
-	tok, err := repro.RunTokenTask(ctx, client, bench, "SDSS")
-	if err != nil || len(tok) == 0 {
-		t.Fatalf("token task: %v", err)
-	}
-	eq, err := repro.RunEquivTask(ctx, client, bench, "Join-Order")
-	if err != nil || len(eq) == 0 {
-		t.Fatalf("equiv task: %v", err)
-	}
 	pf, err := repro.RunPerfTask(ctx, client, bench)
 	if err != nil || len(pf) != 285 {
 		t.Fatalf("perf task: %v (%d)", err, len(pf))
 	}
-	ex, err := repro.RunExplainTask(ctx, client, bench)
-	if err != nil || len(ex) != 200 {
-		t.Fatalf("explain task: %v (%d)", err, len(ex))
+	for _, c := range []struct {
+		task, dataset string
+		want          int
+	}{
+		{"tokens", "SDSS", len(bench.Tokens["SDSS"])},
+		{"equiv", "Join-Order", len(bench.Equiv["Join-Order"])},
+		{"explain", "", 200},
+		{"fill", "SQLShare", len(bench.Tokens["SQLShare"])},
+	} {
+		views, err := repro.RunTask(ctx, client, bench, c.task, c.dataset)
+		if err != nil || len(views) == 0 || len(views) != c.want {
+			t.Fatalf("%s task: %v (%d results, want %d)", c.task, err, len(views), c.want)
+		}
+	}
+	if _, err := repro.RunTask(ctx, client, bench, "fill", "NoSuch"); err == nil {
+		t.Error("unknown fill dataset should fail")
 	}
 }
 
@@ -77,7 +83,13 @@ func TestFacadeRunExperiment(t *testing.T) {
 	if !strings.Contains(buf.String(), "Recognition") {
 		t.Errorf("table1 output = %q", buf.String())
 	}
-	if err := repro.RunExperiment("nosuch", &buf, 1); err == nil {
-		t.Error("unknown experiment should fail")
+	// An unknown id fails before any benchmark is built.
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := repro.RunExperiment("nosuch", io.Discard, 1); err == nil {
+			t.Error("unknown experiment should fail")
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("RunExperiment(nosuch) allocated %.0f times, want <= 1000: it built the benchmark before checking the id", allocs)
 	}
 }

@@ -1,0 +1,207 @@
+package repro_test
+
+import (
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// exportAllowlist names the exported declarations kept with no in-repo
+// caller outside their own package's tests, each with the reason.
+var exportAllowlist = map[string]string{
+	"repro.ExperimentTitle": "public facade: lets a library user label an artifact id from Experiments",
+	"repro.RunExperiment":   "public facade: the library form of sqlbench -exp, shown in the package doc",
+}
+
+// interfaceMethods are method names a type may export to satisfy a
+// standard-library interface that no file in the tree declares.
+var interfaceMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "Is": true, "As": true,
+	"String": true, "GoString": true, "Format": true,
+	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true,
+	"Read": true, "Write": true, "Close": true, "Flush": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// exportSource is one parsed Go file of the tree.
+type exportSource struct {
+	dir  string
+	test bool
+	file *ast.File
+}
+
+// TestExportsHaveCallers keeps the export surface to what is used: every
+// exported function, and every exported method of an exported type, in a
+// non-main package must be named somewhere outside its declaration, in a
+// non-test file or in another directory's tests. A method whose name an
+// interface in the tree (or a standard one) declares is exempt. The walk
+// covers bench/ and examples/, so what they call counts as used.
+func TestExportsHaveCallers(t *testing.T) {
+	var srcs []exportSource
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		file, err := goparser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			return err
+		}
+		srcs = append(srcs, exportSource{filepath.Dir(path), strings.HasSuffix(name, "_test.go"), file})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srcs) < 100 {
+		t.Fatalf("walked %d Go files; run from the repository root", len(srcs))
+	}
+	dead := map[string]bool{}
+	for _, f := range deadExports(srcs) {
+		dead[f] = true
+		if _, ok := exportAllowlist[f]; !ok {
+			t.Errorf("%s is exported but nothing outside its package's tests names it; delete it or call it", f)
+		}
+	}
+	for f := range exportAllowlist {
+		if !dead[f] {
+			t.Errorf("allowlisted %s now has a caller (or is gone); drop it from exportAllowlist", f)
+		}
+	}
+
+	// The check fires on a planted dead function and ignores the planted
+	// methods: Unwrap satisfies the errors package's unnamed interface,
+	// Emit the planted Sink.
+	planted := `package obs
+type Sink interface{ Emit() }
+type Err struct{ err error }
+func (e *Err) Unwrap() error { return e.err }
+func (e *Err) Emit() {}
+func Dead() {}
+func Live() {}
+`
+	user := `package main
+import "repro/internal/obs"
+func main() { obs.Live(); _ = &obs.Err{} }
+`
+	var plantedSrcs []exportSource
+	for _, p := range []struct{ dir, src string }{{"internal/obs", planted}, {"cmd/x", user}} {
+		file, err := goparser.ParseFile(fset, p.dir+"/planted.go", p.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plantedSrcs = append(plantedSrcs, exportSource{p.dir, false, file})
+	}
+	if got := deadExports(plantedSrcs); strings.Join(got, " ") != "obs.Dead" {
+		t.Errorf("planted: deadExports = %q, want [obs.Dead]", got)
+	}
+}
+
+// deadExports returns, sorted as "pkg.Func" or "pkg.Type.Method", the
+// exported declarations of non-main packages whose name is used nowhere
+// outside its declaration except in tests of the declaring directory.
+func deadExports(srcs []exportSource) []string {
+	type use struct {
+		dir  string
+		test bool
+	}
+	uses := map[string][]use{}
+	ifaceMethods := map[string]bool{}
+	for _, s := range srcs {
+		declared := map[*ast.Ident]bool{}
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declared[n.Name] = true
+			case *ast.Field:
+				for _, id := range n.Names {
+					declared[id] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						ifaceMethods[id.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] && n.IsExported() {
+					uses[n.Name] = append(uses[n.Name], use{s.dir, s.test})
+				}
+			}
+			return true
+		})
+	}
+	var dead []string
+	for _, s := range srcs {
+		if s.test || s.file.Name.Name == "main" {
+			continue
+		}
+		pkg := s.file.Name.Name
+		for _, d := range s.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			name := pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				recv := receiverType(fn.Recv.List[0].Type)
+				if !ast.IsExported(recv) || ifaceMethods[fn.Name.Name] || interfaceMethods[fn.Name.Name] {
+					continue
+				}
+				name = pkg + "." + recv + "." + fn.Name.Name
+			}
+			used := false
+			for _, u := range uses[fn.Name.Name] {
+				if !u.test || u.dir != s.dir {
+					used = true
+					break
+				}
+			}
+			if !used {
+				dead = append(dead, name)
+			}
+		}
+	}
+	sort.Strings(dead)
+	return dead
+}
+
+// receiverType returns the base type name of a method receiver, through a
+// pointer and any type parameters.
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}

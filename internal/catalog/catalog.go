@@ -69,15 +69,6 @@ func (t *Table) Column(name string) (Column, bool) {
 	return Column{}, false
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // Schema is a set of tables.
 type Schema struct {
 	Name   string

@@ -54,10 +54,6 @@ func TestColumnLookup(t *testing.T) {
 	if _, ok := tab.Column("nope"); ok {
 		t.Error("found nonexistent column")
 	}
-	names := tab.ColumnNames()
-	if len(names) != len(tab.Columns) || names[0] != "specobjid" {
-		t.Errorf("ColumnNames = %v", names)
-	}
 }
 
 func TestBareName(t *testing.T) {

@@ -97,11 +97,7 @@ func GenScript(donor *catalog.Table, r *rand.Rand) Script {
 		g.emitDML()
 	}
 
-	parts := make([]string, len(g.stmts))
-	for i, s := range g.stmts {
-		parts[i] = sqlast.Print(s)
-	}
-	return Script{Table: name, Stmts: g.stmts, SQL: strings.Join(parts, " ; ")}
+	return Script{Table: name, Stmts: g.stmts, SQL: scriptSQL(g.stmts)}
 }
 
 type scriptGen struct {
@@ -202,8 +198,8 @@ func (g *scriptGen) emitDML() {
 	}
 }
 
-// ScriptSQL joins parsed statements back into the canonical script form.
-func ScriptSQL(stmts []sqlast.Stmt) string {
+// scriptSQL joins statements into the canonical script form.
+func scriptSQL(stmts []sqlast.Stmt) string {
 	parts := make([]string, len(stmts))
 	for i, s := range stmts {
 		parts[i] = sqlast.Print(s)

@@ -21,7 +21,7 @@ func TestGenScriptRoundTripsAndExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("script %d does not reparse: %v\n%s", i, err, sc.SQL)
 		}
-		if got := ScriptSQL(stmts); got != sc.SQL {
+		if got := scriptSQL(stmts); got != sc.SQL {
 			t.Fatalf("script %d not canonical:\n%s\n%s", i, sc.SQL, got)
 		}
 		// And execute cleanly against the in-memory store, closing every

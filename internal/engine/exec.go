@@ -89,10 +89,6 @@ func (e *Engine) QueryCtx(ctx context.Context, sel *sqlast.SelectStmt) (*Relatio
 	return rel, err
 }
 
-// PlanOf returns the (cached) logical plan the engine would execute for the
-// statement — the EXPLAIN entry point.
-func (e *Engine) PlanOf(sel *sqlast.SelectStmt) *Plan { return e.planFor(sel) }
-
 // maxCachedPlans bounds the per-Engine plan cache. Long-lived engines that
 // parse fresh SQL per call (every statement is a new AST pointer) would
 // otherwise grow the cache — and GC scan work — without limit; on overflow

@@ -7,35 +7,6 @@ import (
 	"repro/internal/sqllex"
 )
 
-// Similarity measures the lexical overlap of two queries as Jaccard
-// similarity over their token multisets. Subtle edits (a changed literal or
-// operator) score near 1; structural rewrites (join <-> subquery) score
-// much lower.
-func Similarity(sql1, sql2 string) float64 {
-	a := tokenCounts(sql1)
-	b := tokenCounts(sql2)
-	var inter, union int
-	for tok, ca := range a {
-		cb := b[tok]
-		if ca < cb {
-			inter += ca
-			union += cb
-		} else {
-			inter += cb
-			union += ca
-		}
-	}
-	for tok, cb := range b {
-		if _, seen := a[tok]; !seen {
-			union += cb
-		}
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // DiffStats measures the absolute token-multiset difference between two
 // queries: how many token occurrences each side has that the other lacks.
 // Subtle single-token edits yield tiny diffs regardless of query length,

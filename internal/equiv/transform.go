@@ -61,16 +61,6 @@ func NonEquivTypes() []Type {
 	}
 }
 
-// IsEquivalence reports whether the type preserves query semantics.
-func IsEquivalence(t Type) bool {
-	for _, e := range EquivTypes() {
-		if e == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Transform applies the named transformation to a copy of the SELECT. It
 // returns false when the query has no applicable site.
 func Transform(sel *sqlast.SelectStmt, typ Type, r *rand.Rand) (*sqlast.SelectStmt, bool) {

@@ -3,7 +3,7 @@
 // real model endpoints (or any stub speaking the same wire format) behind
 // the same contract the simulators implement. Failures map to *llm.Error
 // with the response's HTTP status and Retry-After hint, which is what the
-// llm.Retry middleware classifies on.
+// llm.RetryWith middleware classifies on.
 package httpllm
 
 import (

@@ -3,11 +3,11 @@
 // sampling parameters) and returns an llm.Response (text, token usage, wall
 // latency, finish reason); failures surface as *llm.Error values carrying an
 // HTTP-style status and a retryability classification. The package also
-// provides a composable middleware chain (Retry, RateLimit, MaxInFlight,
-// CacheWith, Instrument — see middleware.go) and a Registry that can be
-// populated programmatically or built from a JSON model spec (spec.go), so
-// the simulated models in llm/sim and the HTTP-backed client in llm/httpllm
-// are interchangeable behind one contract.
+// provides a composable middleware chain (RetryWith, RateLimitWith,
+// MaxInFlight, CacheWith, Instrument — see middleware.go) and a Registry
+// that can be populated programmatically or built from a JSON model spec
+// (spec.go), so the simulated models in llm/sim and the HTTP-backed client
+// in llm/httpllm are interchangeable behind one contract.
 package llm
 
 import (
@@ -55,15 +55,6 @@ type Request struct {
 // uses — into a Request.
 func NewRequest(prompt string) Request {
 	return Request{Messages: []Message{{Role: RoleUser, Content: prompt}}}
-}
-
-// WithSystem returns a copy of the request with a system message prepended.
-func (r Request) WithSystem(system string) Request {
-	msgs := make([]Message, 0, len(r.Messages)+1)
-	msgs = append(msgs, Message{Role: RoleSystem, Content: system})
-	msgs = append(msgs, r.Messages...)
-	r.Messages = msgs
-	return r
 }
 
 // UserPrompt concatenates the user-message contents — the string-in view of

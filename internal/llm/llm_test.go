@@ -90,11 +90,10 @@ func TestNewRequestAndComplete(t *testing.T) {
 }
 
 func TestRequestWithSystem(t *testing.T) {
-	req := NewRequest("user text").WithSystem("system text")
-	if len(req.Messages) != 2 || req.Messages[0].Role != RoleSystem {
-		t.Fatalf("WithSystem = %+v", req)
-	}
-	// UserPrompt ignores the system message.
+	req := Request{Messages: []Message{
+		{Role: RoleSystem, Content: "system text"},
+		{Role: RoleUser, Content: "user text"},
+	}}
 	if got := req.UserPrompt(); got != "user text" {
 		t.Errorf("UserPrompt = %q", got)
 	}
@@ -118,7 +117,7 @@ func TestRequestHash(t *testing.T) {
 	}
 	distinct := []Request{
 		NewRequest("other"),
-		base.WithSystem("sys"),
+		{Messages: []Message{{Role: RoleSystem, Content: "sys"}, base.Messages[0]}},
 		{Messages: base.Messages, MaxTokens: 5},
 		{Messages: base.Messages, Temperature: f64(0)},
 		{Messages: base.Messages, Temperature: f64(1)},

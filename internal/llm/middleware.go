@@ -101,13 +101,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retry returns a middleware that retries retryable errors (as classified by
-// IsRetryable) with capped exponential backoff and deterministic jitter.
-func Retry(maxAttempts int, baseDelay time.Duration) Middleware {
-	return RetryWith(RetryConfig{MaxAttempts: maxAttempts, BaseDelay: baseDelay})
-}
-
-// RetryWith is Retry with full configuration.
+// RetryWith returns a middleware that retries retryable errors (as
+// classified by IsRetryable) with capped exponential backoff and
+// deterministic jitter.
 func RetryWith(cfg RetryConfig) Middleware {
 	cfg.fill()
 	return func(inner Client) Client {
@@ -252,16 +248,11 @@ func (b *TokenBucket) Full() bool {
 	return b.tokens >= b.burst
 }
 
-// RateLimit returns a middleware that throttles requests through a token
-// bucket (rps tokens per second, burst capacity). Requests wait for a token
-// rather than failing; cancellation during the wait returns ctx.Err().
-// rps <= 0 disables the limiter.
-func RateLimit(rps float64, burst int) Middleware {
-	return RateLimitWith(rps, burst, nil)
-}
-
-// RateLimitWith is RateLimit additionally counting requests that had to
-// wait for a token into the per-model RateLimited stat.
+// RateLimitWith returns a middleware that throttles requests through a
+// token bucket (rps tokens per second, burst capacity). Requests wait for a
+// token rather than failing; cancellation during the wait returns
+// ctx.Err(). rps <= 0 disables the limiter. A non-nil stats counts requests
+// that had to wait for a token into the per-model RateLimited stat.
 func RateLimitWith(rps float64, burst int, stats *Stats) Middleware {
 	if rps <= 0 {
 		return nil

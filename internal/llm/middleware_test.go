@@ -211,7 +211,7 @@ func TestTokenBucket(t *testing.T) {
 
 func TestRateLimitMiddleware(t *testing.T) {
 	sc := &scriptClient{name: "m"}
-	c := RateLimit(1000, 1)(sc)
+	c := RateLimitWith(1000, 1, nil)(sc)
 	start := time.Now()
 	for i := 0; i < 5; i++ {
 		if _, err := c.Do(context.Background(), NewRequest("p")); err != nil {
@@ -223,11 +223,11 @@ func TestRateLimitMiddleware(t *testing.T) {
 	if time.Since(start) > 2*time.Second {
 		t.Error("rate limiter stalled")
 	}
-	if RateLimit(0, 1) != nil {
+	if RateLimitWith(0, 1, nil) != nil {
 		t.Error("rps<=0 should disable the middleware")
 	}
 	// Cancellation during the wait surfaces ctx.Err.
-	slow := RateLimit(0.0001, 1)(sc)
+	slow := RateLimitWith(0.0001, 1, nil)(sc)
 	if _, err := slow.Do(context.Background(), NewRequest("p")); err != nil {
 		t.Fatal(err) // consumes the burst token
 	}

@@ -230,21 +230,17 @@ func (b *breaker) rateTrippedLocked() bool {
 	return float64(fails)/float64(len(b.window)) >= b.cfg.ErrorRate
 }
 
-// Breaker returns a circuit-breaker middleware: after a run of consecutive
-// failures (or a tripped rolling error rate), requests fast-fail with a
-// typed *Error (Status 503, Code "breaker_open", RetryAfter = remaining
-// cooldown) instead of reaching the backend; after the cooldown, limited
-// half-open probes test recovery, closing the breaker on success and
-// re-opening it on failure. Requests arriving while the probe budget is
-// saturated shed with Code "breaker_probing" and a short RetryAfter,
-// distinguishing a momentary half-open shed from a cooldown-long outage.
-func Breaker(cfg BreakerConfig) Middleware {
-	return BreakerWith(cfg, nil)
-}
-
-// BreakerWith is Breaker additionally recording opens, shed requests, the
-// current state gauge, and the open deadline into the per-model Stats — the
-// serve layer reads the gauge to shed eval requests before they start.
+// BreakerWith returns a circuit-breaker middleware: after a run of
+// consecutive failures (or a tripped rolling error rate), requests
+// fast-fail with a typed *Error (Status 503, Code "breaker_open",
+// RetryAfter = remaining cooldown) instead of reaching the backend; after
+// the cooldown, limited half-open probes test recovery, closing the breaker
+// on success and re-opening it on failure. Requests arriving while the
+// probe budget is saturated shed with Code "breaker_probing" and a short
+// RetryAfter, distinguishing a momentary half-open shed from a
+// cooldown-long outage. A non-nil stats records opens, shed requests, the
+// current state gauge, and the open deadline into the per-model Stats —
+// the serve layer reads the gauge to shed eval requests before they start.
 func BreakerWith(cfg BreakerConfig, stats *Stats) Middleware {
 	cfg.fill()
 	return func(inner Client) Client {
@@ -315,18 +311,14 @@ type HedgeConfig struct {
 	MaxHedges int
 }
 
-// Hedge returns a tail-latency hedging middleware: when the primary attempt
-// has not completed within Delay, a second identical attempt launches and
-// the first success wins; the loser's context is cancelled. An error from
-// one attempt defers to the other attempt's outcome, so hedging never
-// worsens correctness — the request fails only once every attempt has.
-func Hedge(cfg HedgeConfig) Middleware {
-	return HedgeWith(cfg, nil)
-}
-
-// HedgeWith is Hedge additionally counting launched and winning hedges into
-// the per-model Stats — and charging a cancelled loser's token usage there
-// too, so hedging's cost stays visible even though only one response is
+// HedgeWith returns a tail-latency hedging middleware: when the primary
+// attempt has not completed within Delay, a second identical attempt
+// launches and the first success wins; the loser's context is cancelled.
+// An error from one attempt defers to the other attempt's outcome, so
+// hedging never worsens correctness — the request fails only once every
+// attempt has. A non-nil stats counts launched and winning hedges into the
+// per-model Stats — and charges a cancelled loser's token usage there too,
+// so hedging's cost stays visible even though only one response is
 // returned.
 func HedgeWith(cfg HedgeConfig, stats *Stats) Middleware {
 	if cfg.Delay <= 0 {

@@ -342,7 +342,7 @@ func TestHedgeSurvivesPrimaryError(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return Response{Text: "rescued"}, nil
 	}}
-	c := Chain(inner, Hedge(HedgeConfig{Delay: 5 * time.Millisecond}))
+	c := Chain(inner, HedgeWith(HedgeConfig{Delay: 5 * time.Millisecond}, nil))
 	resp, err := c.Do(context.Background(), NewRequest("q"))
 	if err != nil || resp.Text != "rescued" {
 		t.Fatalf("resp = %q, %v; want rescued", resp.Text, err)
@@ -355,7 +355,7 @@ func TestHedgeAllFail(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return Response{}, &Error{Status: 503, Code: "dead"}
 	}}
-	c := Chain(inner, Hedge(HedgeConfig{Delay: time.Millisecond}))
+	c := Chain(inner, HedgeWith(HedgeConfig{Delay: time.Millisecond}, nil))
 	_, err := c.Do(context.Background(), NewRequest("q"))
 	var le *Error
 	if !errors.As(err, &le) || le.Code != "dead" {

@@ -55,15 +55,9 @@ func NewKnowledge(byDataset map[string]*catalog.Schema) *Knowledge {
 	return k
 }
 
-// DetectDataset infers which workload a query belongs to by matching its
-// identifiers against the per-dataset table sets.
-func (k *Knowledge) DetectDataset(sql string) string {
-	toks, err := sqllex.LexWords(sql)
-	return k.detectDatasetTokens(toks, err)
-}
-
-// detectDatasetTokens is DetectDataset over the result of
-// sqllex.LexWords(sql): a query that does not lex counts as SDSS.
+// detectDatasetTokens infers which workload a query belongs to by matching
+// its identifiers against the per-dataset table sets. It takes the result
+// of sqllex.LexWords(sql): a query that does not lex counts as SDSS.
 func (k *Knowledge) detectDatasetTokens(toks []sqllex.Token, err error) string {
 	if err != nil {
 		return dsSDSS

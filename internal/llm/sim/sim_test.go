@@ -11,6 +11,7 @@ import (
 	"repro/internal/llm/clienttest"
 	"repro/internal/prompt"
 	"repro/internal/respparse"
+	"repro/internal/sqllex"
 )
 
 func knowledge() *Knowledge {
@@ -53,8 +54,8 @@ func TestDetectDataset(t *testing.T) {
 		"SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1":                                "Spider",
 	}
 	for sql, want := range cases {
-		if got := k.DetectDataset(sql); got != want {
-			t.Errorf("DetectDataset(%q) = %q, want %q", sql, got, want)
+		if got := k.detectDatasetTokens(sqllex.LexWords(sql)); got != want {
+			t.Errorf("detectDatasetTokens(%q) = %q, want %q", sql, got, want)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func seedInputs(b *core.Benchmark) (singles []string, pairs [][2]string, others 
 // compared with: every helper lexes the text again.
 
 func stringSyntaxFacts(k *Knowledge, sql string) syntaxFacts {
-	f := syntaxFacts{dataset: k.DetectDataset(sql), words: len(sqllex.Words(sql))}
+	f := syntaxFacts{dataset: k.detectDatasetTokens(sqllex.LexWords(sql)), words: len(sqllex.Words(sql))}
 	if diags := k.checker.CheckSQL(sql); len(diags) > 0 {
 		f.hasError, f.primary, f.detail = true, semcheck.Primary(diags), diags[0].Msg
 	}
@@ -85,12 +85,12 @@ func stringSyntaxFacts(k *Knowledge, sql string) syntaxFacts {
 }
 
 func stringMissingFacts(k *Knowledge, sql string) missingFacts {
-	return missingFacts{dataset: k.DetectDataset(sql), words: len(sqllex.Words(sql)), det: repair.Detect(sql, k.Merged)}
+	return missingFacts{dataset: k.detectDatasetTokens(sqllex.LexWords(sql)), words: len(sqllex.Words(sql)), det: repair.Detect(sql, k.Merged)}
 }
 
 func stringPerfFacts(k *Knowledge, sql string) perfFacts {
 	props := analyze.Compute(sql)
-	f := perfFacts{dataset: k.DetectDataset(sql), words: props.WordCount, columns: props.ColumnCount}
+	f := perfFacts{dataset: k.detectDatasetTokens(sqllex.LexWords(sql)), words: props.WordCount, columns: props.ColumnCount}
 	if toks, err := sqllex.LexWords(sql); err == nil {
 		f.big = countBigTables(toks)
 	}
@@ -98,7 +98,7 @@ func stringPerfFacts(k *Knowledge, sql string) perfFacts {
 }
 
 func stringEquivFacts(k *Knowledge, sql1, sql2 string) equivFacts {
-	f := equivFacts{dataset: k.DetectDataset(sql1)}
+	f := equivFacts{dataset: k.detectDatasetTokens(sqllex.LexWords(sql1))}
 	sel1, err1 := sqlparse.ParseSelect(sql1)
 	sel2, err2 := sqlparse.ParseSelect(sql2)
 	if err1 != nil || err2 != nil {

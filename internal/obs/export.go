@@ -34,9 +34,6 @@ type SpanRecord struct {
 	Events  []EventRecord  `json:"events,omitempty"`
 }
 
-// marshal renders the record as one JSON line (no trailing newline).
-func (r SpanRecord) marshal() ([]byte, error) { return json.Marshal(r) }
-
 // WriteNDJSON writes the records as newline-delimited JSON, one span per
 // line.
 func WriteNDJSON(w io.Writer, recs []SpanRecord) error {

@@ -38,9 +38,6 @@ func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
 
-// Float builds a float attribute.
-func Float(key string, value float64) Attr { return Attr{Key: key, Value: value} }
-
 // event is one recorded point-in-time occurrence inside a span.
 type event struct {
 	name  string
@@ -183,9 +180,9 @@ func formatID(id uint64) string {
 // Tracer
 
 // Tracer creates and exports spans. A Tracer fans each ended span out to
-// every configured sink: the bounded in-memory ring (WithRing), the NDJSON
-// writer (WithNDJSON), and the unbounded collector (WithCollector). Safe
-// for concurrent use. A nil *Tracer is valid and inert.
+// every configured sink: the bounded in-memory ring (WithRing) and the
+// unbounded collector (WithCollector). Safe for concurrent use. A nil
+// *Tracer is valid and inert.
 type Tracer struct {
 	ring    *ring
 	collect bool
@@ -194,12 +191,7 @@ type Tracer struct {
 	entropy uint64
 
 	mu        sync.Mutex
-	w         writerSink
 	collected []SpanRecord
-}
-
-type writerSink interface {
-	Write(p []byte) (int, error)
 }
 
 // Option configures a Tracer.
@@ -212,12 +204,6 @@ func WithRing(n int) Option {
 		n = 1
 	}
 	return func(t *Tracer) { t.ring = &ring{buf: make([]SpanRecord, n)} }
-}
-
-// WithNDJSON streams every ended span to w as one JSON line. Writes are
-// serialized; w need not be concurrency-safe.
-func WithNDJSON(w writerSink) Option {
-	return func(t *Tracer) { t.w = w }
 }
 
 // WithCollector retains every ended span in memory for a post-run export
@@ -279,19 +265,12 @@ func (t *Tracer) export(rec SpanRecord) {
 	if t.ring != nil {
 		t.ring.add(rec)
 	}
-	if t.w == nil && !t.collect {
+	if !t.collect {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.collect {
-		t.collected = append(t.collected, rec)
-	}
-	if t.w != nil {
-		if line, err := rec.marshal(); err == nil {
-			t.w.Write(append(line, '\n'))
-		}
-	}
+	t.collected = append(t.collected, rec)
 }
 
 // Collected returns a copy of every span retained by WithCollector, in end

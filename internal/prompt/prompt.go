@@ -128,16 +128,10 @@ func Default(task Task) Template {
 	return vs[0]
 }
 
-// DetectTask identifies which task a rendered prompt belongs to from its
-// instruction (see Instruction), so wording inside the embedded query never
-// changes the answer. Simulated models use this the way a real model infers
-// intent from instructions.
-func DetectTask(promptText string) (Task, bool) {
-	return DetectTaskLower(strings.ToLower(Instruction(promptText)))
-}
-
-// DetectTaskLower is DetectTask over a prompt already lowercased with
-// strings.ToLower, for callers that match other wording in the same text.
+// DetectTaskLower identifies which task a rendered prompt belongs to from
+// its instruction (see Instruction), lowercased with strings.ToLower, so
+// wording inside the embedded query never changes the answer. Simulated
+// models use this the way a real model infers intent from instructions.
 func DetectTaskLower(lower string) (Task, bool) {
 	switch {
 	// Fill-in is checked before miss_token: both talk about missing tokens,

@@ -35,16 +35,16 @@ func TestDetectTaskAllVariants(t *testing.T) {
 			} else {
 				rendered = tpl.Render("SELECT 1")
 			}
-			got, ok := DetectTask(rendered)
+			got, ok := detectTask(rendered)
 			if !ok || got != task {
-				t.Errorf("DetectTask(%s) = %q, %v", tpl.ID, got, ok)
+				t.Errorf("detectTask(%s) = %q, %v", tpl.ID, got, ok)
 			}
 		}
 	}
 }
 
 func TestDetectTaskUnknown(t *testing.T) {
-	if _, ok := DetectTask("What is the capital of France?"); ok {
+	if _, ok := detectTask("What is the capital of France?"); ok {
 		t.Error("detected a task in unrelated text")
 	}
 }
@@ -96,8 +96,8 @@ func TestRenderFewShot(t *testing.T) {
 	if !strings.Contains(p, "Example 1:") || !strings.Contains(p, "Example 2:") {
 		t.Errorf("examples missing from %q", p)
 	}
-	if task, ok := DetectTask(p); !ok || task != SyntaxError {
-		t.Errorf("DetectTask = %v, %v", task, ok)
+	if task, ok := detectTask(p); !ok || task != SyntaxError {
+		t.Errorf("detectTask = %v, %v", task, ok)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestHostileQueriesSingle(t *testing.T) {
 		for _, tpl := range Variants(task) {
 			for _, q := range hostileQueries {
 				for _, p := range []string{tpl.Render(q), tpl.RenderFewShot(q, fewShots)} {
-					if got, ok := DetectTask(p); !ok || got != task {
-						t.Errorf("%s: DetectTask(%q) = %q, %v", tpl.ID, p, got, ok)
+					if got, ok := detectTask(p); !ok || got != task {
+						t.Errorf("%s: detectTask(%q) = %q, %v", tpl.ID, p, got, ok)
 					}
 					if got, ok := ExtractQuery(p); !ok || got != q {
 						t.Errorf("%s: ExtractQuery(%q) = %q, %v", tpl.ID, p, got, ok)
@@ -160,8 +160,8 @@ func TestHostileQueriesPair(t *testing.T) {
 		for _, q := range hostileQueries {
 			for _, pair := range [][2]string{{q, benign}, {benign, q}, {q, q}} {
 				p := tpl.RenderPair(pair[0], pair[1])
-				if got, ok := DetectTask(p); !ok || got != QueryEquiv {
-					t.Errorf("%s: DetectTask(%q) = %q, %v", tpl.ID, p, got, ok)
+				if got, ok := detectTask(p); !ok || got != QueryEquiv {
+					t.Errorf("%s: detectTask(%q) = %q, %v", tpl.ID, p, got, ok)
 				}
 				q1, q2, ok := ExtractQueryPair(p)
 				if !ok || q1 != pair[0] || q2 != pair[1] {
@@ -201,4 +201,10 @@ func TestExtractQueryPairAmbiguousLine(t *testing.T) {
 	if q1, _, ok := ExtractQueryPair(p); !ok || q1 != "SELECT 'a" {
 		t.Errorf("ExtractQueryPair = %q, %v; want the split at the embedded line", q1, ok)
 	}
+}
+
+// detectTask is DetectTaskLower over a whole rendered prompt, as the
+// simulated models call it.
+func detectTask(promptText string) (Task, bool) {
+	return DetectTaskLower(strings.ToLower(Instruction(promptText)))
 }

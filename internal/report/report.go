@@ -185,15 +185,6 @@ func OutcomePanel(w io.Writer, title string, bd *metrics.Breakdown) {
 	fmt.Fprintln(w)
 }
 
-// KeyValues renders aligned key/value pairs.
-func KeyValues(w io.Writer, title string, keys []string, values map[string]string) {
-	fmt.Fprintf(w, "%s\n", title)
-	for _, k := range keys {
-		fmt.Fprintf(w, "  %-28s %s\n", k, values[k])
-	}
-	fmt.Fprintln(w)
-}
-
 // Section prints a prominent section header.
 func Section(w io.Writer, name string) {
 	fmt.Fprintln(w, strings.Repeat("=", 72))

@@ -94,12 +94,11 @@ func TestOutcomePanel(t *testing.T) {
 	}
 }
 
-func TestKeyValuesAndSection(t *testing.T) {
+func TestSection(t *testing.T) {
 	var b strings.Builder
 	Section(&b, "My Section")
-	KeyValues(&b, "facts", []string{"k"}, map[string]string{"k": "v"})
 	out := b.String()
-	if !strings.Contains(out, "My Section") || !strings.Contains(out, "k") || !strings.Contains(out, "v") {
+	if !strings.Contains(out, "My Section") || !strings.Contains(out, strings.Repeat("=", 72)) {
 		t.Errorf("output = %s", out)
 	}
 }

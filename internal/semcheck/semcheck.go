@@ -122,19 +122,6 @@ func Primary(diags []Diagnostic) Code {
 	return ""
 }
 
-// HasPaperError reports whether any diagnostic belongs to the paper's
-// six-type taxonomy.
-func HasPaperError(diags []Diagnostic) bool {
-	for _, d := range diags {
-		for _, p := range PaperErrorTypes {
-			if d.Code == p {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func dedupe(diags []Diagnostic) []Diagnostic {
 	seen := make(map[string]bool, len(diags))
 	out := diags[:0]

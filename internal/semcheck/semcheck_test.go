@@ -1,6 +1,7 @@
 package semcheck
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -327,10 +328,10 @@ func TestPrimaryOrdering(t *testing.T) {
 }
 
 func TestHasPaperError(t *testing.T) {
-	if HasPaperError([]Diagnostic{{Code: CodeUnknownTable}}) {
+	if slices.Contains(PaperErrorTypes, CodeUnknownTable) {
 		t.Error("unknown-table is not a paper error type")
 	}
-	if !HasPaperError([]Diagnostic{{Code: CodeAggrHaving}}) {
+	if !slices.Contains(PaperErrorTypes, CodeAggrHaving) {
 		t.Error("aggr-having is a paper error type")
 	}
 }

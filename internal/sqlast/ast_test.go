@@ -189,35 +189,7 @@ func TestSubqueries(t *testing.T) {
 	}
 }
 
-func TestCloneStmtAllKinds(t *testing.T) {
-	n := 3
-	stmts := []Stmt{
-		&SelectStmt{Items: []SelectItem{{Expr: Col("", "a")}}, From: []TableRef{&TableName{Name: "t"}}, Top: &n},
-		&CreateTableStmt{Name: "t", Cols: []ColumnDef{{Name: "a", Type: "INT"}}},
-		&CreateTableStmt{Name: "t", AsSelect: &SelectStmt{Items: []SelectItem{{Expr: Number("1")}}}},
-		&CreateViewStmt{Name: "v", Select: &SelectStmt{Items: []SelectItem{{Expr: Number("1")}}}},
-		&InsertStmt{Table: "t", Columns: []string{"a"}, Rows: [][]Expr{{Number("1")}}},
-		&UpdateStmt{Table: "t", Set: []Assignment{{Column: "a", Value: Number("1")}}, Where: Eq(Col("", "b"), Number("2"))},
-		&DeleteStmt{Table: "t", Where: Eq(Col("", "a"), Number("1"))},
-		&DeclareStmt{Name: "@x", Type: "INT", Init: Number("0")},
-		&SetVarStmt{Name: "@x", Value: Number("1")},
-		&ExecStmt{Proc: "sp", Args: []Expr{Number("1")}},
-		&DropStmt{Kind: "TABLE", Name: "t"},
-		&WaitforStmt{Delay: "00:00:01"},
-	}
-	for _, s := range stmts {
-		before := Print(s)
-		c := CloneStmt(s)
-		if Print(c) != before {
-			t.Errorf("clone of %T prints differently: %q vs %q", s, Print(c), before)
-		}
-	}
-}
-
 func TestCloneNils(t *testing.T) {
-	if CloneStmt(nil) != nil {
-		t.Error("CloneStmt(nil) != nil")
-	}
 	if CloneExpr(nil) != nil {
 		t.Error("CloneExpr(nil) != nil")
 	}

@@ -2,64 +2,6 @@ package sqlast
 
 import "fmt"
 
-// CloneStmt returns a deep copy of the statement. Mutating the copy never
-// affects the original; the equivalence transformations rely on this.
-func CloneStmt(s Stmt) Stmt {
-	if s == nil {
-		return nil
-	}
-	switch t := s.(type) {
-	case *SelectStmt:
-		return CloneSelect(t)
-	case *CreateTableStmt:
-		c := &CreateTableStmt{Name: t.Name, AsSelect: CloneSelect(t.AsSelect)}
-		c.Cols = append([]ColumnDef(nil), t.Cols...)
-		return c
-	case *CreateViewStmt:
-		return &CreateViewStmt{Name: t.Name, Select: CloneSelect(t.Select)}
-	case *InsertStmt:
-		c := &InsertStmt{Table: t.Table, Select: CloneSelect(t.Select)}
-		c.Columns = append([]string(nil), t.Columns...)
-		for _, row := range t.Rows {
-			nr := make([]Expr, len(row))
-			for i, e := range row {
-				nr[i] = CloneExpr(e)
-			}
-			c.Rows = append(c.Rows, nr)
-		}
-		return c
-	case *UpdateStmt:
-		c := &UpdateStmt{Table: t.Table, Alias: t.Alias, Where: CloneExpr(t.Where)}
-		for _, a := range t.Set {
-			c.Set = append(c.Set, Assignment{Column: a.Column, Value: CloneExpr(a.Value)})
-		}
-		return c
-	case *DeleteStmt:
-		return &DeleteStmt{Table: t.Table, Where: CloneExpr(t.Where)}
-	case *DeclareStmt:
-		return &DeclareStmt{Name: t.Name, Type: t.Type, Init: CloneExpr(t.Init)}
-	case *SetVarStmt:
-		return &SetVarStmt{Name: t.Name, Value: CloneExpr(t.Value)}
-	case *ExecStmt:
-		c := &ExecStmt{Proc: t.Proc}
-		for _, a := range t.Args {
-			c.Args = append(c.Args, CloneExpr(a))
-		}
-		return c
-	case *DropStmt:
-		cp := *t
-		return &cp
-	case *WaitforStmt:
-		cp := *t
-		return &cp
-	case *TxnStmt:
-		cp := *t
-		return &cp
-	default:
-		panic(fmt.Sprintf("sqlast: cannot clone statement %T", s))
-	}
-}
-
 // CloneSelect deep-copies a SELECT statement; nil yields nil.
 func CloneSelect(s *SelectStmt) *SelectStmt {
 	if s == nil {

@@ -146,9 +146,6 @@ var keywords = map[string]bool{
 	"DELAY": true, "TRUE": true, "FALSE": true,
 }
 
-// IsKeyword reports whether the uppercase word is a reserved keyword.
-func IsKeyword(upper string) bool { return keywords[upper] }
-
 // maxKeywordLen bounds the stack buffer isKeywordWord uppercases into;
 // INTERSECT (9 bytes) is the longest current keyword. init asserts the
 // table fits so a future addition cannot silently stop matching.

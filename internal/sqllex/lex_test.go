@@ -241,10 +241,10 @@ func TestWordCountMatchesFields(t *testing.T) {
 }
 
 func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("SELECT") || !IsKeyword("WAITFOR") {
+	if !isKeywordWord("SELECT") || !isKeywordWord("waitfor") {
 		t.Error("expected SELECT and WAITFOR to be keywords")
 	}
-	if IsKeyword("COUNT") || IsKeyword("PLATE") {
+	if isKeywordWord("COUNT") || isKeywordWord("plate") {
 		t.Error("COUNT and PLATE must not be keywords")
 	}
 }

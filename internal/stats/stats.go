@@ -99,18 +99,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}

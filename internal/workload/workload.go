@@ -126,12 +126,6 @@ func (g *Gen) Predicate(qualifier string, col catalog.Column) sqlast.Expr {
 
 var textWords = []string{"GALAXY", "STAR", "QSO", "alpha", "beta", "north", "primary", "red"}
 
-// EqualityPredicate builds a highly selective equality on an int column,
-// which the cost model treats as cheap.
-func (g *Gen) EqualityPredicate(qualifier string, col catalog.Column) sqlast.Expr {
-	return sqlast.Eq(sqlast.Col(qualifier, col.Name), g.IntLit(1, 100000))
-}
-
 // WordCount reports the whitespace word count of a statement's printed form.
 func WordCount(stmt sqlast.Stmt) int {
 	return sqllex.WordCount(sqlast.Print(stmt))
@@ -176,52 +170,3 @@ func Bucket(v int, bounds []int) int {
 	}
 	return idx
 }
-
-// Quota tracks remaining per-class generation budgets.
-type Quota struct {
-	counts []int
-	total  int
-}
-
-// NewQuota returns a quota with the given per-class counts.
-func NewQuota(counts ...int) *Quota {
-	q := &Quota{counts: append([]int{}, counts...)}
-	for _, c := range counts {
-		q.total += c
-	}
-	return q
-}
-
-// Total returns the remaining total.
-func (q *Quota) Total() int { return q.total }
-
-// Take draws one unit from class i; it returns false when exhausted.
-func (q *Quota) Take(i int) bool {
-	if i < 0 || i >= len(q.counts) || q.counts[i] == 0 {
-		return false
-	}
-	q.counts[i]--
-	q.total--
-	return true
-}
-
-// Draw removes and returns a class index with remaining budget, preferring
-// classes proportionally to their remaining counts (deterministic given g).
-func (q *Quota) Draw(g *Gen) int {
-	if q.total == 0 {
-		return -1
-	}
-	n := g.R.Intn(q.total)
-	for i, c := range q.counts {
-		if n < c {
-			q.counts[i]--
-			q.total--
-			return i
-		}
-		n -= c
-	}
-	return -1
-}
-
-// Remaining returns a copy of the per-class counts.
-func (q *Quota) Remaining() []int { return append([]int{}, q.counts...) }

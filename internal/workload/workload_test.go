@@ -7,38 +7,6 @@ import (
 	"repro/internal/sqlast"
 )
 
-func TestQuotaDrawExhausts(t *testing.T) {
-	g := NewGen(1)
-	q := NewQuota(3, 2, 5)
-	counts := make([]int, 3)
-	for q.Total() > 0 {
-		i := q.Draw(g)
-		if i < 0 {
-			t.Fatal("Draw returned -1 with budget remaining")
-		}
-		counts[i]++
-	}
-	if counts[0] != 3 || counts[1] != 2 || counts[2] != 5 {
-		t.Errorf("counts = %v", counts)
-	}
-	if q.Draw(g) != -1 {
-		t.Error("exhausted quota should return -1")
-	}
-}
-
-func TestQuotaTake(t *testing.T) {
-	q := NewQuota(1, 0)
-	if !q.Take(0) {
-		t.Error("Take(0) should succeed")
-	}
-	if q.Take(0) || q.Take(1) || q.Take(5) || q.Take(-1) {
-		t.Error("Take on empty/invalid class should fail")
-	}
-	if q.Total() != 0 {
-		t.Errorf("total = %d", q.Total())
-	}
-}
-
 func TestBucket(t *testing.T) {
 	bounds := []int{1, 30, 60, 90, 120}
 	cases := map[int]int{1: 0, 29: 0, 30: 1, 59: 1, 60: 2, 89: 2, 90: 3, 120: 4, 500: 4}

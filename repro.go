@@ -54,14 +54,10 @@ func Complete(ctx context.Context, c Client, prompt string) (string, error) {
 	return llm.Complete(ctx, c, prompt)
 }
 
-// Result types for the built-in task families.
+// Result types of the typed task runners.
 type (
-	SyntaxResult  = core.SyntaxResult
-	TokenResult   = core.TokenResult
-	EquivResult   = core.EquivResult
-	PerfResult    = core.PerfResult
-	ExplainResult = core.ExplainResult
-	FillResult    = core.FillResult
+	SyntaxResult = core.SyntaxResult
+	PerfResult   = core.PerfResult
 )
 
 // Task is one type-erased entry of the core task registry: identity, skill
@@ -96,9 +92,8 @@ func NewSimRegistry(b *Benchmark) *Registry {
 	return sim.Registry(sim.NewKnowledge(b.SchemasByDataset()))
 }
 
-// The typed Run*Task helpers drive the registry entries through the one
-// generic core driver; RunTask is the type-erased form that works for any
-// registered task id.
+// The typed Run*Task runners return task-specific results; RunTask is the
+// type-erased form that works for any registered task id.
 
 // RunSyntaxTask runs the syntax_error task for one model over one dataset.
 func RunSyntaxTask(ctx context.Context, client Client, b *Benchmark, dataset string) ([]SyntaxResult, error) {
@@ -109,42 +104,9 @@ func RunSyntaxTask(ctx context.Context, client Client, b *Benchmark, dataset str
 	return core.Run(ctx, client, core.SyntaxTask, ds)
 }
 
-// RunTokenTask runs the miss_token task for one model over one dataset.
-func RunTokenTask(ctx context.Context, client Client, b *Benchmark, dataset string) ([]TokenResult, error) {
-	ds, ok := b.Tokens[dataset]
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-	return core.Run(ctx, client, core.TokensTask, ds)
-}
-
-// RunEquivTask runs the query_equiv task for one model over one dataset.
-func RunEquivTask(ctx context.Context, client Client, b *Benchmark, dataset string) ([]EquivResult, error) {
-	ds, ok := b.Equiv[dataset]
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-	return core.Run(ctx, client, core.EquivTask, ds)
-}
-
 // RunPerfTask runs performance_pred (SDSS) for one model.
 func RunPerfTask(ctx context.Context, client Client, b *Benchmark) ([]PerfResult, error) {
 	return core.Run(ctx, client, core.PerfTask, b.Perf)
-}
-
-// RunExplainTask runs query_exp (Spider) for one model.
-func RunExplainTask(ctx context.Context, client Client, b *Benchmark) ([]ExplainResult, error) {
-	return core.Run(ctx, client, core.ExplainTask, b.Explain)
-}
-
-// RunFillTask runs the fill_token task for one model over one dataset.
-func RunFillTask(ctx context.Context, client Client, b *Benchmark, dataset string) ([]FillResult, error) {
-	task := core.FillTask
-	cell := task.Cell(b, dataset)
-	if len(cell) == 0 {
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-	return core.Run(ctx, client, task, cell)
 }
 
 // RunTask runs any registered task over one benchmark dataset cell by its
@@ -195,13 +157,14 @@ func ExperimentTitle(id string) (string, bool) {
 // or figure to w. The seed fixes the benchmark; equivalence pairs are
 // engine-verified.
 func RunExperiment(id string, w io.Writer, seed int64) error {
-	env, err := experiments.NewEnv(seed, true)
-	if err != nil {
-		return err
-	}
 	e, ok := experiments.ByID(id)
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (known: %v)", id, Experiments())
 	}
+	env, err := experiments.NewEnv(seed, true)
+	if err != nil {
+		return err
+	}
+	defer env.Close() // the Env holds no checkpoint stores, so Close has nothing to flush
 	return e.Run(env, w)
 }
