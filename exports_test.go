@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,7 @@ import (
 // exportAllowlist names the exported declarations kept with no in-repo
 // caller outside their own package's tests, each with the reason.
 var exportAllowlist = map[string]string{
+	"repro.Datasets":        "public facade: names the dataset arguments RunSyntaxTask and RunTask take",
 	"repro.ExperimentTitle": "public facade: lets a library user label an artifact id from Experiments",
 	"repro.RunExperiment":   "public facade: the library form of sqlbench -exp, shown in the package doc",
 }
@@ -39,10 +41,10 @@ type exportSource struct {
 
 // TestExportsHaveCallers keeps the export surface to what is used: every
 // exported function, and every exported method of an exported type, in a
-// non-main package must be named somewhere outside its declaration, in a
-// non-test file or in another directory's tests. A method whose name an
-// interface in the tree (or a standard one) declares is exempt. The walk
-// covers bench/ and examples/, so what they call counts as used.
+// non-main package must be used (see deadExports) in a non-test file or in
+// another directory's tests. A method whose name an interface in the tree
+// (or a standard one) declares is exempt. The walk covers bench/ and
+// examples/, so what they call counts as used.
 func TestExportsHaveCallers(t *testing.T) {
 	var srcs []exportSource
 	fset := token.NewFileSet()
@@ -90,20 +92,27 @@ func TestExportsHaveCallers(t *testing.T) {
 		}
 	}
 
-	// The check fires on a planted dead function and ignores the planted
+	// The check fires on planted dead functions and ignores the planted
 	// methods: Unwrap satisfies the errors package's unnamed interface,
-	// Emit the planted Sink.
+	// Emit the planted Sink. Complete is dead although another package's
+	// Complete is called; Inner is used bare inside its own package, Live
+	// through an aliased import.
 	planted := `package obs
 type Sink interface{ Emit() }
 type Err struct{ err error }
 func (e *Err) Unwrap() error { return e.err }
 func (e *Err) Emit() {}
 func Dead() {}
-func Live() {}
+func Complete() {}
+func Inner() {}
+func Live() { Inner() }
 `
 	user := `package main
-import "repro/internal/obs"
-func main() { obs.Live(); _ = &obs.Err{} }
+import (
+	"repro/internal/llm"
+	o "repro/internal/obs"
+)
+func main() { o.Live(); _ = &o.Err{}; llm.Complete() }
 `
 	var plantedSrcs []exportSource
 	for _, p := range []struct{ dir, src string }{{"internal/obs", planted}, {"cmd/x", user}} {
@@ -113,23 +122,54 @@ func main() { obs.Live(); _ = &obs.Err{} }
 		}
 		plantedSrcs = append(plantedSrcs, exportSource{p.dir, false, file})
 	}
-	if got := deadExports(plantedSrcs); strings.Join(got, " ") != "obs.Dead" {
-		t.Errorf("planted: deadExports = %q, want [obs.Dead]", got)
+	if got := deadExports(plantedSrcs); strings.Join(got, " ") != "obs.Complete obs.Dead" {
+		t.Errorf("planted: deadExports = %q, want [obs.Complete obs.Dead]", got)
 	}
 }
 
+// modulePath is the root module's path; the bench/ module's own path,
+// repro/bench, follows the same directory-to-path rule.
+const modulePath = "repro"
+
+// importPath returns the import path of the package in dir.
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + filepath.ToSlash(dir)
+}
+
 // deadExports returns, sorted as "pkg.Func" or "pkg.Type.Method", the
-// exported declarations of non-main packages whose name is used nowhere
-// outside its declaration except in tests of the declaring directory.
+// exported declarations of non-main packages that nothing outside their
+// declaring directory's tests uses. A package-level function is used by a
+// selector on an import of its own package's path, or by a bare use
+// anywhere in its package outside its declaration. Methods are called through values, which
+// the AST does not resolve, so a method counts as used when any
+// identifier elsewhere bears its name.
 func deadExports(srcs []exportSource) []string {
 	type use struct {
 		dir  string
 		test bool
 	}
-	uses := map[string][]use{}
+	methodUses := map[string][]use{} // method name -> every use of the name
+	funcUses := map[string][]use{}   // "path.Func" -> selector and bare uses
 	ifaceMethods := map[string]bool{}
 	for _, s := range srcs {
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range s.file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		self := importPath(s.dir)
+		if strings.HasSuffix(s.file.Name.Name, "_test") {
+			self = "" // an external test package uses its package by import
+		}
 		declared := map[*ast.Ident]bool{}
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(s.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -144,9 +184,20 @@ func deadExports(srcs []exportSource) []string {
 						ifaceMethods[id.Name] = true
 					}
 				}
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					key := imports[x.Name] + "." + n.Sel.Name
+					funcUses[key] = append(funcUses[key], use{s.dir, s.test})
+				}
 			case *ast.Ident:
-				if !declared[n] && n.IsExported() {
-					uses[n.Name] = append(uses[n.Name], use{s.dir, s.test})
+				if declared[n] || !n.IsExported() {
+					break
+				}
+				methodUses[n.Name] = append(methodUses[n.Name], use{s.dir, s.test})
+				if !selected[n] && self != "" {
+					key := self + "." + n.Name
+					funcUses[key] = append(funcUses[key], use{s.dir, s.test})
 				}
 			}
 			return true
@@ -164,15 +215,17 @@ func deadExports(srcs []exportSource) []string {
 				continue
 			}
 			name := pkg + "." + fn.Name.Name
+			uses := funcUses[importPath(s.dir)+"."+fn.Name.Name]
 			if fn.Recv != nil {
 				recv := receiverType(fn.Recv.List[0].Type)
 				if !ast.IsExported(recv) || ifaceMethods[fn.Name.Name] || interfaceMethods[fn.Name.Name] {
 					continue
 				}
 				name = pkg + "." + recv + "." + fn.Name.Name
+				uses = methodUses[fn.Name.Name]
 			}
 			used := false
-			for _, u := range uses[fn.Name.Name] {
+			for _, u := range uses {
 				if !u.test || u.dir != s.dir {
 					used = true
 					break

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -492,11 +491,4 @@ func All() []Experiment {
 func ByID(id string) (Experiment, bool) {
 	e, ok := registry[id]
 	return e, ok
-}
-
-// IDs returns all experiment IDs, sorted.
-func IDs() []string {
-	out := append([]string{}, registryOrder...)
-	sort.Strings(out)
-	return out
 }

@@ -110,6 +110,98 @@ var simResponsesGolden = map[string]string{
 	"tokens/SQLShare/MistralAI":   "65db6c1472a7136df08a456df2e06df9e1768d73c2be660d8142f8e44f1ad10e",
 }
 
+// simResponseMetaGolden pins, for the same cells as simResponsesGolden, the
+// SHA-256 of each cell×model's responseMeta lines. They were captured with
+// the hash channels computed through hash/fnv, which the models' inline
+// FNV-1a loop must reproduce bit for bit.
+var simResponseMetaGolden = map[string]string{
+	"equiv/Join-Order/GPT3.5":     "d6bc9cfd60c57eb9395530ece5da60cd16bd52cb15e34ccec545fc390b9a4132",
+	"equiv/Join-Order/GPT4":       "c753d27229e07b558bb603058314d203aef1d09361ad1d16be54937c9c96eab1",
+	"equiv/Join-Order/Gemini":     "0099e3a9b5527e1d9cb5874e7b4c2ba709bdfb23c8b0eedec70748a73390e74b",
+	"equiv/Join-Order/Llama3":     "f36e84d7aad446ea9021bc313c3e2f2f41bd2bfbc6c63de906757148e350ce04",
+	"equiv/Join-Order/MistralAI":  "a233161bcf8fcf6a056cf09b670b0c91d123c0c710d58cdfe475238d14f631ea",
+	"equiv/SDSS/GPT3.5":           "3fa86667ac77f02b421fca61ef61261ac134a9581890b1236857ece7e794b0a2",
+	"equiv/SDSS/GPT4":             "ea787feed58616e52604e5302ab56ec82a5bc221734cd57a8baa7a7d5a5b5d95",
+	"equiv/SDSS/Gemini":           "433091600e93630fcfd669e504a839417e4d0a16e615bea5b6ee88cda21e61a0",
+	"equiv/SDSS/Llama3":           "0ca7384dbcf67ef06a4884bf92ac2673856c9b5f436c953a87b474d5013b0c07",
+	"equiv/SDSS/MistralAI":        "0920e1b4324c4e792ffeda127ee1e068e5fcd62b9eeded8292e50eddb0e0fff7",
+	"equiv/SQLShare/GPT3.5":       "c11f0189daffeaae4fa71cdc5d317a3a4aaeeb4017a556d540ec75329309aa70",
+	"equiv/SQLShare/GPT4":         "c408e94829ea85ca8778e34e9e752b8fe656607696c234f0dc30d43ac9fa1637",
+	"equiv/SQLShare/Gemini":       "efad224de092873bc7b1087b4fc537b6737e75f2a970e2b139c744300314eb6d",
+	"equiv/SQLShare/Llama3":       "8b02615e09cd0b72344e6579e20deed1e8ba801b5568caff168f3c46c6b92600",
+	"equiv/SQLShare/MistralAI":    "9aa87dab6050dd32c5eafea0f43558f4c3d43ab8dd4d570c172992f19c0fc98d",
+	"explain/Spider/GPT3.5":       "e23eebbcda18e2f94fff33b456af7cfb8575a9598093b62b860aa278cdc9ae17",
+	"explain/Spider/GPT4":         "74dafe0ee0ba613431a6cb8d7dcb5640631da9c0a2900fe756543cab3dc706a2",
+	"explain/Spider/Gemini":       "9df6a2f94d58a45e934d4fcfa363eeb790af7442af3e448ee2dcfd4b92905390",
+	"explain/Spider/Llama3":       "cd2137c082901af0d94d96c3baf3af0b39d1e8a24c06bc05ad67723fb93cf326",
+	"explain/Spider/MistralAI":    "5fea33bff5db2b4e1469acb3f64a9813e4e564eedfaf51e5d7c096f43ed14b26",
+	"fill/Join-Order/GPT3.5":      "cfaa59d9d7c3fd87bf5e5739522c78409f4b491b4065a2ccba80f7d1ee1ab682",
+	"fill/Join-Order/GPT4":        "f06183d90804bf7b1c417339ffe497de704fc074d77c1f45e2a1007cb76e002a",
+	"fill/Join-Order/Gemini":      "f54332075b8bfdd387f3562fd063210dc6bf5a750680909b16246ab6ddd2d4aa",
+	"fill/Join-Order/Llama3":      "93f3a765b3f0724e62a83b4a5ed3e76761cd50044c08f70f988cbed4164f619c",
+	"fill/Join-Order/MistralAI":   "2388ed47596cbaeb926127723038604cff9b471d888fbfd2a11326569fefaa56",
+	"fill/SDSS/GPT3.5":            "5a8e3d13e3e25fb7f23ddb9975629d97210daf449260eb736c020d488a76a9ca",
+	"fill/SDSS/GPT4":              "d48aceec88891842a6863f199eaed036ed56a488b3d1fe089df50e3e6c4729aa",
+	"fill/SDSS/Gemini":            "1e8ae914351b44ee0424e9824f9e698d468b24ca5a4010085cabf5baa7cbfb9c",
+	"fill/SDSS/Llama3":            "bc6cd7897533bf3602ce14b2fd0c033863147ca4714a217824bffc2fad16d639",
+	"fill/SDSS/MistralAI":         "8db2737362cf65a08bbd12e393c164fd9f940b5135b75010dd8daf1f1f6aaaea",
+	"fill/SQLShare/GPT3.5":        "835ba7e2413606c79662a51e3c69f98a42e81c7c594f02c55772fb81585e1f01",
+	"fill/SQLShare/GPT4":          "fbf73aab4cd4601d35aea61d64e66f2565073de52326c6bc6274d7678b242b62",
+	"fill/SQLShare/Gemini":        "ee315e8c9c9f824555a87df83c7cd12ad7c98b29f77d118ce32dac771ec38bef",
+	"fill/SQLShare/Llama3":        "467feb5d5870b205da1a723a69ca642481c06eea44bd1d0b9384cc9512170f89",
+	"fill/SQLShare/MistralAI":     "d0649091e5a1c31fee3422a1688b69e56d28fbff355487a361fdd8063ef810a4",
+	"perf/SDSS/GPT3.5":            "5d08e3374f5f99b4dad7d08983e7e50d3084f43cf9ca4dabbbc7ac91e22a906a",
+	"perf/SDSS/GPT4":              "0774c1e4dea9923e41b551ed9911df06491556eae11c0ed39aa85316b21244b1",
+	"perf/SDSS/Gemini":            "2116d2411d09398a55c6d30aae984a34b8d617e2171800a3268f153b13ef8c2d",
+	"perf/SDSS/Llama3":            "718c65fa45e13c76ee36b034e872790ee9900d5442bdfecdad8a993fa3d1c27c",
+	"perf/SDSS/MistralAI":         "f798bbb1dae46885813b52731ee59914a76aefffe2f5c606f6633b110897ffb2",
+	"state/Join-Order/GPT3.5":     "6487a23d0e385fd94ab600a6336a8709a219b4cdffb4332d023577c9b2fffed5",
+	"state/Join-Order/GPT4":       "d0b377a663fac6c7df3d7f11a3fb05c9a2704602e70a24b0b925abb09d5bbe4d",
+	"state/Join-Order/Gemini":     "63b38ba22e7e368084a1affd3d567287c599425b39031e236ebe0cac88f74756",
+	"state/Join-Order/Llama3":     "09750d7f42451e979eadef91fd478278ec06fe6c89310b8a82ae20482d8da0d5",
+	"state/Join-Order/MistralAI":  "5fbb6e5608aa791e796e7513709efa93b6698354ad1512a1f394439fd76053d6",
+	"state/SDSS/GPT3.5":           "55cf75dc584e790fd44d174283c94b0d8e27932b226c550e1f5430f251ee6543",
+	"state/SDSS/GPT4":             "f688ef67795d0615a0b576cae0bb35926985f462e69023cc4eb9edf5f39a7250",
+	"state/SDSS/Gemini":           "d7acd545d5d94c7608760d4c32900b0565ad73c029cfa221c0264a778157e5ae",
+	"state/SDSS/Llama3":           "0d020fbe94cad43f08ee46574431c465996e4f00f9676c2b4ae843d2ee1b0c1c",
+	"state/SDSS/MistralAI":        "80ae4a4ac292d413bd28e25b90111de6bdb301ca8f149ae90429a70e9da65de4",
+	"state/SQLShare/GPT3.5":       "aefa49c18c3f9f2a0aae711285413e4545d1c61eb1b1f7e03d653c1fb59f2cd2",
+	"state/SQLShare/GPT4":         "3c4dad77a76cc66fe65f3422f01cf1a5e8cdb4b354e90587590db8af7c952efc",
+	"state/SQLShare/Gemini":       "2b0c55c4584f3f37e910b0e0aae568038ab2c7f1823398e9efa30f6d01868541",
+	"state/SQLShare/Llama3":       "247ac537f85da5a5f4496b1b16b71fa57b283e1244c121151d3782077288af59",
+	"state/SQLShare/MistralAI":    "1734cf1049f5ca1e74a0af3cd26fd2d1c97e147fa2d95c5b8775a7a259d06d9b",
+	"syntax/Join-Order/GPT3.5":    "556ae3bb9bdbf93a86938a0eaf50a2a599ea02499c7ce12db44bf8678da6cdf0",
+	"syntax/Join-Order/GPT4":      "d3ba45b5863b5e853b3c80e662620e009f1529c6046db0d143ba2cc2616b1e7c",
+	"syntax/Join-Order/Gemini":    "6d72008856e70ba5d4a7b2c21b0afd32527d316184d5b8476a036e394c747e7a",
+	"syntax/Join-Order/Llama3":    "bc88b1edfe34a92a47fd1e2cd44f8ab4a47e54a95085a0d8ee10aaf1964d8aed",
+	"syntax/Join-Order/MistralAI": "4e92ee4e669295cc237f6184b908f5a2fc910cb7269a4e36fa6e7ce5db66b69d",
+	"syntax/SDSS/GPT3.5":          "0ad1aa4c1c1e46d3e48414390ab5f853a3b2b7ac66e28e2b3ef33ac3e65dd6f5",
+	"syntax/SDSS/GPT4":            "818e590a807dfc5fb0a965dda2bb54cde6d63b4c65be7aac6156ea5da80bd9df",
+	"syntax/SDSS/Gemini":          "682eb2f5eb3e1b6b4deecc89c421ccb8e7d7b2e66535fd868e34c7a050edfa48",
+	"syntax/SDSS/Llama3":          "9917c401850c24ef26eb935834451545eb4dee0a92e06e8079f87f0f80e55366",
+	"syntax/SDSS/MistralAI":       "6537b6beadd37e17f39a985f6bda9b79d73eb25f820a107113ce1cde9b0dcc0b",
+	"syntax/SQLShare/GPT3.5":      "357619b5eb3ee13bf1136c4170ec82e4c451fd1434ff8f145f3c60c9d760890f",
+	"syntax/SQLShare/GPT4":        "2b10be34cba628e623e13715b81eb8d0e64e6193cff67467677f285999323d34",
+	"syntax/SQLShare/Gemini":      "d751f41f5e1107803bb043e46f6412803d4dbbc2634fa06ce0bc2a70d2f80b00",
+	"syntax/SQLShare/Llama3":      "7197f1b7fa53bc6a294139095aca20424bd19fc8ec7b643cc18ddb222b09251a",
+	"syntax/SQLShare/MistralAI":   "c8823d6f1b535c262f6c521ef9e952e8402a7e053fedb690ebbd730953d998b8",
+	"tokens/Join-Order/GPT3.5":    "432bbca95b33e3a3af24d78a74eccbfbdeb3e73959c6f3a4e0077b61dc8f721c",
+	"tokens/Join-Order/GPT4":      "a96576770f1c733a19adf7522b3c158efce13c34b1b083ca28271190c7dbe6c5",
+	"tokens/Join-Order/Gemini":    "ab906005a6414183afbbba704f20e98b512d813f990e5d8cccfb46e518117617",
+	"tokens/Join-Order/Llama3":    "309f6f0a72b5a05d698e5f07abb1e5282230a48c4d3574bb98cbe48df198bb81",
+	"tokens/Join-Order/MistralAI": "35bc86b71a699dba22b0791555cfc3e2eba38ea44a5b5f782f8f03915965a0aa",
+	"tokens/SDSS/GPT3.5":          "d7e0f0459b5fe2181f927dd990e2947055b3f7ea47bf24f0470d7ef376961b54",
+	"tokens/SDSS/GPT4":            "9e69ab45ffb608ea1d724922b335f6a5f4d7ab1d2ac1ed86ff315e32f20523e5",
+	"tokens/SDSS/Gemini":          "91118b8e94bf4eb7ca8287e0ffdfa6eeab7be630d4c4eeaf88ac7c5163a84ee2",
+	"tokens/SDSS/Llama3":          "fc197d5214e1846e70775166cc8cc6ec08d4870fd8cdd7b5b6db15e5bc66ca78",
+	"tokens/SDSS/MistralAI":       "45ac01582e9f761672069bc19aeb8d120bfd69af6c7bae017e83c9d14b2b7510",
+	"tokens/SQLShare/GPT3.5":      "b498584a59d7b13ad4339cce980188d93ff3e8e4345ad2220fced2dba0bf3863",
+	"tokens/SQLShare/GPT4":        "850ffae5ec2f53894465ddfe2ff37554edb39f7445760b4d424e1b0ccc568887",
+	"tokens/SQLShare/Gemini":      "de95683c5c899186e37bb63aa073bf45ff3dac98258a4a06f3c78eff2269bf84",
+	"tokens/SQLShare/Llama3":      "f49be463552ea332f560d92aba6d170f36f9986590ce07884ffb90fab2e7e6ac",
+	"tokens/SQLShare/MistralAI":   "3b2868a7d7f0cf3cd62b2f63689ddb469fe73f6934f67829dc5c5a60d3a61bac",
+}
+
 // experimentsGolden pins the rendered output of every registered experiment
 // for seeds 1 and 2 (verified build, as sqlbench runs it).
 var experimentsGolden = map[int64]map[string]string{
@@ -163,27 +255,42 @@ var experimentsGolden = map[int64]map[string]string{
 	},
 }
 
-// recordingClient forwards to a model and keeps every response text in call
-// order; the cells run at parallelism 1, so call order is example order.
+// recordingClient forwards to a model and keeps every response, rendered by
+// line, in call order; the cells run at parallelism 1, so call order is
+// example order.
 type recordingClient struct {
 	llm.Client
+	line  func(llm.Response) string
 	mu    sync.Mutex
-	texts []string
+	lines []string
 }
 
 func (c *recordingClient) Do(ctx context.Context, req llm.Request) (llm.Response, error) {
 	resp, err := c.Client.Do(ctx, req)
 	if err == nil {
 		c.mu.Lock()
-		c.texts = append(c.texts, resp.Text)
+		c.lines = append(c.lines, c.line(resp))
 		c.mu.Unlock()
 	}
 	return resp, err
 }
 
 // simResponseDigests runs every registered task cell through each fresh
-// simulated model and hashes the responses per cell×model.
+// simulated model and hashes the response texts per cell×model.
 func simResponseDigests(t *testing.T, bench *core.Benchmark) map[string]string {
+	t.Helper()
+	return simDigests(t, bench, func(r llm.Response) string { return r.Text })
+}
+
+// responseMeta renders what a response reports besides its text: token
+// usage, simulated latency in nanoseconds, and the finish reason.
+func responseMeta(r llm.Response) string {
+	return fmt.Sprintf("%d %d %d %s", r.Usage.PromptTokens, r.Usage.CompletionTokens, r.Latency.Nanoseconds(), r.FinishReason)
+}
+
+// simDigests runs every registered task cell through each fresh simulated
+// model and hashes line(response) per cell×model.
+func simDigests(t *testing.T, bench *core.Benchmark, line func(llm.Response) string) map[string]string {
 	t.Helper()
 	k := sim.NewKnowledge(bench.SchemasByDataset())
 	ctx := runner.WithParallelism(context.Background(), 1)
@@ -199,14 +306,14 @@ func simResponseDigests(t *testing.T, bench *core.Benchmark) map[string]string {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec := &recordingClient{Client: m}
+				rec := &recordingClient{Client: m, line: line}
 				if err := task.RunStreamOpts(ctx, rec, examples, core.RunOpts{}, func(int, any, error) error { return nil }); err != nil {
 					t.Fatalf("%s/%s/%s: %v", task.ID(), ds, name, err)
 				}
-				if len(rec.texts) != len(examples) {
-					t.Fatalf("%s/%s/%s: %d responses for %d examples", task.ID(), ds, name, len(rec.texts), len(examples))
+				if len(rec.lines) != len(examples) {
+					t.Fatalf("%s/%s/%s: %d responses for %d examples", task.ID(), ds, name, len(rec.lines), len(examples))
 				}
-				sum := sha256.Sum256([]byte(strings.Join(rec.texts, "\n")))
+				sum := sha256.Sum256([]byte(strings.Join(rec.lines, "\n")))
 				out[task.ID()+"/"+ds+"/"+name] = hex.EncodeToString(sum[:])
 			}
 		}
@@ -248,6 +355,22 @@ func TestSimResponsesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "sim responses", simResponseDigests(t, bench), simResponsesGolden)
+}
+
+// TestSimResponseMetaGolden pins, per cell×model, the SHA-256 of each
+// response's usage, simulated latency and finish reason (responseMeta, one
+// line per example). The latency comes from the models' hash channels, so
+// this pins those channels' exact values, which the response texts alone
+// only sample.
+func TestSimResponseMetaGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a verified environment and runs every cell")
+	}
+	bench, err := core.Build(core.BuildConfig{Seed: 1, VerifyEquivalences: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "sim response meta", simDigests(t, bench, responseMeta), simResponseMetaGolden)
 }
 
 func TestExperimentsGolden(t *testing.T) {

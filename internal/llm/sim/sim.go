@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"time"
@@ -104,6 +103,7 @@ type Model struct {
 	name      string
 	profile   Profile
 	knowledge *Knowledge
+	style     styleSet // the name's phrasing from styles
 }
 
 // New returns the named simulated model over the knowledge context.
@@ -112,13 +112,13 @@ func New(name string, k *Knowledge) (*Model, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: %w: %q", llm.ErrUnknownModel, name)
 	}
-	return &Model{name: name, profile: p, knowledge: k}, nil
+	return NewWithProfile(name, p, k), nil
 }
 
 // NewWithProfile returns a model with a custom calibration; the ablation
 // benchmarks use it to switch individual channel features off.
 func NewWithProfile(name string, p Profile, k *Knowledge) *Model {
-	return &Model{name: name, profile: p, knowledge: k}
+	return &Model{name: name, profile: p, knowledge: k, style: styles[name]}
 }
 
 // Registry returns all five paper models registered over shared knowledge.
@@ -218,26 +218,22 @@ func (m *Model) simLatency(promptText string, completionTokens int) time.Duratio
 
 // answer renders the model's response text for a prompt.
 func (m *Model) answer(promptText string) string {
-	// Task detection and prompt quality both match lowercase wording of the
-	// instruction; the query after it never takes part. Lower it once for
-	// both.
-	lower := strings.ToLower(prompt.Instruction(promptText))
-	task, ok := prompt.DetectTaskLower(lower)
-	if !ok {
-		return m.style().unsure
+	r := readInstruction(prompt.Instruction(promptText))
+	if !r.ok {
+		return m.style.unsure
 	}
-	quality := promptQuality(lower)
+	task, quality := r.task, r.quality
 	switch task {
 	case prompt.QueryEquiv:
 		q1, q2, ok := prompt.ExtractQueryPair(promptText)
 		if !ok {
-			return m.style().unsure
+			return m.style.unsure
 		}
 		return m.answerEquiv(q1, q2, quality)
 	default:
 		q, ok := prompt.ExtractQuery(promptText)
 		if !ok {
-			return m.style().unsure
+			return m.style.unsure
 		}
 		switch task {
 		case prompt.SyntaxError:
@@ -254,7 +250,50 @@ func (m *Model) answer(promptText string) string {
 			return m.answerState(q, quality)
 		}
 	}
-	return m.style().unsure
+	return m.style.unsure
+}
+
+// instructionRead is what answer reads of an instruction: the task it asks
+// for (ok is false when it names none) and its prompt quality.
+type instructionRead struct {
+	task    prompt.Task
+	quality float64
+	ok      bool
+}
+
+// templateReads maps every prompt.Variants text to lowerInstruction's read
+// of it, so the protocol's fixed prompts are read once, at package init,
+// instead of on every call. It is never written after init.
+var templateReads = func() map[string]instructionRead {
+	reads := map[string]instructionRead{}
+	for _, task := range prompt.Tasks {
+		for _, t := range prompt.Variants(task) {
+			reads[t.Text] = lowerInstruction(t.Text)
+		}
+	}
+	return reads
+}()
+
+// readInstruction reads a prompt's instruction (see prompt.Instruction):
+// from templateReads when it is a template's text, and through
+// lowerInstruction otherwise (few-shot preambles, custom prompts).
+func readInstruction(instr string) instructionRead {
+	if r, ok := templateReads[instr]; ok {
+		return r
+	}
+	return lowerInstruction(instr)
+}
+
+// lowerInstruction reads an instruction the long way. Task detection and
+// prompt quality both match lowercase wording of the instruction; the
+// query after it never takes part. It is lowered once for both.
+func lowerInstruction(instr string) instructionRead {
+	lower := strings.ToLower(instr)
+	task, ok := prompt.DetectTaskLower(lower)
+	if !ok {
+		return instructionRead{}
+	}
+	return instructionRead{task: task, quality: promptQuality(lower), ok: true}
 }
 
 // promptQuality returns an error-rate multiplier reflecting how much
@@ -291,15 +330,30 @@ func promptQuality(lower string) float64 {
 // ---------------------------------------------------------------------------
 // Channel primitives
 
-// unit hashes the parts into a deterministic uniform [0,1).
+// The 64-bit FNV-1a parameters, as hash/fnv defines them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// unit hashes the model name and the parts, NUL-joined, with 64-bit FNV-1a
+// (the values of hash/fnv's New64a) into a deterministic uniform [0,1).
 func (m *Model) unit(parts ...string) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(m.name))
+	h := fnvString(fnvOffset64, m.name)
 	for _, p := range parts {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
+		h *= fnvPrime64 // the NUL separator: h ^= 0, then multiply
+		h = fnvString(h, p)
 	}
-	return float64(h.Sum64()%(1<<53)) / float64(uint64(1)<<53)
+	return float64(h%(1<<53)) / float64(uint64(1)<<53)
+}
+
+// fnvString continues an FNV-1a hash h over the bytes of s.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // gauss produces a deterministic standard normal via Box-Muller.
@@ -353,7 +407,7 @@ func (m *Model) answerSyntax(sql string, quality float64) string {
 		target = m.profile.SyntaxError[dsSDSS]
 	}
 	z := zWords(dataset, f.words)
-	st := m.style()
+	st := &m.style
 
 	if f.hasError {
 		primary := f.primary
@@ -393,7 +447,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 		target = m.profile.MissToken[dsSDSS]
 	}
 	z := zWords(dataset, words)
-	st := m.style()
+	st := &m.style
 
 	if det.Found {
 		weight := tokenKindWeight[dataset][det.Kind]
@@ -440,7 +494,7 @@ func (m *Model) answerFill(sql string, quality float64) string {
 		target = m.profile.MissToken[dsSDSS]
 	}
 	z := zWords(dataset, f.words)
-	st := m.style()
+	st := &m.style
 
 	if det.Found {
 		miss := m.tilt(target.missRate()*quality, z)
@@ -521,7 +575,7 @@ func (m *Model) answerPerf(sql string) string {
 	}
 	big := float64(f.big)
 	score := m.profile.PerfBigWeight*big + z + 0.25*colZ + m.profile.PerfNoise*m.gauss("perf", sql)
-	st := m.style()
+	st := &m.style
 	if score > m.profile.PerfThreshold {
 		return st.slow
 	}
@@ -556,7 +610,7 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 	if target.Prec == 0 {
 		target = m.profile.QueryEquiv[dsSDSS]
 	}
-	st := m.style()
+	st := &m.style
 	if !f.ok {
 		return st.notEquivalent
 	}
@@ -601,7 +655,7 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 func (m *Model) answerExplain(sql string) string {
 	f := m.knowledge.explainFacts(sql)
 	if !f.ok {
-		return m.style().unsure
+		return m.style.unsure
 	}
 	facts := f.facts
 	skill := m.profile.ExplainSkill
@@ -613,7 +667,7 @@ func (m *Model) answerExplain(sql string) string {
 	if skill < 0.8 {
 		opt.MaxFilters = 1
 	}
-	return m.style().explainPrefix + nlgen.Render(facts, opt)
+	return m.style.explainPrefix + nlgen.Render(facts, opt)
 }
 
 // ---------------------------------------------------------------------------
@@ -628,9 +682,9 @@ func (m *Model) answerExplain(sql string) string {
 func (m *Model) answerState(script string, quality float64) string {
 	stmts, err := sqlparse.ParseAll(script)
 	if err != nil {
-		return m.style().unsure
+		return m.style.unsure
 	}
-	st := m.style()
+	st := &m.style
 	errRate := (1 - m.profile.StateSkill) * quality
 	if errRate > 0.95 {
 		errRate = 0.95
@@ -828,5 +882,3 @@ var styles = map[string]styleSet{
 		stateDouble:     true,
 	},
 }
-
-func (m *Model) style() styleSet { return styles[m.name] }

@@ -35,9 +35,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
-
 // event is one recorded point-in-time occurrence inside a span.
 type event struct {
 	name  string

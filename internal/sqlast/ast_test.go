@@ -174,21 +174,6 @@ func TestWalkStopsDescent(t *testing.T) {
 	}
 }
 
-func TestSubqueries(t *testing.T) {
-	inner := &SelectStmt{Items: []SelectItem{{Expr: Col("", "b")}}}
-	s := &SelectStmt{
-		With:  []CTE{{Name: "c", Select: &SelectStmt{Items: []SelectItem{{Expr: Number("1")}}}}},
-		Items: []SelectItem{{Expr: &Subquery{Select: inner}}},
-		From:  []TableRef{&TableName{Name: "t"}},
-		Where: &Exists{Sub: &SelectStmt{Items: []SelectItem{{Expr: Number("1")}}}},
-		SetOp: &SetOp{Op: "UNION", Right: &SelectStmt{Items: []SelectItem{{Expr: Col("", "z")}}}},
-	}
-	subs := Subqueries(s)
-	if len(subs) != 4 {
-		t.Errorf("Subqueries = %d, want 4 (cte, scalar, exists, union right)", len(subs))
-	}
-}
-
 func TestCloneNils(t *testing.T) {
 	if CloneExpr(nil) != nil {
 		t.Error("CloneExpr(nil) != nil")

@@ -110,32 +110,3 @@ func walkSelect(s *SelectStmt, v Visitor) {
 		Walk(s, v)
 	}
 }
-
-// Subqueries returns every nested SELECT inside the statement (not including
-// the statement itself when it is a SELECT), in visit order.
-func Subqueries(s Stmt) []*SelectStmt {
-	var subs []*SelectStmt
-	Walk(s, func(n Node) bool {
-		switch t := n.(type) {
-		case *Subquery:
-			subs = append(subs, t.Select)
-		case *SubqueryTable:
-			subs = append(subs, t.Select)
-		case *In:
-			if t.Sub != nil {
-				subs = append(subs, t.Sub)
-			}
-		case *Exists:
-			subs = append(subs, t.Sub)
-		case *SelectStmt:
-			for i := range t.With {
-				subs = append(subs, t.With[i].Select)
-			}
-			if t.SetOp != nil {
-				subs = append(subs, t.SetOp.Right)
-			}
-		}
-		return true
-	})
-	return subs
-}

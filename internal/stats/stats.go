@@ -87,15 +87,3 @@ func CorrMatrix(cols [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// Mean returns the sample mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -102,13 +102,3 @@ func TestCorrMatrix(t *testing.T) {
 		t.Error("matrix must be symmetric")
 	}
 }
-
-func TestMean(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("mean = %v", got)
-	}
-	if Mean(nil) != 0 {
-		t.Error("mean of no values should be 0")
-	}
-}

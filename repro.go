@@ -37,7 +37,7 @@ type Benchmark = core.Benchmark
 type Registry = llm.Registry
 
 // Client is the model abstraction: Name plus Do(ctx, Request) (Response,
-// error). Use Complete for the simple string-in/string-out form.
+// error).
 type Client = llm.Client
 
 // Request and Response are the structured completion types: messages plus
@@ -49,24 +49,11 @@ type (
 	Usage    = llm.Usage
 )
 
-// Complete asks a client for a plain-text completion of one prompt.
-func Complete(ctx context.Context, c Client, prompt string) (string, error) {
-	return llm.Complete(ctx, c, prompt)
-}
-
 // Result types of the typed task runners.
 type (
 	SyntaxResult = core.SyntaxResult
 	PerfResult   = core.PerfResult
 )
-
-// Task is one type-erased entry of the core task registry: identity, skill
-// tags, dataset topology, example codec, and the generic streaming driver.
-type Task = core.Task
-
-// Tasks returns every registered task in registration order (the paper's
-// five plus registered extensions like fill_token).
-func Tasks() []Task { return core.Tasks() }
 
 // TaskIDs lists the registered task ids in registration order.
 func TaskIDs() []string { return core.TaskIDs() }
