@@ -1,8 +1,10 @@
 package engine
 
-// Scalar expression evaluation: everything below the operator layer that
-// turns one AST expression plus a row context into a Value. Subqueries
-// re-enter the executor (exec.go) through execSelect.
+// Expression evaluation: everything below the operator layer that turns one
+// AST expression plus a row context into a Value. In an env that carries a
+// group, aggregate calls fold over it (agg.go); the env's own group counts,
+// never an outer one. Subqueries re-enter the executor (exec.go) through
+// execSelect.
 
 import (
 	"math"
@@ -46,6 +48,9 @@ func (e *Engine) evalExpr(x sqlast.Expr, ev *env) (Value, error) {
 			return v, nil
 		}
 	case *sqlast.FuncCall:
+		if ev.grouped && sqlast.IsAggregate(t.Name) {
+			return e.aggregate(t, ev)
+		}
 		return e.evalScalarFunc(t, ev)
 	case *sqlast.Subquery:
 		rel, err := e.execSelect(t.Select, ev, nil)

@@ -3,8 +3,8 @@ package engine
 // The executor: Engine holds the database and its limits, lowers each
 // SELECT into a cached logical plan (plan.go) rewritten by the optimizer
 // (optimize.go), instantiates the physical operator tree (operator.go and
-// op_*.go), and drains it into a materialized Relation. Scalar expression
-// evaluation lives in eval.go; grouped evaluation in agg.go.
+// op_*.go), and drains it into a materialized Relation. Expression
+// evaluation, grouped or not, lives in eval.go; aggregate folding in agg.go.
 
 import (
 	"context"
@@ -139,12 +139,18 @@ func (e *Engine) Explain(sel *sqlast.SelectStmt) (before, after string) {
 }
 
 // env is the row-evaluation context: the current relation and row, an
-// optional outer context for correlated subqueries, and visible CTEs.
+// optional outer context for correlated subqueries, and visible CTEs. In a
+// grouping context (grouped set) it also carries the current group's rows:
+// aggregates fold over them, and everything else evaluates on the group's
+// first row, which is nil for an empty global group.
 type env struct {
 	rel   *Relation
 	row   []Value
 	outer *env
 	ctes  map[string]*Relation
+
+	group   [][]Value
+	grouped bool
 }
 
 func (v *env) lookupCTE(name string) (*Relation, bool) {

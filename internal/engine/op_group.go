@@ -162,57 +162,27 @@ func groupKeyColumns(groupBy []sqlast.Expr, src *Relation) ([]int, bool) {
 	return idxs, true
 }
 
-// groupResult is one group's evaluated output: its projected row with
-// hidden order keys, or skip when HAVING rejected it, or the error its
-// evaluation hit.
-type groupResult struct {
-	skip bool
-	row  []Value
-	err  error
-}
-
 // evalGroups folds HAVING, the SELECT items, and the ORDER BY keys over
-// every group, in first-appearance order.
+// every group, in first-appearance order, through one grouped env. Every
+// group is evaluated even after an error; the first group's error wins.
 func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, error) {
-	scanEnv := o.oe.evalEnv(src.Cols)
-	evalOne := func(rows [][]Value) groupResult {
-		gctx := &groupEnv{engine: o.oe.e, rows: rows, scanEnv: scanEnv}
-		if o.node.Having != nil {
-			hv, err := gctx.eval(o.node.Having)
-			if err != nil {
-				return groupResult{err: err}
-			}
-			if !hv.Truthy() {
-				return groupResult{skip: true}
-			}
-		}
-		row := make([]Value, len(o.all))
-		for i, item := range o.node.Items {
-			v, err := gctx.eval(item.Expr)
-			if err != nil {
-				return groupResult{err: err}
-			}
-			row[i] = v
-		}
-		if err := o.groupOrderKeys(gctx, row); err != nil {
-			return groupResult{err: err}
-		}
-		return groupResult{row: row}
-	}
-
-	// Every group is evaluated even after an error; the first group's
-	// error wins.
+	ev := o.oe.evalEnv(src.Cols)
+	ev.grouped = true
 	out := make([][]Value, 0, len(groups))
 	var firstErr error
 	for _, rows := range groups {
-		r := evalOne(rows)
+		ev.group, ev.row = rows, nil
+		if len(rows) > 0 {
+			ev.row = rows[0]
+		}
+		row, err := o.evalGroup(ev)
 		switch {
-		case r.err != nil:
+		case err != nil:
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = err
 			}
-		case !r.skip:
-			out = append(out, r.row)
+		case row != nil:
+			out = append(out, row)
 		}
 	}
 	if firstErr != nil {
@@ -221,29 +191,28 @@ func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, erro
 	return out, nil
 }
 
-// groupOrderKeys evaluates the ORDER BY expressions for one output group
-// into the hidden tail of row. Aliases refer to projected values.
-func (o *groupOp) groupOrderKeys(gctx *groupEnv, row []Value) error {
-	nVis := len(o.cols)
-	for j, ob := range o.node.OrderBy {
-		if cr, ok := ob.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
-			found := false
-			for i, c := range o.cols {
-				if strings.EqualFold(c.Name, cr.Name) {
-					row[nVis+j] = row[i]
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
+// evalGroup evaluates the group ev carries into its projected row with
+// hidden order keys, or nil when HAVING rejects the group. ORDER BY aliases
+// refer to projected values.
+func (o *groupOp) evalGroup(ev *env) ([]Value, error) {
+	e := o.oe.e
+	if o.node.Having != nil {
+		hv, err := e.evalExpr(o.node.Having, ev)
+		if err != nil || !hv.Truthy() {
+			return nil, err
 		}
-		v, err := gctx.eval(ob.Expr)
-		if err != nil {
-			return err
-		}
-		row[nVis+j] = v
 	}
-	return nil
+	row := make([]Value, len(o.all))
+	for i, item := range o.node.Items {
+		v, err := e.evalExpr(item.Expr, ev)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	nVis := len(o.cols)
+	if err := e.orderKeys(o.node.OrderBy, ev, o.cols, row[:nVis], row[nVis:]); err != nil {
+		return nil, err
+	}
+	return row, nil
 }

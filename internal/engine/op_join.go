@@ -380,7 +380,7 @@ func (o *joinOp) open() error {
 	probeCols := o.left.columns()
 	li, ri, ok := equiJoinCols(o.node.On, &Relation{Cols: probeCols}, build)
 	if !ok {
-		left, err := drainOpened(o.left)
+		left, err := drain(o.left)
 		if err != nil {
 			return err
 		}
@@ -535,25 +535,4 @@ func (o *implicitJoinOp) open() error {
 	o.rel = joined
 	o.cursor = relCursor{rows: joined.Rows}
 	return nil
-}
-
-// drainOpened materializes the remaining output of an operator whose open
-// already ran (drainInput would open it a second time).
-func drainOpened(op operator) (*Relation, error) {
-	if m, ok := op.(interface{ materialized() *Relation }); ok {
-		if rel := m.materialized(); rel != nil {
-			return rel, nil
-		}
-	}
-	rel := &Relation{Cols: op.columns()}
-	for {
-		batch, err := op.next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return rel, nil
-		}
-		rel.Rows = append(rel.Rows, batch...)
-	}
 }

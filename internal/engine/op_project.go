@@ -134,9 +134,9 @@ func projectionHeader(items []sqlast.SelectItem, src *Relation) ([]Col, map[int]
 	return cols, starIdx, nil
 }
 
-// orderKeys evaluates ORDER BY expressions for one row into keys (caller-
-// allocated, len(order)). Projection aliases take precedence over source
-// columns.
+// orderKeys evaluates ORDER BY expressions for one row, or for the group
+// scanEnv carries, into keys (caller-allocated, len(order)). Projection
+// aliases take precedence over source columns.
 func (e *Engine) orderKeys(order []sqlast.OrderItem, scanEnv *env, outCols []Col, outRow []Value, keys []Value) error {
 	for j, ob := range order {
 		if cr, ok := ob.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {

@@ -58,12 +58,17 @@ func (oe *opEnv) evalEnv(cols []Col) *env {
 	return &env{rel: &Relation{Cols: cols}, outer: oe.outer, ctes: oe.ctes}
 }
 
-// drainInput opens op and materializes its whole output, reusing the
-// operator's own backing relation when it is already materialized.
+// drainInput opens op and materializes its whole output.
 func drainInput(op operator) (*Relation, error) {
 	if err := op.open(); err != nil {
 		return nil, err
 	}
+	return drain(op)
+}
+
+// drain materializes the remaining output of an opened operator, reusing
+// the operator's own backing relation when it is already materialized.
+func drain(op operator) (*Relation, error) {
 	if m, ok := op.(interface{ materialized() *Relation }); ok {
 		if rel := m.materialized(); rel != nil {
 			return rel, nil

@@ -168,7 +168,7 @@ var digestSink digest
 
 // TestCachedAnswerAllocs bounds the allocations of a warm answer (every
 // fact already cached) to what rendering its response text takes: none
-// for a fixed phrase, and the fmt.Sprintf result and its boxed argument
+// for a fixed phrase (the syntax and performance_pred answers), and the fmt.Sprintf result and its boxed argument
 // for an equiv answer naming the rewrite type.
 func TestCachedAnswerAllocs(t *testing.T) {
 	m, err := New("GPT4", knowledge())
@@ -184,6 +184,7 @@ func TestCachedAnswerAllocs(t *testing.T) {
 	}{
 		{"syntax", prompt.Default(prompt.SyntaxError).Render(sql1), 0},
 		{"equiv", prompt.Default(prompt.QueryEquiv).RenderPair(sql1, sql2), 2},
+		{"performance_pred", prompt.Default(prompt.PerfPred).Render(sql1), 0},
 	} {
 		answerSink = m.answer(c.prompt) // warm the fact caches
 		if n := testing.AllocsPerRun(50, func() { answerSink = m.answer(c.prompt) }); n > c.max {

@@ -338,13 +338,23 @@ const (
 
 // unit hashes the model name and the parts, NUL-joined, with 64-bit FNV-1a
 // (the values of hash/fnv's New64a) into a deterministic uniform [0,1).
-func (m *Model) unit(parts ...string) float64 {
+func (m *Model) unit(parts ...string) float64 { return unitOf(m.sum(parts)) }
+
+// sum is the FNV-1a hash of the model name and the parts, NUL-joined.
+func (m *Model) sum(parts []string) uint64 {
 	h := fnvString(fnvOffset64, m.name)
 	for _, p := range parts {
-		h *= fnvPrime64 // the NUL separator: h ^= 0, then multiply
-		h = fnvString(h, p)
+		h = fnvPart(h, p)
 	}
-	return float64(h%(1<<53)) / float64(uint64(1)<<53)
+	return h
+}
+
+// unitOf maps a hash to a uniform [0,1).
+func unitOf(h uint64) float64 { return float64(h%(1<<53)) / float64(uint64(1)<<53) }
+
+// fnvPart continues an FNV-1a hash h over a NUL separator and then s.
+func fnvPart(h uint64, s string) uint64 {
+	return fnvString(h*fnvPrime64, s) // the NUL: h ^= 0, then multiply
 }
 
 // fnvString continues an FNV-1a hash h over the bytes of s.
@@ -356,10 +366,13 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// gauss produces a deterministic standard normal via Box-Muller.
+// gauss produces a deterministic standard normal via Box-Muller. Its two
+// uniforms are unit(parts..., "g1") and unit(parts..., "g2"), finished from
+// one hash of the shared prefix.
 func (m *Model) gauss(parts ...string) float64 {
-	u1 := m.unit(append(parts, "g1")...)
-	u2 := m.unit(append(parts, "g2")...)
+	h := m.sum(parts)
+	u1 := unitOf(fnvPart(h, "g1"))
+	u2 := unitOf(fnvPart(h, "g2"))
 	if u1 < 1e-12 {
 		u1 = 1e-12
 	}
