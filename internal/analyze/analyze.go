@@ -329,7 +329,9 @@ func lexicalFallback(sql string) Properties {
 		WordCount: sqllex.WordCount(sql),
 		QueryType: "UNKNOWN",
 	}
-	toks, err := sqllex.LexWords(sql)
+	buf := sqllex.GetBuffer()
+	defer buf.Release()
+	toks, err := buf.LexWords(sql)
 	if err != nil || len(toks) == 0 {
 		return p
 	}

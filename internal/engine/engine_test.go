@@ -342,6 +342,34 @@ func TestInSubqueryAndList(t *testing.T) {
 	}
 }
 
+// TestInWithNulls pins SQL's three-valued IN: with no match, a NULL in the
+// list or subquery makes x IN (...) and x NOT IN (...) both NULL, which a
+// WHERE clause treats as false.
+func TestInWithNulls(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT name FROM emp WHERE salary NOT IN ( 80 , NULL )", nil},
+		{"SELECT name FROM emp WHERE salary IN ( 80 , NULL )", []string{"bob"}},
+		{"SELECT name FROM emp WHERE NOT ( salary IN ( 80 , NULL ) )", nil},
+		{"SELECT name FROM emp WHERE salary NOT IN ( 80 , 90 )", []string{"ann", "dan"}},
+		{"SELECT name FROM emp WHERE salary NOT IN ( SELECT salary FROM emp WHERE id > 3 )", nil},
+		{"SELECT name FROM emp WHERE salary IN ( SELECT salary FROM emp WHERE id > 3 )", []string{"dan"}},
+		{"SELECT name FROM emp WHERE salary NOT IN ( SELECT salary FROM emp WHERE id < 3 )", []string{"cat", "dan"}},
+		{"SELECT name FROM emp WHERE id NOT IN ( SELECT budget FROM dept WHERE budget < 0 )", []string{"ann", "bob", "cat", "dan", "eve"}},
+	} {
+		got := rowStrings(mustQuery(t, tc.sql))
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s = %v, want %v", tc.sql, got, tc.want)
+		}
+	}
+	rel := mustQuery(t, "SELECT 1 IN ( 2 , NULL ) , 1 NOT IN ( 2 , NULL ) , 1 IN ( 1 , NULL ) , 1 NOT IN ( 1 , NULL )")
+	if got := strings.Join(rowStrings(rel), ","); got != "NULL|NULL|true|false" {
+		t.Errorf("IN values = %s, want NULL|NULL|true|false", got)
+	}
+}
+
 func TestExistsCorrelated(t *testing.T) {
 	rel := mustQuery(t, "SELECT d.name FROM dept AS d WHERE EXISTS ( SELECT 1 FROM emp AS e WHERE e.dept = d.name )")
 	if len(rel.Rows) != 2 {
@@ -444,6 +472,31 @@ func TestScalarFunctions(t *testing.T) {
 	b := mustQuery(t, "SELECT fMagic( 1 , 2 )")
 	if a.Rows[0][0] != b.Rows[0][0] {
 		t.Error("unknown function not deterministic")
+	}
+}
+
+func TestRoundPlaces(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		want float64
+	}{
+		{"SELECT ROUND( 1.2345 , 2 )", 1.23},
+		{"SELECT ROUND( 1.2355 , 3 )", 1.236},
+		{"SELECT ROUND( 2.5 )", 3},
+		{"SELECT ROUND( 2.5 , 0 )", 3},
+		{"SELECT ROUND( 1234 , -1 )", 1230},
+		{"SELECT ROUND( 1250 , -2 )", 1300},
+		{"SELECT ROUND( -1234.5 , -2 )", -1200},
+		{"SELECT ROUND( 1.5 , 400 )", 1.5},
+		{"SELECT ROUND( 1.5 , -400 )", 0},
+	} {
+		v := mustQuery(t, tc.sql).Rows[0][0]
+		if v.Null || v.AsFloat() != tc.want {
+			t.Errorf("%s = %v, want %v", tc.sql, v, tc.want)
+		}
+	}
+	if v := mustQuery(t, "SELECT ROUND( 1.5 , NULL )").Rows[0][0]; !v.Null {
+		t.Errorf("ROUND( 1.5 , NULL ) = %v, want NULL", v)
 	}
 }
 

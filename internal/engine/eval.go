@@ -339,6 +339,10 @@ func likeMatch(s, pattern string) bool {
 	return pi == len(p)
 }
 
+// evalIn follows SQL's three-valued logic: x IN (...) is TRUE on a match,
+// NULL when there is none but the list or subquery holds a NULL (the NULL
+// might have been x), and FALSE otherwise; NOT IN negates that, NULL
+// staying NULL.
 func (e *Engine) evalIn(in *sqlast.In, ev *env) (Value, error) {
 	x, err := e.evalExpr(in.X, ev)
 	if err != nil {
@@ -347,7 +351,7 @@ func (e *Engine) evalIn(in *sqlast.In, ev *env) (Value, error) {
 	if x.Null {
 		return NullValue, nil
 	}
-	found := false
+	found, sawNull := false, false
 	if in.Sub != nil {
 		rel, err := e.execSelect(in.Sub, ev, nil)
 		if err != nil {
@@ -363,6 +367,7 @@ func (e *Engine) evalIn(in *sqlast.In, ev *env) (Value, error) {
 				found = true
 				break
 			}
+			sawNull = sawNull || row[0].Null
 		}
 		e.ops.Add(ops)
 	} else {
@@ -375,12 +380,13 @@ func (e *Engine) evalIn(in *sqlast.In, ev *env) (Value, error) {
 				found = true
 				break
 			}
+			sawNull = sawNull || v.Null
 		}
 	}
-	if in.Not {
-		found = !found
+	if !found && sawNull {
+		return NullValue, nil
 	}
-	return BoolVal(found), nil
+	return BoolVal(found != in.Not), nil
 }
 
 func (e *Engine) evalCase(c *sqlast.Case, ev *env) (Value, error) {
@@ -458,10 +464,28 @@ func (e *Engine) evalScalarFunc(fc *sqlast.FuncCall, ev *env) (Value, error) {
 		}
 		return FloatVal(math.Abs(args[0].AsFloat())), nil
 	case "ROUND":
-		if len(args) == 0 || args[0].Null {
+		if len(args) == 0 || args[0].Null || len(args) > 1 && args[1].Null {
 			return NullValue, nil
 		}
-		return FloatVal(math.Round(args[0].AsFloat())), nil
+		if len(args) == 1 {
+			return FloatVal(math.Round(args[0].AsFloat())), nil
+		}
+		// ROUND(x, d) keeps d decimal places; a negative d rounds to tens,
+		// hundreds and so on. Dividing by the power of ten, not multiplying
+		// by its inverse, keeps ROUND(1234, -1) at exactly 1230.
+		x, d := args[0].AsFloat(), math.Trunc(args[1].AsFloat())
+		if d >= 0 {
+			p := math.Pow(10, d)
+			if math.IsInf(x*p, 0) {
+				return FloatVal(x), nil // more places than a float holds
+			}
+			return FloatVal(math.Round(x*p) / p), nil
+		}
+		p := math.Pow(10, -d)
+		if math.IsInf(p, 0) {
+			return FloatVal(0), nil
+		}
+		return FloatVal(math.Round(x/p) * p), nil
 	case "FLOOR":
 		if err := need(1); err != nil {
 			return NullValue, err

@@ -206,6 +206,41 @@ func TestForceNestedLoopFallbackParity(t *testing.T) {
 	}
 }
 
+// TestInWithNullsParity runs IN and NOT IN over lists and subqueries that
+// hold NULL, where a row with no match is NULL rather than FALSE, through
+// every join flavor with and without a pushable conjunct beside them.
+func TestInWithNullsParity(t *testing.T) {
+	froms := []string{
+		"emp e, dept d",
+		"emp e JOIN dept d ON e.dept = d.name",
+		"emp e LEFT JOIN dept d ON e.dept = d.name",
+		"emp e RIGHT JOIN dept d ON e.dept = d.name",
+		"emp e FULL JOIN dept d ON e.dept = d.name",
+		"(SELECT id AS i, name AS n, dept AS dp, salary AS s FROM emp) e, dept d",
+	}
+	preds := []string{
+		"e.salary NOT IN (80, NULL)",
+		"e.salary IN (80, NULL)",
+		"e.id IN (1, NULL) OR d.budget > 600",
+		"NOT (d.budget IN (200, NULL))",
+		"d.budget NOT IN (1000, 500, 200)",
+		"e.salary NOT IN (SELECT x.salary FROM emp x WHERE x.id > 3)",
+		"e.salary IN (SELECT x.salary FROM emp x WHERE x.id > 3)",
+		"d.budget IN (SELECT x.salary * 10 FROM emp x)",
+		"d.budget NOT IN (SELECT x.salary * 10 FROM emp x WHERE x.salary IS NOT NULL)",
+		"e.s NOT IN (80, NULL)",
+	}
+	for _, from := range froms {
+		for _, pred := range preds {
+			for _, where := range []string{pred, "d.budget >= 500 AND " + pred, pred + " AND d.budget >= 500"} {
+				sql := "SELECT * FROM " + from + " WHERE " + where
+				on, off, onErr, offErr := queryBoth(sql)
+				assertSame(t, sql, on, off, onErr, offErr)
+			}
+		}
+	}
+}
+
 // TestOptimizerDifferentialQuick fuzzes SELECTs over emp/dept — every join
 // flavor, predicates drawn from a pool that includes non-total expressions,
 // unknown and ambiguous columns — and requires the optimized and unoptimized

@@ -114,10 +114,14 @@ func cached[V any](cache *runner.Flight[digest, V], key digest, compute func() V
 // Each compute function below lexes its text once (each side of a pair
 // once) and derives every field from those tokens. A text that does not lex
 // takes the string forms, whose messages and fallbacks stay byte-identical.
+// No fact keeps a token slice, so the tokens go into a sqllex.Buffer that
+// is released when the facts are done.
 
 func (k *Knowledge) syntaxFacts(sql string) syntaxFacts {
 	return cached(&k.facts.syntax, digestOf(sql), func() syntaxFacts {
-		toks, err := sqllex.LexWords(sql)
+		buf := sqllex.GetBuffer()
+		defer buf.Release()
+		toks, err := buf.LexWords(sql)
 		f := syntaxFacts{dataset: k.detectDatasetTokens(toks, err), words: sqllex.WordCount(sql)}
 		if diags := k.diagnostics(sql, toks, err); len(diags) > 0 {
 			f.hasError, f.primary, f.detail = true, semcheck.Primary(diags), diags[0].Msg
@@ -141,7 +145,9 @@ func (k *Knowledge) diagnostics(sql string, toks []sqllex.Token, err error) []se
 
 func (k *Knowledge) missingFacts(sql string) missingFacts {
 	return cached(&k.facts.missing, digestOf(sql), func() missingFacts {
-		toks, err := sqllex.LexWords(sql)
+		buf := sqllex.GetBuffer()
+		defer buf.Release()
+		toks, err := buf.LexWords(sql)
 		return missingFacts{
 			dataset: k.detectDatasetTokens(toks, err),
 			words:   sqllex.WordCount(sql),
@@ -152,7 +158,9 @@ func (k *Knowledge) missingFacts(sql string) missingFacts {
 
 func (k *Knowledge) perfFacts(sql string) perfFacts {
 	return cached(&k.facts.perf, digestOf(sql), func() perfFacts {
-		toks, err := sqllex.LexWords(sql)
+		buf := sqllex.GetBuffer()
+		defer buf.Release()
+		toks, err := buf.LexWords(sql)
 		f := perfFacts{dataset: k.detectDatasetTokens(toks, err), words: sqllex.WordCount(sql)}
 		if err != nil {
 			return f // analyze's lexical fallback: no columns, no tables
@@ -179,8 +187,11 @@ func (k *Knowledge) explainFacts(sql string) explainFacts {
 
 func (k *Knowledge) equivFacts(sql1, sql2 string) equivFacts {
 	return cached(&k.facts.equiv, pairDigest(sql1, sql2), func() equivFacts {
-		toks1, err1 := sqllex.LexWords(sql1)
-		toks2, err2 := sqllex.LexWords(sql2)
+		buf1, buf2 := sqllex.GetBuffer(), sqllex.GetBuffer()
+		defer buf1.Release()
+		defer buf2.Release()
+		toks1, err1 := buf1.LexWords(sql1)
+		toks2, err2 := buf2.LexWords(sql2)
 		f := equivFacts{dataset: k.detectDatasetTokens(toks1, err1)}
 		if err1 != nil || err2 != nil {
 			return f

@@ -56,7 +56,9 @@ var structuralKeywords = map[string]bool{
 // table names, aliases, and columns; function names are never treated as
 // columns.
 func RemoveToken(sql string, stmt sqlast.Stmt, kind TokenKind, r *rand.Rand) (Removal, bool) {
-	toks, err := sqllex.LexWords(sql)
+	buf := sqllex.GetBuffer()
+	defer buf.Release()
+	toks, err := buf.LexWords(sql)
 	if err != nil || len(toks) == 0 {
 		return Removal{}, false
 	}

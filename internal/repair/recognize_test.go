@@ -55,7 +55,7 @@ func TestRecognizeMatchesParseOnRepairBuffers(t *testing.T) {
 			}
 			searched++
 			var prefix sqlparse.Prefix
-			search(toks, failureIndex(perr, toks), func(buf []sqllex.Token, gap int, c candidate) bool {
+			new(scratch).search(toks, failureIndex(perr, toks), func(buf []sqllex.Token, gap int, c candidate) bool {
 				buffers++
 				_, want := sqlparse.ParseStatementTokens(buf)
 				if got := prefix.Recognize(buf, gap); !sameParseError(got, want) {

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"repro/internal/freelist"
 )
 
 // Kind classifies a token.
@@ -200,44 +202,86 @@ type scanner struct {
 // Lex scans the input and returns its tokens, excluding the trailing EOF
 // token. Comments are returned in place but do not consume word indices.
 func Lex(src string) ([]Token, error) {
-	s := &scanner{src: src, line: 1, col: 1}
-	// The seed workloads average one token per 3.6 source bytes (cell
-	// inputs and workload queries of seeds 1 and 2). Sizing for one per 3
-	// bytes means about 97% of those lexes fit without regrowing, so Lex
-	// allocates once.
-	toks := make([]Token, 0, len(src)/3+8)
-	for {
-		tok, err := s.next()
-		if err != nil {
-			return toks, err
-		}
-		if tok.Kind == EOF {
-			return toks, nil
-		}
-		toks = append(toks, tok)
-	}
+	return lex(newTokens(src), src, true)
 }
 
 // LexWords scans the input and returns only word-bearing tokens (no
-// comments), which is the view used for word-position bookkeeping.
+// comments), which is the view used for word-position bookkeeping. A caller
+// whose tokens die with its call should lex into a Buffer instead.
 func LexWords(src string) ([]Token, error) {
-	toks, err := Lex(src)
+	toks, err := lex(newTokens(src), src, false)
 	if err != nil {
 		return nil, err
 	}
-	// Most SQL has no comments; leave those token slices untouched.
-	for i, t := range toks {
-		if t.Kind == Comment {
-			out := toks[:i]
-			for _, t := range toks[i+1:] {
-				if t.Kind != Comment {
-					out = append(out, t)
-				}
-			}
-			return out, nil
+	return toks, nil
+}
+
+// newTokens makes the token slice Lex and LexWords return. The seed
+// workloads average one token per 3.6 source bytes (cell inputs and
+// workload queries of seeds 1 and 2). Sizing for one per 3 bytes means
+// about 97% of those lexes fit without regrowing, so a lex allocates once.
+func newTokens(src string) []Token { return make([]Token, 0, len(src)/3+8) }
+
+// lex appends the tokens of src to dst, comments only when comments is set.
+// On a lex error it returns the tokens scanned before the error.
+func lex(dst []Token, src string, comments bool) ([]Token, error) {
+	s := scanner{src: src, line: 1, col: 1}
+	for {
+		tok, err := s.next()
+		if err != nil {
+			return dst, err
+		}
+		if tok.Kind == EOF {
+			return dst, nil
+		}
+		if comments || tok.Kind != Comment {
+			dst = append(dst, tok)
 		}
 	}
+}
+
+// Buffer is reusable storage for word tokens that die with the call that
+// lexed them, such as a parse whose AST keeps only token texts. Buffers
+// come from a small free list, so such a lex allocates nothing once the
+// list is warm. A Buffer is not safe for concurrent use.
+type Buffer struct {
+	toks []Token // the most tokens written since the buffer was taken
+}
+
+// maxBufferTokens caps the buffers the free list keeps at 512 tokens
+// (20 KiB). The longest text of seeds 1 and 2, a 1,200-byte query, lexes to
+// 303; a longer text grows its buffer, which Release then drops.
+const maxBufferTokens = 512
+
+var buffers freelist.List[Buffer]
+
+// GetBuffer takes a buffer from the free list, or makes one. Give it back
+// with Release.
+func GetBuffer() *Buffer { return buffers.Get() }
+
+// LexWords is LexWords(src) into b's storage. The tokens are valid until
+// b's next LexWords or Release; the caller must keep no part of the slice.
+func (b *Buffer) LexWords(src string) ([]Token, error) {
+	toks, err := lex(b.toks[:0], src, false)
+	if len(toks) > len(b.toks) {
+		b.toks = toks
+	}
+	if err != nil {
+		return nil, err
+	}
 	return toks, nil
+}
+
+// Release gives b back to the free list unless it outgrew maxBufferTokens.
+// It zeroes the tokens first, so a kept buffer pins no source text. b must
+// not be used afterwards.
+func (b *Buffer) Release() {
+	if cap(b.toks) > maxBufferTokens {
+		return
+	}
+	clear(b.toks)
+	b.toks = b.toks[:0]
+	buffers.Put(b)
 }
 
 func (s *scanner) pos() Pos { return Pos{Offset: s.off, Line: s.line, Col: s.col} }

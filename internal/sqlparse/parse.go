@@ -50,11 +50,13 @@ type parser struct {
 // ParseStatement parses a single SQL statement (an optional trailing
 // semicolon is consumed). Trailing tokens are an error.
 func ParseStatement(sql string) (sqlast.Stmt, error) {
-	p, err := newParser(sql)
+	buf := sqllex.GetBuffer()
+	defer buf.Release()
+	toks, err := lexWords(buf, sql)
 	if err != nil {
 		return nil, err
 	}
-	return p.statement()
+	return ParseStatementTokens(toks)
 }
 
 // ParseStatementTokens is ParseStatement over already-lexed word tokens (the
@@ -98,10 +100,13 @@ func ParseSelect(sql string) (*sqlast.SelectStmt, error) {
 
 // ParseAll parses a script of semicolon-separated statements.
 func ParseAll(sql string) ([]sqlast.Stmt, error) {
-	p, err := newParser(sql)
+	buf := sqllex.GetBuffer()
+	defer buf.Release()
+	toks, err := lexWords(buf, sql)
 	if err != nil {
 		return nil, err
 	}
+	p := &parser{toks: toks}
 	var stmts []sqlast.Stmt
 	for !p.atEOF() {
 		stmt, err := p.parseStatement()
@@ -116,12 +121,16 @@ func ParseAll(sql string) ([]sqlast.Stmt, error) {
 	return stmts, nil
 }
 
-func newParser(sql string) (*parser, error) {
-	toks, err := sqllex.LexWords(sql)
+// lexWords lexes sql into buf for one of the string entry points. The
+// tokens die with the parse: the parser copies what it keeps of a token
+// (its text, its position in a ParseError) out of the slice, so the AST
+// holds no reference to it.
+func lexWords(buf *sqllex.Buffer, sql string) ([]sqllex.Token, error) {
+	toks, err := buf.LexWords(sql)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
 	}
-	return &parser{toks: toks}, nil
+	return toks, nil
 }
 
 // see raises the horizon to token index i.

@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"slices"
+
 	"repro/internal/sqlast"
 	"repro/internal/sqllex"
 )
@@ -17,11 +19,20 @@ import (
 // reused result is exactly what a re-parse would return: a rule's result
 // depends on nothing but the tokens from its start up to its horizon.
 //
-// A Prefix is not safe for concurrent use. The zero value is ready to use.
+// A Prefix is not safe for concurrent use. The zero value is ready to use;
+// Reset readies a used one for another reference sequence.
 type Prefix struct {
 	p      parser // reused by every call, so a call allocates no parser
 	shared int
-	rows   []memoRow // by start index
+	rows   []memoRow // by start index; rows[len(rows):cap(rows)] are zero
+}
+
+// Reset forgets every stored result, and the tokens of the last call, so
+// that r can serve a new reference sequence while keeping its rows'
+// storage. A Prefix keeps AST nodes of the sequence it served until then.
+func (r *Prefix) Reset() {
+	clear(r.rows)
+	*r = Prefix{rows: r.rows[:0]}
 }
 
 // Recognize reports whether toks parses as one statement and returns the
@@ -35,7 +46,7 @@ type Prefix struct {
 func (r *Prefix) Recognize(toks []sqllex.Token, shared int) error {
 	// A rule may start at end of input, one past the last token.
 	if n := len(toks) + 1; len(r.rows) < n {
-		r.rows = append(r.rows, make([]memoRow, n-len(r.rows))...)
+		r.rows = slices.Grow(r.rows, n-len(r.rows))[:n]
 	}
 	r.shared = shared
 	r.p = parser{toks: toks, horizon: -1, prefix: r}
