@@ -54,26 +54,30 @@ type wireRequest struct {
 	Seed        *int64   `json:"seed,omitempty"`
 }
 
-// answer picks a deterministic, respparse-compatible reply per task so
-// streamed eval results carry real predictions, not parse failures.
-func answer(prompt string) string {
-	lower := strings.ToLower(prompt)
-	switch {
-	case strings.Contains(lower, "exact missing token"):
-		return `Yes, a token is absent. The missing token is "FROM".`
-	case strings.Contains(lower, "missing word") || strings.Contains(lower, "token is missing"):
-		return "No. The query appears complete, with no missing words."
-	case strings.Contains(lower, "equivalent") || strings.Contains(lower, "identical results"):
-		return "Yes, the two queries are equivalent: the rewrite is a where_predicate transformation that preserves results."
-	case strings.Contains(lower, "longer than usual") || strings.Contains(lower, "runtime cost"):
-		return "No, this query should run quickly; it touches limited data."
-	case strings.Contains(lower, "describing this query") || strings.Contains(lower, "purpose of this query"):
-		return "This query returns rows selected from the referenced tables."
-	case strings.Contains(lower, "final contents") || strings.Contains(lower, "contain after running"):
-		return answerState(prompt)
-	default:
-		return "No, the query does not contain any syntax errors. It is well-formed SQL."
+// replies is the fixed, respparse-compatible reply per task, so streamed
+// eval results carry real predictions, not parse failures. table_state is
+// answered by answerState instead.
+var replies = map[prompt.Task]string{
+	prompt.FillToken:   `Yes, a token is absent. The missing token is "FROM".`,
+	prompt.MissToken:   "No. The query appears complete, with no missing words.",
+	prompt.QueryEquiv:  "Yes, the two queries are equivalent: the rewrite is a where_predicate transformation that preserves results.",
+	prompt.PerfPred:    "No, this query should run quickly; it touches limited data.",
+	prompt.QueryExp:    "This query returns rows selected from the referenced tables.",
+	prompt.SyntaxError: "No, the query does not contain any syntax errors. It is well-formed SQL.",
+}
+
+// answer picks the reply for a prompt's task, read from its instruction
+// alone, so text inside the query never changes the task. A prompt of no
+// known task gets the syntax reply.
+func answer(promptText string) string {
+	task, _ := prompt.DetectTaskLower(strings.ToLower(prompt.Instruction(promptText)))
+	if task == prompt.TableState {
+		return answerState(promptText)
 	}
+	if text, ok := replies[task]; ok {
+		return text
+	}
+	return replies[prompt.SyntaxError]
 }
 
 // answerState really executes the embedded DML/transaction script on the

@@ -19,6 +19,9 @@ var exportAllowlist = map[string]string{
 	"repro.Datasets":        "public facade: names the dataset arguments RunSyntaxTask and RunTask take",
 	"repro.ExperimentTitle": "public facade: lets a library user label an artifact id from Experiments",
 	"repro.RunExperiment":   "public facade: the library form of sqlbench -exp, shown in the package doc",
+	"repro.Request":         "public facade: what a library Client's Do takes; llm.Request is internal",
+	"repro.Response":        "public facade: what a library Client's Do returns; llm.Response is internal",
+	"repro.Usage":           "public facade: the type of Response.Usage; llm.Usage is internal",
 }
 
 // interfaceMethods are method names a type may export to satisfy a
@@ -40,11 +43,11 @@ type exportSource struct {
 }
 
 // TestExportsHaveCallers keeps the export surface to what is used: every
-// exported function, and every exported method of an exported type, in a
-// non-main package must be used (see deadExports) in a non-test file or in
-// another directory's tests. A method whose name an interface in the tree
-// (or a standard one) declares is exempt. The walk covers bench/ and
-// examples/, so what they call counts as used.
+// exported function, package-level type, and exported method of an
+// exported type in a non-main package must be used (see deadExports) in a
+// non-test file or in another directory's tests. A method whose name an
+// interface in the tree (or a standard one) declares is exempt. The walk
+// covers bench/ and examples/, so what they use counts as used.
 func TestExportsHaveCallers(t *testing.T) {
 	var srcs []exportSource
 	fset := token.NewFileSet()
@@ -92,14 +95,18 @@ func TestExportsHaveCallers(t *testing.T) {
 		}
 	}
 
-	// The check fires on planted dead functions and ignores the planted
-	// methods: Unwrap satisfies the errors package's unnamed interface,
-	// Emit the planted Sink. Complete is dead although another package's
-	// Complete is called; Inner is used bare inside its own package, Live
-	// through an aliased import.
+	// The check fires on planted dead functions and types and ignores the
+	// planted methods: Unwrap satisfies the errors package's unnamed
+	// interface, Emit the planted Sink. Complete is dead although another
+	// package's Complete is called; Inner is used bare inside its own
+	// package, Live through an aliased import. Sink and Err are named by
+	// the user, Kind bare inside its own package; Unused, named only in
+	// its own declaration, is dead.
 	planted := `package obs
 type Sink interface{ Emit() }
-type Err struct{ err error }
+type Err struct{ err error; kind Kind }
+type Kind int
+type Unused struct{}
 func (e *Err) Unwrap() error { return e.err }
 func (e *Err) Emit() {}
 func Dead() {}
@@ -112,7 +119,7 @@ import (
 	"repro/internal/llm"
 	o "repro/internal/obs"
 )
-func main() { o.Live(); _ = &o.Err{}; llm.Complete() }
+func main() { o.Live(); var _ o.Sink = &o.Err{}; llm.Complete() }
 `
 	var plantedSrcs []exportSource
 	for _, p := range []struct{ dir, src string }{{"internal/obs", planted}, {"cmd/x", user}} {
@@ -122,8 +129,8 @@ func main() { o.Live(); _ = &o.Err{}; llm.Complete() }
 		}
 		plantedSrcs = append(plantedSrcs, exportSource{p.dir, false, file})
 	}
-	if got := deadExports(plantedSrcs); strings.Join(got, " ") != "obs.Complete obs.Dead" {
-		t.Errorf("planted: deadExports = %q, want [obs.Complete obs.Dead]", got)
+	if got := deadExports(plantedSrcs); strings.Join(got, " ") != "obs.Complete obs.Dead obs.Unused" {
+		t.Errorf("planted: deadExports = %q, want [obs.Complete obs.Dead obs.Unused]", got)
 	}
 }
 
@@ -139,20 +146,20 @@ func importPath(dir string) string {
 	return modulePath + "/" + filepath.ToSlash(dir)
 }
 
-// deadExports returns, sorted as "pkg.Func" or "pkg.Type.Method", the
-// exported declarations of non-main packages that nothing outside their
-// declaring directory's tests uses. A package-level function is used by a
-// selector on an import of its own package's path, or by a bare use
-// anywhere in its package outside its declaration. Methods are called through values, which
-// the AST does not resolve, so a method counts as used when any
-// identifier elsewhere bears its name.
+// deadExports returns, sorted as "pkg.Func", "pkg.Type" or
+// "pkg.Type.Method", the exported declarations of non-main packages that
+// nothing outside their declaring directory's tests uses. A package-level
+// function or type is used by a selector on an import of its own package's
+// path, or by a bare use anywhere in its package outside its declaration.
+// Methods are called through values, which the AST does not resolve, so a
+// method counts as used when any identifier elsewhere bears its name.
 func deadExports(srcs []exportSource) []string {
 	type use struct {
 		dir  string
 		test bool
 	}
 	methodUses := map[string][]use{} // method name -> every use of the name
-	funcUses := map[string][]use{}   // "path.Func" -> selector and bare uses
+	funcUses := map[string][]use{}   // "path.Func" or "path.Type" -> selector and bare uses
 	ifaceMethods := map[string]bool{}
 	for _, s := range srcs {
 		imports := map[string]string{} // local name -> import path
@@ -173,6 +180,8 @@ func deadExports(srcs []exportSource) []string {
 		ast.Inspect(s.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
+				declared[n.Name] = true
+			case *ast.TypeSpec:
 				declared[n.Name] = true
 			case *ast.Field:
 				for _, id := range n.Names {
@@ -203,6 +212,16 @@ func deadExports(srcs []exportSource) []string {
 			return true
 		})
 	}
+	// usedOutside reports whether a use lies in a non-test file or in
+	// another directory's tests.
+	usedOutside := func(uses []use, dir string) bool {
+		for _, u := range uses {
+			if !u.test || u.dir != dir {
+				return true
+			}
+		}
+		return false
+	}
 	var dead []string
 	for _, s := range srcs {
 		if s.test || s.file.Name.Name == "main" {
@@ -210,6 +229,15 @@ func deadExports(srcs []exportSource) []string {
 		}
 		pkg := s.file.Name.Name
 		for _, d := range s.file.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if ts.Name.IsExported() && !usedOutside(funcUses[importPath(s.dir)+"."+ts.Name.Name], s.dir) {
+						dead = append(dead, pkg+"."+ts.Name.Name)
+					}
+				}
+				continue
+			}
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
@@ -224,14 +252,7 @@ func deadExports(srcs []exportSource) []string {
 				name = pkg + "." + recv + "." + fn.Name.Name
 				uses = methodUses[fn.Name.Name]
 			}
-			used := false
-			for _, u := range uses {
-				if !u.test || u.dir != s.dir {
-					used = true
-					break
-				}
-			}
-			if !used {
+			if !usedOutside(uses, s.dir) {
 				dead = append(dead, name)
 			}
 		}

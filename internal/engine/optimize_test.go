@@ -25,57 +25,105 @@ func explain(t *testing.T, sql string) (string, string) {
 	return New(testDB()).Explain(sel)
 }
 
-func TestExplainPushdownGolden(t *testing.T) {
-	before, after := explain(t,
-		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75 AND d.budget >= 500")
-	wantBefore := strings.Join([]string{
-		"Project (1 items, 0 order keys)",
-		"  Filter e.salary > 75 AND d.budget >= 500",
-		"    INNER Join ON e.dept = d.name",
-		"      Scan emp AS e",
-		"      Scan dept AS d",
-		"",
-	}, "\n")
-	wantAfter := strings.Join([]string{
-		"Project (1 items, 0 order keys)",
-		"  INNER Join ON e.dept = d.name",
-		"    Filter e.salary > 75",
-		"      Scan emp AS e",
-		"    Filter d.budget >= 500",
-		"      Scan dept AS d",
-		"",
-	}, "\n")
-	if before != wantBefore {
-		t.Errorf("before plan:\n%s\nwant:\n%s", before, wantBefore)
-	}
-	if after != wantAfter {
-		t.Errorf("after plan:\n%s\nwant:\n%s", after, wantAfter)
-	}
-}
-
-func TestExplainImplicitJoinGolden(t *testing.T) {
-	before, after := explain(t,
-		"SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75")
-	wantBefore := strings.Join([]string{
-		"Project (1 items, 0 order keys)",
-		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name AND e.salary > 75",
-		"    Scan emp AS e",
-		"    Scan dept AS d",
-		"",
-	}, "\n")
-	wantAfter := strings.Join([]string{
-		"Project (1 items, 0 order keys)",
-		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name",
-		"    Filter e.salary > 75",
-		"      Scan emp AS e",
-		"    Scan dept AS d",
-		"",
-	}, "\n")
-	if before != wantBefore {
-		t.Errorf("before plan:\n%s\nwant:\n%s", before, wantBefore)
-	}
-	if after != wantAfter {
-		t.Errorf("after plan:\n%s\nwant:\n%s", after, wantAfter)
+// TestExplainGolden pins the plan before and after optimization for each
+// push site, and for a filter the optimizer leaves where it is.
+func TestExplainGolden(t *testing.T) {
+	cases := []struct {
+		name, sql             string
+		wantBefore, wantAfter []string
+	}{{
+		name: "join",
+		sql:  "SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75 AND d.budget >= 500",
+		wantBefore: []string{
+			"Project (1 items, 0 order keys)",
+			"  Filter e.salary > 75 AND d.budget >= 500",
+			"    INNER Join ON e.dept = d.name",
+			"      Scan emp AS e",
+			"      Scan dept AS d",
+			"",
+		},
+		wantAfter: []string{
+			"Project (1 items, 0 order keys)",
+			"  INNER Join ON e.dept = d.name",
+			"    Filter e.salary > 75",
+			"      Scan emp AS e",
+			"    Filter d.budget >= 500",
+			"      Scan dept AS d",
+			"",
+		},
+	}, {
+		name: "comma join",
+		sql:  "SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75",
+		wantBefore: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.dept = d.name AND e.salary > 75",
+			"    Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+		wantAfter: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.dept = d.name",
+			"    Filter e.salary > 75",
+			"      Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+	}, {
+		// A conjunct over two qualifiers of one comma-join input moves onto
+		// that input, and stays above the explicit join inside it.
+		name: "comma join over a join",
+		sql:  "SELECT e.name, f.name FROM emp e JOIN dept d ON e.dept = d.name, emp f WHERE e.id = f.id AND e.salary < d.budget",
+		wantBefore: []string{
+			"Project (2 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.id = f.id AND e.salary < d.budget",
+			"    INNER Join ON e.dept = d.name",
+			"      Scan emp AS e",
+			"      Scan dept AS d",
+			"    Scan emp AS f",
+			"",
+		},
+		wantAfter: []string{
+			"Project (2 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.id = f.id",
+			"    Filter e.salary < d.budget",
+			"      INNER Join ON e.dept = d.name",
+			"        Scan emp AS e",
+			"        Scan dept AS d",
+			"    Scan emp AS f",
+			"",
+		},
+	}, {
+		// Nothing pushes into a derived table: the filter stays above it.
+		name: "derived table",
+		sql:  "SELECT t.name FROM (SELECT name, salary FROM emp) AS t WHERE t.salary > 75",
+		wantBefore: []string{
+			"Project (1 items, 0 order keys)",
+			"  Filter t.salary > 75",
+			"    SubqueryScan AS t",
+			"      Project (2 items, 0 order keys)",
+			"        Scan emp",
+			"",
+		},
+		wantAfter: []string{
+			"Project (1 items, 0 order keys)",
+			"  Filter t.salary > 75",
+			"    SubqueryScan AS t",
+			"      Project (2 items, 0 order keys)",
+			"        Scan emp",
+			"",
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before, after := explain(t, tc.sql)
+			if want := strings.Join(tc.wantBefore, "\n"); before != want {
+				t.Errorf("before plan:\n%s\nwant:\n%s", before, want)
+			}
+			if want := strings.Join(tc.wantAfter, "\n"); after != want {
+				t.Errorf("after plan:\n%s\nwant:\n%s", after, want)
+			}
+		})
 	}
 }
 
@@ -155,12 +203,16 @@ func TestStreamJoinParity(t *testing.T) {
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.salary > d.budget",
 		// Chained joins: the upper join streams over a streamed lower join.
 		"SELECT e.name, d.budget, f.id FROM emp e JOIN dept d ON e.dept = d.name JOIN emp f ON d.name = f.dept",
-		// Derived-table inputs, with pushdown through the projection.
+		// Derived-table inputs: their filters stay above them.
 		"SELECT x.n, d.budget FROM (SELECT name AS n, dept AS dp, salary AS s FROM emp) x JOIN dept d ON x.dp = d.name WHERE x.s > 75",
 		"SELECT x.n FROM (SELECT name AS n, salary AS s FROM emp ORDER BY s DESC) x WHERE x.s > 75",
 		// Implicit joins, with pushdown below the comma join.
 		"SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75",
 		"SELECT e.name, f.name FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.id = e.id",
+		// A comma join over an explicit join: conjuncts over that input move
+		// onto it, and only past the join when one side may drop rows.
+		"SELECT e.name, f.name FROM emp e JOIN dept d ON e.dept = d.name, emp f WHERE e.id = f.id AND e.salary < d.budget",
+		"SELECT e.name, f.name FROM emp e LEFT JOIN dept d ON e.dept = d.name, emp f WHERE f.id = e.id AND d.budget IS NULL AND e.salary > 75",
 		// ORDER BY and aggregation above optimized joins.
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name ORDER BY d.budget DESC, e.name",
 		"SELECT d.name, COUNT(*) AS c FROM dept d JOIN emp e ON d.name = e.dept GROUP BY d.name ORDER BY d.name",
@@ -182,6 +234,12 @@ func TestStreamJoinErrorParity(t *testing.T) {
 		"SELECT e.name FROM emp e JOIN dept d ON e.nosuch = d.name",
 		"SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.nosuch = 1",
 		"SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND name = 'x'",
+		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name, emp f WHERE e.nosuch = d.name AND f.id = e.id",
+		// An ambiguous conjunct bars later pushes; inputs that share a
+		// qualifier take none.
+		"SELECT * FROM emp e, dept d WHERE name = 'x' AND e.salary > 1000",
+		"SELECT * FROM emp, emp WHERE emp.salary > 75",
+		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name, emp f WHERE f.id = e.id AND e.salary + d.budget > 0 AND e.salary < d.budget",
 		// A filter that never matches leaves zero rows; a pushed unknown-ref
 		// conjunct must not error where the baseline evaluates nothing.
 		"SELECT x.n FROM (SELECT name AS n, nosuch AS m FROM emp) x WHERE x.n = 'zzz'",

@@ -144,70 +144,7 @@ func encodeLine(index int, task string, v core.ResultView) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// EvalLine is the union of every line shape the generic encoder emits for
-// the built-in tasks — the decode-side companion of encodeLine for tests
-// and clients. Prediction fields are task-specific; Want* fields appear
-// only for labeled benchmark examples.
-type EvalLine struct {
-	Index int    `json:"index"`
-	ID    string `json:"id"`
-	Task  string `json:"task"`
-	SQL   string `json:"sql"`
-	SQL2  string `json:"sql2,omitempty"` // equiv: right-hand query
-
-	// syntax task
-	PredHasError  *bool  `json:"pred_has_error,omitempty"`
-	PredErrorType string `json:"pred_error_type,omitempty"`
-	WantHasError  *bool  `json:"want_has_error,omitempty"`
-	WantErrorType string `json:"want_error_type,omitempty"`
-
-	// tokens task
-	PredMissing  *bool  `json:"pred_missing,omitempty"`
-	PredKind     string `json:"pred_kind,omitempty"`
-	PredPosition *int   `json:"pred_position,omitempty"`
-	WantMissing  *bool  `json:"want_missing,omitempty"`
-	WantKind     string `json:"want_kind,omitempty"`
-	WantPosition *int   `json:"want_position,omitempty"`
-
-	// equiv task
-	PredEquivalent *bool  `json:"pred_equivalent,omitempty"`
-	PredEquivType  string `json:"pred_equiv_type,omitempty"`
-	WantEquivalent *bool  `json:"want_equivalent,omitempty"`
-	WantEquivType  string `json:"want_equiv_type,omitempty"`
-
-	// perf task
-	PredCostly *bool `json:"pred_costly,omitempty"`
-	WantCostly *bool `json:"want_costly,omitempty"`
-
-	// fill task
-	PredToken string `json:"pred_token,omitempty"`
-	WantToken string `json:"want_token,omitempty"`
-
-	// explain task
-	Explanation string   `json:"explanation,omitempty"`
-	Coverage    *float64 `json:"coverage,omitempty"`
-
-	// Correct compares the primary binary prediction against the label on
-	// labeled examples.
-	Correct *bool `json:"correct,omitempty"`
-
-	// Response is the raw model response (omitted for explain, whose
-	// response is the explanation itself).
-	Response string `json:"response,omitempty"`
-
-	// Usage is the completion's token accounting; LatencyMS its wall time
-	// (deterministic simulated values under the sim backends).
-	Usage     *UsageInfo `json:"usage,omitempty"`
-	LatencyMS float64    `json:"latency_ms,omitempty"`
-
-	// Failed marks an inline error row of a continue-on-error eval; Error
-	// carries the completion failure. Prediction fields are absent on such
-	// rows.
-	Failed bool   `json:"failed,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
-
-// UsageInfo is one completion's token accounting on an EvalLine.
+// UsageInfo is one completion's token accounting on an eval line.
 type UsageInfo struct {
 	PromptTokens     int `json:"prompt_tokens"`
 	CompletionTokens int `json:"completion_tokens"`

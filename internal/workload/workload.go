@@ -71,12 +71,6 @@ func (w *Workload) AggregateSplit() (yes, no int) {
 // ---------------------------------------------------------------------------
 // Generator helpers shared by the concrete workload generators.
 
-// JoinEdge is one joinable pair in a schema's join graph.
-type JoinEdge struct {
-	LeftTable, LeftCol   string
-	RightTable, RightCol string
-}
-
 // Gen wraps a seeded source with SQL-building helpers.
 type Gen struct {
 	R *rand.Rand
