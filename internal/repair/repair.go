@@ -151,17 +151,17 @@ type scratch struct {
 }
 
 // maxScratchTokens caps the splice buffers the free list keeps: 256 tokens
-// (10 KiB, plus 70 KiB of memo rows) hold 684 of the 692 damaged queries of
-// seeds 1 and 2, whose longest has 303 tokens. A longer query grows its
-// scratch, which release then drops, so the rare long query does not set
-// what the list keeps.
+// (10 KiB, plus 40 KiB of memo rows at 160 B a token) hold 684 of the 692
+// damaged queries of seeds 1 and 2, whose longest has 303 tokens. A longer
+// query grows its scratch, which release then drops, so the rare long query
+// does not set what the list keeps.
 const maxScratchTokens = 256
 
 var scratches freelist.List[scratch]
 
 // release gives sc back to the free list unless its buffer outgrew
 // maxScratchTokens. It zeroes the buffer and resets the memo first, so a
-// kept scratch pins no query text or AST.
+// kept scratch pins no query text.
 func (sc *scratch) release() {
 	if cap(sc.buf) > maxScratchTokens {
 		return

@@ -17,18 +17,25 @@ import (
 // ErrSyntax is the sentinel wrapped by every parse error.
 var ErrSyntax = errors.New("syntax error")
 
-// ParseError describes a parse failure at a position.
+// ParseError describes a parse failure at a position. Its message is
+// formatted only by Error, so a recognizer that asks just whether and where
+// a statement fails formats none.
 type ParseError struct {
-	Pos  sqllex.Pos
-	Msg  string
-	Near string // the offending token text, "" at end of input
+	Pos    sqllex.Pos
+	Near   string // the offending token text, "" at end of input
+	format string // the message; a verb in it takes arg
+	arg    string
 }
 
 func (e *ParseError) Error() string {
-	if e.Near == "" {
-		return fmt.Sprintf("syntax error at %s: %s (at end of input)", e.Pos, e.Msg)
+	msg := e.format
+	if strings.Contains(msg, "%") {
+		msg = fmt.Sprintf(msg, e.arg)
 	}
-	return fmt.Sprintf("syntax error at %s: %s (near %q)", e.Pos, e.Msg, e.Near)
+	if e.Near == "" {
+		return fmt.Sprintf("syntax error at %s: %s (at end of input)", e.Pos, msg)
+	}
+	return fmt.Sprintf("syntax error at %s: %s (near %q)", e.Pos, msg, e.Near)
 }
 
 // Unwrap makes errors.Is(err, ErrSyntax) true.
@@ -39,7 +46,9 @@ func (e *ParseError) Unwrap() error { return ErrSyntax }
 // toks goes through cur, peekAt or atEOF (errorf reads the last token only
 // once cur is at EOF), which record the highest index read in horizon. That
 // is what lets a Prefix reuse a rule result on another token slice that
-// agrees with this one up to and including the horizon.
+// agrees with this one up to and including the horizon. A Prefix only asks
+// whether its tokens parse, so under one (prefix != nil) the rules build no
+// tree: they return nil nodes and allocate nothing but a ParseError.
 type parser struct {
 	toks    []sqllex.Token
 	pos     int
@@ -133,6 +142,16 @@ func lexWords(buf *sqllex.Buffer, sql string) ([]sqllex.Token, error) {
 	return toks, nil
 }
 
+// build reports whether the rules construct the tree: true for a plain
+// parse, false under Prefix.Recognize.
+func (p *parser) build() bool { return p.prefix == nil }
+
+// onHeap returns a pointer to a copy of v. A rule that fills a node in a
+// local variable returns it through onHeap once it knows it is building:
+// taking the local's own address would allocate it where it is declared,
+// recognizing or not.
+func onHeap[T any](v T) *T { return &v }
+
 // see raises the horizon to token index i.
 func (p *parser) see(i int) {
 	if i > p.horizon {
@@ -199,7 +218,9 @@ func (p *parser) expect(kind sqllex.Kind, what string) (sqllex.Token, error) {
 	return t, nil
 }
 
-func (p *parser) errorf(format string, args ...any) error {
+// errorf returns a ParseError at the current token. format has at most one
+// verb, which takes arg[0].
+func (p *parser) errorf(format string, arg ...string) error {
 	t := p.cur()
 	pos := t.Pos
 	if t.Kind == sqllex.EOF && len(p.toks) > 0 {
@@ -208,7 +229,11 @@ func (p *parser) errorf(format string, args ...any) error {
 		pos.Offset += len(last.Text)
 		pos.Col += int32(len(last.Text))
 	}
-	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...), Near: t.Text}
+	e := &ParseError{Pos: pos, Near: t.Text, format: format}
+	if len(arg) > 0 {
+		e.arg = arg[0]
+	}
+	return e
 }
 
 // identifier consumes an Ident or QuotedIdent and returns its value.
@@ -230,9 +255,10 @@ func (p *parser) parseStatement() (sqlast.Stmt, error) {
 	// uses them as identifiers, but keeping them out of the keyword table means
 	// zero tokenization risk for existing queries); they arrive as Idents.
 	if t.Kind == sqllex.Ident {
-		switch t.Upper() {
-		case "BEGIN", "COMMIT", "ROLLBACK":
-			return p.parseTxn(t.Upper())
+		for _, kind := range [...]string{"BEGIN", "COMMIT", "ROLLBACK"} {
+			if sqllex.MatchUpper(t.Text, kind) {
+				return p.parseTxn(kind)
+			}
 		}
 	}
 	if t.Kind != sqllex.Keyword {
@@ -279,7 +305,9 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 					if err != nil {
 						return nil, err
 					}
-					cte.Columns = append(cte.Columns, col)
+					if p.build() {
+						cte.Columns = append(cte.Columns, col)
+					}
 					if !p.accept(sqllex.Comma, "") {
 						break
 					}
@@ -302,7 +330,9 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
 				return nil, err
 			}
-			with = append(with, cte)
+			if p.build() {
+				with = append(with, cte)
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
@@ -312,7 +342,6 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel.With = with
 
 	// Set operations chain onto the right.
 	cur := sel
@@ -334,11 +363,14 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur.SetOp = &sqlast.SetOp{Op: op, All: all, Right: right}
-		cur = right
+		if p.build() {
+			cur.SetOp = &sqlast.SetOp{Op: op, All: all, Right: right}
+			cur = right
+		}
 	}
 
 	// ORDER BY / LIMIT apply to the whole chain and attach to the head.
+	var order []sqlast.OrderItem
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
@@ -348,32 +380,27 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := sqlast.OrderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				item.Desc = true
-			} else {
+			desc := p.acceptKw("DESC")
+			if !desc {
 				p.acceptKw("ASC")
 			}
-			sel.OrderBy = append(sel.OrderBy, item)
+			if p.build() {
+				order = append(order, sqlast.OrderItem{Expr: e, Desc: desc})
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
 		}
 	}
-	if p.acceptKw("LIMIT") {
-		n, err := p.intLiteral()
-		if err != nil {
-			return nil, err
-		}
-		sel.Limit = &n
+	limit, err := p.optionalInt("LIMIT")
+	if err != nil {
+		return nil, err
 	}
-	if p.acceptKw("OFFSET") {
-		n, err := p.intLiteral()
-		if err != nil {
-			return nil, err
-		}
-		sel.Offset = &n
+	offset, err := p.optionalInt("OFFSET")
+	if err != nil || !p.build() {
+		return nil, err
 	}
+	sel.With, sel.OrderBy, sel.Limit, sel.Offset = with, order, limit, offset
 	return sel, nil
 }
 
@@ -383,7 +410,7 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := &sqlast.SelectStmt{}
+	var sel sqlast.SelectStmt
 	for {
 		if p.acceptKw("DISTINCT") {
 			sel.Distinct = true
@@ -394,7 +421,9 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			sel.Top = &n
+			if p.build() {
+				sel.Top = onHeap(n)
+			}
 			continue
 		}
 		break
@@ -427,7 +456,9 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			sel.GroupBy = append(sel.GroupBy, e)
+			if p.build() {
+				sel.GroupBy = append(sel.GroupBy, e)
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
@@ -440,7 +471,10 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 		}
 		sel.Having = e
 	}
-	return sel, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return onHeap(sel), nil
 }
 
 // parseSelectList parses the comma-separated items of a select list.
@@ -451,7 +485,9 @@ func (p *parser) parseSelectList() ([]sqlast.SelectItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, item)
+		if p.build() {
+			items = append(items, item)
+		}
 		if !p.accept(sqllex.Comma, "") {
 			return items, nil
 		}
@@ -463,14 +499,14 @@ func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 	// Bare star.
 	if t.Kind == sqllex.Op && t.Text == "*" {
 		p.pos++
-		return sqlast.SelectItem{Expr: &sqlast.Star{}}, nil
+		return p.star(""), nil
 	}
 	// Qualified star: ident.*
 	if (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) &&
 		p.peekAt(1).Kind == sqllex.Op && p.peekAt(1).Text == "." &&
 		p.peekAt(2).Kind == sqllex.Op && p.peekAt(2).Text == "*" {
 		p.pos += 3
-		return sqlast.SelectItem{Expr: &sqlast.Star{Table: t.Val()}}, nil
+		return p.star(t.Val()), nil
 	}
 	e, err := p.parseExpr()
 	if err != nil {
@@ -491,6 +527,14 @@ func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 	return item, nil
 }
 
+// star is the select item table.* (every column when table is "").
+func (p *parser) star(table string) sqlast.SelectItem {
+	if !p.build() {
+		return sqlast.SelectItem{}
+	}
+	return sqlast.SelectItem{Expr: &sqlast.Star{Table: table}}
+}
+
 // parseFromList parses the comma-separated table references after FROM.
 func (p *parser) parseFromList() ([]sqlast.TableRef, error) {
 	var from []sqlast.TableRef
@@ -499,7 +543,9 @@ func (p *parser) parseFromList() ([]sqlast.TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		from = append(from, tr)
+		if p.build() {
+			from = append(from, tr)
+		}
 		if !p.accept(sqllex.Comma, "") {
 			return from, nil
 		}
@@ -540,18 +586,18 @@ func (p *parser) parseTableRef() (sqlast.TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		join := &sqlast.Join{Left: left, Right: right, Type: joinType}
+		var on sqlast.Expr
 		if joinType != "CROSS" {
 			if err := p.expectKw("ON"); err != nil {
 				return nil, err
 			}
-			cond, err := p.parseExpr()
-			if err != nil {
+			if on, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			join.On = cond
 		}
-		left = join
+		if p.build() {
+			left = &sqlast.Join{Left: left, Right: right, Type: joinType, On: on}
+		}
 	}
 }
 
@@ -567,9 +613,11 @@ func (p *parser) parseTablePrimary() (sqlast.TableRef, error) {
 			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
 				return nil, err
 			}
-			st := &sqlast.SubqueryTable{Select: sel}
-			st.Alias = p.optionalAlias()
-			return st, nil
+			alias := p.optionalAlias()
+			if !p.build() {
+				return nil, nil
+			}
+			return &sqlast.SubqueryTable{Select: sel, Alias: alias}, nil
 		}
 		ref, err := p.tableRef()
 		if err != nil {
@@ -584,9 +632,11 @@ func (p *parser) parseTablePrimary() (sqlast.TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	tn := &sqlast.TableName{Name: name}
-	tn.Alias = p.optionalAlias()
-	return tn, nil
+	alias := p.optionalAlias()
+	if !p.build() {
+		return nil, nil
+	}
+	return &sqlast.TableName{Name: name, Alias: alias}, nil
 }
 
 // optionalAlias consumes [AS] ident if present. An AS not followed by an
@@ -603,7 +653,7 @@ func (p *parser) optionalAlias() string {
 	return ""
 }
 
-// qualifiedName consumes ident(.ident)* and joins with dots.
+// qualifiedName consumes ident(.ident)* and joins with dots (when building).
 func (p *parser) qualifiedName() (string, error) {
 	part, err := p.identifier("table name")
 	if err != nil {
@@ -617,7 +667,9 @@ func (p *parser) qualifiedName() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		name += "." + part
+		if p.build() {
+			name += "." + part
+		}
 	}
 	return name, nil
 }
@@ -632,18 +684,17 @@ func (p *parser) parseCreate() (sqlast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct := &sqlast.CreateTableStmt{Name: name}
 		if p.acceptKw("AS") {
 			sel, err := p.parseSelect()
-			if err != nil {
+			if err != nil || !p.build() {
 				return nil, err
 			}
-			ct.AsSelect = sel
-			return ct, nil
+			return &sqlast.CreateTableStmt{Name: name, AsSelect: sel}, nil
 		}
 		if _, err := p.expect(sqllex.LParen, "'('"); err != nil {
 			return nil, err
 		}
+		var cols []sqlast.ColumnDef
 		for {
 			col, err := p.identifier("column name")
 			if err != nil {
@@ -653,15 +704,17 @@ func (p *parser) parseCreate() (sqlast.Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			ct.Cols = append(ct.Cols, sqlast.ColumnDef{Name: col, Type: typ})
+			if p.build() {
+				cols = append(cols, sqlast.ColumnDef{Name: col, Type: typ})
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
 		}
-		if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
+		if _, err := p.expect(sqllex.RParen, "')'"); err != nil || !p.build() {
 			return nil, err
 		}
-		return ct, nil
+		return &sqlast.CreateTableStmt{Name: name, Cols: cols}, nil
 	case p.acceptKw("VIEW"):
 		name, err := p.qualifiedName()
 		if err != nil {
@@ -671,7 +724,7 @@ func (p *parser) parseCreate() (sqlast.Stmt, error) {
 			return nil, err
 		}
 		sel, err := p.parseSelect()
-		if err != nil {
+		if err != nil || !p.build() {
 			return nil, err
 		}
 		return &sqlast.CreateViewStmt{Name: name, Select: sel}, nil
@@ -694,7 +747,9 @@ func (p *parser) typeName() (string, error) {
 		if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
 			return "", err
 		}
-		return base + "(" + n.Text + ")", nil
+		if p.build() {
+			base += "(" + n.Text + ")"
+		}
 	}
 	return base, nil
 }
@@ -710,14 +765,16 @@ func (p *parser) parseInsert() (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins := &sqlast.InsertStmt{Table: table}
+	ins := sqlast.InsertStmt{Table: table}
 	if p.accept(sqllex.LParen, "") {
 		for {
 			col, err := p.identifier("column name")
 			if err != nil {
 				return nil, err
 			}
-			ins.Columns = append(ins.Columns, col)
+			if p.build() {
+				ins.Columns = append(ins.Columns, col)
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
@@ -728,11 +785,11 @@ func (p *parser) parseInsert() (sqlast.Stmt, error) {
 	}
 	if p.cur().Is("SELECT") || p.cur().Is("WITH") {
 		sel, err := p.parseSelect()
-		if err != nil {
+		if err != nil || !p.build() {
 			return nil, err
 		}
 		ins.Select = sel
-		return ins, nil
+		return onHeap(ins), nil
 	}
 	if err := p.expectKw("VALUES"); err != nil {
 		return nil, err
@@ -747,7 +804,9 @@ func (p *parser) parseInsert() (sqlast.Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			if p.build() {
+				row = append(row, e)
+			}
 			if !p.accept(sqllex.Comma, "") {
 				break
 			}
@@ -755,12 +814,17 @@ func (p *parser) parseInsert() (sqlast.Stmt, error) {
 		if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
 			return nil, err
 		}
-		ins.Rows = append(ins.Rows, row)
+		if p.build() {
+			ins.Rows = append(ins.Rows, row)
+		}
 		if !p.accept(sqllex.Comma, "") {
 			break
 		}
 	}
-	return ins, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return onHeap(ins), nil
 }
 
 func (p *parser) parseUpdate() (sqlast.Stmt, error) {
@@ -771,7 +835,7 @@ func (p *parser) parseUpdate() (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	up := &sqlast.UpdateStmt{Table: table}
+	up := sqlast.UpdateStmt{Table: table}
 	if p.acceptKw("AS") {
 		alias, err := p.identifier("alias")
 		if err != nil {
@@ -794,7 +858,9 @@ func (p *parser) parseUpdate() (sqlast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		up.Set = append(up.Set, sqlast.Assignment{Column: col, Value: val})
+		if p.build() {
+			up.Set = append(up.Set, sqlast.Assignment{Column: col, Value: val})
+		}
 		if !p.accept(sqllex.Comma, "") {
 			break
 		}
@@ -806,7 +872,10 @@ func (p *parser) parseUpdate() (sqlast.Stmt, error) {
 		}
 		up.Where = e
 	}
-	return up, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return onHeap(up), nil
 }
 
 func (p *parser) parseDelete() (sqlast.Stmt, error) {
@@ -820,15 +889,16 @@ func (p *parser) parseDelete() (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	del := &sqlast.DeleteStmt{Table: table}
+	var where sqlast.Expr
 	if p.acceptKw("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		del.Where = e
 	}
-	return del, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return &sqlast.DeleteStmt{Table: table, Where: where}, nil
 }
 
 func (p *parser) parseDeclare() (sqlast.Stmt, error) {
@@ -843,15 +913,16 @@ func (p *parser) parseDeclare() (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &sqlast.DeclareStmt{Name: v.Text, Type: typ}
+	var init sqlast.Expr
 	if p.accept(sqllex.Op, "=") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if init, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		d.Init = e
 	}
-	return d, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return &sqlast.DeclareStmt{Name: v.Text, Type: typ, Init: init}, nil
 }
 
 func (p *parser) parseSetVar() (sqlast.Stmt, error) {
@@ -866,7 +937,7 @@ func (p *parser) parseSetVar() (sqlast.Stmt, error) {
 		return nil, p.errorf("expected '=' in SET")
 	}
 	e, err := p.parseExpr()
-	if err != nil {
+	if err != nil || !p.build() {
 		return nil, err
 	}
 	return &sqlast.SetVarStmt{Name: v.Text, Value: e}, nil
@@ -880,18 +951,23 @@ func (p *parser) parseExec() (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &sqlast.ExecStmt{Proc: proc}
+	var args []sqlast.Expr
 	for !p.atEOF() && p.cur().Kind != sqllex.Semi {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		ex.Args = append(ex.Args, e)
+		if p.build() {
+			args = append(args, e)
+		}
 		if !p.accept(sqllex.Comma, "") {
 			break
 		}
 	}
-	return ex, nil
+	if !p.build() {
+		return nil, nil
+	}
+	return &sqlast.ExecStmt{Proc: proc, Args: args}, nil
 }
 
 func (p *parser) parseDrop() (sqlast.Stmt, error) {
@@ -908,7 +984,7 @@ func (p *parser) parseDrop() (sqlast.Stmt, error) {
 		return nil, p.errorf("expected TABLE or VIEW after DROP")
 	}
 	name, err := p.qualifiedName()
-	if err != nil {
+	if err != nil || !p.build() {
 		return nil, err
 	}
 	return &sqlast.DropStmt{Kind: kind, Name: name}, nil
@@ -922,7 +998,7 @@ func (p *parser) parseWaitfor() (sqlast.Stmt, error) {
 		return nil, err
 	}
 	t, err := p.expect(sqllex.String, "delay string")
-	if err != nil {
+	if err != nil || !p.build() {
 		return nil, err
 	}
 	return &sqlast.WaitforStmt{Delay: t.Val()}, nil
@@ -934,6 +1010,9 @@ func (p *parser) parseTxn(kind string) (sqlast.Stmt, error) {
 	p.pos++
 	if !p.accept(sqllex.Ident, "TRANSACTION") && !p.accept(sqllex.Ident, "WORK") {
 		p.acceptKw("TRANSACTION") // in case a future lexer promotes it
+	}
+	if !p.build() {
+		return nil, nil
 	}
 	return &sqlast.TxnStmt{Kind: kind}, nil
 }
@@ -948,6 +1027,19 @@ func (p *parser) intLiteral() (int, error) {
 		return 0, p.errorf("expected integer, got %q", t.Text)
 	}
 	return n, nil
+}
+
+// optionalInt consumes [kw integer] and returns the integer for the tree:
+// nil when kw is absent or when not building.
+func (p *parser) optionalInt(kw string) (*int, error) {
+	if !p.acceptKw(kw) {
+		return nil, nil
+	}
+	n, err := p.intLiteral()
+	if err != nil || !p.build() {
+		return nil, err
+	}
+	return onHeap(n), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -965,7 +1057,7 @@ func (p *parser) parseOr() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &sqlast.Binary{Op: "OR", L: left, R: right}
+		left = p.binary("OR", left, right)
 	}
 	return left, nil
 }
@@ -980,7 +1072,7 @@ func (p *parser) parseAnd() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &sqlast.Binary{Op: "AND", L: left, R: right}
+		left = p.binary("AND", left, right)
 	}
 	return left, nil
 }
@@ -991,9 +1083,25 @@ func (p *parser) parseNot() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sqlast.Unary{Op: "NOT", X: x}, nil
+		return p.unary("NOT", x), nil
 	}
 	return p.parseComparison()
+}
+
+// binary builds the node l op r, or nothing when not building.
+func (p *parser) binary(op string, l, r sqlast.Expr) sqlast.Expr {
+	if !p.build() {
+		return nil
+	}
+	return &sqlast.Binary{Op: op, L: l, R: r}
+}
+
+// unary builds the node op x, or nothing when not building.
+func (p *parser) unary(op string, x sqlast.Expr) sqlast.Expr {
+	if !p.build() {
+		return nil
+	}
+	return &sqlast.Unary{Op: op, X: x}
 }
 
 func (p *parser) parseComparison() (sqlast.Expr, error) {
@@ -1008,7 +1116,9 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
 			}
-			left = &sqlast.IsNull{X: left, Not: not}
+			if p.build() {
+				left = &sqlast.IsNull{X: left, Not: not}
+			}
 			continue
 		}
 		// [NOT] IN / BETWEEN / LIKE
@@ -1022,23 +1132,24 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 		}
 		switch {
 		case p.acceptKw("IN"):
-			in := &sqlast.In{X: left, Not: not}
 			if _, err := p.expect(sqllex.LParen, "'('"); err != nil {
 				return nil, err
 			}
+			var list []sqlast.Expr
+			var sub *sqlast.SelectStmt
 			if p.cur().Is("SELECT") || p.cur().Is("WITH") {
-				sub, err := p.parseSelect()
-				if err != nil {
+				if sub, err = p.parseSelect(); err != nil {
 					return nil, err
 				}
-				in.Sub = sub
 			} else {
 				for {
 					e, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					in.List = append(in.List, e)
+					if p.build() {
+						list = append(list, e)
+					}
 					if !p.accept(sqllex.Comma, "") {
 						break
 					}
@@ -1047,7 +1158,9 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
 				return nil, err
 			}
-			left = in
+			if p.build() {
+				left = &sqlast.In{X: left, Not: not, List: list, Sub: sub}
+			}
 			continue
 		case p.acceptKw("BETWEEN"):
 			lo, err := p.parseAdditive()
@@ -1061,18 +1174,19 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = &sqlast.Between{X: left, Not: not, Lo: lo, Hi: hi}
+			if p.build() {
+				left = &sqlast.Between{X: left, Not: not, Lo: lo, Hi: hi}
+			}
 			continue
 		case p.acceptKw("LIKE"):
 			right, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
-			var e sqlast.Expr = &sqlast.Binary{Op: "LIKE", L: left, R: right}
+			left = p.binary("LIKE", left, right)
 			if not {
-				e = &sqlast.Unary{Op: "NOT", X: e}
+				left = p.unary("NOT", left)
 			}
-			left = e
 			continue
 		}
 		if not {
@@ -1091,7 +1205,7 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 				if op == "!=" {
 					op = "<>"
 				}
-				left = &sqlast.Binary{Op: op, L: left, R: right}
+				left = p.binary(op, left, right)
 				continue
 			}
 		}
@@ -1112,7 +1226,7 @@ func (p *parser) parseAdditive() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = &sqlast.Binary{Op: t.Text, L: left, R: right}
+			left = p.binary(t.Text, left, right)
 			continue
 		}
 		return left, nil
@@ -1132,7 +1246,7 @@ func (p *parser) parseMultiplicative() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = &sqlast.Binary{Op: t.Text, L: left, R: right}
+			left = p.binary(t.Text, left, right)
 			continue
 		}
 		return left, nil
@@ -1147,7 +1261,7 @@ func (p *parser) parseUnary() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sqlast.Unary{Op: t.Text, X: x}, nil
+		return p.unary(t.Text, x), nil
 	}
 	return p.parsePrimary()
 }
@@ -1157,12 +1271,21 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 	switch t.Kind {
 	case sqllex.Number:
 		p.pos++
+		if !p.build() {
+			return nil, nil
+		}
 		return sqlast.Number(t.Text), nil
 	case sqllex.String:
 		p.pos++
+		if !p.build() {
+			return nil, nil
+		}
 		return sqlast.Str(t.Val()), nil
 	case sqllex.Variable:
 		p.pos++
+		if !p.build() {
+			return nil, nil
+		}
 		return &sqlast.VarRef{Name: t.Text}, nil
 	case sqllex.LParen:
 		p.pos++
@@ -1171,7 +1294,7 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
+			if _, err := p.expect(sqllex.RParen, "')'"); err != nil || !p.build() {
 				return nil, err
 			}
 			return &sqlast.Subquery{Select: sel}, nil
@@ -1188,9 +1311,15 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 		switch t.Upper() {
 		case "NULL":
 			p.pos++
+			if !p.build() {
+				return nil, nil
+			}
 			return sqlast.Null(), nil
 		case "TRUE", "FALSE":
 			p.pos++
+			if !p.build() {
+				return nil, nil
+			}
 			return &sqlast.Literal{Kind: sqlast.LitBool, Text: t.Upper()}, nil
 		case "EXISTS":
 			p.pos++
@@ -1201,7 +1330,7 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
+			if _, err := p.expect(sqllex.RParen, "')'"); err != nil || !p.build() {
 				return nil, err
 			}
 			return &sqlast.Exists{Sub: sub}, nil
@@ -1223,7 +1352,7 @@ func (p *parser) parsePrimary() (sqlast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
+			if _, err := p.expect(sqllex.RParen, "')'"); err != nil || !p.build() {
 				return nil, err
 			}
 			return &sqlast.Cast{X: x, Type: typ}, nil
@@ -1239,7 +1368,7 @@ func (p *parser) parseCase() (sqlast.Expr, error) {
 	if err := p.expectKw("CASE"); err != nil {
 		return nil, err
 	}
-	c := &sqlast.Case{}
+	var c sqlast.Case
 	if !p.cur().Is("WHEN") {
 		op, err := p.parseExpr()
 		if err != nil {
@@ -1247,6 +1376,7 @@ func (p *parser) parseCase() (sqlast.Expr, error) {
 		}
 		c.Operand = op
 	}
+	arms := 0 // counted, not read off c.Whens, which only a building parse fills
 	for p.acceptKw("WHEN") {
 		cond, err := p.parseExpr()
 		if err != nil {
@@ -1259,9 +1389,12 @@ func (p *parser) parseCase() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Whens = append(c.Whens, sqlast.When{Cond: cond, Result: res})
+		arms++
+		if p.build() {
+			c.Whens = append(c.Whens, sqlast.When{Cond: cond, Result: res})
+		}
 	}
-	if len(c.Whens) == 0 {
+	if arms == 0 {
 		return nil, p.errorf("CASE requires at least one WHEN arm")
 	}
 	if p.acceptKw("ELSE") {
@@ -1271,10 +1404,10 @@ func (p *parser) parseCase() (sqlast.Expr, error) {
 		}
 		c.Else = e
 	}
-	if err := p.expectKw("END"); err != nil {
+	if err := p.expectKw("END"); err != nil || !p.build() {
 		return nil, err
 	}
-	return c, nil
+	return onHeap(c), nil
 }
 
 // parseNameExpr handles identifiers: function calls, qualified column
@@ -1304,12 +1437,14 @@ func (p *parser) parseNameExpr() (sqlast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, part)
+		if p.build() {
+			parts = append(parts, part)
+		}
 	}
 	// Function call (possibly schema-qualified).
 	if p.cur().Kind == sqllex.LParen {
 		p.pos++
-		fc := &sqlast.FuncCall{Name: strings.Join(parts, ".")}
+		var fc sqlast.FuncCall
 		if p.cur().Kind == sqllex.Op && p.cur().Text == "*" {
 			p.pos++
 			fc.Star = true
@@ -1322,16 +1457,22 @@ func (p *parser) parseNameExpr() (sqlast.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				fc.Args = append(fc.Args, e)
+				if p.build() {
+					fc.Args = append(fc.Args, e)
+				}
 				if !p.accept(sqllex.Comma, "") {
 					break
 				}
 			}
 		}
-		if _, err := p.expect(sqllex.RParen, "')'"); err != nil {
+		if _, err := p.expect(sqllex.RParen, "')'"); err != nil || !p.build() {
 			return nil, err
 		}
-		return fc, nil
+		fc.Name = strings.Join(parts, ".")
+		return onHeap(fc), nil
+	}
+	if !p.build() {
+		return nil, nil
 	}
 	switch len(parts) {
 	case 1:

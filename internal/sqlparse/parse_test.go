@@ -326,6 +326,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorMessages pins the text of parse errors, with and without
+// an argument in the message: a ParseError formats its message only when
+// Error is called.
+func TestParseErrorMessages(t *testing.T) {
+	for _, c := range []struct{ sql, want string }{
+		{"", "syntax error at 0:0: expected a statement keyword (at end of input)"},
+		{"SELEC a FROM t", `syntax error at 1:1: expected a statement keyword (near "SELEC")`},
+		{"FROM t", `syntax error at 1:1: unsupported statement FROM (near "FROM")`},
+		{"SELECT a FROM t WHERE", "syntax error at 1:22: unexpected token in expression (at end of input)"},
+		{"SELECT a FROM t GROUP a", `syntax error at 1:23: expected BY (near "a")`},
+		{"SELECT ( a FROM t", `syntax error at 1:12: expected ')' (near "FROM")`},
+		{"SELECT TOP 1.5 a FROM t", `syntax error at 1:16: expected integer, got "1.5" (near "a")`},
+		{"SELECT a FROM t WHERE b = FROM", `syntax error at 1:27: unexpected keyword FROM in expression (near "FROM")`},
+		{"SELECT CASE a END FROM t", `syntax error at 1:15: CASE requires at least one WHEN arm (near "END")`},
+		{"SELECT a FROM t x y", `syntax error at 1:19: unexpected trailing input (near "y")`},
+	} {
+		_, err := ParseStatement(c.sql)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ParseStatement(%q) error = %v, want %s", c.sql, err, c.want)
+		}
+	}
+}
+
 func TestParseErrorHasPosition(t *testing.T) {
 	_, err := ParseStatement("SELECT a FROM t WHERE >")
 	var pe *ParseError

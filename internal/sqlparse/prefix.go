@@ -9,15 +9,16 @@ import (
 
 // Prefix recognizes a sequence of related token slices that share a prefix,
 // such as one statement with a different token spliced in at a later point
-// each time. It runs the same grammar as ParseStatementTokens and memoizes
-// the list rules — the select list and its items, the FROM list and its
-// table references, and AND conjuncts (every expression is a list of those)
-// — by start index, in the manner of a packrat parser. Each stored result,
-// failures included, carries the highest token index its rule read (its
-// horizon). A result is stored only when its horizon lies inside the call's
-// shared prefix and reused only when it lies inside the current one, so a
-// reused result is exactly what a re-parse would return: a rule's result
-// depends on nothing but the tokens from its start up to its horizon.
+// each time. It runs the same grammar as ParseStatementTokens, building no
+// tree, and memoizes the list rules — the select list and its items, the
+// FROM list and its table references, and AND conjuncts (every expression is
+// a list of those) — by start index, in the manner of a packrat parser. Each
+// stored result, failures included, is where the rule ended, its error and
+// the highest token index it read (its horizon). A result is stored only
+// when its horizon lies inside the call's shared prefix and reused only when
+// it lies inside the current one, so a reused result is exactly what a
+// re-parse would return: a rule's result depends on nothing but the tokens
+// from its start up to its horizon.
 //
 // A Prefix is not safe for concurrent use. The zero value is ready to use;
 // Reset readies a used one for another reference sequence.
@@ -29,7 +30,8 @@ type Prefix struct {
 
 // Reset forgets every stored result, and the tokens of the last call, so
 // that r can serve a new reference sequence while keeping its rows'
-// storage. A Prefix keeps AST nodes of the sequence it served until then.
+// storage. Until then a Prefix keeps the tokens of its last call and the
+// ParseErrors of its stored failures, which hold token text.
 func (r *Prefix) Reset() {
 	clear(r.rows)
 	*r = Prefix{rows: r.rows[:0]}
@@ -54,29 +56,27 @@ func (r *Prefix) Recognize(toks []sqllex.Token, shared int) error {
 	return err
 }
 
-// memoRow holds the results of the memoized rules that start at one index.
+// memoRow holds the results of the memoized rules that start at one index
+// (160 bytes).
 type memoRow struct {
-	selectList memoEntry[[]sqlast.SelectItem]
-	selectItem memoEntry[sqlast.SelectItem]
-	fromList   memoEntry[[]sqlast.TableRef]
-	tableRef   memoEntry[sqlast.TableRef]
-	conjunct   memoEntry[sqlast.Expr]
+	selectList, selectItem, fromList, tableRef, conjunct memoEntry
 }
 
-type memoEntry[T any] struct {
+type memoEntry struct {
 	stored  bool
 	end     int32 // position after the rule returned
 	horizon int32 // highest token index the rule read
-	node    T
 	err     error
 }
 
-// recall runs rule at the current position through its memo entry e.
-func recall[T any](p *parser, e *memoEntry[T], rule func(*parser) (T, error)) (T, error) {
+// recall runs rule at the current position through its memo entry e. Under
+// a Prefix the rules build no nodes, so only the zero T is ever returned.
+func recall[T any](p *parser, e *memoEntry, rule func(*parser) (T, error)) (T, error) {
 	if e.stored && int(e.horizon) < p.prefix.shared {
 		p.pos = int(e.end)
 		p.see(int(e.horizon))
-		return e.node, e.err
+		var none T
+		return none, e.err
 	}
 	// Track the rule's own horizon, then fold it into the caller's.
 	outer := p.horizon
@@ -85,7 +85,7 @@ func recall[T any](p *parser, e *memoEntry[T], rule func(*parser) (T, error)) (T
 	h := p.horizon
 	p.see(outer)
 	if h < p.prefix.shared {
-		*e = memoEntry[T]{stored: true, end: int32(p.pos), horizon: int32(h), node: node, err: err}
+		*e = memoEntry{stored: true, end: int32(p.pos), horizon: int32(h), err: err}
 	}
 	return node, err
 }

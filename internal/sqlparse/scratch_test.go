@@ -107,3 +107,51 @@ func TestPrefixResetForgetsSequence(t *testing.T) {
 		t.Errorf("Recognize(b) after Reset = %v, want %v", got, want)
 	}
 }
+
+// TestRecognizeAllocs requires the recognize mode to build nothing: over a
+// warm Prefix, with shared = 0 so that every rule runs, recognizing a
+// statement that parses allocates nothing, and one that fails allocates
+// its ParseError alone. The failures are every single-token deletion of
+// recognizeStatements, plus a CASE with no WHEN arm, whose check must not
+// read the arms a recognizer never builds.
+func TestRecognizeAllocs(t *testing.T) {
+	var p Prefix
+	recognize := func(toks []sqllex.Token) float64 {
+		p.Recognize(toks, len(toks)) // grows the memo rows
+		return testing.AllocsPerRun(5, func() { p.Recognize(toks, 0) })
+	}
+	caseEnd, err := sqllex.LexWords("SELECT CASE a END FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := ParseStatementTokens(caseEnd)
+	if got := p.Recognize(caseEnd, 0); got == nil || !strings.Contains(got.Error(), "at least one WHEN arm") || got.Error() != want.Error() {
+		t.Errorf("Recognize(CASE with no arm) = %v, want %v", got, want)
+	}
+	if n := recognize(caseEnd); n > 1 {
+		t.Errorf("recognizing a CASE with no arm allocates %.0f times, want at most 1", n)
+	}
+	failures := 0
+	for _, sql := range recognizeStatements() {
+		toks, err := sqllex.LexWords(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := recognize(toks); n != 0 {
+			t.Errorf("recognizing %q allocates %.0f times, want 0", sql, n)
+		}
+		for i := range toks {
+			del := append(append([]sqllex.Token(nil), toks[:i]...), toks[i+1:]...)
+			if p.Recognize(del, 0) == nil {
+				continue
+			}
+			failures++
+			if n := recognize(del); n > 1 {
+				t.Errorf("recognizing %q without token %d (%s) allocates %.0f times, want at most 1", sql, i, toks[i].Text, n)
+			}
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no deletion failed to parse")
+	}
+}
