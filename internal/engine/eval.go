@@ -1,6 +1,6 @@
 package engine
 
-// Expression evaluation: everything below the operator layer that turns one
+// Expression evaluation: everything below the plan nodes that turns one
 // AST expression plus a row context into a Value. In an env that carries a
 // group, aggregate calls fold over it (agg.go); the env's own group counts,
 // never an outer one. Subqueries re-enter the executor (exec.go) through

@@ -2,9 +2,12 @@ package engine
 
 // The executor: Engine holds the database and its limits, lowers each
 // SELECT into a cached logical plan (plan.go) rewritten by the optimizer
-// (optimize.go), instantiates the physical operator tree (operator.go and
-// op_*.go), and drains it into a materialized Relation. Expression
-// evaluation, grouped or not, lives in eval.go; aggregate folding in agg.go.
+// (optimize.go), and runs it with one recursive executor: run takes a plan
+// node and returns its materialized Relation, running the node's inputs
+// first. The per-node work lives in operator.go (scan, filter, sort, limit)
+// and op_*.go (joins, projection, grouping, distinct and set operations).
+// Expression evaluation, grouped or not, lives in eval.go; aggregate folding
+// in agg.go.
 
 import (
 	"context"
@@ -170,7 +173,7 @@ func (e *Engine) execSelect(sel *sqlast.SelectStmt, outer *env, parentCTEs map[s
 }
 
 // execPlan executes a logical plan: CTEs are materialized first (each
-// seeing the bindings before it), then the operator tree runs.
+// seeing the bindings before it), then the node tree runs.
 func (e *Engine) execPlan(p *Plan, outer *env, parentCTEs map[string]*Relation) (*Relation, error) {
 	ctes := make(map[string]*Relation, len(parentCTEs)+len(p.CTEs))
 	for k, v := range parentCTEs {
@@ -194,66 +197,116 @@ func (e *Engine) execPlan(p *Plan, outer *env, parentCTEs map[string]*Relation) 
 		}
 		ctes[strings.ToLower(cte.Name)] = rel
 	}
-
-	oe := &opEnv{e: e, outer: outer, ctes: ctes, parentCTEs: parentCTEs}
-	op := buildOperator(p.Root, oe)
-	defer op.close()
-	rel, err := drainInput(op)
-	if err != nil {
-		return nil, err
-	}
-	if op.hiddenCols() != 0 {
+	if hiddenCols(p.Root) != 0 {
 		// Cannot happen: every Project/Group with ORDER BY keys sits under a
 		// SortNode or SetOpNode that consumes them.
 		return nil, execErrorf("internal: hidden columns escaped the plan root")
 	}
-	return rel, nil
+	x := &executor{e: e, outer: outer, ctes: ctes, parentCTEs: parentCTEs}
+	return x.run(p.Root)
 }
 
-// buildOperator instantiates the physical operator for a logical node.
-func buildOperator(n PlanNode, oe *opEnv) operator {
+// executor is the context of one plan run, shared by every node of the
+// plan: the engine, the outer row context for correlated subqueries, and
+// the CTE scopes.
+type executor struct {
+	e     *Engine
+	outer *env
+	// ctes are the bindings visible to this query block (parent scope plus
+	// this block's WITH clause).
+	ctes map[string]*Relation
+	// parentCTEs is the enclosing scope only; the right side of a set
+	// operation resolves against it, not against the left block's WITH
+	// bindings.
+	parentCTEs map[string]*Relation
+}
+
+// evalEnv returns a row-evaluation env over the given header (rows are
+// plugged in via env.row).
+func (x *executor) evalEnv(cols []Col) *env {
+	return &env{rel: &Relation{Cols: cols}, outer: x.outer, ctes: x.ctes}
+}
+
+// run executes one plan node and returns its materialized result. A node
+// runs its inputs to completion, left before right, and then does its own
+// work, so the first input to fail decides the query's error.
+func (x *executor) run(n PlanNode) (*Relation, error) {
 	switch t := n.(type) {
 	case *OneRowNode:
-		return &oneRowOp{}
+		return &Relation{Rows: [][]Value{{}}}, nil
 	case *ScanNode:
-		return &scanOp{oe: oe, node: t}
+		return x.scan(t)
 	case *SubqueryScanNode:
-		return &subqueryScanOp{oe: oe, node: t}
+		rel, err := x.e.execPlan(t.Plan, x.outer, x.ctes)
+		if err != nil {
+			return nil, err
+		}
+		return requalify(rel, t.Qualifier), nil
 	case *JoinNode:
-		return &joinOp{oe: oe, node: t,
-			left:  buildOperator(t.Left, oe),
-			right: buildOperator(t.Right, oe)}
+		return x.join(t)
 	case *CrossNode:
-		return &crossOp{oe: oe, inputs: buildOperators(t.Inputs, oe)}
+		return x.cross(t)
 	case *ImplicitJoinNode:
-		return &implicitJoinOp{oe: oe, node: t, inputs: buildOperators(t.Inputs, oe)}
+		return x.implicitJoin(t)
 	case *FilterNode:
-		return &filterOp{oe: oe, node: t, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return x.filter(in, t.Cond)
 	case *ProjectNode:
-		return &projectOp{oe: oe, node: t, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return x.project(t, in)
 	case *GroupNode:
-		return &groupOp{oe: oe, node: t, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return x.group(t, in)
 	case *DistinctNode:
-		return &distinctOp{oe: oe, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return distinct(in, hiddenCols(t.Input)), nil
 	case *SetOpNode:
-		return &setOpOp{oe: oe, node: t, left: buildOperator(t.Left, oe)}
+		return x.setOp(t)
 	case *SortNode:
-		return &sortOp{oe: oe, node: t, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return x.sort(t, in)
 	case *LimitNode:
-		return &limitOp{node: t, child: buildOperator(t.Input, oe)}
+		in, err := x.run(t.Input)
+		if err != nil {
+			return nil, err
+		}
+		return limit(t, in), nil
 	case *unsupportedRefNode:
-		return &errorOp{err: execErrorf("unsupported table reference %T", t.ref)}
+		return nil, execErrorf("unsupported table reference %T", t.ref)
 	default:
-		return &errorOp{err: execErrorf("unsupported plan node %T", n)}
+		return nil, execErrorf("unsupported plan node %T", n)
 	}
 }
 
-func buildOperators(nodes []PlanNode, oe *opEnv) []operator {
-	ops := make([]operator, len(nodes))
-	for i, n := range nodes {
-		ops[i] = buildOperator(n, oe)
+// hiddenCols is the number of trailing hidden ORDER BY key columns in a
+// node's output: Project and Group append one per ORDER BY item, Distinct
+// passes its input's through, and every other node emits none (Sort and
+// SetOp consume them).
+func hiddenCols(n PlanNode) int {
+	switch t := n.(type) {
+	case *ProjectNode:
+		return len(t.OrderBy)
+	case *GroupNode:
+		return len(t.OrderBy)
+	case *DistinctNode:
+		return hiddenCols(t.Input)
 	}
-	return ops
+	return 0
 }
 
 // requalify stamps every column of rel with the given qualifier.

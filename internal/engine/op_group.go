@@ -1,10 +1,9 @@
 package engine
 
-// groupOp: the grouped-aggregation operator. Rows are bucketed by their
-// GROUP BY key, then each group is folded through HAVING and the SELECT
-// items (aggregates fold over the group's rows in input order). Group order
-// is first appearance in the input, and rows keep input order within a
-// group.
+// Grouped aggregation. Rows are bucketed by their GROUP BY key, then each
+// group is folded through HAVING and the SELECT items (aggregates fold over
+// the group's rows in input order). Group order is first appearance in the
+// input, and rows keep input order within a group.
 
 import (
 	"strings"
@@ -13,49 +12,19 @@ import (
 	"repro/internal/sqlast"
 )
 
-type groupOp struct {
-	oe    *opEnv
-	node  *GroupNode
-	child operator
-
-	cols   []Col // visible output columns
-	all    []Col // cols plus hidden order-key columns
-	rel    *Relation
-	cursor relCursor
-}
-
-func (o *groupOp) columns() []Col           { return o.all }
-func (o *groupOp) hiddenCols() int          { return len(o.node.OrderBy) }
-func (o *groupOp) materialized() *Relation  { return o.rel }
-func (o *groupOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *groupOp) close()                   { o.child.close() }
-
-func (o *groupOp) open() error {
-	src, err := drainInput(o.child)
+// group buckets in by the GROUP BY keys and folds each group into one
+// output row, followed by its hidden sort keys.
+func (x *executor) group(n *GroupNode, in *Relation) (*Relation, error) {
+	cols := groupHeader(n.Items)
+	groups, err := x.buildGroups(n.GroupBy, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	o.cols = groupHeader(o.node.Items)
-	o.all = o.cols
-	if n := len(o.node.OrderBy); n > 0 {
-		o.all = make([]Col, len(o.cols), len(o.cols)+n)
-		copy(o.all, o.cols)
-		for j := range o.node.OrderBy {
-			o.all = append(o.all, orderKeyCol(j))
-		}
-	}
-
-	groups, err := o.buildGroups(src)
+	rows, err := x.evalGroups(n, cols, in, groups)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rows, err := o.evalGroups(src, groups)
-	if err != nil {
-		return err
-	}
-	o.rel = &Relation{Cols: o.all, Rows: rows}
-	o.cursor = relCursor{rows: rows}
-	return nil
+	return &Relation{Cols: withOrderKeys(cols, len(n.OrderBy)), Rows: rows}, nil
 }
 
 // groupHeader names the output columns of a grouped projection.
@@ -80,11 +49,11 @@ func groupHeader(items []sqlast.SelectItem) []Col {
 // buildGroups buckets the source rows by GROUP BY key, preserving first-
 // appearance group order and input row order within each group. With no
 // GROUP BY there is one global group over everything (even zero rows).
-func (o *groupOp) buildGroups(src *Relation) ([][][]Value, error) {
-	if len(o.node.GroupBy) == 0 {
+func (x *executor) buildGroups(groupBy []sqlast.Expr, src *Relation) ([][][]Value, error) {
+	if len(groupBy) == 0 {
 		return [][][]Value{src.Rows}, nil
 	}
-	keys, err := o.groupKeys(src)
+	keys, err := x.groupKeys(groupBy, src)
 	if err != nil {
 		return nil, err
 	}
@@ -107,12 +76,12 @@ func (o *groupOp) buildGroups(src *Relation) ([][][]Value, error) {
 // uniquely in the source, keys are built straight from row values without
 // going through the expression evaluator. Every row is evaluated even after
 // an error, and the first error is returned.
-func (o *groupOp) groupKeys(src *Relation) ([]string, error) {
-	e := o.oe.e
+func (x *executor) groupKeys(groupBy []sqlast.Expr, src *Relation) ([]string, error) {
+	e := x.e
 	keys := make([]string, len(src.Rows))
 	e.ops.Add(int64(len(src.Rows)))
 	var buf []byte
-	if colIdx, ok := groupKeyColumns(o.node.GroupBy, src); ok {
+	if colIdx, ok := groupKeyColumns(groupBy, src); ok {
 		scratch := make([]Value, len(colIdx))
 		for i, row := range src.Rows {
 			for j, ci := range colIdx {
@@ -123,12 +92,12 @@ func (o *groupOp) groupKeys(src *Relation) ([]string, error) {
 		}
 		return keys, nil
 	}
-	ev := o.oe.evalEnv(src.Cols)
-	scratch := make([]Value, len(o.node.GroupBy))
+	ev := x.evalEnv(src.Cols)
+	scratch := make([]Value, len(groupBy))
 	var firstErr error
 	for i, row := range src.Rows {
 		ev.row = row
-		for j, g := range o.node.GroupBy {
+		for j, g := range groupBy {
 			v, err := e.evalExpr(g, ev)
 			if err != nil {
 				if firstErr == nil {
@@ -165,8 +134,8 @@ func groupKeyColumns(groupBy []sqlast.Expr, src *Relation) ([]int, bool) {
 // evalGroups folds HAVING, the SELECT items, and the ORDER BY keys over
 // every group, in first-appearance order, through one grouped env. Every
 // group is evaluated even after an error; the first group's error wins.
-func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, error) {
-	ev := o.oe.evalEnv(src.Cols)
+func (x *executor) evalGroups(n *GroupNode, cols []Col, src *Relation, groups [][][]Value) ([][]Value, error) {
+	ev := x.evalEnv(src.Cols)
 	ev.grouped = true
 	out := make([][]Value, 0, len(groups))
 	var firstErr error
@@ -175,7 +144,7 @@ func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, erro
 		if len(rows) > 0 {
 			ev.row = rows[0]
 		}
-		row, err := o.evalGroup(ev)
+		row, err := x.evalGroup(n, cols, ev)
 		switch {
 		case err != nil:
 			if firstErr == nil {
@@ -191,27 +160,27 @@ func (o *groupOp) evalGroups(src *Relation, groups [][][]Value) ([][]Value, erro
 	return out, nil
 }
 
-// evalGroup evaluates the group ev carries into its projected row with
-// hidden order keys, or nil when HAVING rejects the group. ORDER BY aliases
-// refer to projected values.
-func (o *groupOp) evalGroup(ev *env) ([]Value, error) {
-	e := o.oe.e
-	if o.node.Having != nil {
-		hv, err := e.evalExpr(o.node.Having, ev)
+// evalGroup evaluates the group ev carries into its projected row, under
+// the visible header cols, with hidden order keys, or nil when HAVING
+// rejects the group. ORDER BY aliases refer to projected values.
+func (x *executor) evalGroup(n *GroupNode, cols []Col, ev *env) ([]Value, error) {
+	e := x.e
+	if n.Having != nil {
+		hv, err := e.evalExpr(n.Having, ev)
 		if err != nil || !hv.Truthy() {
 			return nil, err
 		}
 	}
-	row := make([]Value, len(o.all))
-	for i, item := range o.node.Items {
+	row := make([]Value, len(cols)+len(n.OrderBy))
+	for i, item := range n.Items {
 		v, err := e.evalExpr(item.Expr, ev)
 		if err != nil {
 			return nil, err
 		}
 		row[i] = v
 	}
-	nVis := len(o.cols)
-	if err := e.orderKeys(o.node.OrderBy, ev, o.cols, row[:nVis], row[nVis:]); err != nil {
+	nVis := len(cols)
+	if err := e.orderKeys(n.OrderBy, ev, cols, row[:nVis], row[nVis:]); err != nil {
 		return nil, err
 	}
 	return row, nil

@@ -1,10 +1,10 @@
 package engine
 
-// Physical join operators and the shared row plumbing they use: the hash
-// probe that explicit equi-joins and implicit-join steps share, the
-// nested-loop join with outer padding, cross product, and the implicit-join
-// operator that orders comma-joined relations at execution time (the greedy
-// ordering itself lives in planner.go).
+// The executor's joins and the shared row plumbing they use: the hash join
+// that explicit equi-joins and implicit-join steps share, the nested-loop
+// join with outer padding, cross product, and the implicit join that orders
+// comma-joined relations at execution time (the greedy ordering itself
+// lives in planner.go).
 
 import (
 	"repro/internal/catalog"
@@ -85,13 +85,15 @@ func (e *Engine) crossProduct(a, b *Relation, cols []Col) (*Relation, error) {
 	return out, nil
 }
 
-// nestedLoopJoin joins two materialized relations on an arbitrary ON
-// predicate, with outer-join padding. The predicate evaluates against one
-// scratch row reused across candidates (expression evaluation only reads the
-// current row); only matching rows are materialized, from the arena.
-func (e *Engine) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, oe *opEnv) (*Relation, error) {
-	out := &Relation{Cols: concatCols(left.Cols, right.Cols)}
-	joined := &env{rel: out, outer: oe.outer, ctes: oe.ctes}
+// nestedLoopJoin joins two relations on an arbitrary ON predicate, with
+// outer-join padding, under the header cols (left.Cols++right.Cols). The
+// predicate evaluates against one scratch row reused across candidates
+// (expression evaluation only reads the current row); only matching rows
+// are materialized, from the arena.
+func (x *executor) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, cols []Col) (*Relation, error) {
+	e := x.e
+	out := &Relation{Cols: cols}
+	joined := x.evalEnv(cols)
 	rightMatched := make([]bool, len(right.Rows))
 	arena := newRowArena(len(out.Cols))
 	scratch := make([]Value, len(left.Cols)+len(right.Cols))
@@ -175,11 +177,11 @@ func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
 }
 
 // hashProbe is the one hash-join core. It indexes the build input on its key
-// column, then joins probe rows against it batch by batch: each probe row
-// emits its matching build rows in build insertion order — the nested loop's
-// output order — or, in a LEFT/FULL join, itself padded with NULLs when
-// nothing matched. After the last batch, tail emits the unmatched build rows
-// of a RIGHT/FULL join. Callers count probe rows toward the ops counter.
+// column, then joins probe rows against it: each probe row emits its
+// matching build rows in build insertion order — the nested loop's output
+// order — or, in a LEFT/FULL join, itself padded with NULLs when nothing
+// matched. After the probe, tail emits the unmatched build rows of a
+// RIGHT/FULL join. Callers count probe rows toward the ops counter.
 type hashProbe struct {
 	build              [][]Value
 	buildKey, probeKey int
@@ -262,11 +264,11 @@ func (h *hashProbe) candidates(v Value) []int {
 	return h.all
 }
 
-// probe joins one batch of probe rows. The row cap is checked as matches
+// probe joins the probe rows. The row cap is checked as matches
 // append, as in the nested loop.
-func (h *hashProbe) probe(batch [][]Value) ([][]Value, error) {
-	out := make([][]Value, 0, len(batch))
-	for _, pr := range batch {
+func (h *hashProbe) probe(rows [][]Value) ([][]Value, error) {
+	out := make([][]Value, 0, len(rows))
+	for _, pr := range rows {
 		v := pr[h.probeKey]
 		matched := false
 		if !v.Null {
@@ -312,227 +314,83 @@ func (h *hashProbe) tail() [][]Value {
 	return out
 }
 
-// hashJoin is the implicit-join steps' inner equi-join: the hash probe over
-// right, run with all of left as one batch, under the step's header cols
-// (left.Cols++right.Cols).
-func (e *Engine) hashJoin(left, right *Relation, li, ri int, cols []Col) (*Relation, error) {
-	h := e.newHashProbe(right, ri, li, len(left.Cols), "INNER")
+// hashJoin is the one equi-join: the hash probe over right, run with all of
+// left as its probe rows, then the unmatched right rows of a RIGHT/FULL
+// join, under the header cols (left.Cols++right.Cols). Explicit equi-joins
+// and implicit-join steps both call it.
+func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, cols []Col) (*Relation, error) {
+	h := e.newHashProbe(right, ri, li, len(left.Cols), joinType)
+	e.ops.Add(int64(len(left.Rows)))
 	rows, err := h.probe(left.Rows)
 	if err != nil {
 		return nil, err
 	}
-	e.ops.Add(int64(len(left.Rows)))
-	return &Relation{Cols: cols, Rows: rows}, nil
+	return &Relation{Cols: cols, Rows: append(rows, h.tail()...)}, nil
 }
 
-// ---------------------------------------------------------------------------
-// joinOp: explicit join. An ON clause that is a plain column equality builds
-// the hash probe over the right input and streams the left input through it
-// batch by batch, never materializing the probe side. CROSS and ON-less
-// joins cross-product both inputs, and any other ON clause — or a column
-// equality that does not resolve to one column per side — runs the nested
-// loop. Every path emits left-major rows with right matches in right order.
-
-type joinOp struct {
-	oe          *opEnv
-	node        *JoinNode
-	left, right operator
-
-	cols []Col
-
-	// Cross product and nested loop: the materialized result.
-	rel    *Relation
-	cursor relCursor
-
-	// Hash join: the probe over the right input, fed by the left input.
-	hp        *hashProbe
-	probeDone bool
-}
-
-func (o *joinOp) columns() []Col  { return o.cols }
-func (o *joinOp) hiddenCols() int { return 0 }
-func (o *joinOp) materialized() *Relation {
-	return o.rel // nil while streaming: drainInput collects batches instead
-}
-func (o *joinOp) close() { o.left.close(); o.right.close() }
-
-func (o *joinOp) open() error {
-	if _, _, ok := colEquality(o.node.On); !ok || o.node.Type == "CROSS" {
-		left, err := drainInput(o.left)
-		if err != nil {
-			return err
-		}
-		right, err := drainInput(o.right)
-		if err != nil {
-			return err
-		}
-		return o.materialize(left, right)
-	}
-	// The left opens before the right is touched, so open-time errors
-	// surface in the same left-then-right order as above.
-	if err := o.left.open(); err != nil {
-		return err
-	}
-	build, err := drainInput(o.right)
+// join runs an explicit join. An ON clause that is a plain column equality,
+// resolving to one column on each side, runs the hash join keyed on the
+// right input. CROSS and ON-less joins cross-product both inputs, and any
+// other ON clause runs the nested loop. Every path emits left-major rows
+// with right matches in right order.
+func (x *executor) join(n *JoinNode) (*Relation, error) {
+	left, err := x.run(n.Left)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	probeCols := o.left.columns()
-	li, ri, ok := equiJoinCols(o.node.On, &Relation{Cols: probeCols}, build)
-	if !ok {
-		left, err := drain(o.left)
-		if err != nil {
-			return err
-		}
-		return o.materialize(left, build)
-	}
-	o.cols = concatCols(probeCols, build.Cols)
-	o.hp = o.oe.e.newHashProbe(build, ri, li, len(probeCols), o.node.Type)
-	return nil
-}
-
-// materialize joins two drained inputs: a cross product for CROSS and
-// ON-less joins, the nested loop otherwise.
-func (o *joinOp) materialize(left, right *Relation) error {
-	var rel *Relation
-	var err error
-	if o.node.Type == "CROSS" || o.node.On == nil {
-		rel, err = o.oe.e.crossProduct(left, right, concatCols(left.Cols, right.Cols))
-	} else {
-		rel, err = o.oe.e.nestedLoopJoin(left, right, o.node.Type, o.node.On, o.oe)
-	}
+	right, err := x.run(n.Right)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	o.rel, o.cols = rel, rel.Cols
-	o.cursor = relCursor{rows: rel.Rows}
-	return nil
+	cols := concatCols(left.Cols, right.Cols)
+	if n.Type == "CROSS" || n.On == nil {
+		return x.e.crossProduct(left, right, cols)
+	}
+	if li, ri, ok := equiJoinCols(n.On, left, right); ok {
+		return x.e.hashJoin(left, right, li, ri, n.Type, cols)
+	}
+	return x.nestedLoopJoin(left, right, n.Type, n.On, cols)
 }
 
-func (o *joinOp) next() ([][]Value, error) {
-	if o.hp == nil {
-		return o.cursor.next(), nil
-	}
-	for !o.probeDone {
-		batch, err := o.left.next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			o.probeDone = true
-			break
-		}
-		o.oe.e.ops.Add(int64(len(batch)))
-		out, err := o.hp.probe(batch)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-	return o.hp.tail(), nil
-}
-
-// ---------------------------------------------------------------------------
-// crossOp: left-deep cross product of comma-joined inputs (no WHERE clause
-// to mine for join conditions, or every conjunct pushed below the inputs).
-
-type crossOp struct {
-	oe     *opEnv
-	inputs []operator
-
-	rel    *Relation
-	cursor relCursor
-}
-
-func (o *crossOp) columns() []Col           { return o.rel.Cols }
-func (o *crossOp) hiddenCols() int          { return 0 }
-func (o *crossOp) materialized() *Relation  { return o.rel }
-func (o *crossOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *crossOp) close() {
-	for _, in := range o.inputs {
-		in.close()
-	}
-}
-
-func (o *crossOp) open() error {
+// cross runs a left-deep cross product of comma-joined inputs (no WHERE
+// clause to mine for join conditions, or every conjunct pushed below the
+// inputs). Each input runs just before it is multiplied in.
+func (x *executor) cross(n *CrossNode) (*Relation, error) {
 	var acc *Relation
-	for _, in := range o.inputs {
-		rel, err := drainInput(in)
+	for _, input := range n.Inputs {
+		rel, err := x.run(input)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if acc == nil {
 			acc = rel
 			continue
 		}
-		acc, err = o.oe.e.crossProduct(acc, rel, concatCols(acc.Cols, rel.Cols))
+		acc, err = x.e.crossProduct(acc, rel, concatCols(acc.Cols, rel.Cols))
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	o.rel = acc
-	o.cursor = relCursor{rows: acc.Rows}
-	return nil
+	return acc, nil
 }
 
-// ---------------------------------------------------------------------------
-// implicitJoinOp: comma-joined FROM list plus conjunctive WHERE. The greedy
-// left-deep ordering (planner.go) decides at open time which equality
-// conjuncts become hash-join conditions; the leftover conjuncts filter the
-// joined result here, so downstream operators see exactly the rows the
-// query's WHERE admits.
-
-type implicitJoinOp struct {
-	oe     *opEnv
-	node   *ImplicitJoinNode
-	inputs []operator
-
-	rel    *Relation
-	cursor relCursor
-}
-
-func (o *implicitJoinOp) columns() []Col           { return o.rel.Cols }
-func (o *implicitJoinOp) hiddenCols() int          { return 0 }
-func (o *implicitJoinOp) materialized() *Relation  { return o.rel }
-func (o *implicitJoinOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *implicitJoinOp) close() {
-	for _, in := range o.inputs {
-		in.close()
-	}
-}
-
-func (o *implicitJoinOp) open() error {
-	rels := make([]*Relation, len(o.inputs))
-	for i, in := range o.inputs {
-		rel, err := drainInput(in)
+// implicitJoin runs a comma-joined FROM list plus conjunctive WHERE. The
+// greedy left-deep ordering (planner.go) decides, once every input has run,
+// which equality conjuncts become hash-join conditions; the leftover
+// conjuncts filter the joined result, so the nodes above see exactly the
+// rows the query's WHERE admits.
+func (x *executor) implicitJoin(n *ImplicitJoinNode) (*Relation, error) {
+	rels := make([]*Relation, len(n.Inputs))
+	for i, input := range n.Inputs {
+		rel, err := x.run(input)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rels[i] = rel
 	}
-	joined, residual, err := o.oe.e.orderImplicitJoins(rels, o.node.Where)
-	if err != nil {
-		return err
+	joined, residual, err := x.e.orderImplicitJoins(rels, n.Where)
+	if err != nil || residual == nil {
+		return joined, err
 	}
-	if residual != nil {
-		ev := o.oe.evalEnv(joined.Cols)
-		filtered := &Relation{Cols: joined.Cols, Rows: make([][]Value, 0, len(joined.Rows))}
-		o.oe.e.ops.Add(int64(len(joined.Rows)))
-		for _, row := range joined.Rows {
-			ev.row = row
-			v, err := o.oe.e.evalExpr(residual, ev)
-			if err != nil {
-				return err
-			}
-			if v.Truthy() {
-				filtered.Rows = append(filtered.Rows, row)
-			}
-		}
-		joined = filtered
-	}
-	o.rel = joined
-	o.cursor = relCursor{rows: joined.Rows}
-	return nil
+	return x.filter(joined, residual)
 }

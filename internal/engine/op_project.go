@@ -1,10 +1,10 @@
 package engine
 
-// projectOp: the streaming projection operator. It evaluates the SELECT
-// items per input batch and, when the plan carries ORDER BY, also evaluates
-// the sort keys in the same row context (so keys may reference
-// non-projected source columns and projection aliases) and appends them as
-// trailing hidden columns for the SortNode above.
+// Projection: the executor evaluates the SELECT items for every input row
+// and, when the plan carries ORDER BY, also evaluates the sort keys in the
+// same row context (so keys may reference non-projected source columns and
+// projection aliases) and appends them as trailing hidden columns for the
+// SortNode above.
 
 import (
 	"strings"
@@ -13,84 +13,43 @@ import (
 	"repro/internal/sqlast"
 )
 
-type projectOp struct {
-	oe    *opEnv
-	node  *ProjectNode
-	child operator
-
-	cols    []Col // visible output columns
-	all     []Col // cols plus hidden order-key columns
-	starIdx map[int][]int
-	ev      *env
-}
-
-func (o *projectOp) columns() []Col  { return o.all }
-func (o *projectOp) hiddenCols() int { return len(o.node.OrderBy) }
-func (o *projectOp) close()          { o.child.close() }
-
-func (o *projectOp) open() error {
-	if err := o.child.open(); err != nil {
-		return err
-	}
-	src := &Relation{Cols: o.child.columns()}
-	cols, starIdx, err := projectionHeader(o.node.Items, src)
+// project evaluates the SELECT items, then the hidden sort keys, over every
+// row of in, counting one row operation per row.
+func (x *executor) project(n *ProjectNode, in *Relation) (*Relation, error) {
+	cols, starIdx, err := projectionHeader(n.Items, in)
 	if err != nil {
-		return err
-	}
-	o.cols, o.starIdx = cols, starIdx
-	o.all = cols
-	if n := len(o.node.OrderBy); n > 0 {
-		o.all = make([]Col, len(cols), len(cols)+n)
-		copy(o.all, cols)
-		for j := range o.node.OrderBy {
-			o.all = append(o.all, orderKeyCol(j))
-		}
-	}
-	o.ev = o.oe.evalEnv(o.child.columns())
-	return nil
-}
-
-// orderKeyCol names a hidden sort-key column. The name is never resolvable
-// from SQL (identifiers cannot start with \x00), so hidden columns can
-// never capture a user column reference.
-func orderKeyCol(j int) Col {
-	return Col{Name: "\x00order" + string(rune('0'+j)), Type: catalog.TypeAny}
-}
-
-func (o *projectOp) next() ([][]Value, error) {
-	batch, err := o.child.next()
-	if err != nil || batch == nil {
 		return nil, err
 	}
-	e := o.oe.e
-	e.ops.Add(int64(len(batch)))
-	nOrder := len(o.node.OrderBy)
-	width := len(o.all)
+	all := withOrderKeys(cols, len(n.OrderBy))
+	e := x.e
+	e.ops.Add(int64(len(in.Rows)))
+	ev := x.evalEnv(in.Cols)
+	width := len(all)
 	// Every output row is exactly `width` wide (star expansions are counted
-	// in the header), so one backing allocation serves the whole batch.
-	backing := make([]Value, 0, len(batch)*width)
-	out := make([][]Value, 0, len(batch))
-	for _, row := range batch {
-		o.ev.row = row
+	// in the header), so one backing allocation serves the whole result.
+	backing := make([]Value, 0, len(in.Rows)*width)
+	out := make([][]Value, 0, len(in.Rows))
+	for _, row := range in.Rows {
+		ev.row = row
 		base := len(backing)
-		for itemIdx, item := range o.node.Items {
-			if idxs, isStar := o.starIdx[itemIdx]; isStar {
+		for itemIdx, item := range n.Items {
+			if idxs, isStar := starIdx[itemIdx]; isStar {
 				for _, i := range idxs {
 					backing = append(backing, row[i])
 				}
 				continue
 			}
-			v, err := e.evalExpr(item.Expr, o.ev)
+			v, err := e.evalExpr(item.Expr, ev)
 			if err != nil {
 				return nil, err
 			}
 			backing = append(backing, v)
 		}
-		if nOrder > 0 {
+		if len(n.OrderBy) > 0 {
 			visEnd := len(backing)
 			backing = backing[:base+width]
 			outRow := backing[base : base+width : base+width]
-			if err := e.orderKeys(o.node.OrderBy, o.ev, o.cols, outRow[:visEnd-base], outRow[visEnd-base:]); err != nil {
+			if err := e.orderKeys(n.OrderBy, ev, cols, outRow[:visEnd-base], outRow[visEnd-base:]); err != nil {
 				return nil, err
 			}
 			out = append(out, outRow)
@@ -98,7 +57,22 @@ func (o *projectOp) next() ([][]Value, error) {
 			out = append(out, backing[base:len(backing):len(backing)])
 		}
 	}
-	return out, nil
+	return &Relation{Cols: all, Rows: out}, nil
+}
+
+// withOrderKeys returns cols followed by n hidden sort-key columns. Their
+// names are never resolvable from SQL (identifiers cannot start with \x00),
+// so hidden columns can never capture a user column reference.
+func withOrderKeys(cols []Col, n int) []Col {
+	if n == 0 {
+		return cols
+	}
+	all := make([]Col, len(cols), len(cols)+n)
+	copy(all, cols)
+	for j := 0; j < n; j++ {
+		all = append(all, Col{Name: "\x00order" + string(rune('0'+j)), Type: catalog.TypeAny})
+	}
+	return all
 }
 
 // projectionHeader computes output columns and, for star items, the source

@@ -1,9 +1,8 @@
 package engine
 
-// distinctOp and setOpOp: duplicate elimination and UNION/INTERSECT/EXCEPT.
-//
-// Both are keyed by the canonical row key (Key/rowKey) and keep the first
-// occurrence of each key in input order.
+// Duplicate elimination and UNION/INTERSECT/EXCEPT. Both are keyed by the
+// canonical row key (Key/rowKey) and keep the first occurrence of each key
+// in input order.
 
 // rowKeysOf computes the canonical key of every row.
 func rowKeysOf(rows [][]Value) []string {
@@ -16,31 +15,11 @@ func rowKeysOf(rows [][]Value) []string {
 	return keys
 }
 
-// ---------------------------------------------------------------------------
-// distinctOp
-
-type distinctOp struct {
-	oe    *opEnv
-	child operator
-
-	rel    *Relation
-	cursor relCursor
-}
-
-func (o *distinctOp) columns() []Col           { return o.rel.Cols }
-func (o *distinctOp) hiddenCols() int          { return o.child.hiddenCols() }
-func (o *distinctOp) materialized() *Relation  { return o.rel }
-func (o *distinctOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *distinctOp) close()                   { o.child.close() }
-
-func (o *distinctOp) open() error {
-	in, err := drainInput(o.child)
-	if err != nil {
-		return err
-	}
-	// Deduplicate on the visible columns only; hidden order keys ride along
-	// on the surviving rows.
-	vis := len(in.Cols) - o.child.hiddenCols()
+// distinct keeps the first row of each distinct key, in input order. Keys
+// cover the visible columns only; the trailing hidden order keys ride along
+// on the surviving rows.
+func distinct(in *Relation, hidden int) *Relation {
+	vis := len(in.Cols) - hidden
 	keyed := in.Rows
 	if vis < len(in.Cols) {
 		keyed = make([][]Value, len(in.Rows))
@@ -58,57 +37,27 @@ func (o *distinctOp) open() error {
 		seen[keys[i]] = true
 		out.Rows = append(out.Rows, row)
 	}
-	o.rel = out
-	o.cursor = relCursor{rows: out.Rows}
-	return nil
+	return out
 }
 
-// ---------------------------------------------------------------------------
-// setOpOp
-
-type setOpOp struct {
-	oe   *opEnv
-	node *SetOpNode
-	left operator
-
-	rel    *Relation
-	cursor relCursor
-}
-
-func (o *setOpOp) columns() []Col           { return o.rel.Cols }
-func (o *setOpOp) hiddenCols() int          { return 0 }
-func (o *setOpOp) materialized() *Relation  { return o.rel }
-func (o *setOpOp) next() ([][]Value, error) { return o.cursor.next(), nil }
-func (o *setOpOp) close()                   { o.left.close() }
-
-func (o *setOpOp) open() error {
-	left, err := drainInput(o.left)
+// setOp combines the left input with the right query block. The right side
+// is a full query block executing in the *parent* CTE scope (the left
+// block's WITH bindings are not visible to it).
+func (x *executor) setOp(n *SetOpNode) (*Relation, error) {
+	left, err := x.run(n.Left)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Drop the left block's hidden order keys before combining; post-set-op
 	// ORDER BY resolves against the visible output columns instead.
-	if h := o.left.hiddenCols(); h > 0 {
-		vis := len(left.Cols) - h
-		pruned := &Relation{Cols: left.Cols[:vis], Rows: make([][]Value, len(left.Rows))}
-		for i, row := range left.Rows {
-			pruned.Rows[i] = row[:vis:vis]
-		}
-		left = pruned
+	if h := hiddenCols(n.Left); h > 0 {
+		left, _ = splitHidden(left, h)
 	}
-	// The right side is a full query block executing in the *parent* CTE
-	// scope (the left block's WITH bindings are not visible to it).
-	right, err := o.oe.e.execPlan(o.node.Right, o.oe.outer, o.oe.parentCTEs)
+	right, err := x.e.execPlan(n.Right, x.outer, x.parentCTEs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rel, err := o.oe.e.combineSetOp(left, right, o.node.Op, o.node.All)
-	if err != nil {
-		return err
-	}
-	o.rel = rel
-	o.cursor = relCursor{rows: rel.Rows}
-	return nil
+	return x.e.combineSetOp(left, right, n.Op, n.All)
 }
 
 // combineSetOp applies a set operation to two materialized relations.

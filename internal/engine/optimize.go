@@ -1,7 +1,7 @@
 package engine
 
 // The plan optimizer: a pure plan→plan rewrite between BuildPlan and
-// physical lowering, applied by planFor to every plan (only the unoptimized
+// execution, applied by planFor to every plan (only the unoptimized
 // test oracle skips it). Its one rewrite is predicate pushdown across joins:
 // Filter conjuncts over an explicit Join that mention one side move below
 // the join, and single-input conjuncts of an ImplicitJoinNode's WHERE (a
@@ -277,7 +277,7 @@ func qualsSubset(sub, super map[string]bool) bool {
 	return true
 }
 
-// nodeColumns returns the columns a join input's operator will expose at
+// nodeColumns returns the columns a join input's node will expose at
 // execution time, or ok=false when they cannot be determined at plan time.
 // Qualifier sets alone are not enough to vet a pushed conjunct: a ref with
 // a valid qualifier but a name the subtree does not produce would raise

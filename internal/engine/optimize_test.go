@@ -377,8 +377,8 @@ func benchJoinDB() *DB {
 
 // BenchmarkStreamJoinMemory measures the optimized plan against the
 // unoptimized oracle on a filtered join: the optimized plan pushes the
-// filters below the join, so the hash probe builds and streams only the
-// surviving rows; the unoptimized plan joins every row and filters after.
+// filters below the join, so the hash join builds on and probes with only
+// the surviving rows; the unoptimized plan joins every row and filters after.
 func BenchmarkStreamJoinMemory(b *testing.B) {
 	const sql = "SELECT b.v, s.w FROM big b JOIN small s ON b.id = s.id WHERE b.v > 50 AND s.w < 300"
 	sel, err := sqlparse.ParseSelect(sql)

@@ -14,11 +14,11 @@ import (
 //	scan → join → filter → group/aggregate → distinct → set-op → sort → limit
 //
 // The plan is purely structural — it holds AST expressions but no data — so
-// it is shared by the two downstream layers: the physical operator layer
-// (operator.go and the op_*.go files) instantiates one operator per node and
-// executes it, and the cost model (cost.go) walks the same nodes to estimate
-// work without touching any rows. Plans are immutable once built and safe to
-// share across goroutines.
+// it is shared by the two downstream layers: the executor (exec.go, with the
+// per-node work in operator.go and the op_*.go files) runs each node to a
+// materialized Relation, and the cost model (cost.go) walks the same nodes
+// to estimate work without touching any rows. Plans are immutable once built
+// and safe to share across goroutines.
 
 // PlanNode is one node of a logical query plan.
 type PlanNode interface {

@@ -104,7 +104,7 @@ func (e *Engine) executeJoinSteps(rels []*Relation, steps []joinStep) (*Relation
 		if s.conj < 0 {
 			acc, err = e.crossProduct(acc, rels[s.target], s.cols)
 		} else {
-			acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri, s.cols)
+			acc, err = e.hashJoin(acc, rels[s.target], s.li, s.ri, "INNER", s.cols)
 		}
 		if err != nil {
 			return nil, err

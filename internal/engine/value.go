@@ -180,7 +180,7 @@ func (r *Relation) find(qualifier, name string) []int {
 }
 
 // Key renders a row into a canonical string for grouping and set operations
-// (the allocating convenience form of rowKey, which operators use with a
+// (the allocating convenience form of rowKey, which the executor uses with a
 // reused buffer).
 func Key(row []Value) string {
 	return string(rowKey(nil, row))

@@ -10,7 +10,8 @@ import (
 )
 
 // sameParseError reports whether two parse results carry the same error:
-// both nil, or both a *sqlparse.ParseError with equal Pos, Msg and Near.
+// both nil, or both a *sqlparse.ParseError with equal fields: position,
+// message format and argument, and near text.
 func sameParseError(got, want error) bool {
 	if got == nil || want == nil {
 		return got == nil && want == nil

@@ -80,11 +80,22 @@ type Token struct {
 }
 
 // Upper returns the uppercase form of Text for case-insensitive matching.
-// It is computed on demand rather than stored per token: for text with no
-// lowercase ASCII letters (keywords, operators, numbers — the bulk of SQL)
-// it returns Text itself without allocating, and consumers that never look
-// at a token's case pay nothing at all.
-func (t Token) Upper() string { return upper(t.Text) }
+// It is computed on demand rather than stored per token, and allocates
+// only for lowercase text that is no keyword: a keyword token returns the
+// keyword table's own spelling, and text with no lowercase ASCII letters
+// (operators, numbers — with keywords, the bulk of SQL) returns Text
+// itself. Consumers that never look at a token's case pay nothing at all.
+func (t Token) Upper() string {
+	if isUpper(t.Text) {
+		return t.Text
+	}
+	if t.Kind == Keyword {
+		if kw := keyword(t.Text); kw != "" {
+			return kw
+		}
+	}
+	return strings.ToUpper(t.Text)
+}
 
 // Val returns the semantic value: unquoted identifier text, string contents
 // without quotes, or Text otherwise.
@@ -131,49 +142,45 @@ func MatchUpper(text, word string) bool {
 	return true
 }
 
-// keywords is the set of reserved words recognized by the scanner. Function
-// names (COUNT, AVG, ...) are deliberately not keywords; they lex as Ident.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "TOP": true, "DISTINCT": true, "ALL": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true, "ON": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "EXISTS": true, "BETWEEN": true, "LIKE": true,
-	"IS": true, "NULL": true, "UNION": true, "INTERSECT": true, "EXCEPT": true,
-	"WITH": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "CREATE": true, "TABLE": true, "VIEW": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"DECLARE": true, "EXEC": true, "DROP": true, "CAST": true, "WAITFOR": true,
-	"DELAY": true, "TRUE": true, "FALSE": true,
-}
-
-// maxKeywordLen bounds the stack buffer isKeywordWord uppercases into;
-// INTERSECT (9 bytes) is the longest current keyword. init asserts the
-// table fits so a future addition cannot silently stop matching.
-const maxKeywordLen = 12
-
-func init() {
-	for kw := range keywords {
+// keywords maps each reserved word recognized by the scanner to itself, so
+// that a lookup by any spelling's uppercase form yields the table's own
+// string. Function names (COUNT, AVG, ...) are deliberately not keywords;
+// they lex as Ident.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT
+		OFFSET TOP DISTINCT ALL AS JOIN INNER LEFT RIGHT FULL OUTER
+		CROSS ON AND OR NOT IN EXISTS BETWEEN LIKE IS NULL UNION
+		INTERSECT EXCEPT WITH CASE WHEN THEN ELSE END CREATE TABLE
+		VIEW INSERT INTO VALUES UPDATE SET DELETE DECLARE EXEC DROP
+		CAST WAITFOR DELAY TRUE FALSE`) {
 		if len(kw) > maxKeywordLen {
 			panic("sqllex: keyword " + kw + " exceeds maxKeywordLen")
 		}
+		m[kw] = kw
 	}
-}
+	return m
+}()
 
-// isKeywordWord reports whether text names a keyword, ignoring ASCII case,
-// without allocating: the candidate is uppercased into a stack buffer and
-// looked up directly (the compiler elides the string conversion in the map
-// access).
-func isKeywordWord(text string) bool {
+// maxKeywordLen bounds the stack buffer keyword uppercases into; INTERSECT
+// (9 bytes) is the longest current keyword. Building the table panics on a
+// longer one, so a future addition cannot silently stop matching.
+const maxKeywordLen = 12
+
+// keyword returns the table's spelling of the keyword text names, ignoring
+// ASCII case, or "" when text names none, without allocating: the
+// candidate is uppercased into a stack buffer and looked up directly (the
+// compiler elides the string conversion in the map access).
+func keyword(text string) string {
 	if len(text) > maxKeywordLen {
-		return false
+		return ""
 	}
 	var buf [maxKeywordLen]byte
 	for i := 0; i < len(text); i++ {
 		c := text[i]
 		if c >= 0x80 {
-			return false // keywords are pure ASCII
+			return "" // keywords are pure ASCII
 		}
 		if c >= 'a' && c <= 'z' {
 			c -= 'a' - 'A'
@@ -182,6 +189,9 @@ func isKeywordWord(text string) bool {
 	}
 	return keywords[string(buf[:len(text)])]
 }
+
+// isKeywordWord reports whether text names a keyword, ignoring ASCII case.
+func isKeywordWord(text string) bool { return keyword(text) != "" }
 
 // Error is a lexical error with a position.
 type Error struct {
@@ -406,17 +416,16 @@ func (s *scanner) emit(k Kind, text string, pos Pos) Token {
 	return t
 }
 
-// upper is strings.ToUpper with a manual ASCII fast path: already-uppercase
-// text (keywords, operators, numbers — the bulk of SQL) returns the input
-// string without allocating.
-func upper(s string) string {
+// isUpper reports whether s is its own uppercase form: it holds no
+// lowercase ASCII letter and no non-ASCII byte.
+func isUpper(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= 'a' && c <= 'z' || c >= 0x80 {
-			return strings.ToUpper(s)
+			return false
 		}
 	}
-	return s
+	return true
 }
 
 func (s *scanner) lineComment(start Pos) Token {

@@ -1022,11 +1022,24 @@ func (p *parser) intLiteral() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.Atoi(t.Text)
-	if err != nil {
+	n, ok := atoi(t.Text)
+	if !ok {
 		return 0, p.errorf("expected integer, got %q", t.Text)
 	}
 	return n, nil
+}
+
+// atoi parses a number token as strconv.Atoi does, but rejects a
+// non-digit before strconv sees it, so a failure such as TOP 1.5 builds no
+// *NumError. A number token carries no sign.
+func atoi(s string) (int, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // optionalInt consumes [kw integer] and returns the integer for the tree:

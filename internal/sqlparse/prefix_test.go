@@ -63,6 +63,9 @@ func recognizeStatements() []string {
 		"CREATE TABLE t2 AS SELECT a FROM t",
 		"WAITFOR DELAY '00:00:01'",
 		"BEGIN TRANSACTION",
+		"select a from t where b is null",
+		"SELECT a FROM t left join u on t.a = u.a",
+		"SELECT a FROM t WHERE b = true",
 	}
 	r := rand.New(rand.NewSource(4242))
 	for i := 0; i < 150; i++ {

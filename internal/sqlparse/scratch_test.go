@@ -113,7 +113,8 @@ func TestPrefixResetForgetsSequence(t *testing.T) {
 // statement that parses allocates nothing, and one that fails allocates
 // its ParseError alone. The failures are every single-token deletion of
 // recognizeStatements, plus a CASE with no WHEN arm, whose check must not
-// read the arms a recognizer never builds.
+// read the arms a recognizer never builds, and a TOP count that is no
+// integer, whose check must build no strconv error.
 func TestRecognizeAllocs(t *testing.T) {
 	var p Prefix
 	recognize := func(toks []sqllex.Token) float64 {
@@ -130,6 +131,17 @@ func TestRecognizeAllocs(t *testing.T) {
 	}
 	if n := recognize(caseEnd); n > 1 {
 		t.Errorf("recognizing a CASE with no arm allocates %.0f times, want at most 1", n)
+	}
+	topFrac, err := sqllex.LexWords("SELECT TOP 1.5 a FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want = ParseStatementTokens(topFrac)
+	if got := p.Recognize(topFrac, 0); got == nil || got.Error() != want.Error() {
+		t.Errorf("Recognize(TOP 1.5) = %v, want %v", got, want)
+	}
+	if n := recognize(topFrac); n > 1 {
+		t.Errorf("recognizing TOP 1.5 allocates %.0f times, want at most 1", n)
 	}
 	failures := 0
 	for _, sql := range recognizeStatements() {
