@@ -188,8 +188,6 @@ func (m *CostModel) costNode(n PlanNode, scope costScope) planCost {
 		return m.costPlan(t.Plan, scope)
 	case *JoinNode:
 		return m.costJoin(t, scope)
-	case *CrossNode:
-		return m.costCommaJoin(t.Inputs, nil, scope)
 	case *ImplicitJoinNode:
 		return m.costCommaJoin(t.Inputs, t.Where, scope)
 	case *FilterNode:
@@ -229,8 +227,8 @@ func (m *CostModel) costNode(n PlanNode, scope costScope) planCost {
 
 // costCommaJoin estimates a comma-joined FROM list: join predicates in the
 // WHERE clause are assumed to keep each step linear in the larger side
-// rather than a full cross product, and the WHERE clause (when present, i.e.
-// for ImplicitJoinNode) then filters the joined result.
+// rather than a full cross product, and the WHERE clause, when present, then
+// filters the joined result.
 func (m *CostModel) costCommaJoin(inputs []PlanNode, where sqlast.Expr, scope costScope) planCost {
 	var work float64
 	rows := 1.0

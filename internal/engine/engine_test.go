@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,11 +189,10 @@ func TestHashAndNestedLoopJoinAgree(t *testing.T) {
 	}
 }
 
-// Hash-join keys are rendered values, but Equal compares int and float
-// numerically: IntVal(1000000) renders "1000000", FloatVal(1e6) renders
-// "1e+06", and -0.0 renders "-0". Every hash path must still find each match
-// the nested loop finds.
-func TestHashJoinKeysCompareAcrossNumericKinds(t *testing.T) {
+// numKeysDB holds the integers 1000000 and 0 in a.i and the floats 1e6, 0
+// and -0 in b.f: values Equal treats as the same, of different Kinds or
+// signs.
+func numKeysDB() *DB {
 	schema := catalog.NewSchema("numkeys")
 	schema.Add(catalog.T("a", "i", catalog.TypeInt))
 	schema.Add(catalog.T("b", "f", catalog.TypeFloat))
@@ -205,6 +205,14 @@ func TestHashJoinKeysCompareAcrossNumericKinds(t *testing.T) {
 		Cols: []Col{{Name: "f", Type: catalog.TypeFloat}},
 		Rows: [][]Value{{FloatVal(1e6)}, {FloatVal(0)}, {FloatVal(math.Copysign(0, -1))}},
 	})
+	return db
+}
+
+// Equal compares int and float numerically, so every hash path must find
+// each match the nested loop finds, whether the two keys share a Kind or
+// not.
+func TestHashJoinKeysCompareAcrossNumericKinds(t *testing.T) {
+	db := numKeysDB()
 	for _, tc := range []struct {
 		sql  string
 		want int
@@ -222,6 +230,47 @@ func TestHashJoinKeysCompareAcrossNumericKinds(t *testing.T) {
 		}
 		if len(rel.Rows) != tc.want {
 			t.Errorf("%s: %d rows %v, want %d", tc.sql, len(rel.Rows), rowStrings(rel), tc.want)
+		}
+	}
+}
+
+// Row keys (DISTINCT, set operations, GROUP BY, EqualRelations) treat as
+// one value what Equal does: an integral float and the same integer, and -0
+// and 0.
+func TestRowKeysFollowEqual(t *testing.T) {
+	const both = "(SELECT i AS x FROM a UNION ALL SELECT f FROM b) t"
+	for _, tc := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT DISTINCT x FROM " + both, []string{"1000000", "0"}},
+		{"SELECT DISTINCT f FROM b", []string{"1e+06", "0"}},
+		{"SELECT i FROM a UNION SELECT f FROM b", []string{"1000000", "0"}},
+		{"SELECT i FROM a INTERSECT SELECT f FROM b", []string{"1000000", "0"}},
+		{"SELECT i FROM a EXCEPT SELECT f FROM b", nil},
+		{"SELECT COUNT(*) FROM " + both + " GROUP BY x", []string{"2", "3"}},
+		{"SELECT COUNT(*) FROM b GROUP BY f", []string{"1", "2"}},
+	} {
+		for _, mk := range []func(*DB) *Engine{New, NewUnoptimized} {
+			e := mk(numKeysDB())
+			rel, err := e.QuerySQL(tc.sql)
+			if err != nil {
+				t.Fatalf("%s (raw=%v): %v", tc.sql, e.raw, err)
+			}
+			var got []string
+			for _, row := range rel.Rows {
+				got = append(got, row[0].String())
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s (raw=%v): rows %v, want %v", tc.sql, e.raw, rowStrings(rel), tc.want)
+			}
+		}
+	}
+	ints := &Relation{Cols: []Col{{Name: "x"}}, Rows: [][]Value{{IntVal(1000000)}, {IntVal(0)}}}
+	floats := &Relation{Cols: []Col{{Name: "x"}}, Rows: [][]Value{{FloatVal(1e6)}, {FloatVal(math.Copysign(0, -1))}}}
+	for _, ordered := range []bool{true, false} {
+		if !EqualRelations(ints, floats, ordered) {
+			t.Errorf("EqualRelations(%v, %v, ordered=%v) = false", rowStrings(ints), rowStrings(floats), ordered)
 		}
 	}
 }

@@ -244,8 +244,6 @@ func (x *executor) run(n PlanNode) (*Relation, error) {
 		return requalify(rel, t.Qualifier), nil
 	case *JoinNode:
 		return x.join(t)
-	case *CrossNode:
-		return x.cross(t)
 	case *ImplicitJoinNode:
 		return x.implicitJoin(t)
 	case *FilterNode:

@@ -42,7 +42,8 @@ func TestOpsPerQuery(t *testing.T) {
 // fail. A node runs its inputs to completion, left before right, before it
 // does its own work, so a join raises its left input's error, whether that
 // comes from a derived table or from a hash join below that exceeds the row
-// cap, and a projection raises its input's error before it resolves a star
+// cap, a comma join raises any input's error before its first product, and a
+// projection raises its input's error before it resolves a star
 // qualifier, unless the input has no row to fail on.
 func TestErrorOrder(t *testing.T) {
 	for _, tc := range []struct {
@@ -64,6 +65,12 @@ func TestErrorOrder(t *testing.T) {
 			name:    "projection over a join that exceeds the row cap",
 			sql:     "SELECT q.* FROM emp a JOIN emp b ON a.dept = b.dept",
 			want:    "join result exceeds row cap",
+			maxRows: 5,
+		},
+		{
+			name:    "comma join without WHERE over a failing derived table",
+			sql:     "SELECT * FROM emp a, emp b, (SELECT nosuch_r FROM dept) d",
+			want:    "unknown column nosuch_r",
 			maxRows: 5,
 		},
 		{

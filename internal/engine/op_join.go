@@ -1,10 +1,13 @@
 package engine
 
-// The executor's joins and the shared row plumbing they use: the hash join
-// that explicit equi-joins and implicit-join steps share, the nested-loop
-// join with outer padding, cross product, and the implicit join that orders
-// comma-joined relations at execution time (the greedy ordering itself
-// lives in planner.go).
+// The executor's joins and the row plumbing they share. Every explicit join
+// with an ON clause and every hash step of a comma join runs through one row
+// loop, joinRows, which emits matches and does all outer-join padding; its
+// two callers differ only in how they find a left row's matches: hashJoin
+// probes an index of the right input's key column, nestedLoopJoin evaluates
+// ON against every right row. CROSS and ON-less joins and the cross steps of
+// a comma join multiply through crossProduct. The comma join itself orders
+// its inputs at execution time (the greedy ordering lives in planner.go).
 
 import (
 	"repro/internal/catalog"
@@ -85,56 +88,85 @@ func (e *Engine) crossProduct(a, b *Relation, cols []Col) (*Relation, error) {
 	return out, nil
 }
 
-// nestedLoopJoin joins two relations on an arbitrary ON predicate, with
-// outer-join padding, under the header cols (left.Cols++right.Cols). The
-// predicate evaluates against one scratch row reused across candidates
-// (expression evaluation only reads the current row); only matching rows
-// are materialized, from the arena.
-func (x *executor) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, cols []Col) (*Relation, error) {
-	e := x.e
-	out := &Relation{Cols: cols}
-	joined := x.evalEnv(cols)
-	rightMatched := make([]bool, len(right.Rows))
-	arena := newRowArena(len(out.Cols))
-	scratch := make([]Value, len(left.Cols)+len(right.Cols))
-	rightNulls := nullRow(len(right.Cols))
-	var ops int64
-	for _, lr := range left.Rows {
-		matched := false
-		copy(scratch, lr)
-		for ri, rr := range right.Rows {
-			ops++
-			copy(scratch[len(lr):], rr)
-			joined.row = scratch
-			v, err := e.evalExpr(on, joined)
-			if err != nil {
-				e.ops.Add(ops)
-				return nil, err
-			}
-			if v.Truthy() {
-				matched = true
-				rightMatched[ri] = true
-				out.Rows = append(out.Rows, arena.concat(lr, rr))
-				if len(out.Rows) > e.maxRows() {
-					e.ops.Add(ops)
-					return nil, execErrorf("join result exceeds row cap")
-				}
-			}
+// joinRows is the one join loop. For each left row, match reports the
+// indexes of its matching right rows through yield, in the order they are
+// to be emitted, and stops when yield returns false (the row cap was
+// exceeded). Each match appends left++right; in a LEFT/FULL join a left row
+// with no match appends itself padded with NULLs, and a RIGHT/FULL join
+// appends its unmatched right rows, NULL-padded on the left, after all left
+// rows. The row cap is checked as matches append. Rows come from one arena
+// under the header cols (left.Cols++right.Cols).
+func (e *Engine) joinRows(left, right *Relation, joinType string, cols []Col, match func(lr []Value, yield func(ri int) bool) error) (*Relation, error) {
+	out := &Relation{Cols: cols, Rows: make([][]Value, 0, len(left.Rows))}
+	arena := newRowArena(len(cols))
+	var rightPad []Value
+	if joinType == "LEFT" || joinType == "FULL" {
+		rightPad = nullRow(len(right.Cols))
+	}
+	var rightMatched []bool
+	if joinType == "RIGHT" || joinType == "FULL" {
+		rightMatched = make([]bool, len(right.Rows))
+	}
+	maxRows := e.maxRows()
+	var lr []Value
+	yield := func(ri int) bool {
+		if rightMatched != nil {
+			rightMatched[ri] = true
 		}
-		if !matched && (joinType == "LEFT" || joinType == "FULL") {
-			out.Rows = append(out.Rows, arena.concat(lr, rightNulls))
+		out.Rows = append(out.Rows, arena.concat(lr, right.Rows[ri]))
+		return len(out.Rows) <= maxRows
+	}
+	for _, lr = range left.Rows {
+		n := len(out.Rows)
+		if err := match(lr, yield); err != nil {
+			return nil, err
+		}
+		switch {
+		case len(out.Rows) == n:
+			if rightPad != nil {
+				out.Rows = append(out.Rows, arena.concat(lr, rightPad))
+			}
+		case len(out.Rows) > maxRows:
+			return nil, execErrorf("join result exceeds row cap")
 		}
 	}
-	e.ops.Add(ops)
-	if joinType == "RIGHT" || joinType == "FULL" {
-		leftNulls := nullRow(len(left.Cols))
+	if rightMatched != nil {
+		leftPad := nullRow(len(left.Cols))
 		for ri, rr := range right.Rows {
 			if !rightMatched[ri] {
-				out.Rows = append(out.Rows, arena.concat(leftNulls, rr))
+				out.Rows = append(out.Rows, arena.concat(leftPad, rr))
 			}
 		}
 	}
 	return out, nil
+}
+
+// nestedLoopJoin joins two relations on an arbitrary ON predicate, counting
+// one row operation per candidate pair. The predicate evaluates against one
+// scratch row reused across candidates (expression evaluation only reads the
+// current row).
+func (x *executor) nestedLoopJoin(left, right *Relation, joinType string, on sqlast.Expr, cols []Col) (*Relation, error) {
+	e := x.e
+	joined := x.evalEnv(cols)
+	joined.row = make([]Value, len(cols))
+	var ops int64
+	out, err := e.joinRows(left, right, joinType, cols, func(lr []Value, yield func(int) bool) error {
+		copy(joined.row, lr)
+		for ri, rr := range right.Rows {
+			ops++
+			copy(joined.row[len(lr):], rr)
+			v, err := e.evalExpr(on, joined)
+			if err != nil {
+				return err
+			}
+			if v.Truthy() && !yield(ri) {
+				return nil
+			}
+		}
+		return nil
+	})
+	e.ops.Add(ops)
+	return out, err
 }
 
 // colEquality matches the one condition shape a hash join can key on: an
@@ -149,189 +181,71 @@ func colEquality(cond sqlast.Expr) (*sqlast.ColumnRef, *sqlast.ColumnRef, bool) 
 	return l, r, lok && rok
 }
 
-// equiJoinCols resolves a column-equality ON clause against the two inputs
-// and returns the key column index on each side.
-func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
-	lc, rc, ok := colEquality(on)
-	if !ok {
-		return 0, 0, false
-	}
-	tryResolve := func(rel *Relation, cr *sqlast.ColumnRef) (int, bool) {
-		idx := rel.find(cr.Table, cr.Name)
-		if len(idx) == 1 {
-			return idx[0], true
-		}
-		return 0, false
-	}
-	if i, ok1 := tryResolve(left, lc); ok1 {
-		if jx, ok2 := tryResolve(right, rc); ok2 {
-			return i, jx, true
-		}
-	}
-	if i, ok1 := tryResolve(left, rc); ok1 {
-		if jx, ok2 := tryResolve(right, lc); ok2 {
-			return i, jx, true
-		}
-	}
-	return 0, 0, false
-}
-
-// hashProbe is the one hash-join core. It indexes the build input on its key
-// column, then joins probe rows against it: each probe row emits its
-// matching build rows in build insertion order — the nested loop's output
-// order — or, in a LEFT/FULL join, itself padded with NULLs when nothing
-// matched. After the probe, tail emits the unmatched build rows of a
-// RIGHT/FULL join. Callers count probe rows toward the ops counter.
-type hashProbe struct {
-	build              [][]Value
-	buildKey, probeKey int
-	index              map[string][]int
-	// kind is the Kind of every non-NULL build key, unless mixed is set.
-	// Index keys are rendered values, which agree with Equal only within one
-	// Kind: IntVal(1000000) and FloatVal(1e6) are Equal but render "1000000"
-	// and "1e+06". A probe value of another Kind, or any probe value against
-	// a mixed build side, therefore scans every build row.
-	kind  catalog.Type
-	mixed bool
-	all   []int // every build row index, built on the first scan
-
-	padProbe   bool    // LEFT/FULL
-	matched    []bool  // RIGHT/FULL: build rows matched so far
-	buildPad   []Value // LEFT/FULL: the NULL build row padding unmatched probes
-	probeWidth int
-	arena      *rowArena
-	emitted    int // rows emitted, for the row-cap check
-	maxRows    int
-}
-
-// newHashProbe indexes build on column buildKey for probe rows of width
-// probeWidth keyed on column probeKey, counting one row operation per build
-// row. NULL keys are not indexed: they match nothing.
-func (e *Engine) newHashProbe(build *Relation, buildKey, probeKey, probeWidth int, joinType string) *hashProbe {
-	h := &hashProbe{
-		build:      build.Rows,
-		buildKey:   buildKey,
-		probeKey:   probeKey,
-		index:      make(map[string][]int, len(build.Rows)),
-		padProbe:   joinType == "LEFT" || joinType == "FULL",
-		probeWidth: probeWidth,
-		arena:      newRowArena(probeWidth + len(build.Cols)),
-		maxRows:    e.maxRows(),
-	}
-	if h.padProbe {
-		h.buildPad = nullRow(len(build.Cols))
-	}
-	for idx, row := range build.Rows {
-		v := row[buildKey]
+// hashJoin is the one equi-join, keyed on column li of left and ri of right:
+// it indexes right's keys and emits each left row's matches in right order,
+// the nested loop's output order. It counts one row operation per build
+// (right) and per probe (left) row. NULL keys match nothing.
+//
+// Index keys are rendered values (hashKey). Within one Kind, values with one
+// key are Equal, so an index hit needs no Equal check. Across Kinds keys and
+// Equal need not agree: Equal compares text with a number in string form,
+// where FloatVal(1e6) is "1e+06" but its key is "1000000". So a probe value
+// of another Kind, or any probe value against right keys of mixed Kinds,
+// scans every right row.
+func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, cols []Col) (*Relation, error) {
+	index := make(map[string][]int, len(right.Rows))
+	var kind catalog.Type
+	mixed := false
+	for idx, row := range right.Rows {
+		v := row[ri]
 		if v.Null {
 			continue
 		}
-		if len(h.index) == 0 {
-			h.kind = v.Kind
-		} else if v.Kind != h.kind {
-			h.mixed = true
+		if len(index) == 0 {
+			kind = v.Kind
+		} else if v.Kind != kind {
+			mixed = true
 		}
 		k := hashKey(v)
-		h.index[k] = append(h.index[k], idx)
+		index[k] = append(index[k], idx)
 	}
-	if joinType == "RIGHT" || joinType == "FULL" {
-		h.matched = make([]bool, len(build.Rows))
-	}
-	e.ops.Add(int64(len(build.Rows)))
-	return h
-}
-
-// hashKey renders a value as an index key: its string form, with negative
-// zero folded into zero (the two are Equal but render "-0" and "0").
-func hashKey(v Value) string {
-	if v.Kind == catalog.TypeFloat && v.F == 0 {
-		return "0"
-	}
-	return v.String()
-}
-
-// candidates returns the build rows that may equal v, in insertion order.
-func (h *hashProbe) candidates(v Value) []int {
-	if !h.mixed && (len(h.index) == 0 || v.Kind == h.kind) {
-		return h.index[hashKey(v)]
-	}
-	if h.all == nil {
-		h.all = make([]int, len(h.build))
-		for i := range h.all {
-			h.all[i] = i
-		}
-	}
-	return h.all
-}
-
-// probe joins the probe rows. The row cap is checked as matches
-// append, as in the nested loop.
-func (h *hashProbe) probe(rows [][]Value) ([][]Value, error) {
-	out := make([][]Value, 0, len(rows))
-	for _, pr := range rows {
-		v := pr[h.probeKey]
-		matched := false
-		if !v.Null {
-			for _, idx := range h.candidates(v) {
-				br := h.build[idx]
-				if !Equal(v, br[h.buildKey]) {
-					continue
+	e.ops.Add(int64(len(right.Rows) + len(left.Rows)))
+	return e.joinRows(left, right, joinType, cols, func(lr []Value, yield func(int) bool) error {
+		v := lr[li]
+		switch {
+		case v.Null:
+		case !mixed && (len(index) == 0 || v.Kind == kind):
+			for _, idx := range index[hashKey(v)] {
+				if !yield(idx) {
+					break
 				}
-				matched = true
-				if h.matched != nil {
-					h.matched[idx] = true
-				}
-				out = append(out, h.arena.concat(pr, br))
-				h.emitted++
-				if h.emitted > h.maxRows {
-					return nil, execErrorf("join result exceeds row cap")
+			}
+		default:
+			for idx, rr := range right.Rows {
+				if Equal(v, rr[ri]) && !yield(idx) {
+					break
 				}
 			}
 		}
-		if !matched && h.padProbe {
-			out = append(out, h.arena.concat(pr, h.buildPad))
-			h.emitted++
-		}
-	}
-	return out, nil
-}
-
-// tail returns the unmatched build rows of a RIGHT/FULL join, padded with
-// NULLs on the probe side, once; nil for other join types or when there are
-// none.
-func (h *hashProbe) tail() [][]Value {
-	if h.matched == nil {
 		return nil
-	}
-	pad := nullRow(h.probeWidth)
-	var out [][]Value
-	for idx, br := range h.build {
-		if !h.matched[idx] {
-			out = append(out, h.arena.concat(pad, br))
-		}
-	}
-	h.matched = nil
-	return out
+	})
 }
 
-// hashJoin is the one equi-join: the hash probe over right, run with all of
-// left as its probe rows, then the unmatched right rows of a RIGHT/FULL
-// join, under the header cols (left.Cols++right.Cols). Explicit equi-joins
-// and implicit-join steps both call it.
-func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, cols []Col) (*Relation, error) {
-	h := e.newHashProbe(right, ri, li, len(left.Cols), joinType)
-	e.ops.Add(int64(len(left.Rows)))
-	rows, err := h.probe(left.Rows)
-	if err != nil {
-		return nil, err
+// hashKey renders a non-NULL value as an index key, in the row-key encoding.
+// Only a float renders there differently from String, which copies no text
+// and allocates nothing for a small integer.
+func hashKey(v Value) string {
+	if v.Kind != catalog.TypeFloat {
+		return v.String()
 	}
-	return &Relation{Cols: cols, Rows: append(rows, h.tail()...)}, nil
+	var buf [24]byte
+	return string(appendValue(buf[:0], v))
 }
 
 // join runs an explicit join. An ON clause that is a plain column equality,
-// resolving to one column on each side, runs the hash join keyed on the
-// right input. CROSS and ON-less joins cross-product both inputs, and any
-// other ON clause runs the nested loop. Every path emits left-major rows
+// resolving to one column on each side (connects), runs the hash join keyed
+// on the right input. CROSS and ON-less joins cross-product both inputs, and
+// any other ON clause runs the nested loop. Every path emits left-major rows
 // with right matches in right order.
 func (x *executor) join(n *JoinNode) (*Relation, error) {
 	left, err := x.run(n.Left)
@@ -346,39 +260,18 @@ func (x *executor) join(n *JoinNode) (*Relation, error) {
 	if n.Type == "CROSS" || n.On == nil {
 		return x.e.crossProduct(left, right, cols)
 	}
-	if li, ri, ok := equiJoinCols(n.On, left, right); ok {
+	if li, ri, _, ok := connects(n.On, left, []*Relation{right}, nil); ok {
 		return x.e.hashJoin(left, right, li, ri, n.Type, cols)
 	}
 	return x.nestedLoopJoin(left, right, n.Type, n.On, cols)
 }
 
-// cross runs a left-deep cross product of comma-joined inputs (no WHERE
-// clause to mine for join conditions, or every conjunct pushed below the
-// inputs). Each input runs just before it is multiplied in.
-func (x *executor) cross(n *CrossNode) (*Relation, error) {
-	var acc *Relation
-	for _, input := range n.Inputs {
-		rel, err := x.run(input)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = rel
-			continue
-		}
-		acc, err = x.e.crossProduct(acc, rel, concatCols(acc.Cols, rel.Cols))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// implicitJoin runs a comma-joined FROM list plus conjunctive WHERE. The
-// greedy left-deep ordering (planner.go) decides, once every input has run,
-// which equality conjuncts become hash-join conditions; the leftover
-// conjuncts filter the joined result, so the nodes above see exactly the
-// rows the query's WHERE admits.
+// implicitJoin runs a comma-joined FROM list plus its conjunctive WHERE, if
+// any. Every input runs first, in FROM order. The greedy left-deep ordering
+// (planner.go) then decides which equality conjuncts become hash-join
+// conditions; the inputs no conjunct connects are cross-producted in, and
+// the leftover conjuncts filter the joined result, so the nodes above see
+// exactly the rows the query's WHERE admits.
 func (x *executor) implicitJoin(n *ImplicitJoinNode) (*Relation, error) {
 	rels := make([]*Relation, len(n.Inputs))
 	for i, input := range n.Inputs {

@@ -66,30 +66,25 @@ func TestRowArenaZeroWidth(t *testing.T) {
 	}
 }
 
-// Only LEFT and FULL joins pad unmatched probe rows, so only they build the
-// NULL build-side row.
-func TestHashProbePadsOnlyOuterJoins(t *testing.T) {
-	build := &Relation{
+// Only LEFT and FULL joins pad the unmatched left row, and only RIGHT and
+// FULL joins append the unmatched right row.
+func TestHashJoinPadsOnlyOuterJoins(t *testing.T) {
+	left := &Relation{
+		Cols: []Col{{Name: "k", Type: catalog.TypeInt}},
+		Rows: [][]Value{{IntVal(1)}, {IntVal(9)}},
+	}
+	right := &Relation{
 		Cols: []Col{{Name: "k", Type: catalog.TypeInt}, {Name: "v", Type: catalog.TypeInt}},
-		Rows: [][]Value{{IntVal(1), IntVal(2)}},
+		Rows: [][]Value{{IntVal(1), IntVal(2)}, {IntVal(5), IntVal(6)}},
 	}
 	e := New(NewDB(nil))
-	for _, jt := range []string{"INNER", "LEFT", "RIGHT", "FULL"} {
-		h := e.newHashProbe(build, 0, 0, 1, jt)
-		outer := jt == "LEFT" || jt == "FULL"
-		if got := h.buildPad != nil; got != outer {
-			t.Errorf("%s join: buildPad allocated = %v, want %v", jt, got, outer)
-		}
-		out, err := h.probe([][]Value{{IntVal(1)}, {IntVal(9)}})
+	for jt, want := range map[string]int{"INNER": 1, "LEFT": 2, "RIGHT": 2, "FULL": 3} {
+		out, err := e.hashJoin(left, right, 0, 0, jt, concatCols(left.Cols, right.Cols))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := 1 // the matching probe row
-		if outer {
-			want = 2 // and the padded unmatched one
-		}
-		if len(out) != want {
-			t.Errorf("%s join: %d probe rows out, want %d", jt, len(out), want)
+		if len(out.Rows) != want {
+			t.Errorf("%s join: %d rows out, want %d", jt, len(out.Rows), want)
 		}
 	}
 }

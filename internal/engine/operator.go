@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"math"
+	"strconv"
+
 	"repro/internal/catalog"
 	"repro/internal/sqlast"
 )
@@ -119,10 +122,20 @@ func rowKey(dst []byte, row []Value) []byte {
 	return dst
 }
 
+// appendValue renders a non-NULL value into the row-key encoding: a float
+// that is integral and within int64 range renders as that integer, so keys
+// agree with Equal across int and float and for -0 and 0.
 func appendValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case catalog.TypeText:
 		return append(dst, v.S...)
+	case catalog.TypeInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case catalog.TypeFloat:
+		if v.F == math.Trunc(v.F) && v.F >= -(1<<63) && v.F < 1<<63 {
+			return strconv.AppendInt(dst, int64(v.F), 10)
+		}
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	default:
 		return append(dst, v.String()...)
 	}

@@ -4,9 +4,10 @@ package engine
 // execution, applied by planFor to every plan (only the unoptimized
 // test oracle skips it). Its one rewrite is predicate pushdown across joins:
 // Filter conjuncts over an explicit Join that mention one side move below
-// the join, and single-input conjuncts of an ImplicitJoinNode's WHERE (a
-// comma join) move below the comma join. Both go through partition. A
-// filter over anything else, a derived table included, stays where
+// the join, and single-input conjuncts of an ImplicitJoinNode's WHERE (the
+// one node every comma join lowers to) move below the comma join, which
+// keeps its node even when no conjunct is left. Both go through partition.
+// A filter over anything else, a derived table included, stays where
 // BuildPlan put it. Pushed filters see fewer columns but the same values,
 // so joins build and probe smaller inputs.
 //
@@ -83,12 +84,6 @@ func (o *optimizer) node(n PlanNode) PlanNode {
 		return o.implicitJoin(t)
 	case *JoinNode:
 		return &JoinNode{Left: o.node(t.Left), Right: o.node(t.Right), Type: t.Type, On: t.On}
-	case *CrossNode:
-		inputs := make([]PlanNode, len(t.Inputs))
-		for i, in := range t.Inputs {
-			inputs[i] = o.node(in)
-		}
-		return &CrossNode{Inputs: inputs}
 	case *SubqueryScanNode:
 		return &SubqueryScanNode{Plan: o.plan(t.Plan), Qualifier: t.Qualifier}
 	case *ProjectNode:
@@ -141,7 +136,9 @@ func (o *optimizer) pushJoin(t *JoinNode, conjs []sqlast.Expr) (PlanNode, []sqla
 // Single-input conjuncts are never join conditions (connects() requires a
 // column on each side of the joined frontier), so removing them from WHERE
 // provably leaves the greedy join sequence unchanged — the filtered inputs
-// join in the same order into the same column layout.
+// join in the same order into the same column layout. When every conjunct
+// moves below, the node stays with no WHERE: its inputs then join by cross
+// products in input order.
 func (o *optimizer) implicitJoin(t *ImplicitJoinNode) PlanNode {
 	open := make([]bool, len(t.Inputs))
 	for i := range open {
@@ -151,12 +148,6 @@ func (o *optimizer) implicitJoin(t *ImplicitJoinNode) PlanNode {
 	inputs := make([]PlanNode, len(t.Inputs))
 	for i, in := range t.Inputs {
 		inputs[i] = o.node(wrapFilter(in, per[i]))
-	}
-	if len(rest) == 0 {
-		// Every conjunct moved below: none of them connected two inputs, so
-		// the default execution was cross products in input order plus a
-		// filter — exactly what CrossNode over the filtered inputs runs.
-		return &CrossNode{Inputs: inputs}
 	}
 	return &ImplicitJoinNode{Inputs: inputs, Where: sqlast.And(rest...)}
 }

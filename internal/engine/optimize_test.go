@@ -94,6 +94,24 @@ func TestExplainGolden(t *testing.T) {
 			"",
 		},
 	}, {
+		// A comma join without WHERE is the same node with no conjuncts.
+		name: "comma join without where",
+		sql:  "SELECT e.name FROM emp e, dept d",
+		wantBefore: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs)",
+			"    Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+		wantAfter: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs)",
+			"    Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+	}, {
 		// Nothing pushes into a derived table: the filter stays above it.
 		name: "derived table",
 		sql:  "SELECT t.name FROM (SELECT name, salary FROM emp) AS t WHERE t.salary > 75",

@@ -62,14 +62,10 @@ type JoinNode struct {
 	On          sqlast.Expr
 }
 
-// CrossNode is a left-deep cross product of comma-joined inputs.
-type CrossNode struct {
-	Inputs []PlanNode
-}
-
 // ImplicitJoinNode joins comma-separated FROM inputs using the equality
-// conjuncts of Where; the greedy left-deep join ordering is picked at
-// execution time (it depends on resolved column sets), and conjuncts not
+// conjuncts of Where, which may be nil; the greedy left-deep join ordering
+// is picked at execution time (it depends on resolved column sets), inputs
+// that no conjunct connects are cross-producted in, and conjuncts not
 // consumed as join conditions become a residual filter over the result.
 type ImplicitJoinNode struct {
 	Inputs []PlanNode
@@ -141,6 +137,8 @@ type LimitNode struct {
 // BuildPlan lowers a SELECT statement into a logical plan. The lowering is
 // syntax-directed and total: every statement the parser accepts plans, and
 // semantic errors (unknown tables, width mismatches) surface at execution.
+// A FROM list of more than one item lowers to one ImplicitJoinNode, WHERE
+// or not; otherwise the WHERE is a FilterNode over the one input.
 func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 	p := &Plan{}
 	for _, cte := range sel.With {
@@ -152,20 +150,12 @@ func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 	}
 
 	var root PlanNode
-	switch {
-	case len(sel.From) == 0:
-		root = &OneRowNode{}
-		if sel.Where != nil {
-			root = &FilterNode{Input: root, Cond: sel.Where}
-		}
-	case len(sel.From) > 1 && sel.Where != nil:
+	if len(sel.From) > 1 {
 		root = &ImplicitJoinNode{Inputs: planRefs(sel.From), Where: sel.Where}
-	default:
-		refs := planRefs(sel.From)
-		if len(refs) == 1 {
-			root = refs[0]
-		} else {
-			root = &CrossNode{Inputs: refs}
+	} else {
+		root = &OneRowNode{}
+		if len(sel.From) == 1 {
+			root = planRef(sel.From[0])
 		}
 		if sel.Where != nil {
 			root = &FilterNode{Input: root, Cond: sel.Where}
@@ -258,9 +248,12 @@ func (n *JoinNode) Describe() string {
 	}
 	return fmt.Sprintf("%s Join ON %s", n.Type, sqlast.PrintExpr(n.On))
 }
-func (n *CrossNode) Describe() string { return "Cross" }
 func (n *ImplicitJoinNode) Describe() string {
-	return fmt.Sprintf("ImplicitJoin (%d inputs) WHERE %s", len(n.Inputs), sqlast.PrintExpr(n.Where))
+	s := fmt.Sprintf("ImplicitJoin (%d inputs)", len(n.Inputs))
+	if n.Where != nil {
+		s += " WHERE " + sqlast.PrintExpr(n.Where)
+	}
+	return s
 }
 func (n *FilterNode) Describe() string { return "Filter " + sqlast.PrintExpr(n.Cond) }
 func (n *ProjectNode) Describe() string {
@@ -325,8 +318,6 @@ func planChildren(n PlanNode) []PlanNode {
 	switch t := n.(type) {
 	case *JoinNode:
 		return []PlanNode{t.Left, t.Right}
-	case *CrossNode:
-		return t.Inputs
 	case *ImplicitJoinNode:
 		return t.Inputs
 	case *FilterNode:

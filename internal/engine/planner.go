@@ -14,11 +14,14 @@ import (
 //
 // The ordering runs at execution time, not plan time, because it depends on
 // each relation's resolved column set (subqueries and CTEs included). The
-// logical plan carries it as an ImplicitJoinNode. Sequence selection is split
-// from execution: planJoins simulates the greedy ordering over column headers
-// only (no rows move), producing joinSteps that executeJoinSteps then runs.
-// The sequence's headers are prefixes of one header grown in step order, so
-// no step copies the columns accumulated before it.
+// logical plan carries every comma join, WHERE or not, as one
+// ImplicitJoinNode. Sequence selection is split from execution: planJoins
+// simulates the greedy ordering over column headers only (no rows move),
+// producing joinSteps that executeJoinSteps then runs, each step through the
+// hash join an explicit equi-join uses or, with no connecting conjunct (every
+// step, without a WHERE), through crossProduct. The sequence's headers are
+// prefixes of one header grown in step order, so no step copies the columns
+// accumulated before it.
 
 // joinStep is one step of a left-deep implicit-join sequence: join relation
 // `target` into the accumulated prefix, either on conjunct `conj` with the
@@ -73,7 +76,7 @@ func (e *Engine) planJoins(rels []*Relation, conjuncts []sqlast.Expr) ([]joinSte
 			if used[ci] {
 				continue
 			}
-			li, ri, target, ok := e.connects(c, acc, rels, joined)
+			li, ri, target, ok := connects(c, acc, rels, joined)
 			if !ok {
 				continue
 			}
@@ -124,8 +127,10 @@ func residualOf(conjuncts []sqlast.Expr, used []bool) sqlast.Expr {
 }
 
 // connects reports whether conjunct c is an equality joining a column of the
-// accumulated relation to a column of exactly one unjoined relation.
-func (e *Engine) connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined map[int]bool) (accIdx, relIdx, target int, ok bool) {
+// accumulated relation to a column of exactly one unjoined relation. An
+// explicit join asks it with the right input as the only relation, to find
+// its hash key.
+func connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined map[int]bool) (accIdx, relIdx, target int, ok bool) {
 	lc, rc, ok := colEquality(c)
 	if !ok {
 		return 0, 0, 0, false
@@ -155,8 +160,11 @@ func (e *Engine) connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined
 	return 0, 0, 0, false
 }
 
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
+// splitConjuncts flattens a tree of ANDs into its conjuncts; nil has none.
 func splitConjuncts(e sqlast.Expr) []sqlast.Expr {
+	if e == nil {
+		return nil
+	}
 	bin, ok := e.(*sqlast.Binary)
 	if ok && strings.EqualFold(bin.Op, "AND") {
 		return append(splitConjuncts(bin.L), splitConjuncts(bin.R)...)

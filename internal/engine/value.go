@@ -77,7 +77,7 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// String renders the value for display and for hashing keys.
+// String renders the value for display (row keys use appendValue).
 func (v Value) String() string {
 	if v.Null {
 		return "NULL"
