@@ -24,6 +24,7 @@ func (e *Engine) foldArg(fc *sqlast.FuncCall, ev *env, visit func(Value)) error 
 	arg := fc.Args[0]
 	e.ops.Add(int64(len(ev.group)))
 	var seen map[string]bool
+	var key []byte
 	if fc.Distinct {
 		seen = make(map[string]bool)
 	}
@@ -32,11 +33,11 @@ func (e *Engine) foldArg(fc *sqlast.FuncCall, ev *env, visit func(Value)) error 
 			return
 		}
 		if seen != nil {
-			k := v.String()
-			if seen[k] {
+			key = appendKey(key[:0], v)
+			if seen[string(key)] {
 				return
 			}
-			seen[k] = true
+			seen[string(key)] = true
 		}
 		visit(v)
 	}

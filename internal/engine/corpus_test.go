@@ -137,7 +137,7 @@ func relFingerprint(rel *engine.Relation) string {
 	}
 	b.WriteByte('\n')
 	for _, row := range rel.Rows {
-		b.WriteString(engine.Key(row))
+		b.WriteString(engine.FormatRow(row))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -2,17 +2,14 @@ package engine
 
 // The executor's joins and the row plumbing they share. Every explicit join
 // with an ON clause and every hash step of a comma join runs through one row
-// loop, joinRows, which emits matches and does all outer-join padding; its
-// two callers differ only in how they find a left row's matches: hashJoin
-// probes an index of the right input's key column, nestedLoopJoin evaluates
-// ON against every right row. CROSS and ON-less joins and the cross steps of
-// a comma join multiply through crossProduct. The comma join itself orders
-// its inputs at execution time (the greedy ordering lives in planner.go).
+// loop, joinRows, which emits matches and does all outer-join padding. Its
+// two callers find a left row's matches: hashJoin looks its key up in an
+// index of the right input's key column (keys are equal exactly when values
+// are Equal, so a hit is a match), nestedLoopJoin evaluates ON per right row.
+// CROSS and ON-less joins and a comma join's cross steps go through
+// crossProduct. The comma join orders its inputs at run time (planner.go).
 
-import (
-	"repro/internal/catalog"
-	"repro/internal/sqlast"
-)
+import "repro/internal/sqlast"
 
 // rowArena block-allocates fixed-width result rows, replacing the per-row
 // make in the join and cross-product inner loops with one allocation per
@@ -184,62 +181,36 @@ func colEquality(cond sqlast.Expr) (*sqlast.ColumnRef, *sqlast.ColumnRef, bool) 
 // hashJoin is the one equi-join, keyed on column li of left and ri of right:
 // it indexes right's keys and emits each left row's matches in right order,
 // the nested loop's output order. It counts one row operation per build
-// (right) and per probe (left) row. NULL keys match nothing.
-//
-// Index keys are rendered values (hashKey). Within one Kind, values with one
-// key are Equal, so an index hit needs no Equal check. Across Kinds keys and
-// Equal need not agree: Equal compares text with a number in string form,
-// where FloatVal(1e6) is "1e+06" but its key is "1000000". So a probe value
-// of another Kind, or any probe value against right keys of mixed Kinds,
-// scans every right row.
+// (right) and per probe (left) row. Keys are appendKey's, equal exactly when
+// the values are Equal, so an index hit is a match. A NULL probe looks
+// nothing up, so the NULL key, which indexes right's NULLs, matches nothing.
+// The build keys are appended to one buffer and copied to one string, which
+// every index key slices, so the index allocates no string per row.
 func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, cols []Col) (*Relation, error) {
-	index := make(map[string][]int, len(right.Rows))
-	var kind catalog.Type
-	mixed := false
+	var key []byte
+	ends := make([]int, len(right.Rows))
 	for idx, row := range right.Rows {
-		v := row[ri]
-		if v.Null {
-			continue
-		}
-		if len(index) == 0 {
-			kind = v.Kind
-		} else if v.Kind != kind {
-			mixed = true
-		}
-		k := hashKey(v)
-		index[k] = append(index[k], idx)
+		key = appendKey(key, row[ri])
+		ends[idx] = len(key)
+	}
+	keys, start := string(key), 0
+	index := make(map[string][]int, len(right.Rows))
+	for idx, end := range ends {
+		index[keys[start:end]] = append(index[keys[start:end]], idx)
+		start = end
 	}
 	e.ops.Add(int64(len(right.Rows) + len(left.Rows)))
 	return e.joinRows(left, right, joinType, cols, func(lr []Value, yield func(int) bool) error {
-		v := lr[li]
-		switch {
-		case v.Null:
-		case !mixed && (len(index) == 0 || v.Kind == kind):
-			for _, idx := range index[hashKey(v)] {
+		if v := lr[li]; !v.Null {
+			key = appendKey(key[:0], v)
+			for _, idx := range index[string(key)] {
 				if !yield(idx) {
-					break
-				}
-			}
-		default:
-			for idx, rr := range right.Rows {
-				if Equal(v, rr[ri]) && !yield(idx) {
 					break
 				}
 			}
 		}
 		return nil
 	})
-}
-
-// hashKey renders a non-NULL value as an index key, in the row-key encoding.
-// Only a float renders there differently from String, which copies no text
-// and allocates nothing for a small integer.
-func hashKey(v Value) string {
-	if v.Kind != catalog.TypeFloat {
-		return v.String()
-	}
-	var buf [24]byte
-	return string(appendValue(buf[:0], v))
 }
 
 // join runs an explicit join. An ON clause that is a plain column equality,

@@ -1,7 +1,7 @@
 package engine
 
 // Duplicate elimination and UNION/INTERSECT/EXCEPT. Both are keyed by the
-// canonical row key (Key/rowKey) and keep the first occurrence of each key
+// canonical row key (rowKey) and keep the first occurrence of each key
 // in input order.
 
 // rowKeysOf computes the canonical key of every row.

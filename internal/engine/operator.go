@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"math"
-	"strconv"
-
 	"repro/internal/catalog"
 	"repro/internal/sqlast"
 )
@@ -103,40 +100,4 @@ func limit(n *LimitNode, in *Relation) *Relation {
 		rows = rows[:n.Limit]
 	}
 	return &Relation{Cols: in.Cols, Rows: rows}
-}
-
-// rowKey renders a row into the canonical grouping/set-operation key,
-// appending to dst. Key (value.go) is defined in terms of this, so there is
-// exactly one encoding.
-func rowKey(dst []byte, row []Value) []byte {
-	for i, v := range row {
-		if i > 0 {
-			dst = append(dst, '\x1f')
-		}
-		if v.Null {
-			dst = append(dst, '\x00', 'N')
-		} else {
-			dst = appendValue(dst, v)
-		}
-	}
-	return dst
-}
-
-// appendValue renders a non-NULL value into the row-key encoding: a float
-// that is integral and within int64 range renders as that integer, so keys
-// agree with Equal across int and float and for -0 and 0.
-func appendValue(dst []byte, v Value) []byte {
-	switch v.Kind {
-	case catalog.TypeText:
-		return append(dst, v.S...)
-	case catalog.TypeInt:
-		return strconv.AppendInt(dst, v.I, 10)
-	case catalog.TypeFloat:
-		if v.F == math.Trunc(v.F) && v.F >= -(1<<63) && v.F < 1<<63 {
-			return strconv.AppendInt(dst, int64(v.F), 10)
-		}
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
-	default:
-		return append(dst, v.String()...)
-	}
 }

@@ -46,20 +46,21 @@ func query(t *testing.T, db *DB, sql string) *Relation {
 	return rel
 }
 
-func keyedRows(rel *Relation) []string {
+// formattedRows renders each row of rel in FormatRow's tuple form.
+func formattedRows(rel *Relation) []string {
 	out := make([]string, len(rel.Rows))
 	for i, row := range rel.Rows {
-		out[i] = strings.ReplaceAll(Key(row), "\x00N", "NULL")
+		out[i] = FormatRow(row)
 	}
 	return out
 }
 
 func TestIntersectWithNullRows(t *testing.T) {
 	rel := query(t, setOpDB(), "SELECT x , y FROM a INTERSECT SELECT x , y FROM b")
-	got := keyedRows(rel)
+	got := formattedRows(rel)
 	// Set operations treat NULLs as equal (unlike = comparison), so the
 	// all-NULL row and (2, two) intersect; first-occurrence order of a.
-	want := []string{"NULL\x1fnull-x", "2\x1ftwo", "NULL\x1fNULL"}
+	want := []string{"( NULL , 'null-x' )", "( 2 , 'two' )", "( NULL , NULL )"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("INTERSECT rows = %q, want %q", got, want)
 	}
@@ -67,16 +68,16 @@ func TestIntersectWithNullRows(t *testing.T) {
 
 func TestExceptWithNullRows(t *testing.T) {
 	rel := query(t, setOpDB(), "SELECT x , y FROM a EXCEPT SELECT x , y FROM b")
-	got := keyedRows(rel)
-	want := []string{"1\x1fone", "3\x1fthree"}
+	got := formattedRows(rel)
+	want := []string{"( 1 , 'one' )", "( 3 , 'three' )"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("EXCEPT rows = %q, want %q", got, want)
 	}
 	// EXCEPT ALL consumes right-side multiplicities: the second all-NULL
 	// left row survives because b has only one.
 	rel = query(t, setOpDB(), "SELECT x , y FROM a EXCEPT ALL SELECT x , y FROM b")
-	got = keyedRows(rel)
-	want = []string{"1\x1fone", "2\x1ftwo", "3\x1fthree", "NULL\x1fNULL"}
+	got = formattedRows(rel)
+	want = []string{"( 1 , 'one' )", "( 2 , 'two' )", "( 3 , 'three' )", "( NULL , NULL )"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("EXCEPT ALL rows = %q, want %q", got, want)
 	}
@@ -84,9 +85,9 @@ func TestExceptWithNullRows(t *testing.T) {
 
 func TestUnionWithNullRowsDeduplicates(t *testing.T) {
 	rel := query(t, setOpDB(), "SELECT x , y FROM a UNION SELECT x , y FROM b")
-	got := keyedRows(rel)
+	got := formattedRows(rel)
 	want := []string{
-		"1\x1fone", "NULL\x1fnull-x", "2\x1ftwo", "NULL\x1fNULL", "3\x1fthree", "4\x1ffour",
+		"( 1 , 'one' )", "( NULL , 'null-x' )", "( 2 , 'two' )", "( NULL , NULL )", "( 3 , 'three' )", "( 4 , 'four' )",
 	}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("UNION rows = %q, want %q", got, want)
@@ -118,16 +119,16 @@ func TestUnionColumnCountMismatchErrors(t *testing.T) {
 func TestOrderByAfterSetOps(t *testing.T) {
 	rel := query(t, setOpDB(),
 		"SELECT x FROM a UNION SELECT x FROM b ORDER BY x DESC")
-	got := keyedRows(rel)
+	got := formattedRows(rel)
 	// NULLs sort first, so descending puts them last.
-	want := []string{"4", "3", "2", "1", "NULL"}
+	want := []string{"( 4 )", "( 3 )", "( 2 )", "( 1 )", "( NULL )"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("ORDER BY after UNION = %q, want %q", got, want)
 	}
 	rel = query(t, setOpDB(),
 		"SELECT x , y FROM a INTERSECT SELECT x , y FROM b ORDER BY y ASC")
-	got = keyedRows(rel)
-	want = []string{"NULL\x1fNULL", "NULL\x1fnull-x", "2\x1ftwo"}
+	got = formattedRows(rel)
+	want = []string{"( NULL , NULL )", "( NULL , 'null-x' )", "( 2 , 'two' )"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("ORDER BY after INTERSECT = %q, want %q", got, want)
 	}

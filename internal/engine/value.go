@@ -7,7 +7,10 @@
 package engine
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -77,7 +80,7 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// String renders the value for display (row keys use appendValue).
+// String renders the value for display; Compare and appendKey never use it.
 func (v Value) String() string {
 	if v.Null {
 		return "NULL"
@@ -99,44 +102,67 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two values: -1, 0, +1. NULLs sort first and compare equal
-// to each other. Numeric kinds compare numerically across int/float; text
-// compares case-sensitively; cross-kind comparisons fall back to string
-// form so that sorting is always total.
-func Compare(a, b Value) int {
+// The classes of values, in Compare's order. A value's class is also the
+// first byte of its key; a bool's class holds its value, so it sorts and
+// keys by class alone.
+const (
+	classNull byte = iota
+	classNumber
+	classText
+	classFalse
+	classTrue
+	classOther // a non-NULL value of kind TypeAny, such as the zero Value
+)
+
+// classOf is the class of a non-NULL value by its kind (a true bool's is
+// classTrue).
+var classOf = [...]byte{catalog.TypeAny: classOther, catalog.TypeInt: classNumber,
+	catalog.TypeFloat: classNumber, catalog.TypeText: classText, catalog.TypeBool: classFalse}
+
+func class(v Value) byte {
 	switch {
-	case a.Null && b.Null:
-		return 0
-	case a.Null:
-		return -1
-	case b.Null:
-		return 1
+	case v.Null:
+		return classNull
+	case v.Kind == catalog.TypeBool && v.B:
+		return classTrue
 	}
-	if a.IsNumeric() && b.IsNumeric() {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.Kind == catalog.TypeText && b.Kind == catalog.TypeText {
+	return classOf[v.Kind]
+}
+
+// Compare orders two values: -1, 0, +1. It is a total order: NULL sorts
+// first, then numbers, then text, then false and true, and values of
+// different classes are never equal. Numbers compare exactly across int and
+// float (no int64 is rounded to a float64); NaN sorts before every other
+// number and equals only NaN, and -0 equals 0. Text compares bytewise.
+func Compare(a, b Value) int {
+	ca, cb := class(a), class(b)
+	switch {
+	case ca != cb:
+		return cmp.Compare(ca, cb)
+	case ca == classText:
 		return strings.Compare(a.S, b.S)
+	case ca != classNumber:
+		return 0
+	case a.Kind == catalog.TypeInt && b.Kind == catalog.TypeInt:
+		return cmp.Compare(a.I, b.I)
+	case a.Kind == catalog.TypeInt:
+		return compareIntFloat(a.I, b.F)
+	case b.Kind == catalog.TypeInt:
+		return -compareIntFloat(b.I, a.F)
 	}
-	if a.Kind == catalog.TypeBool && b.Kind == catalog.TypeBool {
-		switch {
-		case a.B == b.B:
-			return 0
-		case b.B:
-			return -1
-		default:
-			return 1
-		}
+	return cmp.Compare(a.F, b.F)
+}
+
+// compareIntFloat compares i with f exactly. Rounding i to a float64 keeps
+// the order, so only a tie, where f is an integer, needs a second look.
+func compareIntFloat(i int64, f float64) int {
+	switch c := cmp.Compare(float64(i), f); {
+	case c != 0:
+		return c
+	case f == 1<<63: // i rounded up past math.MaxInt64
+		return -1
 	}
-	return strings.Compare(a.String(), b.String())
+	return cmp.Compare(i, int64(f))
 }
 
 // Equal reports SQL equality; NULL equals nothing (including NULL).
@@ -145,6 +171,43 @@ func Equal(a, b Value) bool {
 		return false
 	}
 	return Compare(a, b) == 0
+}
+
+// appendKey appends v's key to dst: its class byte, then a number's
+// canonical digits and a terminator, or text's length and bytes. Keys are
+// self-delimiting, and two keys are equal exactly when both values are NULL
+// or Equal. A number's digits are the integer's or, for a float, those of
+// the integer it equals if it is integral and in int64 range (so 1e6 and
+// 1000000, -0 and 0 share a key), else its shortest 'g' form, which always
+// holds a '.', an exponent, "Inf" or "NaN".
+func appendKey(dst []byte, v Value) []byte {
+	c := class(v)
+	dst = append(dst, c)
+	switch c {
+	case classNumber:
+		f := v.F
+		switch {
+		case v.Kind == catalog.TypeInt:
+			dst = strconv.AppendInt(dst, v.I, 10)
+		case f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63:
+			dst = strconv.AppendInt(dst, int64(f), 10)
+		default:
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		}
+		return append(dst, ';')
+	case classText:
+		return append(binary.AppendUvarint(dst, uint64(len(v.S))), v.S...)
+	}
+	return dst
+}
+
+// rowKey appends the key of a row to dst: its values' keys in order. It is
+// the one key of DISTINCT, GROUP BY, set operations and EqualRelations.
+func rowKey(dst []byte, row []Value) []byte {
+	for _, v := range row {
+		dst = appendKey(dst, v)
+	}
+	return dst
 }
 
 // Col describes one output column of a relation: an optional qualifier (the
@@ -179,22 +242,20 @@ func (r *Relation) find(qualifier, name string) []int {
 	return idx
 }
 
-// Key renders a row into a canonical string for grouping and set operations
-// (the allocating convenience form of rowKey, which the executor uses with a
-// reused buffer).
-func Key(row []Value) string {
-	return string(rowKey(nil, row))
-}
-
 // EqualRelations compares two relations as multisets of rows (ignoring
 // column names). When ordered is true, row order must match too.
 func EqualRelations(a, b *Relation, ordered bool) bool {
 	if len(a.Rows) != len(b.Rows) || len(a.Cols) != len(b.Cols) {
 		return false
 	}
+	var buf []byte
+	key := func(row []Value) string {
+		buf = rowKey(buf[:0], row)
+		return string(buf)
+	}
 	if ordered {
 		for i := range a.Rows {
-			if Key(a.Rows[i]) != Key(b.Rows[i]) {
+			if key(a.Rows[i]) != key(b.Rows[i]) {
 				return false
 			}
 		}
@@ -202,10 +263,10 @@ func EqualRelations(a, b *Relation, ordered bool) bool {
 	}
 	counts := make(map[string]int, len(a.Rows))
 	for _, row := range a.Rows {
-		counts[Key(row)]++
+		counts[key(row)]++
 	}
 	for _, row := range b.Rows {
-		k := Key(row)
+		k := key(row)
 		counts[k]--
 		if counts[k] < 0 {
 			return false

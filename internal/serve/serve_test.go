@@ -615,3 +615,37 @@ func TestEvalRejectsUnknownFields(t *testing.T) {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// A statement nested 480,000 levels deep, in a body just under the eval
+// limit, gets an ordinary response: the parser stops at its nesting bound
+// instead of overflowing the stack, which no recovery middleware could
+// catch. The server answers healthz afterwards.
+func TestEvalDeepNestingGetsResponse(t *testing.T) {
+	_, url := testServerAndURL(t)
+	const depth = 480000
+	sql := "SELECT " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + " FROM t"
+	body, err := json.Marshal(map[string]any{"model": "GPT4", "sql": []string{sql}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= maxEvalBody {
+		t.Fatalf("body is %d bytes, over the %d-byte limit", len(body), maxEvalBody)
+	}
+	resp, err := http.Post(url+"/v1/eval/syntax", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	lines := decodeNDJSON(t, resp)
+	if len(lines) != 1 || lines[0].PredHasError == nil || !*lines[0].PredHasError ||
+		!strings.Contains(lines[0].Response, "nesting exceeds 128 levels") {
+		t.Fatalf("got %d lines, want one that finds the nesting error", len(lines))
+	}
+	health, err := http.Get(url + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("GET healthz after the deep eval: %v", err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz status %d after the deep eval", health.StatusCode)
+	}
+}

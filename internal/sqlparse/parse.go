@@ -54,7 +54,20 @@ type parser struct {
 	pos     int
 	horizon int     // highest token index read so far; may be >= len(toks)
 	prefix  *Prefix // rule memo of Prefix.Recognize; nil for a plain parse
+	depth   int     // tree level of the node being parsed (see descend)
+	reach   int     // deepest level reached in the innermost operator chain
 }
+
+// maxDepth bounds how deep a statement's tree may nest. The grammar recurses
+// once per level, and so do the walkers and printers of the tree it builds,
+// so without a bound one statement could exhaust the stack. The parser counts
+// a level for every node below its parent, every parenthesis, and every
+// operator of a left-deep chain (a + b + c), which pushes what the chain has
+// parsed so far one level down. That count is never below the tree's height;
+// for the generated workloads of seeds 1-3 it is at most 29.
+const maxDepth = 128
+
+var errDepthMsg = fmt.Sprintf("nesting exceeds %d levels", maxDepth)
 
 // ParseStatement parses a single SQL statement (an optional trailing
 // semicolon is consumed). Trailing tokens are an error.
@@ -83,7 +96,7 @@ func ParseStatementTokens(toks []sqllex.Token) (sqlast.Stmt, error) {
 // statement parses one whole statement: an optional trailing semicolon is
 // consumed and anything after it is an error.
 func (p *parser) statement() (sqlast.Stmt, error) {
-	stmt, err := p.parseStatement()
+	stmt, err := below(p, (*parser).parseStatement)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +131,7 @@ func ParseAll(sql string) ([]sqlast.Stmt, error) {
 	p := &parser{toks: toks}
 	var stmts []sqlast.Stmt
 	for !p.atEOF() {
-		stmt, err := p.parseStatement()
+		stmt, err := below(p, (*parser).parseStatement)
 		if err != nil {
 			return stmts, err
 		}
@@ -236,6 +249,58 @@ func (p *parser) errorf(format string, arg ...string) error {
 	return e
 }
 
+// descend moves one tree level down, failing past maxDepth. The caller moves
+// back up (p.depth--) once it has parsed the level.
+func (p *parser) descend() error {
+	p.depth++
+	p.reach = max(p.reach, p.depth)
+	if p.depth > maxDepth {
+		return p.errorf(errDepthMsg)
+	}
+	return nil
+}
+
+// below runs rule one tree level down.
+func below[T any](p *parser, rule func(*parser) (T, error)) (T, error) {
+	if err := p.descend(); err != nil {
+		var none T
+		return none, err
+	}
+	x, err := rule(p)
+	p.depth--
+	return x, err
+}
+
+// beginChain starts a left-deep operator chain, whose reach is tracked apart
+// from the enclosing one's; endChain(outer) folds it back in once the chain
+// has parsed. A failed parse needs no reach, so its error paths skip it.
+func (p *parser) beginChain() (outer int) {
+	outer, p.reach = p.reach, p.depth
+	return outer
+}
+
+func (p *parser) endChain(outer int) { p.reach = max(p.reach, outer) }
+
+// wrap puts one more operator node above everything the current chain has
+// parsed, which moves all of it one level down.
+func (p *parser) wrap() error {
+	p.reach++
+	if p.reach > maxDepth {
+		return p.errorf(errDepthMsg)
+	}
+	return nil
+}
+
+// operand wraps the chain and parses an operator's right operand, which sits
+// one level below the operator.
+func operand[T any](p *parser, rule func(*parser) (T, error)) (T, error) {
+	if err := p.wrap(); err != nil {
+		var none T
+		return none, err
+	}
+	return below(p, rule)
+}
+
 // identifier consumes an Ident or QuotedIdent and returns its value.
 func (p *parser) identifier(what string) (string, error) {
 	t := p.cur()
@@ -290,7 +355,12 @@ func (p *parser) parseStatement() (sqlast.Stmt, error) {
 	}
 }
 
+// parseSelect parses a query one level below the current one.
 func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
+	return below(p, (*parser).parseQuery)
+}
+
+func (p *parser) parseQuery() (*sqlast.SelectStmt, error) {
 	var with []sqlast.CTE
 	if p.acceptKw("WITH") {
 		for {
@@ -343,8 +413,8 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 		return nil, err
 	}
 
-	// Set operations chain onto the right.
-	cur := sel
+	// Set operations chain onto the right, each one level below the last.
+	cur, top := sel, p.depth
 	for {
 		var op string
 		switch {
@@ -359,6 +429,9 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 			break
 		}
 		all := p.acceptKw("ALL")
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseSelectCore()
 		if err != nil {
 			return nil, err
@@ -370,6 +443,7 @@ func (p *parser) parseSelect() (*sqlast.SelectStmt, error) {
 	}
 
 	// ORDER BY / LIMIT apply to the whole chain and attach to the head.
+	p.depth = top
 	var order []sqlast.OrderItem
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
@@ -434,7 +508,7 @@ func (p *parser) parseSelectCore() (*sqlast.SelectStmt, error) {
 	}
 	sel.Items = items
 	if p.acceptKw("FROM") {
-		from, err := p.fromList()
+		from, err := below(p, (*parser).fromList)
 		if err != nil {
 			return nil, err
 		}
@@ -553,6 +627,7 @@ func (p *parser) parseFromList() ([]sqlast.TableRef, error) {
 }
 
 func (p *parser) parseTableRef() (sqlast.TableRef, error) {
+	outer := p.beginChain()
 	left, err := p.parseTablePrimary()
 	if err != nil {
 		return nil, err
@@ -580,9 +655,11 @@ func (p *parser) parseTableRef() (sqlast.TableRef, error) {
 			joinType = "CROSS"
 		}
 		if joinType == "" {
+			p.endChain(outer)
 			return left, nil
 		}
-		right, err := p.parseTablePrimary()
+		// The right input and ON sit one level below the join.
+		right, err := operand(p, (*parser).parseTablePrimary)
 		if err != nil {
 			return nil, err
 		}
@@ -619,7 +696,7 @@ func (p *parser) parseTablePrimary() (sqlast.TableRef, error) {
 			}
 			return &sqlast.SubqueryTable{Select: sel, Alias: alias}, nil
 		}
-		ref, err := p.tableRef()
+		ref, err := below(p, (*parser).tableRef)
 		if err != nil {
 			return nil, err
 		}
@@ -1058,41 +1135,46 @@ func (p *parser) optionalInt(kw string) (*int, error) {
 // ---------------------------------------------------------------------------
 // Expressions (precedence climbing)
 
-func (p *parser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
+// parseExpr parses an expression one level below the current one.
+func (p *parser) parseExpr() (sqlast.Expr, error) { return below(p, (*parser).parseOr) }
 
 func (p *parser) parseOr() (sqlast.Expr, error) {
+	outer := p.beginChain()
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKw("OR") {
-		right, err := p.parseAnd()
+		right, err := operand(p, (*parser).parseAnd)
 		if err != nil {
 			return nil, err
 		}
 		left = p.binary("OR", left, right)
 	}
+	p.endChain(outer)
 	return left, nil
 }
 
 func (p *parser) parseAnd() (sqlast.Expr, error) {
+	outer := p.beginChain()
 	left, err := p.conjunct()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKw("AND") {
-		right, err := p.conjunct()
+		right, err := operand(p, (*parser).conjunct)
 		if err != nil {
 			return nil, err
 		}
 		left = p.binary("AND", left, right)
 	}
+	p.endChain(outer)
 	return left, nil
 }
 
 func (p *parser) parseNot() (sqlast.Expr, error) {
 	if p.acceptKw("NOT") {
-		x, err := p.parseNot()
+		x, err := below(p, (*parser).parseNot)
 		if err != nil {
 			return nil, err
 		}
@@ -1118,6 +1200,7 @@ func (p *parser) unary(op string, x sqlast.Expr) sqlast.Expr {
 }
 
 func (p *parser) parseComparison() (sqlast.Expr, error) {
+	outer := p.beginChain()
 	left, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -1125,6 +1208,9 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 	for {
 		// IS [NOT] NULL
 		if p.acceptKw("IS") {
+			if err := p.wrap(); err != nil {
+				return nil, err
+			}
 			not := p.acceptKw("NOT")
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
@@ -1145,6 +1231,9 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 		}
 		switch {
 		case p.acceptKw("IN"):
+			if err := p.wrap(); err != nil {
+				return nil, err
+			}
 			if _, err := p.expect(sqllex.LParen, "'('"); err != nil {
 				return nil, err
 			}
@@ -1176,14 +1265,14 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			}
 			continue
 		case p.acceptKw("BETWEEN"):
-			lo, err := p.parseAdditive()
+			lo, err := operand(p, (*parser).parseAdditive)
 			if err != nil {
 				return nil, err
 			}
 			if err := p.expectKw("AND"); err != nil {
 				return nil, err
 			}
-			hi, err := p.parseAdditive()
+			hi, err := below(p, (*parser).parseAdditive)
 			if err != nil {
 				return nil, err
 			}
@@ -1192,12 +1281,15 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			}
 			continue
 		case p.acceptKw("LIKE"):
-			right, err := p.parseAdditive()
+			right, err := operand(p, (*parser).parseAdditive)
 			if err != nil {
 				return nil, err
 			}
 			left = p.binary("LIKE", left, right)
 			if not {
+				if err := p.wrap(); err != nil {
+					return nil, err
+				}
 				left = p.unary("NOT", left)
 			}
 			continue
@@ -1210,7 +1302,7 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 			switch t.Text {
 			case "=", "<>", "!=", "<", ">", "<=", ">=":
 				p.pos++
-				right, err := p.parseAdditive()
+				right, err := operand(p, (*parser).parseAdditive)
 				if err != nil {
 					return nil, err
 				}
@@ -1222,11 +1314,13 @@ func (p *parser) parseComparison() (sqlast.Expr, error) {
 				continue
 			}
 		}
+		p.endChain(outer)
 		return left, nil
 	}
 }
 
 func (p *parser) parseAdditive() (sqlast.Expr, error) {
+	outer := p.beginChain()
 	left, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
@@ -1235,18 +1329,20 @@ func (p *parser) parseAdditive() (sqlast.Expr, error) {
 		t := p.cur()
 		if t.Kind == sqllex.Op && (t.Text == "+" || t.Text == "-" || t.Text == "||") {
 			p.pos++
-			right, err := p.parseMultiplicative()
+			right, err := operand(p, (*parser).parseMultiplicative)
 			if err != nil {
 				return nil, err
 			}
 			left = p.binary(t.Text, left, right)
 			continue
 		}
+		p.endChain(outer)
 		return left, nil
 	}
 }
 
 func (p *parser) parseMultiplicative() (sqlast.Expr, error) {
+	outer := p.beginChain()
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -1255,13 +1351,14 @@ func (p *parser) parseMultiplicative() (sqlast.Expr, error) {
 		t := p.cur()
 		if t.Kind == sqllex.Op && (t.Text == "*" || t.Text == "/" || t.Text == "%") {
 			p.pos++
-			right, err := p.parseUnary()
+			right, err := operand(p, (*parser).parseUnary)
 			if err != nil {
 				return nil, err
 			}
 			left = p.binary(t.Text, left, right)
 			continue
 		}
+		p.endChain(outer)
 		return left, nil
 	}
 }
@@ -1270,7 +1367,7 @@ func (p *parser) parseUnary() (sqlast.Expr, error) {
 	t := p.cur()
 	if t.Kind == sqllex.Op && (t.Text == "-" || t.Text == "+") {
 		p.pos++
-		x, err := p.parseUnary()
+		x, err := below(p, (*parser).parseUnary)
 		if err != nil {
 			return nil, err
 		}

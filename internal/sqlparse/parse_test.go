@@ -341,6 +341,8 @@ func TestParseErrorMessages(t *testing.T) {
 		{"SELECT a FROM t WHERE b = FROM", `syntax error at 1:27: unexpected keyword FROM in expression (near "FROM")`},
 		{"SELECT CASE a END FROM t", `syntax error at 1:15: CASE requires at least one WHEN arm (near "END")`},
 		{"SELECT a FROM t x y", `syntax error at 1:19: unexpected trailing input (near "y")`},
+		{"SELECT " + strings.Repeat("(", 200) + "1" + strings.Repeat(")", 200) + " FROM t",
+			`syntax error at 1:134: nesting exceeds 128 levels (near "(")`},
 	} {
 		_, err := ParseStatement(c.sql)
 		if err == nil || err.Error() != c.want {

@@ -13,12 +13,14 @@ import (
 // tree, and memoizes the list rules — the select list and its items, the
 // FROM list and its table references, and AND conjuncts (every expression is
 // a list of those) — by start index, in the manner of a packrat parser. Each
-// stored result, failures included, is where the rule ended, its error and
-// the highest token index it read (its horizon). A result is stored only
-// when its horizon lies inside the call's shared prefix and reused only when
-// it lies inside the current one, so a reused result is exactly what a
-// re-parse would return: a rule's result depends on nothing but the tokens
-// from its start up to its horizon.
+// stored result, failures included, is where the rule ended, its error, the
+// highest token index it read (its horizon), the tree level it started at
+// and the deepest level it reached. A result is stored only when its horizon
+// lies inside the call's shared prefix and reused only when it lies inside
+// the current one and the rule starts at the same level, so a reused result
+// is exactly what a re-parse would return: a rule's result depends on
+// nothing but its start level and the tokens from its start up to its
+// horizon.
 //
 // A Prefix is not safe for concurrent use. The zero value is ready to use;
 // Reset readies a used one for another reference sequence.
@@ -64,6 +66,8 @@ type memoRow struct {
 
 type memoEntry struct {
 	stored  bool
+	depth   int16 // the tree level the rule started at
+	reach   int16 // the deepest tree level the rule reached
 	end     int32 // position after the rule returned
 	horizon int32 // highest token index the rule read
 	err     error
@@ -72,20 +76,23 @@ type memoEntry struct {
 // recall runs rule at the current position through its memo entry e. Under
 // a Prefix the rules build no nodes, so only the zero T is ever returned.
 func recall[T any](p *parser, e *memoEntry, rule func(*parser) (T, error)) (T, error) {
-	if e.stored && int(e.horizon) < p.prefix.shared {
+	if e.stored && int(e.horizon) < p.prefix.shared && int(e.depth) == p.depth {
 		p.pos = int(e.end)
 		p.see(int(e.horizon))
+		p.reach = max(p.reach, int(e.reach))
 		var none T
 		return none, e.err
 	}
-	// Track the rule's own horizon, then fold it into the caller's.
-	outer := p.horizon
-	p.horizon = p.pos
+	// Track the rule's own horizon and reach, then fold them into the
+	// caller's.
+	outer, outerReach, depth := p.horizon, p.reach, p.depth
+	p.horizon, p.reach = p.pos, depth
 	node, err := rule(p)
-	h := p.horizon
+	h, reach := p.horizon, p.reach
 	p.see(outer)
+	p.reach = max(outerReach, reach)
 	if h < p.prefix.shared {
-		*e = memoEntry{stored: true, end: int32(p.pos), horizon: int32(h), err: err}
+		*e = memoEntry{stored: true, depth: int16(depth), reach: int16(reach), end: int32(p.pos), horizon: int32(h), err: err}
 	}
 	return node, err
 }

@@ -195,8 +195,9 @@ func receiverType(fd *ast.FuncDecl) string {
 // precondition: the parser reads its tokens only through cur, peekAt and
 // atEOF, which record the horizon (errorf reads the last token once cur is
 // at EOF, past any shared prefix), and its state is nothing but the tokens,
-// the position and the bookkeeping. A direct token read, or a field a rule
-// could consult, would let a reused result differ from a re-parse.
+// the position, the tree level (which the memo keys on) and the bookkeeping.
+// A direct token read, or another field a rule could consult, would let a
+// reused result differ from a re-parse.
 func TestRecognizeOnlyAccessorsReadTokens(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -232,8 +233,8 @@ func TestRecognizeOnlyAccessorsReadTokens(t *testing.T) {
 			return false
 		})
 	}
-	if got := strings.Join(fields, " "); got != "toks pos horizon prefix" {
-		t.Errorf("parser fields = %q, want %q: a rule result must depend on the tokens and start position alone", got, "toks pos horizon prefix")
+	if want := "toks pos horizon prefix depth reach"; strings.Join(fields, " ") != want {
+		t.Errorf("parser fields = %q, want %q: a rule result must depend on the tokens, start position and start level alone", strings.Join(fields, " "), want)
 	}
 
 	// The guard itself fires on a planted read.
