@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/prompt"
-	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 )
 
@@ -93,22 +92,12 @@ func answerState(promptText string) string {
 	if err != nil {
 		return empty
 	}
-	db, err := engine.RunScript(stmts)
-	if err != nil {
+	rows, err := engine.RunScript(stmts)
+	if err != nil || len(rows) == 0 {
 		return empty
 	}
-	table := ""
-	for _, s := range stmts {
-		if ct, ok := s.(*sqlast.CreateTableStmt); ok {
-			table = ct.Name
-		}
-	}
-	rel, ok := db.Table(table)
-	if !ok || len(rel.Rows) == 0 {
-		return empty
-	}
-	parts := make([]string, len(rel.Rows))
-	for i, row := range rel.Rows {
+	parts := make([]string, len(rows))
+	for i, row := range rows {
 		parts[i] = engine.FormatRow(row)
 	}
 	return "Final contents: " + strings.Join(parts, " ")

@@ -192,7 +192,7 @@ func TestVectorOrder(t *testing.T) {
 func TestComputeRandomASTs(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
-		sel := sqlast.RandSelect(r, sqlast.RandConfig{})
+		sel := sqlast.RandSelect(r)
 		sql := sqlast.Print(sel)
 		p := Compute(sql)
 		if p.CharCount != len(sql) {

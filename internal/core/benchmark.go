@@ -85,7 +85,7 @@ type PerfExample struct {
 
 // StateExample is one labeled script for the state task: a self-contained
 // CREATE + DML/transaction script and the table's final contents, obtained
-// by executing the script on the engine's MemStore.
+// by executing the script with engine.RunScript.
 type StateExample struct {
 	ID     string
 	Script string   // canonical single-line script, statements joined by " ; "
@@ -213,8 +213,8 @@ func Build(cfg BuildConfig) (*Benchmark, error) {
 	b.Perf = buildPerf(b.Workloads[SDSS])
 	b.Explain = buildExplain(b.Workloads[Spider])
 
-	// Stage 3: the state task's scripts, labeled by executing each one on the
-	// engine's MemStore. Each dataset derives an independent rand stream
+	// Stage 3: the state task's scripts, labeled by executing each one with
+	// engine.RunScript. Each dataset derives an independent rand stream
 	// (seed hashed with the stage name) so adding this stage leaves every
 	// stage-2 artifact byte-identical to pre-state builds.
 	b.State = map[string][]StateExample{}
@@ -251,16 +251,12 @@ func buildState(w *workload.Workload, r *rand.Rand, ds string) ([]StateExample, 
 	for i := 0; i < stateScriptsPerDataset; i++ {
 		donor := tables[i%len(tables)]
 		sc := datagen.GenScript(donor, r)
-		db, err := engine.RunScript(sc.Stmts)
+		rows, err := engine.RunScript(sc.Stmts)
 		if err != nil {
 			return nil, fmt.Errorf("script %d: %w", i, err)
 		}
-		rel, ok := db.Table(sc.Table)
-		if !ok {
-			return nil, fmt.Errorf("script %d left no table %q", i, sc.Table)
-		}
-		want := make([]string, len(rel.Rows))
-		for j, row := range rel.Rows {
+		want := make([]string, len(rows))
+		for j, row := range rows {
 			want[j] = engine.FormatRow(row)
 		}
 		sort.Strings(want)
@@ -373,49 +369,36 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 			continue
 		}
 		wantEquiv := i%2 == 0
-		var pair *EquivExample
+		types, cursor := neTypes, &neCursor
 		if wantEquiv {
-			for attempt := 0; attempt < len(eqTypes); attempt++ {
-				typ := eqTypes[(eqCursor+attempt)%len(eqTypes)]
-				out2, ok := equiv.Transform(sel, typ, r)
-				if !ok {
-					continue
-				}
-				printed := sqlast.Print(out2)
-				if _, err := sqlparse.ParseSelect(printed); err != nil {
-					return nil, 0, fmt.Errorf("transform %s produced unparsable SQL %q: %w", typ, printed, err)
-				}
-				if verify {
-					equal, err := checker.EquivalentCtx(ctx, sel, out2)
-					if err != nil || !equal {
-						continue // unverifiable pair: try another type
-					}
-				}
-				eqCursor = (eqCursor + attempt + 1) % len(eqTypes)
-				pair = &EquivExample{
-					SQL1: q.SQL, SQL2: printed,
-					Equivalent: true, Type: typ,
-				}
-				break
+			types, cursor = eqTypes, &eqCursor
+		}
+		// Try the types in turn from the cursor; the first that applies
+		// (and, for an equivalent pair, verifies) wins and moves the
+		// cursor past it.
+		var pair *EquivExample
+		for attempt := 0; attempt < len(types); attempt++ {
+			typ := types[(*cursor+attempt)%len(types)]
+			out2, ok := equiv.Transform(sel, typ, r)
+			if !ok {
+				continue
 			}
-		} else {
-			for attempt := 0; attempt < len(neTypes); attempt++ {
-				typ := neTypes[(neCursor+attempt)%len(neTypes)]
-				out2, ok := equiv.Transform(sel, typ, r)
-				if !ok {
-					continue
-				}
-				printed := sqlast.Print(out2)
-				if _, err := sqlparse.ParseSelect(printed); err != nil {
-					return nil, 0, fmt.Errorf("transform %s produced unparsable SQL %q: %w", typ, printed, err)
-				}
-				neCursor = (neCursor + attempt + 1) % len(neTypes)
-				pair = &EquivExample{
-					SQL1: q.SQL, SQL2: printed,
-					Equivalent: false, Type: typ,
-				}
-				break
+			printed := sqlast.Print(out2)
+			if _, err := sqlparse.ParseSelect(printed); err != nil {
+				return nil, 0, fmt.Errorf("transform %s produced unparsable SQL %q: %w", typ, printed, err)
 			}
+			if wantEquiv && verify {
+				equal, err := checker.EquivalentCtx(ctx, sel, out2)
+				if err != nil || !equal {
+					continue // unverifiable pair: try another type
+				}
+			}
+			*cursor = (*cursor + attempt + 1) % len(types)
+			pair = &EquivExample{
+				SQL1: q.SQL, SQL2: printed,
+				Equivalent: wantEquiv, Type: typ,
+			}
+			break
 		}
 		if pair == nil {
 			continue

@@ -17,7 +17,7 @@ import (
 // self-contained script (CREATE, INSERTs, then UPDATE/DELETE/INSERT
 // statements, some inside BEGIN..COMMIT or BEGIN..ROLLBACK blocks), the model
 // must state the table's final contents. Ground truth comes from executing
-// the script on the engine's MemStore at benchmark build time, so grading is
+// the script with engine.RunScript at benchmark build time, so grading is
 // a pure row-set comparison here.
 
 // StateResult is one model state-tracking attempt on a StateExample.
@@ -54,19 +54,23 @@ func stateCorrect(r StateResult) bool {
 	return true
 }
 
-// scriptTable recovers the target table of an ad-hoc script from its
-// CREATE TABLE statement.
+// scriptTable recovers the target table of an ad-hoc script: the table its
+// last CREATE TABLE names, the one engine.RunScript reports.
 func scriptTable(script string) (string, error) {
 	stmts, err := sqlparse.ParseAll(script)
 	if err != nil {
 		return "", fmt.Errorf("parsing script: %w", err)
 	}
+	table := ""
 	for _, s := range stmts {
 		if ct, ok := s.(*sqlast.CreateTableStmt); ok {
-			return ct.Name, nil
+			table = ct.Name
 		}
 	}
-	return "", fmt.Errorf("script contains no CREATE TABLE statement")
+	if table == "" {
+		return "", fmt.Errorf("script contains no CREATE TABLE statement")
+	}
+	return table, nil
 }
 
 // StateTask is the table_state registry entry — the seventh task, registered

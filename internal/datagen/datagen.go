@@ -21,24 +21,21 @@ type Config struct {
 	// Seed drives all randomness; the same seed always produces the same
 	// instance.
 	Seed int64
-	// NullFraction is the probability that a non-key column is NULL
-	// (default 0.05).
-	NullFraction float64
 }
+
+// nullFraction is the probability that a non-key column is NULL.
+const nullFraction = 0.05
 
 func (c *Config) normalize() {
 	if c.Rows <= 0 {
 		c.Rows = 60
-	}
-	if c.NullFraction <= 0 {
-		c.NullFraction = 0.05
 	}
 }
 
 // Instance materializes every table of the schema into a DB.
 func Instance(schema *catalog.Schema, cfg Config) *engine.DB {
 	cfg.normalize()
-	db := engine.NewDB(schema)
+	db := engine.NewDB()
 	for _, t := range schema.Tables() {
 		db.Put(t.Name, GenTable(t, cfg))
 	}
@@ -74,7 +71,7 @@ func genValue(r *rand.Rand, table string, c catalog.Column, rowIdx int, cfg Conf
 	name := strings.ToLower(c.Name)
 	isKey := strings.HasSuffix(name, "id") || name == "plate" || name == "code" ||
 		strings.HasSuffix(name, "_id")
-	if !isKey && r.Float64() < cfg.NullFraction {
+	if !isKey && r.Float64() < nullFraction {
 		return engine.NullValue
 	}
 	switch c.Type {

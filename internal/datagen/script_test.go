@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 )
 
@@ -24,18 +25,30 @@ func TestGenScriptRoundTripsAndExecutes(t *testing.T) {
 		if got := scriptSQL(stmts); got != sc.SQL {
 			t.Fatalf("script %d not canonical:\n%s\n%s", i, sc.SQL, got)
 		}
-		// And execute cleanly against the in-memory store, closing every
-		// transaction block it opens.
-		db := engine.NewDB(nil)
-		ms := engine.NewMemStore(db)
-		if err := engine.New(db).ApplyScript(ms, stmts); err != nil {
+		// Exactly one CREATE TABLE, naming the script's table, and every
+		// transaction block it opens is closed: BEGIN and COMMIT/ROLLBACK
+		// alternate, starting with BEGIN and ending closed.
+		creates, open := 0, false
+		for _, st := range stmts {
+			switch st := st.(type) {
+			case *sqlast.CreateTableStmt:
+				creates++
+				if st.Name != sc.Table {
+					t.Fatalf("script %d creates %q, want %q\n%s", i, st.Name, sc.Table, sc.SQL)
+				}
+			case *sqlast.TxnStmt:
+				if opens := st.Kind == "BEGIN"; opens == open {
+					t.Fatalf("script %d: unpaired %s\n%s", i, st.Kind, sc.SQL)
+				}
+				open = !open
+			}
+		}
+		if creates != 1 || open {
+			t.Fatalf("script %d: %d CREATE TABLEs, block left open %v\n%s", i, creates, open, sc.SQL)
+		}
+		// And it executes cleanly.
+		if _, err := engine.RunScript(stmts); err != nil {
 			t.Fatalf("script %d does not execute: %v\n%s", i, err, sc.SQL)
-		}
-		if ms.InTxn() {
-			t.Fatalf("script %d left a transaction open\n%s", i, sc.SQL)
-		}
-		if _, ok := db.Table(sc.Table); !ok {
-			t.Fatalf("script %d left no table %q", i, sc.Table)
 		}
 	}
 }

@@ -1,10 +1,18 @@
 package engine
 
-// DML execution: the executor side of INSERT/UPDATE/DELETE, CREATE/DROP
-// TABLE, and BEGIN/COMMIT/ROLLBACK. Statements evaluate their expressions
-// with the engine's scalar evaluator and apply the resulting row changes to
-// a MemStore — the state task's ground-truth oracle at benchmark build time
-// and the executor behind the simulated models' state answers.
+// DML execution: a state-task script's INSERT/UPDATE/DELETE, CREATE/DROP
+// TABLE and BEGIN/COMMIT/ROLLBACK statements, run in order against one
+// database's relations. RunScript is the state task's ground-truth oracle at
+// benchmark build time and the executor behind the simulated models' and
+// cmd/modelstub's state answers, so labels and answers share one executor.
+//
+// Every statement writes the relations directly and changes nothing when it
+// fails: INSERT appends only after every row has been coerced, and UPDATE and
+// DELETE assign a table's new row slice only after every row has been
+// evaluated. BEGIN snapshots the table map; since a statement either
+// replaces a table's Rows slice wholesale or appends past the snapshot's
+// length, the snapshot's slice headers still see the pre-transaction rows,
+// and ROLLBACK restores them.
 
 import (
 	"strings"
@@ -13,108 +21,143 @@ import (
 	"repro/internal/sqlast"
 )
 
-// MutOp is the decision a Mutate callback returns for one row.
-type MutOp int
+// RunScript executes a script on a fresh empty database and returns the
+// final rows of the table its last CREATE TABLE names. A transaction block
+// the script leaves open is rolled back, so only committed and auto-committed
+// changes remain. A failing statement, a script that creates no table, or a
+// table that is gone at the end is an error.
+func RunScript(stmts []sqlast.Stmt) ([][]Value, error) {
+	s := &scriptRun{e: New(NewDB())}
+	table := ""
+	for _, st := range stmts {
+		if err := s.exec(st); err != nil {
+			return nil, err
+		}
+		if ct, ok := st.(*sqlast.CreateTableStmt); ok {
+			table = ct.Name
+		}
+	}
+	if s.snap != nil {
+		s.rollback()
+	}
+	if table == "" {
+		return nil, execErrorf("script contains no CREATE TABLE statement")
+	}
+	rel, ok := s.e.DB.Table(table)
+	if !ok {
+		return nil, execErrorf("table %q does not exist", table)
+	}
+	return rel.Rows, nil
+}
 
-// Mutate decisions.
-const (
-	MutKeep MutOp = iota
-	MutUpdate
-	MutDelete
-)
+// scriptRun is one script's execution state: the engine over the database
+// its statements write and, while a BEGIN block is open, the table map as
+// it was at BEGIN. Not safe for concurrent use.
+type scriptRun struct {
+	e    *Engine
+	snap map[string]*Relation // nil when no block is open
+}
 
-// Apply executes one DML/DDL/transaction statement against the store.
-// SELECTs are rejected — they go through Query.
-func (e *Engine) Apply(m *MemStore, stmt sqlast.Stmt) error {
+// exec runs one statement. SELECTs are rejected: a script states no result.
+func (s *scriptRun) exec(stmt sqlast.Stmt) error {
+	db := s.e.DB
 	switch t := stmt.(type) {
 	case *sqlast.CreateTableStmt:
-		return e.applyCreate(m, t)
+		return s.create(t)
 	case *sqlast.DropStmt:
 		if !strings.EqualFold(t.Kind, "TABLE") {
-			return execErrorf("DROP %s is not supported by the DML executor", t.Kind)
+			return execErrorf("DROP %s is not supported in a script", t.Kind)
 		}
-		return m.DropTable(catalog.BareName(t.Name))
-	case *sqlast.InsertStmt:
-		return e.applyInsert(m, t)
-	case *sqlast.UpdateStmt:
-		_, err := e.applyUpdate(m, t)
-		return err
-	case *sqlast.DeleteStmt:
-		_, err := e.applyDelete(m, t)
-		return err
-	case *sqlast.TxnStmt:
-		switch t.Kind {
-		case "BEGIN":
-			return m.Begin()
-		case "COMMIT":
-			return m.Commit()
-		case "ROLLBACK":
-			return m.Rollback()
-		}
-		return execErrorf("unknown transaction statement %q", t.Kind)
-	default:
-		return execErrorf("statement %T cannot be applied to a store", stmt)
-	}
-}
-
-// ApplyScript executes a parsed statement sequence in order, stopping at the
-// first error.
-func (e *Engine) ApplyScript(m *MemStore, stmts []sqlast.Stmt) error {
-	for _, s := range stmts {
-		if err := e.Apply(m, s); err != nil {
+		if _, err := s.table(catalog.BareName(t.Name)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// RunScript executes a script on a fresh empty database and returns it. A
-// transaction block the script leaves open is rolled back, so only committed
-// and auto-committed changes remain. This is the state task's oracle: the
-// benchmark labels its scripts with it, and the simulated models and
-// cmd/modelstub answer with it, so labels and answers share one executor.
-func RunScript(stmts []sqlast.Stmt) (*DB, error) {
-	db := NewDB(nil)
-	ms := NewMemStore(db)
-	if err := New(db).ApplyScript(ms, stmts); err != nil {
-		return nil, err
-	}
-	if ms.InTxn() {
-		ms.Rollback()
-	}
-	return db, nil
-}
-
-func (e *Engine) applyCreate(m *MemStore, t *sqlast.CreateTableStmt) error {
-	name := catalog.BareName(t.Name)
-	if t.AsSelect != nil {
-		rel, err := e.Query(t.AsSelect)
+		delete(db.Tables, strings.ToLower(catalog.BareName(t.Name)))
+		return nil
+	case *sqlast.InsertStmt:
+		return s.insert(t)
+	case *sqlast.UpdateStmt:
+		return s.update(t)
+	case *sqlast.DeleteStmt:
+		rel, err := s.table(t.Table)
 		if err != nil {
 			return err
 		}
-		cols := make([]Col, len(rel.Cols))
-		for i, c := range rel.Cols {
-			cols[i] = Col{Name: c.Name, Type: c.Type}
+		return s.rewrite(rel, catalog.BareName(t.Table), t.Where, nil)
+	case *sqlast.TxnStmt:
+		switch t.Kind {
+		case "BEGIN":
+			if s.snap != nil {
+				return execErrorf("transaction already open")
+			}
+			s.snap = make(map[string]*Relation, len(db.Tables))
+			for k, rel := range db.Tables {
+				s.snap[k] = &Relation{Cols: rel.Cols, Rows: rel.Rows}
+			}
+		case "COMMIT", "ROLLBACK":
+			if s.snap == nil {
+				return execErrorf("no open transaction")
+			}
+			if t.Kind == "COMMIT" {
+				s.snap = nil
+			} else {
+				s.rollback()
+			}
+		default:
+			return execErrorf("unknown transaction statement %q", t.Kind)
 		}
-		if err := m.CreateTable(name, cols); err != nil {
-			return err
-		}
-		return m.Append(name, rel.Rows)
+		return nil
+	default:
+		return execErrorf("statement %T cannot run in a script", stmt)
 	}
-	if len(t.Cols) == 0 {
-		return execErrorf("CREATE TABLE %s has no columns", t.Name)
-	}
-	cols := make([]Col, len(t.Cols))
-	for i, cd := range t.Cols {
-		cols[i] = Col{Name: cd.Name, Type: ColTypeFromSQL(cd.Type)}
-	}
-	return m.CreateTable(name, cols)
 }
 
-// ColTypeFromSQL maps a SQL type name (INT, VARCHAR(32), ...) to the engine's
-// value type. Unknown names default to text, the forgiving choice for log
-// replay.
-func ColTypeFromSQL(sqlType string) catalog.Type {
+// rollback restores the tables as they were at BEGIN and closes the block.
+func (s *scriptRun) rollback() {
+	s.e.DB.Tables = s.snap
+	s.snap = nil
+}
+
+// table returns an existing table of the database.
+func (s *scriptRun) table(name string) (*Relation, error) {
+	rel, ok := s.e.DB.Table(name)
+	if !ok {
+		return nil, execErrorf("table %q does not exist", name)
+	}
+	return rel, nil
+}
+
+func (s *scriptRun) create(t *sqlast.CreateTableStmt) error {
+	rel := &Relation{}
+	switch {
+	case t.AsSelect != nil:
+		res, err := s.e.Query(t.AsSelect)
+		if err != nil {
+			return err
+		}
+		for _, c := range res.Cols {
+			rel.Cols = append(rel.Cols, Col{Name: c.Name, Type: c.Type})
+		}
+		for _, row := range res.Rows {
+			rel.Rows = append(rel.Rows, append([]Value(nil), row...))
+		}
+	case len(t.Cols) == 0:
+		return execErrorf("CREATE TABLE %s has no columns", t.Name)
+	default:
+		for _, cd := range t.Cols {
+			rel.Cols = append(rel.Cols, Col{Name: cd.Name, Type: sqlColType(cd.Type)})
+		}
+	}
+	if _, ok := s.e.DB.Table(t.Name); ok {
+		return execErrorf("table %q already exists", catalog.BareName(t.Name))
+	}
+	s.e.DB.Put(t.Name, rel)
+	return nil
+}
+
+// sqlColType maps a SQL type name (INT, VARCHAR(32), ...) to the engine's
+// value type. Unknown names default to text, the forgiving choice for
+// scripts in any dialect.
+func sqlColType(sqlType string) catalog.Type {
 	t := strings.ToUpper(sqlType)
 	if i := strings.IndexByte(t, '('); i >= 0 {
 		t = t[:i]
@@ -131,12 +174,22 @@ func ColTypeFromSQL(sqlType string) catalog.Type {
 	}
 }
 
-func (e *Engine) applyInsert(m *MemStore, t *sqlast.InsertStmt) error {
-	name := catalog.BareName(t.Table)
-	cols, ok := m.TableCols(name)
-	if !ok {
-		return execErrorf("table %q does not exist", t.Table)
+// colIndex returns the index of the named column, or -1.
+func colIndex(cols []Col, name string) int {
+	for i, c := range cols {
+		if strings.EqualFold(c.Name, name) {
+			return i
+		}
 	}
+	return -1
+}
+
+func (s *scriptRun) insert(t *sqlast.InsertStmt) error {
+	rel, err := s.table(t.Table)
+	if err != nil {
+		return err
+	}
+	cols := rel.Cols
 	// Map the statement's column list (or the table's natural order) to
 	// target column indexes.
 	target := make([]int, 0, len(cols))
@@ -146,13 +199,7 @@ func (e *Engine) applyInsert(m *MemStore, t *sqlast.InsertStmt) error {
 		}
 	} else {
 		for _, cn := range t.Columns {
-			idx := -1
-			for i, c := range cols {
-				if strings.EqualFold(c.Name, cn) {
-					idx = i
-					break
-				}
-			}
+			idx := colIndex(cols, cn)
 			if idx < 0 {
 				return execErrorf("table %q has no column %q", t.Table, cn)
 			}
@@ -162,17 +209,17 @@ func (e *Engine) applyInsert(m *MemStore, t *sqlast.InsertStmt) error {
 
 	var src [][]Value
 	if t.Select != nil {
-		rel, err := e.Query(t.Select)
+		res, err := s.e.Query(t.Select)
 		if err != nil {
 			return err
 		}
-		src = rel.Rows
+		src = res.Rows
 	} else {
 		ev := &env{}
 		for _, exprs := range t.Rows {
 			row := make([]Value, len(exprs))
 			for i, x := range exprs {
-				v, err := e.evalExpr(x, ev)
+				v, err := s.e.evalExpr(x, ev)
 				if err != nil {
 					return err
 				}
@@ -201,82 +248,74 @@ func (e *Engine) applyInsert(m *MemStore, t *sqlast.InsertStmt) error {
 		}
 		out = append(out, row)
 	}
-	return m.Append(name, out)
+	rel.Rows = append(rel.Rows, out...)
+	return nil
 }
 
-func (e *Engine) applyUpdate(m *MemStore, t *sqlast.UpdateStmt) (int, error) {
-	name := catalog.BareName(t.Table)
-	cols, ok := m.TableCols(name)
-	if !ok {
-		return 0, execErrorf("table %q does not exist", t.Table)
+func (s *scriptRun) update(t *sqlast.UpdateStmt) error {
+	rel, err := s.table(t.Table)
+	if err != nil {
+		return err
+	}
+	cols := rel.Cols
+	set := make([]int, len(t.Set))
+	for i, a := range t.Set {
+		set[i] = colIndex(cols, a.Column)
+		if set[i] < 0 {
+			return execErrorf("table %q has no column %q", t.Table, a.Column)
+		}
 	}
 	qual := t.Alias
 	if qual == "" {
-		qual = name
+		qual = catalog.BareName(t.Table)
 	}
-	qcols := make([]Col, len(cols))
-	for i, c := range cols {
-		qcols[i] = Col{Qualifier: qual, Name: c.Name, Type: c.Type}
-	}
-	set := make([]int, len(t.Set))
-	for i, a := range t.Set {
-		idx := -1
-		for j, c := range cols {
-			if strings.EqualFold(c.Name, a.Column) {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			return 0, execErrorf("table %q has no column %q", t.Table, a.Column)
-		}
-		set[i] = idx
-	}
-	rel := &Relation{Cols: qcols}
-	return m.Mutate(name, func(row []Value) (MutOp, []Value, error) {
-		ev := &env{rel: rel, row: row}
-		hit, err := e.matchesWhere(t.Where, ev)
-		if err != nil || !hit {
-			return MutKeep, nil, err
-		}
+	return s.rewrite(rel, qual, t.Where, func(row []Value, ev *env) ([]Value, error) {
 		// Assignments all evaluate against the pre-update row.
 		next := make([]Value, len(row))
 		copy(next, row)
 		for i, a := range t.Set {
-			v, err := e.evalExpr(a.Value, ev)
+			v, err := s.e.evalExpr(a.Value, ev)
 			if err != nil {
-				return MutKeep, nil, err
+				return nil, err
 			}
 			ci := set[i]
-			cv, err := coerceValue(v, cols[ci].Type, cols[ci].Name)
-			if err != nil {
-				return MutKeep, nil, err
+			if next[ci], err = coerceValue(v, cols[ci].Type, cols[ci].Name); err != nil {
+				return nil, err
 			}
-			next[ci] = cv
 		}
-		return MutUpdate, next, nil
+		return next, nil
 	})
 }
 
-func (e *Engine) applyDelete(m *MemStore, t *sqlast.DeleteStmt) (int, error) {
-	name := catalog.BareName(t.Table)
-	cols, ok := m.TableCols(name)
-	if !ok {
-		return 0, execErrorf("table %q does not exist", t.Table)
+// rewrite replaces each row of rel that WHERE matches with set's result, or
+// drops it when set is nil (DELETE). Rows are evaluated with their columns
+// qualified by qual, and the new row slice is assigned only after every row
+// has been evaluated, so a failing statement changes nothing.
+func (s *scriptRun) rewrite(rel *Relation, qual string, where sqlast.Expr, set func(row []Value, ev *env) ([]Value, error)) error {
+	qcols := make([]Col, len(rel.Cols))
+	for i, c := range rel.Cols {
+		qcols[i] = Col{Qualifier: qual, Name: c.Name, Type: c.Type}
 	}
-	qcols := make([]Col, len(cols))
-	for i, c := range cols {
-		qcols[i] = Col{Qualifier: name, Name: c.Name, Type: c.Type}
-	}
-	rel := &Relation{Cols: qcols}
-	return m.Mutate(name, func(row []Value) (MutOp, []Value, error) {
-		ev := &env{rel: rel, row: row}
-		hit, err := e.matchesWhere(t.Where, ev)
-		if err != nil || !hit {
-			return MutKeep, nil, err
+	scope := &Relation{Cols: qcols}
+	out := make([][]Value, 0, len(rel.Rows))
+	for _, row := range rel.Rows {
+		ev := &env{rel: scope, row: row}
+		hit, err := s.e.matchesWhere(where, ev)
+		if err != nil {
+			return err
 		}
-		return MutDelete, nil, nil
-	})
+		if hit && set == nil {
+			continue
+		}
+		if hit {
+			if row, err = set(row, ev); err != nil {
+				return err
+			}
+		}
+		out = append(out, row)
+	}
+	rel.Rows = out
+	return nil
 }
 
 // matchesWhere evaluates an optional WHERE clause; a nil clause matches.
@@ -339,157 +378,3 @@ func FormatRow(row []Value) string {
 	b.WriteString(" )")
 	return b.String()
 }
-
-// ---------------------------------------------------------------------------
-// MemStore: the DML target over a DB's relations. Rollback restores a
-// snapshot of the table map taken at Begin; since every mutation either
-// replaces a table's Rows slice wholesale (Mutate) or appends past the
-// snapshot's length (Append), the snapshot's slice headers still see the
-// pre-transaction rows.
-
-// MemStore applies DML to a DB's in-memory relations. It is the state task's
-// ground-truth oracle at benchmark build time and the executor behind
-// sim/modelstub answers for the task. Operations issued outside
-// BEGIN..COMMIT auto-commit. Not safe for concurrent use.
-type MemStore struct {
-	db   *DB
-	snap map[string]*Relation // nil when no transaction is open
-}
-
-// NewMemStore returns a MemStore over the database.
-func NewMemStore(db *DB) *MemStore { return &MemStore{db: db} }
-
-// CreateTable creates an empty table. Errors if it already exists.
-func (m *MemStore) CreateTable(name string, cols []Col) error {
-	key := strings.ToLower(name)
-	if _, ok := m.db.Tables[key]; ok {
-		return execErrorf("table %q already exists", name)
-	}
-	own := make([]Col, len(cols))
-	for i, c := range cols {
-		own[i] = Col{Name: c.Name, Type: c.Type}
-	}
-	m.db.Tables[key] = &Relation{Cols: own}
-	return nil
-}
-
-// DropTable removes a table. Errors if it does not exist.
-func (m *MemStore) DropTable(name string) error {
-	key := strings.ToLower(name)
-	if _, ok := m.db.Tables[key]; !ok {
-		return execErrorf("table %q does not exist", name)
-	}
-	delete(m.db.Tables, key)
-	return nil
-}
-
-// TableCols reports a table's columns.
-func (m *MemStore) TableCols(name string) ([]Col, bool) {
-	rel, ok := m.db.Tables[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return rel.Cols, true
-}
-
-// Append adds rows (already coerced to the table's column types). Errors
-// if a row's arity does not match the table.
-func (m *MemStore) Append(name string, rows [][]Value) error {
-	rel, ok := m.db.Tables[strings.ToLower(name)]
-	if !ok {
-		return execErrorf("table %q does not exist", name)
-	}
-	for _, r := range rows {
-		if len(r) != len(rel.Cols) {
-			return execErrorf("row arity %d does not match table %q (%d columns)",
-				len(r), name, len(rel.Cols))
-		}
-		own := make([]Value, len(r))
-		copy(own, r)
-		rel.Rows = append(rel.Rows, own)
-	}
-	return nil
-}
-
-// Mutate visits every row in scan order and applies the callback's
-// decision: MutKeep leaves it, MutUpdate replaces it with the returned row,
-// MutDelete removes it. All decisions are collected before any row changes,
-// so the visit order never observes in-flight mutations. Returns the number
-// of rows changed.
-func (m *MemStore) Mutate(name string, fn func(row []Value) (MutOp, []Value, error)) (int, error) {
-	rel, ok := m.db.Tables[strings.ToLower(name)]
-	if !ok {
-		return 0, execErrorf("table %q does not exist", name)
-	}
-	type change struct {
-		idx int
-		op  MutOp
-		row []Value
-	}
-	var changes []change
-	for i, row := range rel.Rows {
-		op, next, err := fn(row)
-		if err != nil {
-			return 0, err
-		}
-		if op != MutKeep {
-			changes = append(changes, change{idx: i, op: op, row: next})
-		}
-	}
-	if len(changes) == 0 {
-		return 0, nil
-	}
-	out := make([][]Value, 0, len(rel.Rows))
-	ci := 0
-	for i, row := range rel.Rows {
-		if ci < len(changes) && changes[ci].idx == i {
-			c := changes[ci]
-			ci++
-			if c.op == MutDelete {
-				continue
-			}
-			row = c.row
-		}
-		out = append(out, row)
-	}
-	rel.Rows = out
-	return len(changes), nil
-}
-
-// Begin opens an explicit transaction. Errors if one is already open.
-func (m *MemStore) Begin() error {
-	if m.snap != nil {
-		return execErrorf("transaction already open")
-	}
-	m.snap = make(map[string]*Relation, len(m.db.Tables))
-	for k, rel := range m.db.Tables {
-		m.snap[k] = &Relation{Cols: rel.Cols, Rows: rel.Rows}
-	}
-	return nil
-}
-
-// Commit keeps the transaction's changes. Errors if none is open.
-func (m *MemStore) Commit() error {
-	if m.snap == nil {
-		return execErrorf("no open transaction")
-	}
-	m.snap = nil
-	return nil
-}
-
-// Rollback restores the tables as they were at Begin. Errors if no
-// transaction is open.
-func (m *MemStore) Rollback() error {
-	if m.snap == nil {
-		return execErrorf("no open transaction")
-	}
-	m.db.Tables = make(map[string]*Relation, len(m.snap))
-	for k, rel := range m.snap {
-		m.db.Tables[k] = &Relation{Cols: rel.Cols, Rows: rel.Rows}
-	}
-	m.snap = nil
-	return nil
-}
-
-// InTxn reports whether an explicit transaction is open.
-func (m *MemStore) InTxn() bool { return m.snap != nil }

@@ -19,7 +19,7 @@ func testDB() *DB {
 	schema.Add(catalog.T("dept",
 		"name", catalog.TypeText, "budget", catalog.TypeFloat,
 	))
-	db := NewDB(schema)
+	db := NewDB()
 	db.Put("emp", &Relation{
 		Cols: []Col{
 			{Name: "id", Type: catalog.TypeInt},
@@ -196,7 +196,7 @@ func numKeysDB() *DB {
 	schema := catalog.NewSchema("numkeys")
 	schema.Add(catalog.T("a", "i", catalog.TypeInt))
 	schema.Add(catalog.T("b", "f", catalog.TypeFloat))
-	db := NewDB(schema)
+	db := NewDB()
 	db.Put("a", &Relation{
 		Cols: []Col{{Name: "i", Type: catalog.TypeInt}},
 		Rows: [][]Value{{IntVal(1000000)}, {IntVal(0)}},

@@ -16,7 +16,7 @@ func edgeDB(vals []Value) *DB {
 	schema := catalog.NewSchema("edges")
 	schema.Add(catalog.T("a", "i", catalog.TypeInt, "x", catalog.TypeAny))
 	schema.Add(catalog.T("b", "j", catalog.TypeInt, "y", catalog.TypeAny))
-	db := NewDB(schema)
+	db := NewDB()
 	var a, b [][]Value
 	for i, v := range vals {
 		a = append(a, []Value{IntVal(int64(i)), v})
@@ -82,7 +82,7 @@ func TestIntsPast2To53StayDistinct(t *testing.T) {
 	schema := catalog.NewSchema("big")
 	schema.Add(catalog.T("a", "i", catalog.TypeInt))
 	schema.Add(catalog.T("b", "j", catalog.TypeInt))
-	db := NewDB(schema)
+	db := NewDB()
 	db.Put("a", &Relation{Cols: []Col{{Name: "i", Type: catalog.TypeInt}}, Rows: [][]Value{{IntVal(9007199254740992)}}})
 	db.Put("b", &Relation{Cols: []Col{{Name: "j", Type: catalog.TypeInt}}, Rows: [][]Value{{IntVal(9007199254740993)}}})
 	for _, tc := range []struct {
@@ -111,7 +111,7 @@ func TestRowKeysKeepSeparatorTextApart(t *testing.T) {
 	schema := catalog.NewSchema("sep")
 	schema.Add(catalog.T("p", "x", catalog.TypeText, "y", catalog.TypeText))
 	schema.Add(catalog.T("q", "z", catalog.TypeText))
-	db := NewDB(schema)
+	db := NewDB()
 	db.Put("p", &Relation{
 		Cols: []Col{{Name: "x", Type: catalog.TypeText}, {Name: "y", Type: catalog.TypeText}},
 		Rows: [][]Value{{TextVal("a\x1f"), TextVal("b")}, {TextVal("a"), TextVal("\x1fb")}},

@@ -77,7 +77,7 @@ func TestHashJoinPadsOnlyOuterJoins(t *testing.T) {
 		Cols: []Col{{Name: "k", Type: catalog.TypeInt}, {Name: "v", Type: catalog.TypeInt}},
 		Rows: [][]Value{{IntVal(1), IntVal(2)}, {IntVal(5), IntVal(6)}},
 	}
-	e := New(NewDB(nil))
+	e := New(NewDB())
 	for jt, want := range map[string]int{"INNER": 1, "LEFT": 2, "RIGHT": 2, "FULL": 3} {
 		out, err := e.hashJoin(left, right, 0, 0, jt, concatCols(left.Cols, right.Cols))
 		if err != nil {
@@ -119,7 +119,7 @@ func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(NewDB(nil))
+	e := New(NewDB())
 	steps, _ := e.planJoins(rels, splitConjuncts(sel.Where))
 	if got := []int{steps[0].target, steps[1].target, steps[2].target}; !slices.Equal(got, []int{2, 1, 3}) || steps[2].conj >= 0 {
 		t.Fatalf("step targets = %v (last conj %d), want [2 1 3] ending in a cross product", got, steps[2].conj)

@@ -379,7 +379,7 @@ func benchJoinDB() *DB {
 	schema := catalog.NewSchema("bench")
 	schema.Add(catalog.T("big", "id", catalog.TypeInt, "v", catalog.TypeInt))
 	schema.Add(catalog.T("small", "id", catalog.TypeInt, "w", catalog.TypeInt))
-	db := NewDB(schema)
+	db := NewDB()
 	big := &Relation{Cols: []Col{{Name: "id", Type: catalog.TypeInt}, {Name: "v", Type: catalog.TypeInt}}}
 	for i := 0; i < 20_000; i++ {
 		big.Rows = append(big.Rows, []Value{IntVal(int64(i % 64)), IntVal(int64(i % 100))})

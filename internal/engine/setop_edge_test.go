@@ -16,7 +16,7 @@ func setOpDB() *DB {
 	schema := catalog.NewSchema("setops")
 	schema.Add(catalog.T("a", "x", catalog.TypeInt, "y", catalog.TypeText))
 	schema.Add(catalog.T("b", "x", catalog.TypeInt, "y", catalog.TypeText))
-	db := NewDB(schema)
+	db := NewDB()
 	cols := []Col{{Name: "x", Type: catalog.TypeInt}, {Name: "y", Type: catalog.TypeText}}
 	db.Put("a", &Relation{Cols: cols, Rows: [][]Value{
 		{IntVal(1), TextVal("one")},

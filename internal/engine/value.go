@@ -275,16 +275,14 @@ func EqualRelations(a, b *Relation, ordered bool) bool {
 	return true
 }
 
-// DB is a named collection of materialized tables plus the schema they
-// instantiate.
+// DB is a named collection of materialized tables.
 type DB struct {
-	Schema *catalog.Schema
 	Tables map[string]*Relation // keyed by lowercase bare table name
 }
 
-// NewDB returns an empty database over a schema.
-func NewDB(schema *catalog.Schema) *DB {
-	return &DB{Schema: schema, Tables: make(map[string]*Relation)}
+// NewDB returns an empty database.
+func NewDB() *DB {
+	return &DB{Tables: make(map[string]*Relation)}
 }
 
 // Put registers a relation under the table name.

@@ -234,19 +234,16 @@ func inlineTrivialCTE(sel *sqlast.SelectStmt) *sqlast.SelectStmt {
 
 // Checker validates candidate pairs empirically by executing both queries
 // over seeded synthetic instances of a schema. Instances are generated once
-// per (seed, rows) and reused across pairs — the engine never mutates base
-// tables, so a cached instance is safe to share, including across
-// goroutines. A Checker is safe for concurrent use.
+// per seed and reused across pairs — the engine never mutates base tables,
+// so a cached instance is safe to share, including across goroutines. A
+// Checker is safe for concurrent use.
 type Checker struct {
 	Schema *catalog.Schema
 	// Seeds are the instance seeds to test against (more seeds, higher
 	// confidence). Defaults to three instances.
 	Seeds []int64
-	// Rows per generated table (default 24; kept small so wide joins stay
-	// fast).
-	Rows int
 
-	instances runner.Flight[instanceKey, *engine.DB]
+	instances runner.Flight[int64, *engine.DB]
 	engineOps atomic.Int64
 }
 
@@ -255,21 +252,20 @@ type Checker struct {
 // visible end to end.
 func (c *Checker) Ops() int64 { return c.engineOps.Load() }
 
-type instanceKey struct {
-	seed int64
-	rows int
-}
+// instanceRows is the row count of every generated table, kept small so
+// wide joins stay fast.
+const instanceRows = 24
 
 // NewChecker returns an engine-backed checker over the schema.
 func NewChecker(schema *catalog.Schema) *Checker {
-	return &Checker{Schema: schema, Seeds: []int64{11, 29, 47}, Rows: 24}
+	return &Checker{Schema: schema, Seeds: []int64{11, 29, 47}}
 }
 
 // instance returns the cached synthetic database for a seed, generating it
 // on first use. Concurrent requests for the same seed coalesce.
-func (c *Checker) instance(seed int64, rows int) *engine.DB {
-	db, _ := c.instances.Do(instanceKey{seed, rows}, func() (*engine.DB, error) {
-		return datagen.Instance(c.Schema, datagen.Config{Seed: seed, Rows: rows}), nil
+func (c *Checker) instance(seed int64) *engine.DB {
+	db, _ := c.instances.Do(seed, func() (*engine.DB, error) {
+		return datagen.Instance(c.Schema, datagen.Config{Seed: seed, Rows: instanceRows}), nil
 	})
 	return db
 }
@@ -290,12 +286,8 @@ func (c *Checker) Equivalent(a, b *sqlast.SelectStmt) (bool, error) {
 // first mismatch or error, so the verdict and the work done depend only on
 // the queries and the seeds.
 func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (bool, error) {
-	rows := c.Rows
-	if rows <= 0 {
-		rows = 24
-	}
 	check := func(seed int64) (bool, error) {
-		e := engine.New(c.instance(seed, rows))
+		e := engine.New(c.instance(seed))
 		defer func() { c.engineOps.Add(e.Ops()) }()
 		ra, err := e.QueryCtx(ctx, a)
 		if err != nil {

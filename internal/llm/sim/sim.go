@@ -687,8 +687,8 @@ func (m *Model) answerExplain(sql string) string {
 // table_state
 
 // answerState traces a DML/transaction script and reports the table's final
-// contents. The oracle is the engine's MemStore — the executor the
-// benchmark labels the task with — degraded by the calibrated channel: a
+// contents. The oracle is engine.RunScript — the executor the benchmark
+// labels the task with — degraded by the calibrated channel: a
 // failed trace either treats a ROLLBACK as if it committed or silently drops
 // the script's last DML statement, the two error families the task is
 // designed to separate.
@@ -721,8 +721,8 @@ func (m *Model) answerState(script string, quality float64) string {
 			}
 		}
 	}
-	rows, ok := execStateScript(stmts)
-	if !ok {
+	rows, err := engine.RunScript(stmts)
+	if err != nil {
 		return st.unsure
 	}
 	if len(rows) == 0 {
@@ -733,26 +733,6 @@ func (m *Model) answerState(script string, quality float64) string {
 		parts[i] = renderStateRow(row, st.stateCompact, st.stateDouble)
 	}
 	return st.statePrefix + strings.Join(parts, st.stateSep)
-}
-
-// execStateScript runs the (possibly degraded) script on the in-memory
-// executor and returns the created table's final rows.
-func execStateScript(stmts []sqlast.Stmt) ([][]engine.Value, bool) {
-	db, err := engine.RunScript(stmts)
-	if err != nil {
-		return nil, false
-	}
-	table := ""
-	for _, s := range stmts {
-		if ct, ok := s.(*sqlast.CreateTableStmt); ok {
-			table = ct.Name
-		}
-	}
-	rel, ok := db.Table(table)
-	if !ok {
-		return nil, false
-	}
-	return rel.Rows, true
 }
 
 // renderStateRow renders one row in the model's tuple style: spaced

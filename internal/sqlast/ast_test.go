@@ -184,12 +184,12 @@ func TestCloneNils(t *testing.T) {
 }
 
 func TestRandSelectDeterministic(t *testing.T) {
-	a := Print(RandSelect(rand.New(rand.NewSource(7)), RandConfig{}))
-	b := Print(RandSelect(rand.New(rand.NewSource(7)), RandConfig{}))
+	a := Print(RandSelect(rand.New(rand.NewSource(7))))
+	b := Print(RandSelect(rand.New(rand.NewSource(7))))
 	if a != b {
 		t.Errorf("same seed produced different ASTs:\n%s\n%s", a, b)
 	}
-	c := Print(RandSelect(rand.New(rand.NewSource(8)), RandConfig{}))
+	c := Print(RandSelect(rand.New(rand.NewSource(8))))
 	if a == c {
 		t.Log("different seeds produced equal ASTs (possible but unlikely)")
 	}

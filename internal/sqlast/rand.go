@@ -5,60 +5,41 @@ import (
 	"strconv"
 )
 
-// RandConfig controls random AST generation. The zero value is usable;
-// Normalize fills defaults.
-type RandConfig struct {
-	Tables   []string // candidate table names
-	Columns  []string // candidate column names
-	Funcs    []string // scalar function names
-	MaxDepth int      // maximum subquery nesting depth
-	MaxItems int      // maximum projection items
-}
+// The vocabulary and shape bounds of RandSelect's statements.
+var (
+	randTables  = []string{"t1", "t2", "t3", "orders", "parts"}
+	randColumns = []string{"a", "b", "c", "id", "qty", "price", "name"}
+	randFuncs   = []string{"abs", "round", "upper", "lower"}
+)
 
-// Normalize fills zero fields with defaults.
-func (c *RandConfig) Normalize() {
-	if len(c.Tables) == 0 {
-		c.Tables = []string{"t1", "t2", "t3", "orders", "parts"}
-	}
-	if len(c.Columns) == 0 {
-		c.Columns = []string{"a", "b", "c", "id", "qty", "price", "name"}
-	}
-	if len(c.Funcs) == 0 {
-		c.Funcs = []string{"abs", "round", "upper", "lower"}
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 3
-	}
-	if c.MaxItems <= 0 {
-		c.MaxItems = 4
-	}
-}
+const (
+	randMaxDepth = 3 // maximum subquery nesting depth
+	randMaxItems = 4 // maximum projection items
+)
 
 // RandSelect generates a random, structurally valid SELECT statement. It is
 // used by property-based tests (printer/parser round-trips) and stress tests.
-func RandSelect(r *rand.Rand, cfg RandConfig) *SelectStmt {
-	cfg.Normalize()
-	g := &randGen{r: r, cfg: cfg}
-	return g.selectStmt(cfg.MaxDepth)
+func RandSelect(r *rand.Rand) *SelectStmt {
+	g := &randGen{r: r}
+	return g.selectStmt(randMaxDepth)
 }
 
 type randGen struct {
-	r   *rand.Rand
-	cfg RandConfig
+	r *rand.Rand
 }
 
 func (g *randGen) pick(ss []string) string { return ss[g.r.Intn(len(ss))] }
 
 func (g *randGen) selectStmt(depth int) *SelectStmt {
 	s := &SelectStmt{}
-	if depth == g.cfg.MaxDepth && g.r.Intn(6) == 0 {
+	if depth == randMaxDepth && g.r.Intn(6) == 0 {
 		s.With = []CTE{{Name: "cte" + strconv.Itoa(g.r.Intn(3)), Select: g.selectStmt(depth - 1)}}
 	}
 	s.Distinct = g.r.Intn(8) == 0
-	n := 1 + g.r.Intn(g.cfg.MaxItems)
+	n := 1 + g.r.Intn(randMaxItems)
 	grouped := g.r.Intn(4) == 0
 	if grouped {
-		col := g.pick(g.cfg.Columns)
+		col := g.pick(randColumns)
 		s.Items = []SelectItem{
 			{Expr: Col("", col)},
 			{Expr: &FuncCall{Name: "COUNT", Star: true}, Alias: "n"},
@@ -81,7 +62,7 @@ func (g *randGen) selectStmt(depth int) *SelectStmt {
 		s.Where = g.boolExpr(depth, 2)
 	}
 	if !grouped && g.r.Intn(5) == 0 {
-		s.OrderBy = []OrderItem{{Expr: Col("", g.pick(g.cfg.Columns)), Desc: g.r.Intn(2) == 0}}
+		s.OrderBy = []OrderItem{{Expr: Col("", g.pick(randColumns)), Desc: g.r.Intn(2) == 0}}
 	}
 	if g.r.Intn(7) == 0 {
 		lim := 1 + g.r.Intn(100)
@@ -95,17 +76,17 @@ func (g *randGen) tableRef(depth int) TableRef {
 	case depth > 0 && g.r.Intn(6) == 0:
 		return &SubqueryTable{Select: g.selectStmt(depth - 1), Alias: "sq" + strconv.Itoa(g.r.Intn(5))}
 	case g.r.Intn(3) == 0:
-		left := &TableName{Name: g.pick(g.cfg.Tables), Alias: "l"}
-		right := &TableName{Name: g.pick(g.cfg.Tables), Alias: "r"}
+		left := &TableName{Name: g.pick(randTables), Alias: "l"}
+		right := &TableName{Name: g.pick(randTables), Alias: "r"}
 		types := []string{"INNER", "LEFT", "RIGHT", "FULL"}
 		return &Join{
 			Left:  left,
 			Right: right,
 			Type:  types[g.r.Intn(len(types))],
-			On:    Eq(Col("l", g.pick(g.cfg.Columns)), Col("r", g.pick(g.cfg.Columns))),
+			On:    Eq(Col("l", g.pick(randColumns)), Col("r", g.pick(randColumns))),
 		}
 	default:
-		tn := &TableName{Name: g.pick(g.cfg.Tables)}
+		tn := &TableName{Name: g.pick(randTables)}
 		if g.r.Intn(2) == 0 {
 			tn.Alias = "t" + strconv.Itoa(g.r.Intn(5))
 		}
@@ -127,7 +108,7 @@ func (g *randGen) boolExpr(depth, width int) Expr {
 }
 
 func (g *randGen) predicate(depth int) Expr {
-	col := Col("", g.pick(g.cfg.Columns))
+	col := Col("", g.pick(randColumns))
 	switch g.r.Intn(8) {
 	case 0:
 		return &Between{X: col, Lo: Number(strconv.Itoa(g.r.Intn(10))), Hi: Number(strconv.Itoa(10 + g.r.Intn(90)))}
@@ -139,7 +120,7 @@ func (g *randGen) predicate(depth int) Expr {
 		if depth > 0 {
 			return &In{X: col, Sub: g.scalarSubquery(depth - 1)}
 		}
-		return &Binary{Op: "LIKE", L: col, R: Str("%" + g.pick(g.cfg.Columns) + "%")}
+		return &Binary{Op: "LIKE", L: col, R: Str("%" + g.pick(randColumns) + "%")}
 	case 4:
 		if depth > 0 {
 			return &Exists{Sub: g.selectStmt(depth - 1)}
@@ -154,8 +135,8 @@ func (g *randGen) predicate(depth int) Expr {
 // scalarSubquery builds a single-column SELECT for use inside IN.
 func (g *randGen) scalarSubquery(depth int) *SelectStmt {
 	s := &SelectStmt{
-		Items: []SelectItem{{Expr: Col("", g.pick(g.cfg.Columns))}},
-		From:  []TableRef{&TableName{Name: g.pick(g.cfg.Tables)}},
+		Items: []SelectItem{{Expr: Col("", g.pick(randColumns))}},
+		From:  []TableRef{&TableName{Name: g.pick(randTables)}},
 	}
 	if g.r.Intn(2) == 0 && depth >= 0 {
 		s.Where = g.predicate(0)
@@ -166,9 +147,9 @@ func (g *randGen) scalarSubquery(depth int) *SelectStmt {
 func (g *randGen) scalar() Expr {
 	switch g.r.Intn(5) {
 	case 0:
-		return Str(g.pick(g.cfg.Columns))
+		return Str(g.pick(randColumns))
 	case 1:
-		return &FuncCall{Name: g.pick(g.cfg.Funcs), Args: []Expr{Col("", g.pick(g.cfg.Columns))}}
+		return &FuncCall{Name: g.pick(randFuncs), Args: []Expr{Col("", g.pick(randColumns))}}
 	default:
 		if g.r.Intn(4) == 0 {
 			return Number(strconv.FormatFloat(float64(g.r.Intn(1000))/10, 'f', 1, 64))
@@ -182,13 +163,13 @@ func (g *randGen) expr(depth int, agg bool) Expr {
 	case 0:
 		return g.scalar()
 	case 1:
-		return &Binary{Op: "+", L: Col("", g.pick(g.cfg.Columns)), R: g.scalar()}
+		return &Binary{Op: "+", L: Col("", g.pick(randColumns)), R: g.scalar()}
 	case 2:
 		return &Case{
-			Whens: []When{{Cond: &Binary{Op: ">", L: Col("", g.pick(g.cfg.Columns)), R: Number("0")}, Result: Number("1")}},
+			Whens: []When{{Cond: &Binary{Op: ">", L: Col("", g.pick(randColumns)), R: Number("0")}, Result: Number("1")}},
 			Else:  Number("0"),
 		}
 	default:
-		return Col("", g.pick(g.cfg.Columns))
+		return Col("", g.pick(randColumns))
 	}
 }

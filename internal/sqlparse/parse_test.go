@@ -426,7 +426,7 @@ func TestParseComments(t *testing.T) {
 func TestRoundTripRandomASTs(t *testing.T) {
 	r := rand.New(rand.NewSource(12345))
 	for i := 0; i < 400; i++ {
-		sel := sqlast.RandSelect(r, sqlast.RandConfig{})
+		sel := sqlast.RandSelect(r)
 		printed := sqlast.Print(sel)
 		stmt, err := ParseStatement(printed)
 		if err != nil {
@@ -444,7 +444,7 @@ func TestRoundTripRandomASTs(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 200; i++ {
-		sel := sqlast.RandSelect(r, sqlast.RandConfig{})
+		sel := sqlast.RandSelect(r)
 		before := sqlast.Print(sel)
 		clone := sqlast.CloneSelect(sel)
 		// Mutate the clone aggressively.

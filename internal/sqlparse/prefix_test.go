@@ -69,7 +69,7 @@ func recognizeStatements() []string {
 	}
 	r := rand.New(rand.NewSource(4242))
 	for i := 0; i < 150; i++ {
-		out = append(out, sqlast.Print(sqlast.RandSelect(r, sqlast.RandConfig{})))
+		out = append(out, sqlast.Print(sqlast.RandSelect(r)))
 	}
 	return out
 }
