@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/equiv"
@@ -158,8 +159,8 @@ func BenchmarkAblationUniformChannel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bd := core.SyntaxBreakdown(res, func(ex core.SyntaxExample) float64 {
-			return float64(ex.Props.WordCount)
+		bd := core.Breakdown(res, core.SyntaxTask.Score, func(p analyze.Properties) float64 {
+			return float64(p.WordCount)
 		})
 		return bd.Avg(metrics.FN) - bd.Avg(metrics.TP)
 	}

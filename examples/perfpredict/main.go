@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		conf := core.EvalPerf(results)
+		conf := core.Confusion(results, core.PerfTask.Score)
 		bias := "balanced"
 		if conf.Recall() > conf.Precision()+0.05 {
 			bias = "positive (overestimates runtimes)"

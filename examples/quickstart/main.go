@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	conf := core.EvalSyntaxBinary(results)
+	conf := core.Confusion(results, core.SyntaxTask.Score)
 	fmt.Printf("GPT4 on SDSS syntax_error: precision %.2f, recall %.2f, F1 %.2f over %d queries\n",
 		conf.Precision(), conf.Recall(), conf.F1(), conf.Total())
 

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/equiv"
 	"repro/internal/llm/sim"
+	"repro/internal/metrics"
 	"repro/internal/semcheck"
 	"repro/internal/sqlparse"
 )
@@ -262,13 +264,13 @@ func TestRunnersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf := EvalSyntaxBinary(syn); conf.F1() < 0.85 {
+	if conf := Confusion(syn, SyntaxTask.Score); conf.F1() < 0.85 {
 		t.Errorf("GPT4 syntax F1 = %.2f, expected near paper's 0.97", conf.F1())
 	}
-	if mc := EvalSyntaxType(syn); mc.WeightedF1() < 0.7 {
+	if mc := TypeScores(syn, SyntaxTask.Score); mc.WeightedF1() < 0.7 {
 		t.Errorf("GPT4 syntax type F1 = %.2f", mc.WeightedF1())
 	}
-	if rates := SyntaxFNRateByType(syn); len(rates) == 0 {
+	if rates := FNRateByClass(syn, SyntaxTask.Score); len(rates) == 0 {
 		t.Error("no FN rates")
 	}
 
@@ -276,7 +278,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf := EvalTokenBinary(tok); conf.F1() < 0.9 {
+	if conf := Confusion(tok, TokensTask.Score); conf.F1() < 0.9 {
 		t.Errorf("GPT4 token F1 = %.2f", conf.F1())
 	}
 	loc := EvalTokenLocation(tok)
@@ -288,7 +290,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf := EvalEquivBinary(eq); conf.Recall() < 0.9 {
+	if conf := Confusion(eq, EquivTask.Score); conf.Recall() < 0.9 {
 		t.Errorf("GPT4 equiv recall = %.2f, paper reports ~1.0", conf.Recall())
 	}
 
@@ -296,19 +298,19 @@ func TestRunnersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf := EvalPerf(pf); conf.F1() < 0.6 {
+	if conf := Confusion(pf, PerfTask.Score); conf.F1() < 0.6 {
 		t.Errorf("GPT4 perf F1 = %.2f", conf.F1())
 	}
-	bd := PerfBreakdown(pf, func(ex PerfExample) float64 { return float64(ex.Props.WordCount) })
-	if bd == nil {
-		t.Error("nil breakdown")
+	bd := Breakdown(pf, PerfTask.Score, func(p analyze.Properties) float64 { return float64(p.WordCount) })
+	if n := bd.Count(metrics.TP) + bd.Count(metrics.TN) + bd.Count(metrics.FP) + bd.Count(metrics.FN); n != len(pf) {
+		t.Errorf("breakdown holds %d results, want %d", n, len(pf))
 	}
 
 	exps, err := Run(ctx, client, ExplainTask, b.Explain[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov := MeanCoverage(exps); cov < 0.7 {
+	if cov := Summarize(exps, ExplainTask.Score).Accuracy; cov < 0.7 {
 		t.Errorf("GPT4 coverage = %.2f", cov)
 	}
 }

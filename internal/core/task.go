@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prompt"
 	"repro/internal/runner"
@@ -68,9 +67,10 @@ func FailedView(ex Example, err error) ResultView {
 }
 
 // Summary is the generic accuracy aggregation of one task cell — the cell
-// content of a registry-driven accuracy grid. Accuracy is the task's
-// headline score (fraction correct, or mean coverage for continuously
-// graded tasks); Prec/Rec/F1 are populated when HasPRF is set.
+// content of a registry-driven accuracy grid, folded from the cell's Scores
+// by Summarize. Accuracy is the mean credit (fraction correct, or mean
+// coverage for continuously graded tasks); Prec/Rec/F1 score the detection
+// and are populated when HasPRF is set.
 type Summary struct {
 	N             int
 	Accuracy      float64
@@ -81,18 +81,6 @@ type Summary struct {
 	// attempted total. Summarize leaves it zero; the layer that ran the
 	// cell (experiments, serve) fills it in from its failure records.
 	Failed int
-}
-
-// binarySummary converts a confusion matrix into the generic summary.
-func binarySummary(b metrics.Binary) Summary {
-	return Summary{
-		N:        b.Total(),
-		Accuracy: b.Accuracy(),
-		Prec:     b.Precision(),
-		Rec:      b.Recall(),
-		F1:       b.F1(),
-		HasPRF:   true,
-	}
 }
 
 // TaskDef is the typed contract one task implements: identity and skill
@@ -143,8 +131,11 @@ type TaskDef[E, R any] struct {
 	// View projects a result into the generic renderable form; labeled
 	// selects whether expected labels and a correctness verdict appear.
 	View func(r R, labeled bool) ResultView
-	// Summarize aggregates a cell's results into the generic summary.
-	Summarize func(rs []R) Summary
+	// Score says how one result counts toward the task's measurements; every
+	// summary, table and figure aggregates these records. It reads the
+	// result in place: the aggregators score every result of a cell on each
+	// render, and a copy of each result would dominate that cost.
+	Score func(r *R) Score
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +259,9 @@ type Task interface {
 	Grade(ex Example, resp llm.Response) (any, error)
 	// View projects one boxed result into the generic renderable form.
 	View(result any, labeled bool) ResultView
-	// Summarize aggregates boxed results into the generic summary.
+	// Score scores one boxed result; Summarize folds boxed results into the
+	// generic summary.
+	Score(result any) Score
 	Summarize(results []any) Summary
 }
 
@@ -378,12 +371,17 @@ func (a taskAdapter[E, R]) View(result any, labeled bool) ResultView {
 	return a.def.View(result.(R), labeled)
 }
 
+func (a taskAdapter[E, R]) Score(result any) Score {
+	r := result.(R)
+	return a.def.Score(&r)
+}
+
 func (a taskAdapter[E, R]) Summarize(results []any) Summary {
 	rs := make([]R, len(results))
 	for i, r := range results {
 		rs[i] = r.(R)
 	}
-	return a.def.Summarize(rs)
+	return Summarize(rs, a.def.Score)
 }
 
 // The package-level registry; the read side is what every generic
@@ -416,8 +414,8 @@ func RegisterTask[E, R any](def *TaskDef[E, R]) {
 		panic("core: task registration without id/name")
 	case def.Cell == nil || def.ExampleID == nil || def.ExampleSQL == nil || def.AdHoc == nil:
 		panic(fmt.Sprintf("core: task %s lacks its example codec", def.TaskID))
-	case def.Render == nil || def.Grade == nil || def.View == nil || def.Summarize == nil:
-		panic(fmt.Sprintf("core: task %s lacks prompt/grade/view/summarize hooks", def.TaskID))
+	case def.Render == nil || def.Grade == nil || def.View == nil || def.Score == nil:
+		panic(fmt.Sprintf("core: task %s lacks prompt/grade/view/score hooks", def.TaskID))
 	case len(def.DatasetNames) == 0:
 		panic(fmt.Sprintf("core: task %s names no datasets", def.TaskID))
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/prompt"
 	"repro/internal/respparse"
 )
@@ -59,7 +58,15 @@ var EquivTask = &TaskDef[EquivExample, EquivResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []EquivResult) Summary { return binarySummary(EvalEquivBinary(rs)) },
+	// Type scores count every pair, equivalent or not.
+	Score: func(r *EquivResult) Score {
+		return Score{
+			Credit: credit(r.PredEquiv == r.Example.Equivalent),
+			Detect: true, Truth: r.Example.Equivalent, Pred: r.PredEquiv,
+			Typed: true, Class: string(r.Example.Type), PredClass: statedClass(true, r.PredType),
+			Props: &r.Example.Props,
+		}
+	},
 }
 
 // gradeEquiv post-processes one response into an EquivResult.
@@ -76,38 +83,4 @@ func gradeEquiv(ex EquivExample, resp llm.Response) EquivResult {
 		Usage:     resp.Usage,
 		Latency:   resp.Latency,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation aggregations
-
-// EvalEquivBinary computes the query_equiv confusion.
-func EvalEquivBinary(results []EquivResult) metrics.Binary {
-	var b metrics.Binary
-	for _, r := range results {
-		b.Add(r.Example.Equivalent, r.PredEquiv)
-	}
-	return b
-}
-
-// EvalEquivType computes query_equiv_type multi-class scores over all pairs.
-func EvalEquivType(results []EquivResult) *metrics.MultiClass {
-	mc := metrics.NewMultiClass()
-	for _, r := range results {
-		pred := r.PredType
-		if pred == "" {
-			pred = "(none)"
-		}
-		mc.Add(string(r.Example.Type), pred)
-	}
-	return mc
-}
-
-// EquivBreakdown collects a property per outcome (Figures 11 and 12).
-func EquivBreakdown(results []EquivResult, property func(EquivExample) float64) *metrics.Breakdown {
-	bd := metrics.NewBreakdown()
-	for _, r := range results {
-		bd.Add(r.Example.Equivalent, r.PredEquiv, property(r.Example))
-	}
-	return bd
 }

@@ -61,9 +61,7 @@ var ExplainTask = &TaskDef[ExplainExample, ExplainResult]{
 		v.Fields = append(v.Fields, Field{"coverage", r.Coverage})
 		return v
 	},
-	Summarize: func(rs []ExplainResult) Summary {
-		return Summary{N: len(rs), Accuracy: MeanCoverage(rs)}
-	},
+	Score: func(r *ExplainResult) Score { return Score{Credit: r.Coverage, Props: &r.Example.Props} },
 }
 
 // gradeExplain post-processes one response into an ExplainResult.
@@ -76,16 +74,4 @@ func gradeExplain(ex ExplainExample, resp llm.Response) ExplainResult {
 		Usage:       resp.Usage,
 		Latency:     resp.Latency,
 	}
-}
-
-// MeanCoverage averages explanation fact coverage.
-func MeanCoverage(results []ExplainResult) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range results {
-		sum += r.Coverage
-	}
-	return sum / float64(len(results))
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/mutate"
 	"repro/internal/prompt"
 	"repro/internal/respparse"
@@ -109,22 +108,14 @@ var FillTask = &TaskDef[FillExample, FillResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []FillResult) Summary {
-		// Headline accuracy is exact token recovery; PRF scores the
-		// underlying missing-token detection.
-		var b metrics.Binary
-		correct := 0
-		for _, r := range rs {
-			b.Add(r.Example.Missing, r.PredMiss)
-			if fillCorrect(r) {
-				correct++
-			}
+	// Credit is exact token recovery; the detection is the underlying
+	// missing-token verdict.
+	Score: func(r *FillResult) Score {
+		return Score{
+			Credit: credit(fillCorrect(*r)),
+			Detect: true, Truth: r.Example.Missing, Pred: r.PredMiss,
+			Props: &r.Example.Props,
 		}
-		s := binarySummary(b)
-		if len(rs) > 0 {
-			s.Accuracy = float64(correct) / float64(len(rs))
-		}
-		return s
 	},
 }
 

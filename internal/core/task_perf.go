@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/prompt"
 	"repro/internal/respparse"
 )
@@ -52,7 +51,13 @@ var PerfTask = &TaskDef[PerfExample, PerfResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []PerfResult) Summary { return binarySummary(EvalPerf(rs)) },
+	Score: func(r *PerfResult) Score {
+		return Score{
+			Credit: credit(r.PredCostly == r.Example.Costly),
+			Detect: true, Truth: r.Example.Costly, Pred: r.PredCostly,
+			Props: &r.Example.Props,
+		}
+	},
 }
 
 // gradePerf post-processes one response into a PerfResult.
@@ -65,25 +70,4 @@ func gradePerf(ex PerfExample, resp llm.Response) PerfResult {
 		Example: ex, PredCostly: costly, Response: resp.Text,
 		Usage: resp.Usage, Latency: resp.Latency,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation aggregations
-
-// EvalPerf computes the performance_pred confusion.
-func EvalPerf(results []PerfResult) metrics.Binary {
-	var b metrics.Binary
-	for _, r := range results {
-		b.Add(r.Example.Costly, r.PredCostly)
-	}
-	return b
-}
-
-// PerfBreakdown collects a property per outcome (Figure 10 panels).
-func PerfBreakdown(results []PerfResult, property func(PerfExample) float64) *metrics.Breakdown {
-	bd := metrics.NewBreakdown()
-	for _, r := range results {
-		bd.Add(r.Example.Costly, r.PredCostly, property(r.Example))
-	}
-	return bd
 }

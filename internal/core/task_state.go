@@ -116,20 +116,8 @@ var StateTask = &TaskDef[StateExample, StateResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []StateResult) Summary {
-		// Exact final-contents match; no meaningful binary PRF.
-		correct := 0
-		for _, r := range rs {
-			if stateCorrect(r) {
-				correct++
-			}
-		}
-		s := Summary{N: len(rs)}
-		if len(rs) > 0 {
-			s.Accuracy = float64(correct) / float64(len(rs))
-		}
-		return s
-	},
+	// Exact final-contents match; no meaningful binary PRF.
+	Score: func(r *StateResult) Score { return Score{Credit: credit(stateCorrect(*r))} },
 }
 
 // gradeState post-processes one response into a StateResult.

@@ -197,7 +197,7 @@ func TestFillTaskEndToEnd(t *testing.T) {
 	if len(res) != len(b.Tokens[core.SDSS]) {
 		t.Fatalf("fill results = %d, want %d", len(res), len(b.Tokens[core.SDSS]))
 	}
-	s := core.FillTask.Summarize(res)
+	s := core.Summarize(res, core.FillTask.Score)
 	if !s.HasPRF || s.F1 < 0.7 {
 		t.Errorf("fill detection F1 = %.2f, want >= 0.7 (summary %+v)", s.F1, s)
 	}
@@ -243,7 +243,7 @@ func TestStateTaskEndToEnd(t *testing.T) {
 				t.Errorf("%s: unparseable state response on %s: %q", model, r.Example.ID, r.Response)
 			}
 		}
-		return core.StateTask.Summarize(all).Accuracy
+		return core.Summarize(all, core.StateTask.Score).Accuracy
 	}
 	strong, weak := accuracy("GPT4"), accuracy("Gemini")
 	if strong < 0.6 {

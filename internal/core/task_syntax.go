@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/metrics"
 	"repro/internal/prompt"
 	"repro/internal/respparse"
 )
@@ -58,7 +57,16 @@ var SyntaxTask = &TaskDef[SyntaxExample, SyntaxResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []SyntaxResult) Summary { return binarySummary(EvalSyntaxBinary(rs)) },
+	// Type scores count only the injected-error positives: the paper
+	// scores type identification on detected errors.
+	Score: func(r *SyntaxResult) Score {
+		return Score{
+			Credit: credit(r.PredHas == r.Example.HasError),
+			Detect: true, Truth: r.Example.HasError, Pred: r.PredHas,
+			Typed: r.Example.HasError, Class: string(r.Example.Type), PredClass: statedClass(r.PredHas, r.PredType),
+			Props: &r.Example.Props,
+		}
+	},
 }
 
 // gradeSyntax post-processes one response into a SyntaxResult.
@@ -77,65 +85,4 @@ func gradeSyntax(ex SyntaxExample, resp llm.Response) SyntaxResult {
 		Usage:    resp.Usage,
 		Latency:  resp.Latency,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation aggregations
-
-// EvalSyntaxBinary computes the syntax_error confusion.
-func EvalSyntaxBinary(results []SyntaxResult) metrics.Binary {
-	var b metrics.Binary
-	for _, r := range results {
-		b.Add(r.Example.HasError, r.PredHas)
-	}
-	return b
-}
-
-// EvalSyntaxType computes the multi-class syntax_error_type scores over
-// true positives with a stated type (the paper scores type identification
-// on detected errors).
-func EvalSyntaxType(results []SyntaxResult) *metrics.MultiClass {
-	mc := metrics.NewMultiClass()
-	for _, r := range results {
-		if !r.Example.HasError {
-			continue
-		}
-		pred := r.PredType
-		if !r.PredHas || pred == "" {
-			pred = "(none)"
-		}
-		mc.Add(string(r.Example.Type), pred)
-	}
-	return mc
-}
-
-// SyntaxFNRateByType returns, per injected error type, the fraction of
-// positives the model missed (Figure 7's bars).
-func SyntaxFNRateByType(results []SyntaxResult) map[string]float64 {
-	pos := map[string]int{}
-	fn := map[string]int{}
-	for _, r := range results {
-		if !r.Example.HasError {
-			continue
-		}
-		t := string(r.Example.Type)
-		pos[t]++
-		if !r.PredHas {
-			fn[t]++
-		}
-	}
-	out := map[string]float64{}
-	for t, n := range pos {
-		out[t] = float64(fn[t]) / float64(n)
-	}
-	return out
-}
-
-// SyntaxBreakdown collects a property per outcome (Figure 6 panels).
-func SyntaxBreakdown(results []SyntaxResult, property func(SyntaxExample) float64) *metrics.Breakdown {
-	bd := metrics.NewBreakdown()
-	for _, r := range results {
-		bd.Add(r.Example.HasError, r.PredHas, property(r.Example))
-	}
-	return bd
 }

@@ -62,7 +62,15 @@ var TokensTask = &TaskDef[TokenExample, TokenResult]{
 		}
 		return v
 	},
-	Summarize: func(rs []TokenResult) Summary { return binarySummary(EvalTokenBinary(rs)) },
+	// Type scores count only the damaged queries.
+	Score: func(r *TokenResult) Score {
+		return Score{
+			Credit: credit(r.PredMiss == r.Example.Missing),
+			Detect: true, Truth: r.Example.Missing, Pred: r.PredMiss,
+			Typed: r.Example.Missing, Class: string(r.Example.Kind), PredClass: statedClass(r.PredMiss, r.PredKind),
+			Props: &r.Example.Props,
+		}
+	},
 }
 
 // gradeTokens post-processes one response into a TokenResult.
@@ -82,35 +90,8 @@ func gradeTokens(ex TokenExample, resp llm.Response) TokenResult {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Evaluation aggregations
-
-// EvalTokenBinary computes the miss_token confusion.
-func EvalTokenBinary(results []TokenResult) metrics.Binary {
-	var b metrics.Binary
-	for _, r := range results {
-		b.Add(r.Example.Missing, r.PredMiss)
-	}
-	return b
-}
-
-// EvalTokenType computes miss_token_type multi-class scores over positives.
-func EvalTokenType(results []TokenResult) *metrics.MultiClass {
-	mc := metrics.NewMultiClass()
-	for _, r := range results {
-		if !r.Example.Missing {
-			continue
-		}
-		pred := r.PredKind
-		if !r.PredMiss || pred == "" {
-			pred = "(none)"
-		}
-		mc.Add(string(r.Example.Kind), pred)
-	}
-	return mc
-}
-
-// EvalTokenLocation computes MAE and hit rate over detected positives.
+// EvalTokenLocation computes MAE and hit rate over detected positives
+// (Table 5) — the one measurement the generic scores do not carry.
 func EvalTokenLocation(results []TokenResult) metrics.Location {
 	var loc metrics.Location
 	for _, r := range results {
@@ -120,34 +101,4 @@ func EvalTokenLocation(results []TokenResult) metrics.Location {
 		loc.Add(r.Example.Position, r.PredPos)
 	}
 	return loc
-}
-
-// TokenFNRateByKind returns the miss rate per removed-token kind (Figure 9).
-func TokenFNRateByKind(results []TokenResult) map[string]float64 {
-	pos := map[string]int{}
-	fn := map[string]int{}
-	for _, r := range results {
-		if !r.Example.Missing {
-			continue
-		}
-		k := string(r.Example.Kind)
-		pos[k]++
-		if !r.PredMiss {
-			fn[k]++
-		}
-	}
-	out := map[string]float64{}
-	for k, n := range pos {
-		out[k] = float64(fn[k]) / float64(n)
-	}
-	return out
-}
-
-// TokenBreakdown collects a property per outcome (Figure 8 panels).
-func TokenBreakdown(results []TokenResult, property func(TokenExample) float64) *metrics.Breakdown {
-	bd := metrics.NewBreakdown()
-	for _, r := range results {
-		bd.Add(r.Example.Missing, r.PredMiss, property(r.Example))
-	}
-	return bd
 }

@@ -80,7 +80,7 @@ func TunePrompt(ctx context.Context, client llm.Client, trial []SyntaxExample) (
 		if err != nil {
 			return nil, best, fmt.Errorf("tuning with %s: %w", tpl.ID, err)
 		}
-		acc := EvalSyntaxBinary(res).Accuracy()
+		acc := Summarize(res, SyntaxTask.Score).Accuracy
 		results = append(results, TuneResult{Template: tpl, Accuracy: acc})
 		if acc > bestAcc {
 			bestAcc = acc

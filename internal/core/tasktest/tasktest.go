@@ -1,10 +1,11 @@
 // Package tasktest is the reusable contract suite every registered
 // core.Task must pass (the task-level mirror of llm/clienttest): metadata
 // present and consistent, the example codec round-trips, known-good and
-// known-bad responses grade as expected, and streaming delivers identical
-// results to a buffered run at parallel 1 and 8. The core package runs it
-// against every registry entry, so "a task is a registry entry" stays an
-// enforced contract rather than a comment.
+// known-bad responses grade as expected, a result's score agrees with its
+// view, and streaming delivers identical results to a buffered run at
+// parallel 1 and 8. The core package runs it against every registry entry,
+// so "a task is a registry entry" stays an enforced contract rather than a
+// comment.
 package tasktest
 
 import (
@@ -155,6 +156,9 @@ func Run(t *testing.T, opts Options) {
 				if view.ID != gc.Example.ID {
 					t.Errorf("view ID = %q, want %q", view.ID, gc.Example.ID)
 				}
+				if err := scoreMatchesView(task, res); err != nil {
+					t.Error(err)
+				}
 				if gc.Check != nil {
 					if err := gc.Check(view); err != nil {
 						t.Error(err)
@@ -171,15 +175,38 @@ func Run(t *testing.T, opts Options) {
 		}
 	})
 
+	cell, _ := task.Cell(opts.Bench, task.DefaultDataset())
+	limit := opts.StreamLimit
+	if limit == 0 {
+		limit = 48
+	}
+	if len(cell) > limit {
+		cell = cell[:limit]
+	}
+
+	// The NDJSON correct field and the tables read one verdict: wherever a
+	// labeled view sets Correct, the score gives full credit exactly when it
+	// is true, and the summary counts every result.
+	t.Run("ScoresMatchViews", func(t *testing.T) {
+		var results []any
+		err := task.RunStreamOpts(context.Background(), opts.Client, cell, core.RunOpts{}, func(_ int, r any, _ error) error {
+			results = append(results, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("RunStreamOpts: %v", err)
+		}
+		for _, r := range results {
+			if err := scoreMatchesView(task, r); err != nil {
+				t.Error(err)
+			}
+		}
+		if s := task.Summarize(results); s.N != len(results) {
+			t.Errorf("summary counts %d results, want %d", s.N, len(results))
+		}
+	})
+
 	t.Run("StreamedMatchesBufferedParallel", func(t *testing.T) {
-		cell, _ := task.Cell(opts.Bench, task.DefaultDataset())
-		limit := opts.StreamLimit
-		if limit == 0 {
-			limit = 48
-		}
-		if len(cell) > limit {
-			cell = cell[:limit]
-		}
 		run := func(parallel int) []string {
 			ctx := runner.WithParallelism(context.Background(), parallel)
 			var out []string
@@ -208,4 +235,17 @@ func Run(t *testing.T, opts Options) {
 			}
 		}
 	})
+}
+
+// scoreMatchesView checks that a labeled view's correctness verdict, when
+// the task sets one, is the score's full credit.
+func scoreMatchesView(task core.Task, result any) error {
+	v := task.View(result, true)
+	if v.Correct == nil {
+		return nil
+	}
+	if credit := task.Score(result).Credit; *v.Correct != (credit == 1) {
+		return fmt.Errorf("%s: view says correct=%v, score gives credit %v", v.ID, *v.Correct, credit)
+	}
+	return nil
 }

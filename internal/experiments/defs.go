@@ -25,18 +25,46 @@ func init() {
 	register(Experiment{ID: "fig3", Title: "Figure 3: Join-Order statistics", Run: histExperiment(core.JoinOrder)})
 	register(Experiment{ID: "fig4", Title: "Figure 4: Pairwise property correlations", Run: runFig4})
 	register(Experiment{ID: "fig5", Title: "Figure 5: Elapsed time of sampled SDSS queries", Run: runFig5})
-	register(Experiment{ID: "table3", Title: "Table 3: syntax_error and syntax_error_type", Run: runTable3})
-	register(Experiment{ID: "fig6", Title: "Figure 6: word_count vs outcome in syntax_error (SDSS)", Run: runFig6})
-	register(Experiment{ID: "fig7", Title: "Figure 7: FN rate by syntax error type", Run: runFig7})
-	register(Experiment{ID: "table4", Title: "Table 4: miss_token and miss_token_type", Run: runTable4})
-	register(Experiment{ID: "fig8", Title: "Figure 8: failure vs properties in miss_token (SQLShare)", Run: runFig8})
-	register(Experiment{ID: "fig9", Title: "Figure 9: FN rate by missing token type", Run: runFig9})
+	register(Experiment{ID: "table3", Title: "Table 3: syntax_error and syntax_error_type",
+		Run: prTable(core.SyntaxTask, "Table 3: syntax_error (top) and syntax_error_type (bottom)", true)})
+	register(Experiment{ID: "fig6", Title: "Figure 6: word_count vs outcome in syntax_error (SDSS)",
+		Run: panelFigure(core.SyntaxTask, "Figure 6: word_count vs outcome, syntax_error on SDSS", []panel{
+			{"(Llama3) word_count by outcome", "Llama3", core.SDSS, wordCount},
+			{"(Gemini) word_count by outcome", "Gemini", core.SDSS, wordCount},
+		})})
+	register(Experiment{ID: "fig7", Title: "Figure 7: FN rate by syntax error type",
+		Run: fnRateFigure(core.SyntaxTask, "Figure 7: FN rate by syntax error type", classNames(semcheck.PaperErrorTypes))})
+	register(Experiment{ID: "table4", Title: "Table 4: miss_token and miss_token_type",
+		Run: prTable(core.TokensTask, "Table 4: miss_token (top) and miss_token_type (bottom)", true)})
+	register(Experiment{ID: "fig8", Title: "Figure 8: failure vs properties in miss_token (SQLShare)",
+		Run: panelFigure(core.TokensTask, "Figure 8: failures vs properties, miss_token on SQLShare", []panel{
+			{"(GPT3.5) word_count by outcome", "GPT3.5", core.SQLShare, wordCount},
+			{"(Gemini) predicate_count by outcome", "Gemini", core.SQLShare, predicateCount},
+			{"(Gemini) nestedness by outcome", "Gemini", core.SQLShare, nestedness},
+			{"(MistralAI) table_count by outcome", "MistralAI", core.SQLShare, tableCount},
+		})})
+	register(Experiment{ID: "fig9", Title: "Figure 9: FN rate by missing token type",
+		Run: fnRateFigure(core.TokensTask, "Figure 9: FN rate by missing token type", classNames(mutate.TokenKinds))})
 	register(Experiment{ID: "table5", Title: "Table 5: MAE and Hit Rate for miss_token_loc", Run: runTable5})
-	register(Experiment{ID: "table6", Title: "Table 6: performance_pred accuracy", Run: runTable6})
-	register(Experiment{ID: "fig10", Title: "Figure 10: MistralAI failure in performance_pred", Run: runFig10})
-	register(Experiment{ID: "table7", Title: "Table 7: query_equiv and query_equiv_type", Run: runTable7})
-	register(Experiment{ID: "fig11", Title: "Figure 11: word_count vs outcome in query_equiv", Run: runFig11})
-	register(Experiment{ID: "fig12", Title: "Figure 12: predicate_count vs outcome in query_equiv", Run: runFig12})
+	register(Experiment{ID: "table6", Title: "Table 6: performance_pred accuracy",
+		Run: prTable(core.PerfTask, "Table 6: performance_pred (SDSS)", false)})
+	register(Experiment{ID: "fig10", Title: "Figure 10: MistralAI failure in performance_pred",
+		Run: panelFigure(core.PerfTask, "Figure 10: MistralAI failures in performance_pred", []panel{
+			{"(a) word_count by outcome", "MistralAI", core.SDSS, wordCount},
+			{"(b) column_count by outcome", "MistralAI", core.SDSS, columnCount},
+		})})
+	register(Experiment{ID: "table7", Title: "Table 7: query_equiv and query_equiv_type",
+		Run: prTable(core.EquivTask, "Table 7: query_equiv (top) and query_equiv_type (bottom)", true)})
+	register(Experiment{ID: "fig11", Title: "Figure 11: word_count vs outcome in query_equiv",
+		Run: panelFigure(core.EquivTask, "Figure 11: word_count vs outcome in query_equiv", []panel{
+			{"(GPT3.5 on SDSS) word_count by outcome", "GPT3.5", core.SDSS, wordCount},
+			{"(Llama3 on Join-Order) word_count by outcome", "Llama3", core.JoinOrder, wordCount},
+		})})
+	register(Experiment{ID: "fig12", Title: "Figure 12: predicate_count vs outcome in query_equiv",
+		Run: panelFigure(core.EquivTask, "Figure 12: predicate_count vs outcome in query_equiv", []panel{
+			{"(Gemini on SDSS) predicate_count by outcome", "Gemini", core.SDSS, predicateCount},
+			{"(MistralAI on Join-Order) predicate_count by outcome", "MistralAI", core.JoinOrder, predicateCount},
+		})})
 	register(Experiment{ID: "casestudy", Title: "Section 4.5: query explanation case study", Run: runCaseStudy})
 	register(Experiment{ID: "ext-fewshot", Title: "Extension: zero-shot vs few-shot prompting (syntax_error, SDSS)", Run: runExtFewShot})
 	register(Experiment{ID: "ext-tasks", Title: "Extension: registry-wide task accuracy grid", Run: runTaskGrid})
@@ -53,18 +81,15 @@ func runTaskGrid(env *Env, w io.Writer) error {
 		if err := env.warm(task.ID(), env.Models, datasets); err != nil {
 			return err
 		}
-		cells := map[string]map[string]report.TaskCell{}
+		cells := map[string]map[string]core.Summary{}
 		for _, model := range env.Models {
-			cells[model] = map[string]report.TaskCell{}
+			cells[model] = map[string]core.Summary{}
 			for _, ds := range datasets {
 				s, err := env.Summary(task.ID(), model, ds)
 				if err != nil {
 					return err
 				}
-				cells[model][ds] = report.TaskCell{
-					N: s.N, Accuracy: s.Accuracy,
-					Prec: s.Prec, Rec: s.Rec, F1: s.F1, HasPRF: s.HasPRF,
-				}
+				cells[model][ds] = s
 			}
 		}
 		report.TaskGrid(w, fmt.Sprintf("%s (%s)", task.ID(), task.Name()), datasets, env.Models, cells)
@@ -92,7 +117,7 @@ func runExtFewShot(env *Env, w io.Writer) error {
 	// Few-shot prompting is the generic driver with a shot-bearing renderer.
 	type row struct{ zero, few float64 }
 	rows, err := runner.Map(env.ctx(), 0, env.Models, func(ctx context.Context, _ int, model string) (row, error) {
-		zero, err := env.SyntaxResults(model, core.SDSS)
+		zero, err := typedResults[core.SyntaxResult](env, core.SyntaxTask.TaskID, model, core.SDSS)
 		if err != nil {
 			return row{}, err
 		}
@@ -106,7 +131,8 @@ func runExtFewShot(env *Env, w io.Writer) error {
 		if err != nil {
 			return row{}, err
 		}
-		return row{core.EvalSyntaxBinary(zero).F1(), core.EvalSyntaxBinary(few).F1()}, nil
+		score := core.SyntaxTask.Score
+		return row{core.Confusion(zero, score).F1(), core.Confusion(few, score).F1()}, nil
 	})
 	if err != nil {
 		return err
@@ -277,151 +303,105 @@ func runFig5(env *Env, w io.Writer) error {
 	return nil
 }
 
-func runTable3(env *Env, w io.Writer) error {
-	report.Section(w, "Table 3: syntax_error (top) and syntax_error_type (bottom)")
-	if err := env.warm(core.SyntaxTask.TaskID, env.Models, core.TaskDatasets); err != nil {
-		return err
-	}
-	binary := map[string]map[string]report.PRF{}
-	typed := map[string]map[string]report.PRF{}
-	for _, model := range env.Models {
-		binary[model] = map[string]report.PRF{}
-		typed[model] = map[string]report.PRF{}
-		for _, ds := range core.TaskDatasets {
-			res, err := env.SyntaxResults(model, ds)
-			if err != nil {
-				return err
-			}
-			binary[model][ds] = report.FromBinary(core.EvalSyntaxBinary(res))
-			mc := core.EvalSyntaxType(res)
-			typed[model][ds] = report.PRF{
-				Prec: mc.WeightedPrecision(), Rec: mc.WeightedRecall(), F1: mc.WeightedF1(),
-			}
-		}
-	}
-	report.MetricTable(w, "syntax_error", core.TaskDatasets, env.Models, binary)
-	report.MetricTable(w, "syntax_error_type (weighted)", core.TaskDatasets, env.Models, typed)
-	return nil
-}
-
-func runFig6(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 6: word_count vs outcome, syntax_error on SDSS")
-	models := []string{"Llama3", "Gemini"}
-	if err := env.warm(core.SyntaxTask.TaskID, models, []string{core.SDSS}); err != nil {
-		return err
-	}
-	for _, model := range models {
-		res, err := env.SyntaxResults(model, core.SDSS)
-		if err != nil {
+// prTable renders a detection task's paper table (Tables 3, 4, 6 and 7):
+// binary P/R/F1 per model × dataset and, when types is set, the
+// support-weighted type scores below it.
+func prTable[E, R any](t *core.TaskDef[E, R], section string, types bool) func(*Env, io.Writer) error {
+	return func(env *Env, w io.Writer) error {
+		report.Section(w, section)
+		datasets := t.DatasetNames
+		if err := env.warm(t.TaskID, env.Models, datasets); err != nil {
 			return err
 		}
-		bd := core.SyntaxBreakdown(res, func(ex core.SyntaxExample) float64 {
-			return float64(ex.Props.WordCount)
-		})
-		report.OutcomePanel(w, fmt.Sprintf("(%s) word_count by outcome", model), bd)
-	}
-	return nil
-}
-
-func runFig7(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 7: FN rate by syntax error type")
-	if err := env.warm(core.SyntaxTask.TaskID, env.Models, core.TaskDatasets); err != nil {
-		return err
-	}
-	classes := make([]string, 0, len(semcheck.PaperErrorTypes))
-	for _, c := range semcheck.PaperErrorTypes {
-		classes = append(classes, string(c))
-	}
-	for _, ds := range core.TaskDatasets {
-		fmt.Fprintf(w, "--- %s ---\n", ds)
+		binary := map[string]map[string]report.PRF{}
+		typed := map[string]map[string]report.PRF{}
 		for _, model := range env.Models {
-			res, err := env.SyntaxResults(model, ds)
-			if err != nil {
-				return err
-			}
-			report.RateBars(w, model, classes, core.SyntaxFNRateByType(res))
-		}
-	}
-	return nil
-}
-
-func runTable4(env *Env, w io.Writer) error {
-	report.Section(w, "Table 4: miss_token (top) and miss_token_type (bottom)")
-	if err := env.warm(core.TokensTask.TaskID, env.Models, core.TaskDatasets); err != nil {
-		return err
-	}
-	binary := map[string]map[string]report.PRF{}
-	typed := map[string]map[string]report.PRF{}
-	for _, model := range env.Models {
-		binary[model] = map[string]report.PRF{}
-		typed[model] = map[string]report.PRF{}
-		for _, ds := range core.TaskDatasets {
-			res, err := env.TokenResults(model, ds)
-			if err != nil {
-				return err
-			}
-			binary[model][ds] = report.FromBinary(core.EvalTokenBinary(res))
-			mc := core.EvalTokenType(res)
-			typed[model][ds] = report.PRF{
-				Prec: mc.WeightedPrecision(), Rec: mc.WeightedRecall(), F1: mc.WeightedF1(),
+			binary[model] = map[string]report.PRF{}
+			typed[model] = map[string]report.PRF{}
+			for _, ds := range datasets {
+				res, err := typedResults[R](env, t.TaskID, model, ds)
+				if err != nil {
+					return err
+				}
+				binary[model][ds] = report.FromBinary(core.Confusion(res, t.Score))
+				if types {
+					mc := core.TypeScores(res, t.Score)
+					typed[model][ds] = report.PRF{
+						Prec: mc.WeightedPrecision(), Rec: mc.WeightedRecall(), F1: mc.WeightedF1(),
+					}
+				}
 			}
 		}
+		report.MetricTable(w, t.Name, datasets, env.Models, binary)
+		if types {
+			report.MetricTable(w, t.Name+"_type (weighted)", datasets, env.Models, typed)
+		}
+		return nil
 	}
-	report.MetricTable(w, "miss_token", core.TaskDatasets, env.Models, binary)
-	report.MetricTable(w, "miss_token_type (weighted)", core.TaskDatasets, env.Models, typed)
-	return nil
 }
 
-func runFig8(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 8: failures vs properties, miss_token on SQLShare")
-	panels := []struct {
-		model    string
-		name     string
-		property func(core.TokenExample) float64
-	}{
-		{"GPT3.5", "word_count", func(ex core.TokenExample) float64 { return float64(ex.Props.WordCount) }},
-		{"Gemini", "predicate_count", func(ex core.TokenExample) float64 { return float64(ex.Props.PredicateCount) }},
-		{"Gemini", "nestedness", func(ex core.TokenExample) float64 { return float64(ex.Props.Nestedness) }},
-		{"MistralAI", "table_count", func(ex core.TokenExample) float64 { return float64(ex.Props.TableCount) }},
-	}
-	models := make([]string, 0, len(panels))
-	for _, p := range panels {
-		models = append(models, p.model)
-	}
-	if err := env.warm(core.TokensTask.TaskID, models, []string{core.SQLShare}); err != nil {
-		return err
-	}
-	for _, p := range panels {
-		res, err := env.TokenResults(p.model, core.SQLShare)
-		if err != nil {
+// fnRateFigure renders the FN rate per true class of a detection task, one
+// bar group per dataset and model (Figures 7 and 9).
+func fnRateFigure[E, R any](t *core.TaskDef[E, R], section string, classes []string) func(*Env, io.Writer) error {
+	return func(env *Env, w io.Writer) error {
+		report.Section(w, section)
+		if err := env.warm(t.TaskID, env.Models, t.DatasetNames); err != nil {
 			return err
 		}
-		bd := core.TokenBreakdown(res, p.property)
-		report.OutcomePanel(w, fmt.Sprintf("(%s) %s by outcome", p.model, p.name), bd)
+		for _, ds := range t.DatasetNames {
+			fmt.Fprintf(w, "--- %s ---\n", ds)
+			for _, model := range env.Models {
+				res, err := typedResults[R](env, t.TaskID, model, ds)
+				if err != nil {
+					return err
+				}
+				report.RateBars(w, model, classes, core.FNRateByClass(res, t.Score))
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
-func runFig9(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 9: FN rate by missing token type")
-	if err := env.warm(core.TokensTask.TaskID, env.Models, core.TaskDatasets); err != nil {
-		return err
+// classNames lists a figure's classes in the paper's order.
+func classNames[C ~string](cs []C) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = string(c)
 	}
-	classes := make([]string, 0, len(mutate.TokenKinds))
-	for _, k := range mutate.TokenKinds {
-		classes = append(classes, string(k))
-	}
-	for _, ds := range core.TaskDatasets {
-		fmt.Fprintf(w, "--- %s ---\n", ds)
-		for _, model := range env.Models {
-			res, err := env.TokenResults(model, ds)
+	return out
+}
+
+// panel is one failure panel: a query property per outcome of one model's
+// cell.
+type panel struct {
+	title     string
+	model, ds string
+	property  func(analyze.Properties) float64
+}
+
+// The query properties the failure panels plot.
+func wordCount(p analyze.Properties) float64      { return float64(p.WordCount) }
+func predicateCount(p analyze.Properties) float64 { return float64(p.PredicateCount) }
+func nestedness(p analyze.Properties) float64     { return float64(p.Nestedness) }
+func tableCount(p analyze.Properties) float64     { return float64(p.TableCount) }
+func columnCount(p analyze.Properties) float64    { return float64(p.ColumnCount) }
+
+// panelFigure renders a failure-analysis figure: each panel breaks one
+// cell's property down by detection outcome (Figures 6, 8 and 10-12). A
+// panel's cell runs on first use; its examples fan out across the worker
+// budget on their own, and a figure reads at most three cells.
+func panelFigure[E, R any](t *core.TaskDef[E, R], section string, panels []panel) func(*Env, io.Writer) error {
+	return func(env *Env, w io.Writer) error {
+		report.Section(w, section)
+		for _, p := range panels {
+			res, err := typedResults[R](env, t.TaskID, p.model, p.ds)
 			if err != nil {
 				return err
 			}
-			report.RateBars(w, model, classes, core.TokenFNRateByKind(res))
+			report.OutcomePanel(w, p.title, core.Breakdown(res, t.Score, p.property))
 		}
+		return nil
 	}
-	return nil
 }
 
 func runTable5(env *Env, w io.Writer) error {
@@ -433,7 +413,7 @@ func runTable5(env *Env, w io.Writer) error {
 	for _, model := range env.Models {
 		cells[model] = map[string]report.LocRow{}
 		for _, ds := range core.TaskDatasets {
-			res, err := env.TokenResults(model, ds)
+			res, err := typedResults[core.TokenResult](env, core.TokensTask.TaskID, model, ds)
 			if err != nil {
 				return err
 			}
@@ -445,118 +425,22 @@ func runTable5(env *Env, w io.Writer) error {
 	return nil
 }
 
-func runTable6(env *Env, w io.Writer) error {
-	report.Section(w, "Table 6: performance_pred (SDSS)")
-	if err := env.warm(core.PerfTask.TaskID, env.Models, nil); err != nil {
-		return err
-	}
-	cells := map[string]map[string]report.PRF{}
-	for _, model := range env.Models {
-		res, err := env.PerfResults(model)
-		if err != nil {
-			return err
-		}
-		cells[model] = map[string]report.PRF{core.SDSS: report.FromBinary(core.EvalPerf(res))}
-	}
-	report.MetricTable(w, "performance_pred", []string{core.SDSS}, env.Models, cells)
-	return nil
-}
-
-func runFig10(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 10: MistralAI failures in performance_pred")
-	res, err := env.PerfResults("MistralAI")
-	if err != nil {
-		return err
-	}
-	bd := core.PerfBreakdown(res, func(ex core.PerfExample) float64 { return float64(ex.Props.WordCount) })
-	report.OutcomePanel(w, "(a) word_count by outcome", bd)
-	bd = core.PerfBreakdown(res, func(ex core.PerfExample) float64 { return float64(ex.Props.ColumnCount) })
-	report.OutcomePanel(w, "(b) column_count by outcome", bd)
-	return nil
-}
-
-func runTable7(env *Env, w io.Writer) error {
-	report.Section(w, "Table 7: query_equiv (top) and query_equiv_type (bottom)")
-	if err := env.warm(core.EquivTask.TaskID, env.Models, core.TaskDatasets); err != nil {
-		return err
-	}
-	binary := map[string]map[string]report.PRF{}
-	typed := map[string]map[string]report.PRF{}
-	for _, model := range env.Models {
-		binary[model] = map[string]report.PRF{}
-		typed[model] = map[string]report.PRF{}
-		for _, ds := range core.TaskDatasets {
-			res, err := env.EquivResults(model, ds)
-			if err != nil {
-				return err
-			}
-			binary[model][ds] = report.FromBinary(core.EvalEquivBinary(res))
-			mc := core.EvalEquivType(res)
-			typed[model][ds] = report.PRF{
-				Prec: mc.WeightedPrecision(), Rec: mc.WeightedRecall(), F1: mc.WeightedF1(),
-			}
-		}
-	}
-	report.MetricTable(w, "query_equiv", core.TaskDatasets, env.Models, binary)
-	report.MetricTable(w, "query_equiv_type (weighted)", core.TaskDatasets, env.Models, typed)
-	return nil
-}
-
-func runFig11(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 11: word_count vs outcome in query_equiv")
-	panels := []struct{ model, ds string }{
-		{"GPT3.5", core.SDSS},
-		{"Llama3", core.JoinOrder},
-	}
-	if err := warmEquivPanels(env, panels); err != nil {
-		return err
-	}
-	for _, p := range panels {
-		res, err := env.EquivResults(p.model, p.ds)
-		if err != nil {
-			return err
-		}
-		bd := core.EquivBreakdown(res, func(ex core.EquivExample) float64 { return float64(ex.Props.WordCount) })
-		report.OutcomePanel(w, fmt.Sprintf("(%s on %s) word_count by outcome", p.model, p.ds), bd)
-	}
-	return nil
-}
-
-func runFig12(env *Env, w io.Writer) error {
-	report.Section(w, "Figure 12: predicate_count vs outcome in query_equiv")
-	panels := []struct{ model, ds string }{
-		{"Gemini", core.SDSS},
-		{"MistralAI", core.JoinOrder},
-	}
-	if err := warmEquivPanels(env, panels); err != nil {
-		return err
-	}
-	for _, p := range panels {
-		res, err := env.EquivResults(p.model, p.ds)
-		if err != nil {
-			return err
-		}
-		bd := core.EquivBreakdown(res, func(ex core.EquivExample) float64 { return float64(ex.Props.PredicateCount) })
-		report.OutcomePanel(w, fmt.Sprintf("(%s on %s) predicate_count by outcome", p.model, p.ds), bd)
-	}
-	return nil
-}
-
-// warmEquivPanels prefetches the query_equiv cells a figure's panels need.
-func warmEquivPanels(env *Env, panels []struct{ model, ds string }) error {
-	cells := make([]cell, len(panels))
-	for i, p := range panels {
-		cells[i] = cell{core.EquivTask.TaskID, p.model, p.ds}
-	}
-	return env.prefetch(cells)
-}
-
 func runCaseStudy(env *Env, w io.Writer) error {
 	report.Section(w, "Section 4.5 case study: query explanation")
 	if err := env.warm(core.ExplainTask.TaskID, env.Models, nil); err != nil {
 		return err
 	}
-	// The four pinned case-study queries lead the Spider workload.
+	results := make([][]core.ExplainResult, len(env.Models))
+	for m, model := range env.Models {
+		res, err := typedResults[core.ExplainResult](env, core.ExplainTask.TaskID, model, core.Spider)
+		if err != nil {
+			return err
+		}
+		results[m] = res
+	}
+	// The four pinned case-study queries lead the Spider workload. A
+	// partial-failure cell lacks its failed examples, so each query finds
+	// its result by example ID.
 	n := 4
 	if len(env.Bench.Explain) < n {
 		n = len(env.Bench.Explain)
@@ -565,32 +449,25 @@ func runCaseStudy(env *Env, w io.Writer) error {
 		ex := env.Bench.Explain[i]
 		fmt.Fprintf(w, "Q%d: %s\n", 15+i, ex.SQL)
 		fmt.Fprintf(w, "  reference: %s\n", ex.Description)
-		for _, model := range env.Models {
-			res, err := env.ExplainResults(model)
-			if err != nil {
-				return err
+		for m, model := range env.Models {
+			r, ok := explainResult(results[m], ex.ID)
+			if !ok {
+				fmt.Fprintf(w, "  %-10s (failed)\n", model)
+				continue
 			}
-			fmt.Fprintf(w, "  %-10s (coverage %.2f): %s\n", model, res[i].Coverage, res[i].Explanation)
+			fmt.Fprintf(w, "  %-10s (coverage %.2f): %s\n", model, r.Coverage, r.Explanation)
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "Mean fact coverage over all 200 Spider queries:")
-	for _, model := range env.Models {
-		res, err := env.ExplainResults(model)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  %-10s %.3f\n", model, core.MeanCoverage(res))
+	for m, model := range env.Models {
+		fmt.Fprintf(w, "  %-10s %.3f\n", model, core.Summarize(results[m], core.ExplainTask.Score).Accuracy)
 	}
 	// Superlative misreads (the Q18 failure mode) per model.
 	fmt.Fprintln(w, "\nSuperlative direction misreads (ORDER BY ... LIMIT 1 queries):")
-	for _, model := range env.Models {
-		res, err := env.ExplainResults(model)
-		if err != nil {
-			return err
-		}
+	for m, model := range env.Models {
 		var total, wrong int
-		for _, r := range res {
+		for _, r := range results[m] {
 			if !r.Example.Facts.Superlative {
 				continue
 			}
@@ -609,4 +486,14 @@ func runCaseStudy(env *Env, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// explainResult finds the result of one example in a cell.
+func explainResult(res []core.ExplainResult, id string) (core.ExplainResult, bool) {
+	for i := range res {
+		if res[i].Example.ID == id {
+			return res[i], true
+		}
+	}
+	return core.ExplainResult{}, false
 }

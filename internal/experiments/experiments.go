@@ -368,9 +368,10 @@ func (e *Env) Summary(taskID, model, ds string) (core.Summary, error) {
 }
 
 // typedResults unboxes a cached cell into the task's concrete result type —
-// the bridge from the erased registry cells back to the typed evaluation
-// aggregations the per-figure experiments use. The typed slice is memoized
-// per cell, so repeated accesses cost a cache lookup, not a reallocation.
+// the bridge from the erased registry cells back to the typed aggregations
+// (core.Confusion and friends, over the task's Score) the per-figure
+// experiments use. The typed slice is memoized per cell, so repeated
+// accesses cost a cache lookup, not a reallocation.
 func typedResults[R any](e *Env, taskID, model, ds string) ([]R, error) {
 	if task, ok := core.TaskByID(taskID); ok && ds == "" {
 		ds = task.DefaultDataset()
@@ -394,33 +395,6 @@ func typedResults[R any](e *Env, taskID, model, ds string) ([]R, error) {
 		return nil, err
 	}
 	return out.([]R), nil
-}
-
-// Typed conveniences for the built-in tasks.
-
-// SyntaxResults runs (or returns cached) syntax_error results.
-func (e *Env) SyntaxResults(model, ds string) ([]core.SyntaxResult, error) {
-	return typedResults[core.SyntaxResult](e, core.SyntaxTask.TaskID, model, ds)
-}
-
-// TokenResults runs (or returns cached) miss_token results.
-func (e *Env) TokenResults(model, ds string) ([]core.TokenResult, error) {
-	return typedResults[core.TokenResult](e, core.TokensTask.TaskID, model, ds)
-}
-
-// EquivResults runs (or returns cached) query_equiv results.
-func (e *Env) EquivResults(model, ds string) ([]core.EquivResult, error) {
-	return typedResults[core.EquivResult](e, core.EquivTask.TaskID, model, ds)
-}
-
-// PerfResults runs (or returns cached) performance_pred results (SDSS only).
-func (e *Env) PerfResults(model string) ([]core.PerfResult, error) {
-	return typedResults[core.PerfResult](e, core.PerfTask.TaskID, model, "")
-}
-
-// ExplainResults runs (or returns cached) query_exp results (Spider only).
-func (e *Env) ExplainResults(model string) ([]core.ExplainResult, error) {
-	return typedResults[core.ExplainResult](e, core.ExplainTask.TaskID, model, "")
 }
 
 // cell identifies one task×model×dataset unit of work in a prefetch.

@@ -82,11 +82,11 @@ func TestTable3HeadlineShape(t *testing.T) {
 	for _, ds := range []string{"SDSS", "SQLShare", "Join-Order"} {
 		f1 := map[string]float64{}
 		for _, model := range e.Models {
-			res, err := e.SyntaxResults(model, ds)
+			res, err := typedResults[core.SyntaxResult](e, core.SyntaxTask.TaskID, model, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f1[model] = core.EvalSyntaxBinary(res).F1()
+			f1[model] = core.Confusion(res, core.SyntaxTask.Score).F1()
 		}
 		for model, v := range f1 {
 			if model == "GPT4" {
@@ -127,7 +127,7 @@ func TestPerfPositiveBias(t *testing.T) {
 	e := env(t)
 	biased := 0
 	for _, model := range e.Models {
-		res, err := e.PerfResults(model)
+		res, err := typedResults[core.PerfResult](e, core.PerfTask.TaskID, model, core.SDSS)
 		if err != nil {
 			t.Fatal(err)
 		}

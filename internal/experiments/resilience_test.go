@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -150,5 +153,62 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	// invisible to stats.
 	if got := resumeEnv.Stats.Model(llm.GPT4).Requests.Load(); got != int64(failed) {
 		t.Errorf("resume issued %d backend requests, want %d (one per previously-failed example)", got, failed)
+	}
+}
+
+// A partial-failure cell lacks its failed examples, so the case study must
+// find each pinned query's result by example ID: at a 50% fault rate a
+// positional lookup prints another query's explanation under Q17 and Q18,
+// and at 99% it indexes past the end of the cell.
+func TestCaseStudyMatchesResultsByID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two environments")
+	}
+	for _, rate := range []float64{0.5, 0.99} {
+		env, err := NewEnvConfig(Config{
+			Seed: 1, Parallel: 2,
+			Models:          []llm.Spec{{Name: llm.GPT4, Provider: "sim", FaultRate: rate, FaultSeed: 7}},
+			ContinueOnError: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, _ := ByID("casestudy")
+		var buf bytes.Buffer
+		if err := exp.Run(env, &buf); err != nil {
+			t.Fatalf("rate %.2f: %v", rate, err)
+		}
+		out := buf.String()
+
+		// Walk the cell beside its results: every example not recorded as
+		// failed owns the next result, in cell order.
+		taskID := core.ExplainTask.TaskID
+		failed := map[string]bool{}
+		for _, f := range env.Failures(taskID, llm.GPT4, "") {
+			failed[f.ID] = true
+		}
+		res, err := typedResults[core.ExplainResult](env, taskID, llm.GPT4, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinnedFailed, next := 0, 0
+		for i, ex := range env.Bench.Explain[:4] {
+			line := fmt.Sprintf("  %-10s (failed)\n", llm.GPT4)
+			if failed[ex.ID] {
+				pinnedFailed++
+			} else {
+				r := res[next]
+				next++
+				line = fmt.Sprintf("  %-10s (coverage %.2f): %s\n", llm.GPT4, r.Coverage, r.Explanation)
+			}
+			block := fmt.Sprintf("Q%d: %s\n  reference: %s\n%s", 15+i, ex.SQL, ex.Description, line)
+			if !strings.Contains(out, block) {
+				t.Errorf("rate %.2f: output lacks\n%s\ngot:\n%s", rate, block, out)
+			}
+		}
+		if pinnedFailed == 0 {
+			t.Errorf("rate %.2f: no pinned query failed; pick another fault seed", rate)
+		}
+		env.Close()
 	}
 }

@@ -4,10 +4,10 @@
 // latency, finish reason); failures surface as *llm.Error values carrying an
 // HTTP-style status and a retryability classification. The package also
 // provides a composable middleware chain (RetryWith, RateLimitWith,
-// MaxInFlight, CacheWith, Instrument — see middleware.go) and a Registry
-// that can be populated programmatically or built from a JSON model spec
-// (spec.go), so the simulated models in llm/sim and the HTTP-backed client
-// in llm/httpllm are interchangeable behind one contract.
+// MaxInFlight, Cache, Instrument — see middleware.go) and a Registry of
+// clients, each registered programmatically or built from a JSON model spec
+// by BuildClient (spec.go), so the simulated models in llm/sim and the
+// HTTP-backed client in llm/httpllm are interchangeable behind one contract.
 package llm
 
 import (

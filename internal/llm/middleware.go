@@ -176,9 +176,11 @@ func backoff(cfg RetryConfig, name string, req Request, attempt int, err error) 
 // RateLimit
 
 // TokenBucket is a minimal token bucket (rate tokens/second, burst
-// capacity), safe for concurrent use. It backs both the client-side
-// RateLimit middleware (blocking Reserve) and the serve layer's admission
-// control (non-blocking TryTake), so the refill math lives in one place.
+// capacity), safe for concurrent use. It backs the client-side RateLimit
+// middleware (blocking Reserve) and both of the serve layer's per-client
+// admission limiters: the request rate (non-blocking TryTake) and the
+// post-paid completion-token budget (Admit while the balance is positive,
+// Debit after the fact), so the refill math lives in one place.
 type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
@@ -189,12 +191,9 @@ type TokenBucket struct {
 	Clock func() time.Time
 }
 
-// NewTokenBucket returns a full bucket (burst is clamped to at least 1).
-func NewTokenBucket(rps float64, burst int) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{rate: rps, burst: float64(burst), tokens: float64(burst)}
+// NewTokenBucket returns a full bucket.
+func NewTokenBucket(rate, burst float64) *TokenBucket {
+	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
 // refillLocked credits tokens for the time elapsed since the last call.
@@ -239,6 +238,34 @@ func (b *TokenBucket) TryTake() (bool, time.Duration) {
 	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
+// Admit reports whether the balance is positive, taking nothing, and — on
+// rejection — how long until it refills past zero.
+func (b *TokenBucket) Admit() (bool, time.Duration) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refillLocked()
+	if b.tokens > 0 {
+		return true, 0
+	}
+	return false, time.Duration(-b.tokens / b.rate * float64(time.Second))
+}
+
+// Debit takes n tokens, going into debt if necessary.
+func (b *TokenBucket) Debit(n float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refillLocked()
+	b.tokens -= n
+}
+
+// InDebt reports whether the balance is below zero.
+func (b *TokenBucket) InDebt() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refillLocked()
+	return b.tokens < 0
+}
+
 // Full reports whether the bucket has fully refilled — the caller has been
 // idle long enough that forgetting the bucket would change nothing.
 func (b *TokenBucket) Full() bool {
@@ -249,15 +276,19 @@ func (b *TokenBucket) Full() bool {
 }
 
 // RateLimitWith returns a middleware that throttles requests through a
-// token bucket (rps tokens per second, burst capacity). Requests wait for a
-// token rather than failing; cancellation during the wait returns
-// ctx.Err(). rps <= 0 disables the limiter. A non-nil stats counts requests
-// that had to wait for a token into the per-model RateLimited stat.
+// token bucket (rps tokens per second, burst capacity, at least 1).
+// Requests wait for a token rather than failing; cancellation during the
+// wait returns ctx.Err(). rps <= 0 disables the limiter. A non-nil stats
+// counts requests that had to wait for a token into the per-model
+// RateLimited stat.
 func RateLimitWith(rps float64, burst int, stats *Stats) Middleware {
 	if rps <= 0 {
 		return nil
 	}
-	b := NewTokenBucket(rps, burst)
+	if burst < 1 {
+		burst = 1
+	}
+	b := NewTokenBucket(rps, float64(burst))
 	return func(inner Client) Client {
 		return Wrap(inner, func(ctx context.Context, req Request) (Response, error) {
 			wait := b.Reserve()
@@ -300,17 +331,21 @@ func MaxInFlight(n int) Middleware {
 // ---------------------------------------------------------------------------
 // Cache
 
-// CacheWith returns a middleware that memoizes responses by request hash on
-// the given runner.Flight, so concurrent identical requests coalesce onto
-// one completion and the Flight's LRU cap (SetLimit) bounds retention.
-// Errors are never cached (Flight forgets failed calls). The Flight may be
-// shared across clients: keys include the client name.
+// Cache returns a middleware that memoizes responses by request hash on a
+// private runner.Flight capped at limit entries (limit <= 0 means
+// unbounded), so concurrent identical requests coalesce onto one completion
+// and the Flight's LRU cap bounds retention. Errors are never cached
+// (Flight forgets failed calls); keys include the client name.
 //
 // The coalesced completion runs detached from the winning caller's
 // cancellation (its values, e.g. the runner worker budget, still apply), so
 // one caller hanging up cannot poison every waiter coalesced onto the same
 // key; the caller's own cancellation still surfaces as its result.
-func CacheWith(flight *runner.Flight[string, Response]) Middleware {
+func Cache(limit int) Middleware {
+	var flight runner.Flight[string, Response]
+	if limit > 0 {
+		flight.SetLimit(limit)
+	}
 	return func(inner Client) Client {
 		return Wrap(inner, func(ctx context.Context, req Request) (Response, error) {
 			if err := ctx.Err(); err != nil {
@@ -333,16 +368,6 @@ func CacheWith(flight *runner.Flight[string, Response]) Middleware {
 			return resp, err
 		})
 	}
-}
-
-// Cache is CacheWith over a private Flight capped at limit entries
-// (limit <= 0 means unbounded).
-func Cache(limit int) Middleware {
-	var flight runner.Flight[string, Response]
-	if limit > 0 {
-		flight.SetLimit(limit)
-	}
-	return CacheWith(&flight)
 }
 
 // ---------------------------------------------------------------------------

@@ -207,6 +207,24 @@ func TestTokenBucket(t *testing.T) {
 	if !b2.Full() {
 		t.Error("refilled bucket not Full")
 	}
+	// Admit takes nothing and admits while the balance is positive; Debit
+	// may overdraw it, and Admit then waits until it refills past zero.
+	b3 := NewTokenBucket(10, 5)
+	b3.Clock = func() time.Time { return now }
+	if ok, _ := b3.Admit(); !ok || !b3.Full() {
+		t.Fatal("fresh Admit rejected or took a token")
+	}
+	b3.Debit(7)
+	if !b3.InDebt() {
+		t.Fatal("overdrawn bucket not in debt")
+	}
+	if ok, wait := b3.Admit(); ok || wait < 150*time.Millisecond || wait > 250*time.Millisecond {
+		t.Fatalf("overdrawn Admit = %v, %v, want a ~200ms wait", ok, wait)
+	}
+	now = now.Add(time.Second)
+	if ok, _ := b3.Admit(); !ok || b3.InDebt() {
+		t.Error("refilled bucket still rejected")
+	}
 }
 
 func TestRateLimitMiddleware(t *testing.T) {

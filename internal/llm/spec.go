@@ -205,21 +205,6 @@ func BuildClient(spec Spec, providers map[string]Factory, stats *Stats) (Client,
 	return Chain(base, mws...), nil
 }
 
-// Build constructs and registers a client per spec, returning the model
-// names in spec order (the order experiment tables render rows in).
-func (r *Registry) Build(specs []Spec, providers map[string]Factory, stats *Stats) ([]string, error) {
-	names := make([]string, 0, len(specs))
-	for _, spec := range specs {
-		c, err := BuildClient(spec, providers, stats)
-		if err != nil {
-			return nil, err
-		}
-		r.Register(c)
-		names = append(names, spec.Name)
-	}
-	return names, nil
-}
-
 // ClientCache memoizes BuildClient results by spec name, so registries built
 // repeatedly from the same spec set (one evaluation environment per seed,
 // say) share one client instance per model — and with it the middleware

@@ -76,31 +76,6 @@ func TestBuildClient(t *testing.T) {
 	}
 }
 
-func TestRegistryBuild(t *testing.T) {
-	providers := map[string]Factory{
-		"fake": func(spec Spec) (Client, error) { return fakeClient{name: spec.Name}, nil },
-	}
-	r := NewRegistry()
-	names, err := r.Build([]Spec{
-		{Name: "b", Provider: "fake"},
-		{Name: "a", Provider: "fake"},
-	}, providers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spec order is preserved (it drives table row order), unlike the sorted
-	// Names().
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Errorf("names = %v", names)
-	}
-	if _, err := r.Get("a"); err != nil {
-		t.Errorf("Get(a): %v", err)
-	}
-	if _, err := r.Build([]Spec{{Name: "x", Provider: "nosuch"}}, providers, nil); err == nil {
-		t.Error("bad spec should fail Build")
-	}
-}
-
 // A ClientCache hands every registry the same client instance per name, so
 // middleware state (rate limits, caches, semaphores) is global rather than
 // per environment.

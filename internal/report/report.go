@@ -9,6 +9,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -48,21 +49,11 @@ func MetricTable(w io.Writer, title string, datasets, models []string, cells map
 	fmt.Fprintln(w)
 }
 
-// TaskCell is one model×dataset cell of a registry-driven task accuracy
-// grid: the headline accuracy plus precision/recall/F1 when the task's
-// grading is binary (HasPRF); continuously graded tasks fill Accuracy only.
-type TaskCell struct {
-	N             int
-	Accuracy      float64
-	Prec, Rec, F1 float64
-	HasPRF        bool
-}
-
 // TaskGrid renders any task's model × dataset accuracy table generically —
 // the renderer behind the registry-wide grid, task-agnostic by
-// construction. PRF columns print as dashes for tasks without a confusion
-// matrix.
-func TaskGrid(w io.Writer, title string, datasets, models []string, cells map[string]map[string]TaskCell) {
+// construction: each cell is the task's generic summary. PRF columns print
+// as dashes for tasks without a detection.
+func TaskGrid(w io.Writer, title string, datasets, models []string, cells map[string]map[string]core.Summary) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%-12s", "Model")
 	for _, ds := range datasets {

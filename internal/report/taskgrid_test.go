@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TaskGrid must render any task's accuracy cells generically: PRF columns
@@ -11,7 +13,7 @@ import (
 func TestTaskGrid(t *testing.T) {
 	var buf bytes.Buffer
 	TaskGrid(&buf, "fill (fill_token)", []string{"SDSS", "SQLShare"}, []string{"GPT4", "Gemini"},
-		map[string]map[string]TaskCell{
+		map[string]map[string]core.Summary{
 			"GPT4": {
 				"SDSS":     {N: 100, Accuracy: 0.61, Prec: 0.9, Rec: 0.95, F1: 0.92, HasPRF: true},
 				"SQLShare": {N: 80, Accuracy: 0.55, Prec: 0.8, Rec: 0.85, F1: 0.82, HasPRF: true},
@@ -41,7 +43,7 @@ func TestTaskGrid(t *testing.T) {
 	// Deterministic rendering.
 	var again bytes.Buffer
 	TaskGrid(&again, "fill (fill_token)", []string{"SDSS", "SQLShare"}, []string{"GPT4", "Gemini"},
-		map[string]map[string]TaskCell{
+		map[string]map[string]core.Summary{
 			"GPT4": {
 				"SDSS":     {N: 100, Accuracy: 0.61, Prec: 0.9, Rec: 0.95, F1: 0.92, HasPRF: true},
 				"SQLShare": {N: 80, Accuracy: 0.55, Prec: 0.8, Rec: 0.85, F1: 0.82, HasPRF: true},

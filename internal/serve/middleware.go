@@ -167,63 +167,90 @@ func recovery(logger *slog.Logger) middleware {
 	}
 }
 
-// limiter is the admission-control state: one llm.TokenBucket per client
-// key (remote host), refilled at rps with the given burst capacity.
-// Admission is non-blocking — a request without a token is rejected, not
-// queued — because shedding load at the edge is the point.
-type limiter struct {
+// bucketTable is the per-client state both admission limiters keep: one
+// llm.TokenBucket per client key (remote host), all refilled at one rate up
+// to one burst capacity.
+type bucketTable struct {
 	mu      sync.Mutex
-	rps     float64
-	burst   int
+	rate    float64
+	burst   float64
 	buckets map[string]*llm.TokenBucket
 	now     func() time.Time // swapped in tests; nil means time.Now
 }
 
-// maxBuckets is a hard bound on the per-client map: beyond it, fully
-// refilled (hence inactive) buckets are pruned, and if nothing is idle an
-// arbitrary bucket is evicted anyway — bounded memory in the load-shedding
-// path beats perfect per-client fairness. An evicted client simply starts
-// over with a full burst.
+// maxBuckets is a hard bound on the per-client map: bounded memory in the
+// load-shedding path beats perfect per-client fairness.
 const maxBuckets = 4096
+
+// bucket returns key's bucket, creating a full one for a new client and
+// pruning the table first when it is at its bound.
+func (t *bucketTable) bucket(key string) *llm.TokenBucket {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b, ok := t.buckets[key]
+	if !ok {
+		if t.buckets == nil {
+			t.buckets = map[string]*llm.TokenBucket{}
+		}
+		if len(t.buckets) >= maxBuckets {
+			t.pruneLocked()
+		}
+		b = llm.NewTokenBucket(t.rate, t.burst)
+		b.Clock = t.now
+		t.buckets[key] = b
+	}
+	return b
+}
+
+// pruneLocked brings the table under its bound. An evicted client starts
+// over with a full bucket, so eviction goes in order of what it forgives:
+// fully refilled (idle) buckets first, which forgives nothing, then buckets
+// that owe nothing, and debtors only as a last resort — dropping one would
+// forgive its debt, the spend a budget exists to bound — to keep the
+// memory bound hard.
+func (t *bucketTable) pruneLocked() {
+	for k, b := range t.buckets {
+		if b.Full() {
+			delete(t.buckets, k)
+		}
+	}
+	for pass := 0; pass < 2 && len(t.buckets) >= maxBuckets; pass++ {
+		for k, b := range t.buckets {
+			if len(t.buckets) < maxBuckets {
+				break
+			}
+			if pass == 0 && b.InDebt() {
+				continue
+			}
+			delete(t.buckets, k)
+		}
+	}
+}
+
+// len reports the tracked-client count (tests).
+func (t *bucketTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.buckets)
+}
+
+// limiter is the request-rate admission state: a bucket per client refilled
+// at rps with the given burst capacity. Admission is non-blocking — a
+// request without a token is rejected, not queued — because shedding load
+// at the edge is the point.
+type limiter struct{ bucketTable }
 
 func newLimiter(rps float64, burst int) *limiter {
 	if burst < 1 {
 		burst = 1
 	}
-	return &limiter{rps: rps, burst: burst, buckets: map[string]*llm.TokenBucket{}}
+	return &limiter{bucketTable{rate: rps, burst: float64(burst)}}
 }
 
 // allow takes a token for key, reporting admission and — on rejection — how
 // long until a token is available.
 func (l *limiter) allow(key string) (bool, time.Duration) {
-	l.mu.Lock()
-	b, ok := l.buckets[key]
-	if !ok {
-		if len(l.buckets) >= maxBuckets {
-			l.pruneLocked()
-		}
-		b = llm.NewTokenBucket(l.rps, l.burst)
-		b.Clock = l.now
-		l.buckets[key] = b
-	}
-	l.mu.Unlock()
-	return b.TryTake()
-}
-
-// pruneLocked drops fully refilled buckets, then — if every client is
-// mid-refill — evicts arbitrary entries until the map honors the bound.
-func (l *limiter) pruneLocked() {
-	for k, b := range l.buckets {
-		if b.Full() {
-			delete(l.buckets, k)
-		}
-	}
-	for k := range l.buckets {
-		if len(l.buckets) < maxBuckets {
-			break
-		}
-		delete(l.buckets, k)
-	}
+	return l.bucket(key).TryTake()
 }
 
 // clientKey identifies the requester for rate limiting: the remote host
@@ -274,109 +301,23 @@ func admission(rps float64, burst int, m *Metrics) middleware {
 // (possibly driving it negative) and the *next* request is shed until the
 // balance refills past zero. That bounds a client's sustained spend at the
 // configured rate while letting any single admitted eval finish.
-type spendLimiter struct {
-	mu       sync.Mutex
-	perSec   float64 // refill rate, tokens/second
-	capacity float64 // burst capacity: one minute's budget
-	balances map[string]*spendBalance
-	now      func() time.Time // swapped in tests; nil means time.Now
-}
-
-type spendBalance struct {
-	tokens float64
-	last   time.Time
-}
+type spendLimiter struct{ bucketTable }
 
 func newSpendLimiter(tokensPerMin float64) *spendLimiter {
-	return &spendLimiter{
-		perSec:   tokensPerMin / 60,
-		capacity: tokensPerMin,
-		balances: map[string]*spendBalance{},
-	}
-}
-
-func (l *spendLimiter) clock() time.Time {
-	if l.now != nil {
-		return l.now()
-	}
-	return time.Now()
-}
-
-// refillLocked brings a balance up to date.
-func (l *spendLimiter) refillLocked(b *spendBalance, now time.Time) {
-	b.tokens += now.Sub(b.last).Seconds() * l.perSec
-	if b.tokens > l.capacity {
-		b.tokens = l.capacity
-	}
-	b.last = now
-}
-
-// balance returns the client's refilled balance entry, pruning the map when
-// it would exceed the bucket bound. Eviction prefers entries that owe
-// nothing — fully refilled first, then merely positive — because an evicted
-// client restarts with a full budget: dropping an indebted entry would
-// forgive unbounded completion-token debt, exactly the spend the limiter
-// exists to bound. Indebted entries go only as a last resort to keep the
-// memory bound hard.
-func (l *spendLimiter) balance(key string) *spendBalance {
-	now := l.clock()
-	b, ok := l.balances[key]
-	if !ok {
-		if len(l.balances) >= maxBuckets {
-			for k, bal := range l.balances {
-				l.refillLocked(bal, now)
-				if bal.tokens >= l.capacity {
-					delete(l.balances, k)
-				}
-			}
-			for pass := 0; pass < 2 && len(l.balances) >= maxBuckets; pass++ {
-				for k, bal := range l.balances {
-					if len(l.balances) < maxBuckets {
-						break
-					}
-					if pass == 0 && bal.tokens < 0 {
-						continue // keep debtors as long as anything else can go
-					}
-					delete(l.balances, k)
-				}
-			}
-		}
-		b = &spendBalance{tokens: l.capacity, last: now}
-		l.balances[key] = b
-	}
-	l.refillLocked(b, now)
-	return b
+	return &spendLimiter{bucketTable{rate: tokensPerMin / 60, burst: tokensPerMin}}
 }
 
 // allow admits a request when the client's balance is positive, otherwise
 // reporting how long until it refills past zero.
 func (l *spendLimiter) allow(key string) (bool, time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.balance(key)
-	if b.tokens > 0 {
-		return true, 0
-	}
-	wait := time.Duration(-b.tokens / l.perSec * float64(time.Second))
-	return false, wait
-}
-
-// len reports the tracked-client count (tests).
-func (l *spendLimiter) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.balances)
+	return l.bucket(key).Admit()
 }
 
 // debit charges completed tokens against the client's balance.
 func (l *spendLimiter) debit(key string, tokens int) {
-	if tokens <= 0 {
-		return
+	if tokens > 0 {
+		l.bucket(key).Debit(float64(tokens))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.balance(key)
-	b.tokens -= float64(tokens)
 }
 
 // spendDebitKey carries the per-request debit hook from the spend-admission
