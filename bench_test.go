@@ -155,7 +155,7 @@ func BenchmarkAblationUniformChannel(b *testing.B) {
 	uniform := sim.NewWithProfile("Llama3", flat, knowledge)
 	ds := env.Bench.Syntax[core.SDSS]
 	gap := func(client *sim.Model) float64 {
-		res, err := core.Run(context.Background(), client, core.SyntaxTask, ds)
+		res, _, err := core.Run(context.Background(), client, core.SyntaxTask, ds, core.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

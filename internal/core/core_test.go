@@ -260,7 +260,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	syn, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS])
+	syn, _, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 		t.Error("no FN rates")
 	}
 
-	tok, err := Run(ctx, client, TokensTask, b.Tokens[SDSS])
+	tok, _, err := Run(ctx, client, TokensTask, b.Tokens[SDSS], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 		t.Errorf("location metrics empty: %+v", loc)
 	}
 
-	eq, err := Run(ctx, client, EquivTask, b.Equiv[SDSS])
+	eq, _, err := Run(ctx, client, EquivTask, b.Equiv[SDSS], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 		t.Errorf("GPT4 equiv recall = %.2f, paper reports ~1.0", conf.Recall())
 	}
 
-	pf, err := Run(ctx, client, PerfTask, b.Perf)
+	pf, _, err := Run(ctx, client, PerfTask, b.Perf, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRunnersEndToEnd(t *testing.T) {
 		t.Errorf("breakdown holds %d results, want %d", n, len(pf))
 	}
 
-	exps, err := Run(ctx, client, ExplainTask, b.Explain[:20])
+	exps, _, err := Run(ctx, client, ExplainTask, b.Explain[:20], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS])
+	_, _, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS], RunOpts{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -74,7 +74,7 @@ func TestRunnersRecordUsage(t *testing.T) {
 	client, _ := sim.New("GPT4", k)
 	ctx := context.Background()
 
-	syn, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS][:5])
+	syn, _, err := Run(ctx, client, SyntaxTask, b.Syntax[SDSS][:5], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +83,19 @@ func TestRunnersRecordUsage(t *testing.T) {
 			t.Errorf("syntax result %d has no usage: %+v %v", i, r.Usage, r.Latency)
 		}
 	}
-	tok, err := Run(ctx, client, TokensTask, b.Tokens[SDSS][:5])
+	tok, _, err := Run(ctx, client, TokensTask, b.Tokens[SDSS][:5], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := Run(ctx, client, EquivTask, b.Equiv[SDSS][:5])
+	eq, _, err := Run(ctx, client, EquivTask, b.Equiv[SDSS][:5], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := Run(ctx, client, PerfTask, b.Perf[:5])
+	pf, _, err := Run(ctx, client, PerfTask, b.Perf[:5], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Run(ctx, client, ExplainTask, b.Explain[:5])
+	ex, _, err := Run(ctx, client, ExplainTask, b.Explain[:5], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

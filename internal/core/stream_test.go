@@ -33,7 +33,7 @@ func TestBufferedMatchesErasedStream(t *testing.T) {
 	ctx := runner.WithParallelism(context.Background(), 4)
 	ds := b.Syntax[SDSS][:40]
 
-	buffered, err := Run(ctx, client, SyntaxTask, ds)
+	buffered, _, err := Run(ctx, client, SyntaxTask, ds, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 
 // This file defines the generic task-execution API: one typed contract
 // (TaskDef) every SQL-understanding task implements, a package-level
-// registry of type-erased entries (Task), and the generic drivers (Run,
-// RunWith and Task.RunStreamOpts) replacing the per-task Run* families.
+// registry of type-erased entries (Task), and the generic drivers (Run and
+// Task.RunStreamOpts) replacing the per-task Run* families.
 // The serve, experiments, and report layers consume tasks only through the
 // registry, so adding a task is one definition file plus RegisterTask — no
 // dispatch code changes anywhere else.
@@ -78,8 +78,7 @@ type Summary struct {
 	HasPRF        bool
 	// Failed counts examples that produced no graded result in a
 	// partial-failure run. N counts graded results only, so N+Failed is the
-	// attempted total. Summarize leaves it zero; the layer that ran the
-	// cell (experiments, serve) fills it in from its failure records.
+	// attempted total. Task.Summarize fills it from the collected cell.
 	Failed int
 }
 
@@ -100,7 +99,7 @@ type TaskDef[E, R any] struct {
 	TaskSkills map[Skill]int
 
 	// PromptTask selects the task's prompt-template family; the drivers use
-	// prompt.Default(PromptTask) unless RunWith is given another renderer.
+	// prompt.Default(PromptTask) unless RunOpts names another template.
 	PromptTask prompt.Task
 	// Pair marks tasks whose examples are statement pairs (ad-hoc input is
 	// then [left, right] pairs instead of single statements).
@@ -141,15 +140,34 @@ type TaskDef[E, R any] struct {
 // ---------------------------------------------------------------------------
 // Generic drivers
 
-// Three entry points run a task, all over runner's one worker pool (budget
+// Both drivers run one worker body on runner's one worker pool (budget
 // taken from the context via runner.WithParallelism, defaulting to
 // GOMAXPROCS), so results arrive in dataset order whatever the parallelism.
-// RunWith is the buffered driver with a caller-supplied renderer (few-shot
-// prompting and prompt tuning plug in their own); Run is RunWith with the
-// task's default template. Task.RunStreamOpts is the one streaming form: it
-// hands each result to a sink as soon as its prefix completes, optionally
-// continuing past failed completions, and is what the serve layer and the
-// experiment cells drive.
+// Run collects a cell (experiment cells, prompt tuning, the library facade);
+// Task.RunStreamOpts hands each result to a sink as its prefix completes
+// (the serve layer).
+
+// RunOpts controls a driver run's prompt and failure handling.
+type RunOpts struct {
+	// Template is the prompt every example renders under; its zero value
+	// means the task's default, prompt.Default(PromptTask). A template with
+	// Shots is a few-shot prompt.
+	Template prompt.Template
+	// ContinueOnError switches the run to partial-failure mode: an example
+	// whose completion errors becomes an error row delivered to the sink in
+	// its dataset position, and the run keeps going instead of aborting.
+	ContinueOnError bool
+	// MaxFailures aborts a continuing run once more than this many examples
+	// have failed — the budget that bounds wasted work against a dead
+	// backend. 0 means unlimited. Ignored unless ContinueOnError is set.
+	MaxFailures int
+}
+
+// Failure records one example of a partial-failure run that produced no
+// graded result: its stable id and the completion error message.
+type Failure struct {
+	ID, Err string
+}
 
 // runExample renders, completes, and grades one example — the shared worker
 // body under every driver form. When a tracer rides the context it wraps the
@@ -157,7 +175,7 @@ type TaskDef[E, R any] struct {
 // "prompt.render" child covering template rendering; the span tree then
 // continues into the client's own llm.request/llm.attempt spans. With no
 // tracer the obs calls are nil no-ops.
-func runExample[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], render func(E) string, ex E) (R, error) {
+func runExample[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], tpl prompt.Template, ex E) (R, error) {
 	ctx, span := obs.Start(ctx, "task.example")
 	if span != nil {
 		span.SetString("task", t.TaskID)
@@ -165,7 +183,7 @@ func runExample[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, 
 		span.SetString("model", client.Name())
 	}
 	_, rspan := obs.Start(ctx, "prompt.render")
-	text := render(ex)
+	text := t.Render(tpl, ex)
 	rspan.End()
 	resp, err := client.Do(ctx, llm.NewRequest(text))
 	if err != nil {
@@ -178,36 +196,46 @@ func runExample[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, 
 	return r, nil
 }
 
-// RunWith drives one model over a dataset with a custom prompt renderer and
-// returns the graded results in dataset order.
-func RunWith[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], render func(E) string, ds []E) ([]R, error) {
-	return runner.Map(ctx, 0, ds, func(ctx context.Context, _ int, ex E) (R, error) {
-		return runExample(ctx, client, t, render, ex)
+// stream drives one model over a dataset under opts, delivering each graded
+// result — or, in partial mode, each failed completion — to sink in dataset
+// order. By default the first failed completion aborts the run.
+func stream[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E, opts RunOpts, sink func(idx int, r R, err error) error) error {
+	tpl := opts.Template
+	if tpl.Text == "" {
+		tpl = prompt.Default(t.PromptTask)
+	}
+	fn := func(ctx context.Context, _ int, ex E) (R, error) {
+		return runExample(ctx, client, t, tpl, ex)
+	}
+	if !opts.ContinueOnError {
+		return runner.MapStream(ctx, 0, ds, fn, func(idx int, r R) error { return sink(idx, r, nil) })
+	}
+	return runner.MapStreamPartial(ctx, 0, ds, opts.MaxFailures, fn, sink)
+}
+
+// Run drives one model over a dataset and collects the graded results in
+// dataset order, with the examples that failed when opts.ContinueOnError
+// lets the run continue past them. On an error, both hold what the run
+// recorded before it stopped.
+func Run[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E, opts RunOpts) ([]R, []Failure, error) {
+	out := make([]R, 0, len(ds))
+	var failed []Failure
+	err := stream(ctx, client, t, ds, opts, func(idx int, r R, err error) error {
+		if err != nil {
+			failed = append(failed, Failure{ID: t.ExampleID(ds[idx]), Err: err.Error()})
+			return nil
+		}
+		out = append(out, r)
+		return nil
 	})
+	return out, failed, err
 }
 
-// Run drives one model over a dataset with the task's default prompt and
-// returns the graded results in dataset order.
-func Run[E, R any](ctx context.Context, client llm.Client, t *TaskDef[E, R], ds []E) ([]R, error) {
-	return RunWith(ctx, client, t, defaultRender(t), ds)
-}
-
-// defaultRender renders examples with the task's default template.
-func defaultRender[E, R any](t *TaskDef[E, R]) func(E) string {
-	tpl := prompt.Default(t.PromptTask)
-	return func(ex E) string { return t.Render(tpl, ex) }
-}
-
-// RunOpts controls a driver run's failure handling.
-type RunOpts struct {
-	// ContinueOnError switches the run to partial-failure mode: an example
-	// whose completion errors becomes an error row delivered to the sink in
-	// its dataset position, and the run keeps going instead of aborting.
-	ContinueOnError bool
-	// MaxFailures aborts a continuing run once more than this many examples
-	// have failed — the budget that bounds wasted work against a dead
-	// backend. 0 means unlimited. Ignored unless ContinueOnError is set.
-	MaxFailures int
+// CellRun is one collected run: the graded results in example order, as the
+// task's own []R boxed once, and the failed examples.
+type CellRun struct {
+	Results any
+	Failed  []Failure
 }
 
 // ---------------------------------------------------------------------------
@@ -246,9 +274,12 @@ type Task interface {
 	Cell(b *Benchmark, ds string) ([]Example, bool)
 	AdHoc(id string, sql []string) (Example, error)
 
-	// RunStreamOpts drives one model over erased examples with the task's
-	// default prompt, delivering each result to sink in example order as
-	// soon as its prefix completes: a boxed graded result with a nil error.
+	// Run drives one model over erased examples under opts and collects the
+	// cell (see the typed Run): its Results hold the task's own []R.
+	Run(ctx context.Context, client llm.Client, examples []Example, opts RunOpts) (CellRun, error)
+	// RunStreamOpts drives one model over erased examples under opts,
+	// delivering each result to sink in example order as soon as its prefix
+	// completes: a boxed graded result with a nil error.
 	// By default the first failed completion aborts the run and sink sees
 	// only the examples before it. In partial mode (opts.ContinueOnError)
 	// every example yields exactly one sink call, a failed one as a nil
@@ -259,10 +290,10 @@ type Task interface {
 	Grade(ex Example, resp llm.Response) (any, error)
 	// View projects one boxed result into the generic renderable form.
 	View(result any, labeled bool) ResultView
-	// Score scores one boxed result; Summarize folds boxed results into the
-	// generic summary.
+	// Score scores one boxed result; Summarize folds a collected cell into
+	// the generic summary, its failed examples included.
 	Score(result any) Score
-	Summarize(results []any) Summary
+	Summarize(run CellRun) Summary
 }
 
 // taskAdapter erases a TaskDef behind the Task interface.
@@ -339,19 +370,21 @@ func (a taskAdapter[E, R]) unwrap(examples []Example) ([]E, error) {
 	return ds, nil
 }
 
+func (a taskAdapter[E, R]) Run(ctx context.Context, client llm.Client, examples []Example, opts RunOpts) (CellRun, error) {
+	ds, err := a.unwrap(examples)
+	if err != nil {
+		return CellRun{}, err
+	}
+	rs, failed, err := Run(ctx, client, a.def, ds, opts)
+	return CellRun{Results: rs, Failed: failed}, err
+}
+
 func (a taskAdapter[E, R]) RunStreamOpts(ctx context.Context, client llm.Client, examples []Example, opts RunOpts, sink func(int, any, error) error) error {
 	ds, err := a.unwrap(examples)
 	if err != nil {
 		return err
 	}
-	render := defaultRender(a.def)
-	fn := func(ctx context.Context, _ int, ex E) (R, error) {
-		return runExample(ctx, client, a.def, render, ex)
-	}
-	if !opts.ContinueOnError {
-		return runner.MapStream(ctx, 0, ds, fn, func(idx int, r R) error { return sink(idx, r, nil) })
-	}
-	return runner.MapStreamPartial(ctx, 0, ds, opts.MaxFailures, fn, func(idx int, r R, err error) error {
+	return stream(ctx, client, a.def, ds, opts, func(idx int, r R, err error) error {
 		if err != nil {
 			return sink(idx, nil, err)
 		}
@@ -376,12 +409,10 @@ func (a taskAdapter[E, R]) Score(result any) Score {
 	return a.def.Score(&r)
 }
 
-func (a taskAdapter[E, R]) Summarize(results []any) Summary {
-	rs := make([]R, len(results))
-	for i, r := range results {
-		rs[i] = r.(R)
-	}
-	return Summarize(rs, a.def.Score)
+func (a taskAdapter[E, R]) Summarize(run CellRun) Summary {
+	s := Summarize(run.Results.([]R), a.def.Score)
+	s.Failed = len(run.Failed)
+	return s
 }
 
 // The package-level registry; the read side is what every generic

@@ -190,7 +190,7 @@ func TestFillTaskEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(context.Background(), client, core.FillTask, core.FillTask.Cell(b, core.SDSS))
+	res, _, err := core.Run(context.Background(), client, core.FillTask, core.FillTask.Cell(b, core.SDSS), core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestStateTaskEndToEnd(t *testing.T) {
 		}
 		var all []core.StateResult
 		for _, ds := range core.TaskDatasets {
-			res, err := core.Run(context.Background(), client, core.StateTask, core.StateTask.Cell(b, ds))
+			res, _, err := core.Run(context.Background(), client, core.StateTask, core.StateTask.Cell(b, ds), core.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,7 +76,7 @@ func TunePrompt(ctx context.Context, client llm.Client, trial []SyntaxExample) (
 	best := prompt.Default(prompt.SyntaxError)
 	bestAcc := -1.0
 	for _, tpl := range prompt.Variants(prompt.SyntaxError) {
-		res, err := RunWith(ctx, client, SyntaxTask, func(ex SyntaxExample) string { return SyntaxTask.Render(tpl, ex) }, trial)
+		res, _, err := Run(ctx, client, SyntaxTask, trial, RunOpts{Template: tpl})
 		if err != nil {
 			return nil, best, fmt.Errorf("tuning with %s: %w", tpl.ID, err)
 		}

@@ -201,8 +201,12 @@ func Run(t *testing.T, opts Options) {
 				t.Error(err)
 			}
 		}
-		if s := task.Summarize(results); s.N != len(results) {
-			t.Errorf("summary counts %d results, want %d", s.N, len(results))
+		run, err := task.Run(context.Background(), opts.Client, cell, core.RunOpts{})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if s := task.Summarize(run); s.N != len(results) || s.Failed != 0 {
+			t.Errorf("summary counts %d results and %d failures, want %d and 0", s.N, s.Failed, len(results))
 		}
 	})
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/mutate"
 	promptpkg "repro/internal/prompt"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/semcheck"
 	"repro/internal/stats"
 )
@@ -78,7 +76,7 @@ func runTaskGrid(env *Env, w io.Writer) error {
 	report.Section(w, "Extension: accuracy across all registered tasks")
 	for _, task := range core.Tasks() {
 		datasets := task.Datasets()
-		if err := env.warm(task.ID(), env.Models, datasets); err != nil {
+		if err := env.warm(task.ID(), datasets); err != nil {
 			return err
 		}
 		cells := map[string]map[string]core.Summary{}
@@ -97,12 +95,12 @@ func runTaskGrid(env *Env, w io.Writer) error {
 	return nil
 }
 
-// runExtFewShot goes beyond the paper's zero-shot protocol: the same
-// syntax_error run with two worked examples in the prompt, quantifying the
-// mitigation the paper's conclusion anticipates.
-func runExtFewShot(env *Env, w io.Writer) error {
-	report.Section(w, "Extension: few-shot prompting on syntax_error (SDSS)")
-	shots := []promptpkg.Shot{
+// fewShot is the syntax_error prompt with two worked examples: the paper's
+// published instruction, one injected error and one clean query.
+var fewShot = func() promptpkg.Template {
+	tpl := promptpkg.Default(promptpkg.SyntaxError)
+	tpl.ID += "+2shot"
+	tpl.Shots = []promptpkg.Shot{
 		{
 			SQL:    "SELECT plate , mjd , COUNT(*) FROM SpecObj",
 			Answer: "yes; type=aggr-attr; non-aggregated columns appear without GROUP BY",
@@ -112,34 +110,35 @@ func runExtFewShot(env *Env, w io.Writer) error {
 			Answer: "no error",
 		},
 	}
-	tpl := promptpkg.Default(promptpkg.SyntaxError)
-	// Both variants fan out across models; rendering stays in table order.
-	// Few-shot prompting is the generic driver with a shot-bearing renderer.
-	type row struct{ zero, few float64 }
-	rows, err := runner.Map(env.ctx(), 0, env.Models, func(ctx context.Context, _ int, model string) (row, error) {
-		zero, err := typedResults[core.SyntaxResult](env, core.SyntaxTask.TaskID, model, core.SDSS)
-		if err != nil {
-			return row{}, err
-		}
-		client, err := env.Registry.Get(model)
-		if err != nil {
-			return row{}, err
-		}
-		few, err := core.RunWith(ctx, client, core.SyntaxTask,
-			func(ex core.SyntaxExample) string { return tpl.RenderFewShot(ex.SQL, shots) },
-			env.Bench.Syntax[core.SDSS])
-		if err != nil {
-			return row{}, err
-		}
-		score := core.SyntaxTask.Score
-		return row{core.Confusion(zero, score).F1(), core.Confusion(few, score).F1()}, nil
-	})
-	if err != nil {
-		return err
-	}
+	return tpl
+}()
+
+// runExtFewShot goes beyond the paper's zero-shot protocol: the same
+// syntax_error cell under a few-shot prompt, quantifying the mitigation the
+// paper's conclusion anticipates. A model row notes the failed examples of
+// a partial-failure run.
+func runExtFewShot(env *Env, w io.Writer) error {
+	report.Section(w, "Extension: few-shot prompting on syntax_error (SDSS)")
 	fmt.Fprintf(w, "%-12s %18s %18s\n", "Model", "zero-shot F1", "few-shot F1")
-	for i, model := range env.Models {
-		fmt.Fprintf(w, "%-12s %18.2f %18.2f\n", model, rows[i].zero, rows[i].few)
+	for _, model := range env.Models {
+		c := cell{task: core.SyntaxTask.TaskID, model: model, ds: core.SDSS}
+		zero, err := env.summary(c)
+		if err != nil {
+			return err
+		}
+		c.tpl = fewShot
+		few, err := env.summary(c)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %18.2f %18.2f", model, zero.F1, few.F1)
+		if zero.Failed > 0 {
+			fmt.Fprintf(w, "  zero-shot failed %d", zero.Failed)
+		}
+		if few.Failed > 0 {
+			fmt.Fprintf(w, "  few-shot failed %d", few.Failed)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
 	return nil
@@ -310,7 +309,7 @@ func prTable[E, R any](t *core.TaskDef[E, R], section string, types bool) func(*
 	return func(env *Env, w io.Writer) error {
 		report.Section(w, section)
 		datasets := t.DatasetNames
-		if err := env.warm(t.TaskID, env.Models, datasets); err != nil {
+		if err := env.warm(t.TaskID, datasets); err != nil {
 			return err
 		}
 		binary := map[string]map[string]report.PRF{}
@@ -319,7 +318,7 @@ func prTable[E, R any](t *core.TaskDef[E, R], section string, types bool) func(*
 			binary[model] = map[string]report.PRF{}
 			typed[model] = map[string]report.PRF{}
 			for _, ds := range datasets {
-				res, err := typedResults[R](env, t.TaskID, model, ds)
+				res, err := typedResults[R](env, cell{task: t.TaskID, model: model, ds: ds})
 				if err != nil {
 					return err
 				}
@@ -345,13 +344,13 @@ func prTable[E, R any](t *core.TaskDef[E, R], section string, types bool) func(*
 func fnRateFigure[E, R any](t *core.TaskDef[E, R], section string, classes []string) func(*Env, io.Writer) error {
 	return func(env *Env, w io.Writer) error {
 		report.Section(w, section)
-		if err := env.warm(t.TaskID, env.Models, t.DatasetNames); err != nil {
+		if err := env.warm(t.TaskID, t.DatasetNames); err != nil {
 			return err
 		}
 		for _, ds := range t.DatasetNames {
 			fmt.Fprintf(w, "--- %s ---\n", ds)
 			for _, model := range env.Models {
-				res, err := typedResults[R](env, t.TaskID, model, ds)
+				res, err := typedResults[R](env, cell{task: t.TaskID, model: model, ds: ds})
 				if err != nil {
 					return err
 				}
@@ -394,7 +393,7 @@ func panelFigure[E, R any](t *core.TaskDef[E, R], section string, panels []panel
 	return func(env *Env, w io.Writer) error {
 		report.Section(w, section)
 		for _, p := range panels {
-			res, err := typedResults[R](env, t.TaskID, p.model, p.ds)
+			res, err := typedResults[R](env, cell{task: t.TaskID, model: p.model, ds: p.ds})
 			if err != nil {
 				return err
 			}
@@ -406,14 +405,14 @@ func panelFigure[E, R any](t *core.TaskDef[E, R], section string, panels []panel
 
 func runTable5(env *Env, w io.Writer) error {
 	report.Section(w, "Table 5: MAE and Hit Rate for miss_token_loc")
-	if err := env.warm(core.TokensTask.TaskID, env.Models, core.TaskDatasets); err != nil {
+	if err := env.warm(core.TokensTask.TaskID, core.TaskDatasets); err != nil {
 		return err
 	}
 	cells := map[string]map[string]report.LocRow{}
 	for _, model := range env.Models {
 		cells[model] = map[string]report.LocRow{}
 		for _, ds := range core.TaskDatasets {
-			res, err := typedResults[core.TokenResult](env, core.TokensTask.TaskID, model, ds)
+			res, err := typedResults[core.TokenResult](env, cell{task: core.TokensTask.TaskID, model: model, ds: ds})
 			if err != nil {
 				return err
 			}
@@ -427,12 +426,12 @@ func runTable5(env *Env, w io.Writer) error {
 
 func runCaseStudy(env *Env, w io.Writer) error {
 	report.Section(w, "Section 4.5 case study: query explanation")
-	if err := env.warm(core.ExplainTask.TaskID, env.Models, nil); err != nil {
+	if err := env.warm(core.ExplainTask.TaskID, []string{core.Spider}); err != nil {
 		return err
 	}
 	results := make([][]core.ExplainResult, len(env.Models))
 	for m, model := range env.Models {
-		res, err := typedResults[core.ExplainResult](env, core.ExplainTask.TaskID, model, core.Spider)
+		res, err := typedResults[core.ExplainResult](env, cell{task: core.ExplainTask.TaskID, model: model, ds: core.Spider})
 		if err != nil {
 			return err
 		}
@@ -459,9 +458,19 @@ func runCaseStudy(env *Env, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w, "Mean fact coverage over all 200 Spider queries:")
-	for m, model := range env.Models {
-		fmt.Fprintf(w, "  %-10s %.3f\n", model, core.Summarize(results[m], core.ExplainTask.Score).Accuracy)
+	// A partial-failure mean covers only the graded results, so a model's
+	// line says how many queries failed.
+	fmt.Fprintf(w, "Mean fact coverage over all %d Spider queries:\n", len(env.Bench.Explain))
+	for _, model := range env.Models {
+		s, err := env.Summary(core.ExplainTask.TaskID, model, core.Spider)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-10s %.3f", model, s.Accuracy)
+		if s.Failed > 0 {
+			fmt.Fprintf(w, "  (%d failed)", s.Failed)
+		}
+		fmt.Fprintln(w)
 	}
 	// Superlative misreads (the Q18 failure mode) per model.
 	fmt.Fprintln(w, "\nSuperlative direction misreads (ORDER BY ... LIMIT 1 queries):")

@@ -9,8 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/llm"
@@ -19,16 +17,18 @@ import (
 	"repro/internal/llm/httpllm"
 	"repro/internal/llm/sim"
 	"repro/internal/obs"
+	"repro/internal/prompt"
 	"repro/internal/runner"
 )
 
 // Env carries the shared state experiments run against: the benchmark, the
-// model registry, and memoized per-task results. Result memoization is
-// per-key singleflight over task×model×dataset cells: distinct cells
-// compute concurrently, duplicate requests for the same cell coalesce onto
-// one computation, and completed cells are served from cache. The cell grid
-// is driven by the core task registry — any registered task gets cells with
-// no Env changes. An Env is safe for concurrent use.
+// model registry, and memoized task×model×dataset cells. A cell is the one
+// way an artifact reaches model results: per-key singleflight over cells,
+// each run under one prompt template, so distinct cells compute
+// concurrently, duplicate requests for the same cell coalesce onto one
+// computation, and completed cells are served from cache. The cell grid is
+// driven by the core task registry — any registered task gets cells with no
+// Env changes. An Env is safe for concurrent use.
 type Env struct {
 	Bench    *core.Benchmark
 	Registry *llm.Registry
@@ -42,42 +42,26 @@ type Env struct {
 	// definitions. 0 means GOMAXPROCS; 1 reproduces the sequential pipeline.
 	Parallel int
 	// ContinueOnError runs cells in partial-failure mode: an example whose
-	// completion fails is recorded (see Failures) instead of aborting the
-	// cell, and summaries report the failed count. MaxFailures bounds how
-	// many failures a cell tolerates before aborting anyway (0 = unlimited).
+	// completion fails is recorded with its cell (see Failures) instead of
+	// aborting it, and summaries report the failed count. MaxFailures bounds
+	// how many failures a cell tolerates before aborting anyway (0 =
+	// unlimited).
 	ContinueOnError bool
 	MaxFailures     int
 
-	// results caches boxed task results per task×model×dataset cell; typed
-	// caches the unboxed form of the same cells so repeated typed accesses
-	// (the per-figure experiments re-fetch cells constantly) don't re-assert
-	// and reallocate per call.
-	results runner.Flight[string, []any]
-	typed   runner.Flight[string, any]
+	// cells memoizes every cell run: its graded results, held once as the
+	// task's own []R, and its failed examples.
+	cells runner.Flight[cellKey, core.CellRun]
 
 	// stores holds the open checkpoint stores (one per model) when the
 	// environment was built with a CheckpointDir; Close releases them.
 	stores []*checkpoint.Store
-
-	// failMu guards failures: per-cell failed-example records accumulated
-	// by partial-failure runs.
-	failMu   sync.Mutex
-	failures map[string][]CellFailure
 
 	// traceCtx carries the environment's tracer and run span (when one was
 	// configured) into every task run; runSpan is the root "run" span Close
 	// ends.
 	traceCtx context.Context
 	runSpan  *obs.Span
-}
-
-// CellFailure records one failed example of a partial-failure cell run.
-type CellFailure struct {
-	// Index is the example's position in the cell; ID its stable id.
-	Index int
-	ID    string
-	// Err is the completion error message.
-	Err string
 }
 
 // Close releases the environment's checkpoint stores, if any, and ends the
@@ -254,7 +238,7 @@ func NewEnv(seed int64, verifyEquiv bool) (*Env, error) {
 }
 
 // ctx returns the context task runs execute under, carrying the worker
-// budget for runner.Map fan-out inside core.Run* — and the environment's
+// budget for the worker fan-out inside core's drivers — and the environment's
 // tracer and run span when tracing is on.
 func (e *Env) ctx() context.Context {
 	base := e.traceCtx
@@ -264,174 +248,115 @@ func (e *Env) ctx() context.Context {
 	return runner.WithParallelism(base, e.Parallel)
 }
 
-func key(task, model, ds string) string { return task + "\x00" + model + "\x00" + ds }
+// cellKey identifies one memoized cell: a task×model×dataset grid cell run
+// under one prompt template ("" is the task's default template).
+type cellKey struct{ task, model, ds, template string }
 
-// Results runs (or returns cached) one task×model×dataset cell through the
-// core registry's generic driver, returning the task's boxed results in
-// example order. Unknown tasks and datasets the task has no cell for fail;
-// ds "" selects the task's default (and only valid value for pinned tasks).
-func (e *Env) Results(taskID, model, ds string) ([]any, error) {
-	task, ok := core.TaskByID(taskID)
+// cell names a cell to run: its task, model and dataset ("" = the task's
+// default), and the prompt template (zero = the task's default).
+type cell struct {
+	task, model, ds string
+	tpl             prompt.Template
+}
+
+// run runs (or returns the memoized) cell through the core registry's
+// collecting driver. Unknown tasks and datasets the task has no cell for
+// fail.
+func (e *Env) run(c cell) (core.Task, core.CellRun, error) {
+	task, ok := core.TaskByID(c.task)
 	if !ok {
-		return nil, fmt.Errorf("unknown task %q (registered: %v)", taskID, core.TaskIDs())
+		return nil, core.CellRun{}, fmt.Errorf("unknown task %q (registered: %v)", c.task, core.TaskIDs())
 	}
-	if ds == "" {
-		ds = task.DefaultDataset()
+	if c.ds == "" {
+		c.ds = task.DefaultDataset()
 	}
-	k := key(taskID, model, ds)
-	return e.results.Do(k, func() ([]any, error) {
-		client, err := e.Registry.Get(model)
+	run, err := e.cells.Do(cellKey{c.task, c.model, c.ds, c.tpl.ID}, func() (core.CellRun, error) {
+		client, err := e.Registry.Get(c.model)
 		if err != nil {
-			return nil, err
+			return core.CellRun{}, err
 		}
-		cell, ok := task.Cell(e.Bench, ds)
+		examples, ok := task.Cell(e.Bench, c.ds)
 		if !ok {
-			return nil, fmt.Errorf("task %s has no %q cell (datasets: %v)", taskID, ds, task.Datasets())
+			return core.CellRun{}, fmt.Errorf("task %s has no %q cell (datasets: %v)", c.task, c.ds, task.Datasets())
 		}
 		ctx, span := obs.Start(e.ctx(), "task.cell")
 		if span != nil {
-			span.SetString("task", taskID)
-			span.SetString("model", model)
-			span.SetString("dataset", ds)
-			span.SetInt("examples", int64(len(cell)))
+			span.SetString("task", c.task)
+			span.SetString("model", c.model)
+			span.SetString("dataset", c.ds)
+			span.SetInt("examples", int64(len(examples)))
 		}
-		opts := core.RunOpts{ContinueOnError: e.ContinueOnError, MaxFailures: e.MaxFailures}
-		out := make([]any, 0, len(cell))
-		var failed []CellFailure
-		err = task.RunStreamOpts(ctx, client, cell, opts, func(idx int, r any, err error) error {
-			if err != nil {
-				failed = append(failed, CellFailure{Index: idx, ID: cell[idx].ID, Err: err.Error()})
-				return nil
-			}
-			out = append(out, r)
-			return nil
-		})
-		if span != nil {
-			span.SetInt("failed", int64(len(failed)))
-		}
+		opts := core.RunOpts{Template: c.tpl, ContinueOnError: e.ContinueOnError, MaxFailures: e.MaxFailures}
+		run, err := task.Run(ctx, client, examples, opts)
+		span.SetInt("failed", int64(len(run.Failed)))
 		span.EndErr(err)
-		if err != nil {
-			return nil, err
-		}
-		if len(failed) > 0 {
-			e.failMu.Lock()
-			if e.failures == nil {
-				e.failures = make(map[string][]CellFailure)
-			}
-			e.failures[k] = failed
-			e.failMu.Unlock()
-		}
-		return out, nil
+		return run, err
 	})
+	return task, run, err
+}
+
+// typedResults returns a cell's graded results as the task's concrete
+// result type — the bridge from the erased registry cells to the typed
+// aggregations (core.Confusion and friends, over the task's Score) the
+// per-figure experiments use. It costs a cache lookup and one assertion.
+func typedResults[R any](e *Env, c cell) ([]R, error) {
+	_, run, err := e.run(c)
+	if err != nil {
+		return nil, err
+	}
+	rs, ok := run.Results.([]R)
+	if !ok {
+		return nil, fmt.Errorf("task %s results are %T, not the requested type", c.task, run.Results)
+	}
+	return rs, nil
 }
 
 // Failures returns the failed-example records of one cell's partial run
-// (nil when the cell ran clean or has not run). ds "" selects the task's
-// default dataset, mirroring Results.
-func (e *Env) Failures(taskID, model, ds string) []CellFailure {
-	if task, ok := core.TaskByID(taskID); ok && ds == "" {
-		ds = task.DefaultDataset()
-	}
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return append([]CellFailure{}, e.failures[key(taskID, model, ds)]...)
+// under the task's default prompt (nil when the cell ran clean); ds ""
+// selects the task's default dataset. It runs the cell if it has not run.
+func (e *Env) Failures(taskID, model, ds string) ([]core.Failure, error) {
+	_, run, err := e.run(cell{task: taskID, model: model, ds: ds})
+	return run.Failed, err
 }
 
 // FailedByModel aggregates recorded example failures per model across every
 // cell run so far — the source of the failed column in sqlbench -stats.
 func (e *Env) FailedByModel() map[string]int {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
 	out := make(map[string]int)
-	for k, fs := range e.failures {
-		parts := strings.SplitN(k, "\x00", 3)
-		if len(parts) == 3 {
-			out[parts[1]] += len(fs)
-		}
-	}
+	e.cells.Range(func(k cellKey, run core.CellRun) { out[k.model] += len(run.Failed) })
 	return out
 }
 
-// Summary computes the generic accuracy summary of one task cell.
+// Summary computes the generic accuracy summary of one task cell under the
+// task's default prompt, its failed count included.
 func (e *Env) Summary(taskID, model, ds string) (core.Summary, error) {
-	task, ok := core.TaskByID(taskID)
-	if !ok {
-		return core.Summary{}, fmt.Errorf("unknown task %q", taskID)
-	}
-	rs, err := e.Results(taskID, model, ds)
+	return e.summary(cell{task: taskID, model: model, ds: ds})
+}
+
+func (e *Env) summary(c cell) (core.Summary, error) {
+	task, run, err := e.run(c)
 	if err != nil {
 		return core.Summary{}, err
 	}
-	s := task.Summarize(rs)
-	s.Failed = len(e.Failures(taskID, model, ds))
-	return s, nil
+	return task.Summarize(run), nil
 }
 
-// typedResults unboxes a cached cell into the task's concrete result type —
-// the bridge from the erased registry cells back to the typed aggregations
-// (core.Confusion and friends, over the task's Score) the per-figure
-// experiments use. The typed slice is memoized per cell, so repeated
-// accesses cost a cache lookup, not a reallocation.
-func typedResults[R any](e *Env, taskID, model, ds string) ([]R, error) {
-	if task, ok := core.TaskByID(taskID); ok && ds == "" {
-		ds = task.DefaultDataset()
-	}
-	out, err := e.typed.Do(key(taskID, model, ds), func() (any, error) {
-		rs, err := e.Results(taskID, model, ds)
-		if err != nil {
-			return nil, err
+// warm computes one task's cells for every model × the given datasets
+// concurrently (bounded by Env.Parallel), so the serial rendering loops that
+// follow hit warm caches. Cells already cached cost nothing; duplicate
+// in-flight cells coalesce.
+func (e *Env) warm(taskID string, datasets []string) error {
+	cells := make([]cell, 0, len(e.Models)*len(datasets))
+	for _, m := range e.Models {
+		for _, ds := range datasets {
+			cells = append(cells, cell{task: taskID, model: m, ds: ds})
 		}
-		out := make([]R, len(rs))
-		for i, r := range rs {
-			v, ok := r.(R)
-			if !ok {
-				return nil, fmt.Errorf("task %s results hold %T, not the requested type", taskID, r)
-			}
-			out[i] = v
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out.([]R), nil
-}
-
-// cell identifies one task×model×dataset unit of work in a prefetch.
-type cell struct{ task, model, ds string }
-
-// prefetch computes the given cells concurrently (bounded by Env.Parallel)
-// so the serial rendering loops that follow hit warm caches. Cells already
-// cached cost nothing; duplicate in-flight cells coalesce.
-func (e *Env) prefetch(cells []cell) error {
 	_, err := runner.Map(e.ctx(), 0, cells, func(_ context.Context, _ int, c cell) (struct{}, error) {
-		_, err := e.Results(c.task, c.model, c.ds)
+		_, _, err := e.run(c)
 		return struct{}{}, err
 	})
 	return err
-}
-
-// cross builds one task's model×dataset cell grid. nil datasets means the
-// task's full dataset list from the registry.
-func cross(taskID string, models, datasets []string) []cell {
-	if datasets == nil {
-		if task, ok := core.TaskByID(taskID); ok {
-			datasets = task.Datasets()
-		}
-	}
-	cells := make([]cell, 0, len(models)*len(datasets))
-	for _, m := range models {
-		for _, ds := range datasets {
-			cells = append(cells, cell{taskID, m, ds})
-		}
-	}
-	return cells
-}
-
-// warm precomputes one task's cells for a model×dataset grid (nil datasets
-// = every dataset the registry lists for the task).
-func (e *Env) warm(taskID string, models, datasets []string) error {
-	return e.prefetch(cross(taskID, models, datasets))
 }
 
 // Experiment is one regenerable paper artifact.

@@ -57,6 +57,42 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// A warm render reads memoized cells only: after one pass over every
+// artifact, a second pass issues no model request and renders the same
+// bytes.
+func TestWarmRendersCallNoModel(t *testing.T) {
+	e := env(t)
+	requests := func() int64 {
+		var n int64
+		for _, m := range e.Models {
+			n += e.Stats.Model(m).Requests.Load()
+		}
+		return n
+	}
+	render := func() []string {
+		out := make([]string, 0, len(All()))
+		for _, exp := range All() {
+			var buf bytes.Buffer
+			if err := exp.Run(e, &buf); err != nil {
+				t.Fatalf("%s: %v", exp.ID, err)
+			}
+			out = append(out, buf.String())
+		}
+		return out
+	}
+	cold := render()
+	before := requests()
+	warm := render()
+	if added := requests() - before; added != 0 {
+		t.Errorf("warm pass issued %d model requests, want 0", added)
+	}
+	for i, exp := range All() {
+		if warm[i] != cold[i] {
+			t.Errorf("%s: warm render differs from the first", exp.ID)
+		}
+	}
+}
+
 // Determinism: running the same experiment twice yields identical bytes.
 func TestExperimentsDeterministic(t *testing.T) {
 	e := env(t)
@@ -82,7 +118,7 @@ func TestTable3HeadlineShape(t *testing.T) {
 	for _, ds := range []string{"SDSS", "SQLShare", "Join-Order"} {
 		f1 := map[string]float64{}
 		for _, model := range e.Models {
-			res, err := typedResults[core.SyntaxResult](e, core.SyntaxTask.TaskID, model, ds)
+			res, err := typedResults[core.SyntaxResult](e, cell{task: core.SyntaxTask.TaskID, model: model, ds: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +163,7 @@ func TestPerfPositiveBias(t *testing.T) {
 	e := env(t)
 	biased := 0
 	for _, model := range e.Models {
-		res, err := typedResults[core.PerfResult](e, core.PerfTask.TaskID, model, core.SDSS)
+		res, err := typedResults[core.PerfResult](e, cell{task: core.PerfTask.TaskID, model: model, ds: core.SDSS})
 		if err != nil {
 			t.Fatal(err)
 		}

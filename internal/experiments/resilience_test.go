@@ -37,31 +37,34 @@ func TestPartialRunMatchesFaultPlan(t *testing.T) {
 
 	taskID := core.SyntaxTask.TaskID
 	ds := core.SyntaxTask.DefaultDataset
-	cell := core.SyntaxTask.Cell(env.Bench, ds)
-	if len(cell) == 0 {
+	examples := core.SyntaxTask.Cell(env.Bench, ds)
+	if len(examples) == 0 {
 		t.Fatal("empty cell")
 	}
 	// The plan is pure, so the expected failure set is computable up front
 	// from the exact prompts the driver will issue.
 	tpl := prompt.Default(core.SyntaxTask.PromptTask)
 	expected := map[string]bool{}
-	for _, ex := range cell {
+	for _, ex := range examples {
 		req := llm.NewRequest(core.SyntaxTask.Render(tpl, ex))
 		if plan.Decide(llm.GPT4, req).Fail {
 			expected[core.SyntaxTask.ExampleID(ex)] = true
 		}
 	}
 	if len(expected) == 0 {
-		t.Fatalf("plan fails nothing over %d examples; pick a different seed", len(cell))
+		t.Fatalf("plan fails nothing over %d examples; pick a different seed", len(examples))
 	}
 
-	results, err := env.Results(taskID, llm.GPT4, ds)
+	results, err := typedResults[core.SyntaxResult](env, cell{task: taskID, model: llm.GPT4, ds: ds})
 	if err != nil {
 		t.Fatalf("partial run aborted: %v", err)
 	}
-	failures := env.Failures(taskID, llm.GPT4, ds)
-	if len(results)+len(failures) != len(cell) {
-		t.Fatalf("attempted %d+%d examples, cell has %d", len(results), len(failures), len(cell))
+	failures, err := env.Failures(taskID, llm.GPT4, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results)+len(failures) != len(examples) {
+		t.Fatalf("attempted %d+%d examples, cell has %d", len(results), len(failures), len(examples))
 	}
 	got := map[string]bool{}
 	for _, f := range failures {
@@ -78,9 +81,9 @@ func TestPartialRunMatchesFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Failed != len(expected) || sum.N != len(cell)-len(expected) {
+	if sum.Failed != len(expected) || sum.N != len(examples)-len(expected) {
 		t.Errorf("summary N=%d Failed=%d, want N=%d Failed=%d",
-			sum.N, sum.Failed, len(cell)-len(expected), len(expected))
+			sum.N, sum.Failed, len(examples)-len(expected), len(expected))
 	}
 }
 
@@ -101,7 +104,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := baseEnv.Results(taskID, llm.GPT4, "")
+	baseline, err := typedResults[core.SyntaxResult](baseEnv, cell{task: taskID, model: llm.GPT4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +123,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := firstEnv.Results(taskID, llm.GPT4, ""); err != nil {
+	failures, err := firstEnv.Failures(taskID, llm.GPT4, "")
+	if err != nil {
 		t.Fatalf("interrupted run aborted: %v", err)
 	}
-	failed := len(firstEnv.Failures(taskID, llm.GPT4, ""))
+	failed := len(failures)
 	if failed == 0 {
 		t.Fatal("fault plan failed nothing; resume would be trivial")
 	}
@@ -141,7 +145,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumeEnv.Close()
-	resumed, err := resumeEnv.Results(taskID, llm.GPT4, "")
+	resumed, err := typedResults[core.SyntaxResult](resumeEnv, cell{task: taskID, model: llm.GPT4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +187,15 @@ func TestCaseStudyMatchesResultsByID(t *testing.T) {
 		// Walk the cell beside its results: every example not recorded as
 		// failed owns the next result, in cell order.
 		taskID := core.ExplainTask.TaskID
+		failures, err := env.Failures(taskID, llm.GPT4, "")
+		if err != nil {
+			t.Fatal(err)
+		}
 		failed := map[string]bool{}
-		for _, f := range env.Failures(taskID, llm.GPT4, "") {
+		for _, f := range failures {
 			failed[f.ID] = true
 		}
-		res, err := typedResults[core.ExplainResult](env, taskID, llm.GPT4, "")
+		res, err := typedResults[core.ExplainResult](env, cell{task: taskID, model: llm.GPT4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,6 +217,65 @@ func TestCaseStudyMatchesResultsByID(t *testing.T) {
 		if pinnedFailed == 0 {
 			t.Errorf("rate %.2f: no pinned query failed; pick another fault seed", rate)
 		}
+		// The mean covers the graded results only: the heading counts the
+		// benchmark's queries and the model's line says how many failed.
+		mean := core.Summarize(res, core.ExplainTask.Score).Accuracy
+		for _, want := range []string{
+			fmt.Sprintf("Mean fact coverage over all %d Spider queries:\n", len(env.Bench.Explain)),
+			fmt.Sprintf("  %-10s %.3f  (%d failed)\n", llm.GPT4, mean, len(failures)),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("rate %.2f: output lacks %q", rate, want)
+			}
+		}
 		env.Close()
+	}
+}
+
+// ext-fewshot reads its cells through the Env like every artifact, so under
+// a continue-on-error run it renders from the graded results and names each
+// variant's failed count instead of aborting on the first failure.
+func TestExtFewShotUnderPartialFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an environment")
+	}
+	plan := faultllm.Plan{Seed: 7, ErrorRate: 0.5}
+	env, err := NewEnvConfig(Config{
+		Seed: 1, Parallel: 2,
+		Models:          []llm.Spec{{Name: llm.GPT4, Provider: "sim", FaultRate: plan.ErrorRate, FaultSeed: plan.Seed}},
+		ContinueOnError: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	exp, _ := ByID("ext-fewshot")
+	var buf bytes.Buffer
+	if err := exp.Run(env, &buf); err != nil {
+		t.Fatalf("ext-fewshot aborted: %v", err)
+	}
+
+	// Each variant's failures are the examples whose prompt the plan fails;
+	// its F1 scores the rest.
+	var f1 [2]float64
+	var failed [2]int
+	for i, tpl := range []prompt.Template{prompt.Default(prompt.SyntaxError), fewShot} {
+		for _, ex := range env.Bench.Syntax[core.SDSS] {
+			if plan.Decide(llm.GPT4, llm.NewRequest(core.SyntaxTask.Render(tpl, ex))).Fail {
+				failed[i]++
+			}
+		}
+		res, err := typedResults[core.SyntaxResult](env, cell{task: core.SyntaxTask.TaskID, model: llm.GPT4, ds: core.SDSS, tpl: tpl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f1[i] = core.Confusion(res, core.SyntaxTask.Score).F1()
+	}
+	if failed[1] == 0 {
+		t.Fatal("plan fails no few-shot prompt; pick another fault seed")
+	}
+	want := fmt.Sprintf("%-12s %18.2f %18.2f  zero-shot failed %d  few-shot failed %d\n", llm.GPT4, f1[0], f1[1], failed[0], failed[1])
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, buf.String())
 	}
 }

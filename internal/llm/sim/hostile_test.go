@@ -67,9 +67,11 @@ func hostilePrompts() []hostilePrompt {
 						hostilePrompt{tpl, tpl.RenderPair("SELECT plate FROM SpecObj", q), q, qualityOf(tpl)})
 					continue
 				}
+				few := tpl
+				few.Shots = hostileShots
 				out = append(out,
 					hostilePrompt{tpl, tpl.Render(q), q, qualityOf(tpl)},
-					hostilePrompt{tpl, tpl.RenderFewShot(q, hostileShots), q, fewShotQuality})
+					hostilePrompt{tpl, few.Render(q), q, fewShotQuality})
 			}
 		}
 	}

@@ -69,8 +69,9 @@ func TestReadInstructionOffTable(t *testing.T) {
 	}
 	for _, task := range prompt.Tasks {
 		for _, tpl := range prompt.Variants(task) {
-			cases[prompt.Instruction(tpl.RenderFewShot("SELECT 1", shots))] = task
 			cases[strings.ToUpper(tpl.Text)] = task
+			tpl.Shots = shots
+			cases[prompt.Instruction(tpl.Render("SELECT 1"))] = task
 		}
 	}
 	for instr, task := range cases {

@@ -39,11 +39,9 @@ type Template struct {
 	Task Task
 	ID   string // e.g. "syntax_error/v1"
 	Text string // instruction text; the query is appended after the marker
-}
-
-// Render produces the full prompt for a single-query task.
-func (t Template) Render(sql string) string {
-	return t.Text + "\n\n" + MarkerQuery + " " + sql
+	// Shots makes a few-shot prompt: Render writes these worked examples
+	// between the instruction and the query. The paper's prompts have none.
+	Shots []Shot
 }
 
 // Shot is one worked example for few-shot prompting.
@@ -52,14 +50,16 @@ type Shot struct {
 	Answer string
 }
 
-// RenderFewShot produces a few-shot prompt: the instruction, worked
-// examples, then the target query. The paper evaluates zero-shot only but
-// names few-shot prompting as the natural mitigation; this implements it.
-func (t Template) RenderFewShot(sql string, shots []Shot) string {
+// Render produces the full prompt for a single-query task: the instruction,
+// any worked examples, then the query.
+func (t Template) Render(sql string) string {
+	if len(t.Shots) == 0 {
+		return t.Text + "\n\n" + MarkerQuery + " " + sql
+	}
 	var b strings.Builder
 	b.WriteString(t.Text)
 	b.WriteString("\n")
-	for i, s := range shots {
+	for i, s := range t.Shots {
 		fmt.Fprintf(&b, "\nExample %d:\n%s %s\nAnswer: %s\n", i+1, MarkerQuery, s.SQL, s.Answer)
 	}
 	b.WriteString("\nNow the real query.\n\n")
@@ -74,58 +74,64 @@ func (t Template) RenderPair(sql1, sql2 string) string {
 	return t.Text + "\n\n" + MarkerQuery1 + " " + sql1 + "\n" + MarkerQuery2 + " " + sql2
 }
 
-// variants lists the candidate formulations per task. The first entry is the
-// paper's published prompt; the tuner (Tune) selects among them.
-var variants = map[Task][]Template{
+// variants lists the instruction texts of the candidate formulations per
+// task; the i-th is template "<task>/v<i+1>". The first entry is the paper's
+// published prompt; the tuner (core.TunePrompt) selects among them.
+var variants = map[Task][]string{
 	SyntaxError: {
-		{SyntaxError, "syntax_error/v1", "Does the following query contain any syntax errors? If so, explain the error and state the error type."},
-		{SyntaxError, "syntax_error/v2", "You are a SQL reviewer. Check this query for syntax or semantic errors. Answer yes or no, then name the error type if any."},
-		{SyntaxError, "syntax_error/v3", "Is this SQL query valid? Reply yes/no and identify any error."},
+		"Does the following query contain any syntax errors? If so, explain the error and state the error type.",
+		"You are a SQL reviewer. Check this query for syntax or semantic errors. Answer yes or no, then name the error type if any.",
+		"Is this SQL query valid? Reply yes/no and identify any error.",
 	},
 	MissToken: {
-		{MissToken, "miss_token/v1", "Does the following query have any syntax errors? (yes/no) If yes, is there a missing word? (yes/no) If yes, what is the type of the missing word? If yes, what is the missing word? If yes, what is the position of the missing word? (Provide the word count position where the word is missing.)"},
-		{MissToken, "miss_token/v2", "Check whether a token is missing from this SQL query. If one is missing, report its type (keyword, table, column, value, alias, comparison), the token, and its word position."},
-		{MissToken, "miss_token/v3", "Something may have been deleted from this query. Say yes or no, and if yes identify what and where."},
+		"Does the following query have any syntax errors? (yes/no) If yes, is there a missing word? (yes/no) If yes, what is the type of the missing word? If yes, what is the missing word? If yes, what is the position of the missing word? (Provide the word count position where the word is missing.)",
+		"Check whether a token is missing from this SQL query. If one is missing, report its type (keyword, table, column, value, alias, comparison), the token, and its word position.",
+		"Something may have been deleted from this query. Say yes or no, and if yes identify what and where.",
 	},
 	QueryEquiv: {
-		{QueryEquiv, "query_equiv/v1", "Are the following two queries equivalent (do they produce the same results on the same database schema)? If yes, why are they equivalent? Also name the transformation type relating them."},
-		{QueryEquiv, "query_equiv/v2", "Decide whether these two SQL queries always return identical results. Answer equivalent or not equivalent, and classify the rewrite."},
-		{QueryEquiv, "query_equiv/v3", "Same results or not? Compare the two queries and explain."},
+		"Are the following two queries equivalent (do they produce the same results on the same database schema)? If yes, why are they equivalent? Also name the transformation type relating them.",
+		"Decide whether these two SQL queries always return identical results. Answer equivalent or not equivalent, and classify the rewrite.",
+		"Same results or not? Compare the two queries and explain.",
 	},
 	PerfPred: {
-		{PerfPred, "performance_pred/v1", "Does the following query take longer than usual to run?"},
-		{PerfPred, "performance_pred/v2", "Classify this query's runtime cost as high or low, considering its joins, predicates, and the tables it scans."},
-		{PerfPred, "performance_pred/v3", "Will this query be slow? Answer yes or no."},
+		"Does the following query take longer than usual to run?",
+		"Classify this query's runtime cost as high or low, considering its joins, predicates, and the tables it scans.",
+		"Will this query be slow? Answer yes or no.",
 	},
 	QueryExp: {
-		{QueryExp, "query_exp/v1", "Provide a single statement describing this query:"},
-		{QueryExp, "query_exp/v2", "Explain in one sentence what this SQL query returns."},
-		{QueryExp, "query_exp/v3", "Summarize the purpose of this query."},
+		"Provide a single statement describing this query:",
+		"Explain in one sentence what this SQL query returns.",
+		"Summarize the purpose of this query.",
 	},
 	FillToken: {
-		{FillToken, "fill_token/v1", "One token may be absent from the following SQL query. If so, reply with the exact missing token in double quotes; otherwise reply that the query is complete."},
-		{FillToken, "fill_token/v2", "Repair this SQL query if a token was dropped: give the exact missing token in double quotes, or state that the query is complete."},
-		{FillToken, "fill_token/v3", "Fill in the gap. Reply with the exact missing token, or 'complete'."},
+		"One token may be absent from the following SQL query. If so, reply with the exact missing token in double quotes; otherwise reply that the query is complete.",
+		"Repair this SQL query if a token was dropped: give the exact missing token in double quotes, or state that the query is complete.",
+		"Fill in the gap. Reply with the exact missing token, or 'complete'.",
 	},
 	TableState: {
-		{TableState, "table_state/v1", "The following SQL script creates a table and modifies it. What are the final contents of the table after running the script? List every row in parentheses, separated by commas, with text values in single quotes — for example ( 1 , 'alpha' ). If no rows remain, reply that the table is empty. A BEGIN..ROLLBACK block leaves the table unchanged."},
-		{TableState, "table_state/v2", "Execute this DML script mentally. What rows does the table contain after running it? Give each row as a parenthesized tuple, text in single quotes, or say the table is empty. Remember that a ROLLBACK undoes everything since its BEGIN."},
-		{TableState, "table_state/v3", "Trace the script. Final table contents? Rows in parentheses, or 'empty'."},
+		"The following SQL script creates a table and modifies it. What are the final contents of the table after running the script? List every row in parentheses, separated by commas, with text values in single quotes — for example ( 1 , 'alpha' ). If no rows remain, reply that the table is empty. A BEGIN..ROLLBACK block leaves the table unchanged.",
+		"Execute this DML script mentally. What rows does the table contain after running it? Give each row as a parenthesized tuple, text in single quotes, or say the table is empty. Remember that a ROLLBACK undoes everything since its BEGIN.",
+		"Trace the script. Final table contents? Rows in parentheses, or 'empty'.",
 	},
 }
 
 // Variants returns the candidate templates for a task.
 func Variants(task Task) []Template {
-	return append([]Template{}, variants[task]...)
+	texts := variants[task]
+	out := make([]Template, len(texts))
+	for i, text := range texts {
+		out[i] = Template{Task: task, ID: fmt.Sprintf("%s/v%d", task, i+1), Text: text}
+	}
+	return out
 }
 
 // Default returns the paper's published prompt for a task.
 func Default(task Task) Template {
-	vs := variants[task]
-	if len(vs) == 0 {
+	texts := variants[task]
+	if len(texts) == 0 {
 		panic(fmt.Sprintf("prompt: unknown task %q", task))
 	}
-	return vs[0]
+	return Template{Task: task, ID: string(task) + "/v1", Text: texts[0]}
 }
 
 // DetectTaskLower identifies which task a rendered prompt belongs to from

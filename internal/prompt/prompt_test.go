@@ -80,14 +80,23 @@ func TestExtractQueryMissingMarker(t *testing.T) {
 	}
 }
 
+// A template with shots renders a few-shot prompt: the instruction, the
+// worked examples, then the target query.
 func TestRenderFewShot(t *testing.T) {
 	tpl := Default(SyntaxError)
-	shots := []Shot{
+	tpl.Shots = []Shot{
 		{SQL: "SELECT a , COUNT(*) FROM t", Answer: "yes; aggr-attr"},
 		{SQL: "SELECT a FROM t", Answer: "no error"},
 	}
 	target := "SELECT b FROM u WHERE c > 1"
-	p := tpl.RenderFewShot(target, shots)
+	p := tpl.Render(target)
+	want := tpl.Text + "\n" +
+		"\nExample 1:\nSQL: SELECT a , COUNT(*) FROM t\nAnswer: yes; aggr-attr\n" +
+		"\nExample 2:\nSQL: SELECT a FROM t\nAnswer: no error\n" +
+		"\nNow the real query.\n\nSQL: " + target
+	if p != want {
+		t.Errorf("few-shot prompt =\n%q\nwant\n%q", p, want)
+	}
 	// The target query must be the one extracted (examples come first).
 	got, ok := ExtractQuery(p)
 	if !ok || got != target {
@@ -137,8 +146,10 @@ func TestHostileQueriesSingle(t *testing.T) {
 			continue
 		}
 		for _, tpl := range Variants(task) {
+			few := tpl
+			few.Shots = fewShots
 			for _, q := range hostileQueries {
-				for _, p := range []string{tpl.Render(q), tpl.RenderFewShot(q, fewShots)} {
+				for _, p := range []string{tpl.Render(q), few.Render(q)} {
 					if got, ok := detectTask(p); !ok || got != task {
 						t.Errorf("%s: detectTask(%q) = %q, %v", tpl.ID, p, got, ok)
 					}
@@ -181,9 +192,11 @@ func TestInstruction(t *testing.T) {
 	if got := Instruction(tpl.Render(q)); got != tpl.Text {
 		t.Errorf("Instruction(Render) = %q, want %q", got, tpl.Text)
 	}
-	p := tpl.RenderFewShot(q, fewShots)
+	few := tpl
+	few.Shots = fewShots
+	p := few.Render(q)
 	if got, want := Instruction(p), strings.TrimSuffix(p, "\n\nSQL: "+q); got != want || got == p {
-		t.Errorf("Instruction(RenderFewShot) = %q, want %q", got, want)
+		t.Errorf("Instruction(few-shot Render) = %q, want %q", got, want)
 	}
 	eq := Default(QueryEquiv)
 	if got := Instruction(eq.RenderPair(q, q)); got != eq.Text {

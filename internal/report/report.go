@@ -52,7 +52,9 @@ func MetricTable(w io.Writer, title string, datasets, models []string, cells map
 // TaskGrid renders any task's model × dataset accuracy table generically —
 // the renderer behind the registry-wide grid, task-agnostic by
 // construction: each cell is the task's generic summary. PRF columns print
-// as dashes for tasks without a detection.
+// as dashes for tasks without a detection. A model's row ends with the
+// failed-example count of every cell that has one, since a partial-failure
+// cell is scored over its graded results only.
 func TaskGrid(w io.Writer, title string, datasets, models []string, cells map[string]map[string]core.Summary) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%-12s", "Model")
@@ -68,6 +70,7 @@ func TaskGrid(w io.Writer, title string, datasets, models []string, cells map[st
 	fmt.Fprintln(w, strings.Repeat("-", 14+32*len(datasets)))
 	for _, m := range models {
 		fmt.Fprintf(w, "%-12s", m)
+		var failed []string
 		for _, ds := range datasets {
 			c := cells[m][ds]
 			if c.HasPRF {
@@ -75,6 +78,12 @@ func TaskGrid(w io.Writer, title string, datasets, models []string, cells map[st
 			} else {
 				fmt.Fprintf(w, " | %6.2f %6s %6s %6s ", c.Accuracy, "-", "-", "-")
 			}
+			if c.Failed > 0 {
+				failed = append(failed, fmt.Sprintf("%s %d", ds, c.Failed))
+			}
+		}
+		if len(failed) > 0 {
+			fmt.Fprintf(w, "  failed: %s", strings.Join(failed, ", "))
 		}
 		fmt.Fprintln(w)
 	}

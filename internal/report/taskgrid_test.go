@@ -57,3 +57,32 @@ func TestTaskGrid(t *testing.T) {
 		t.Error("TaskGrid output is not deterministic")
 	}
 }
+
+// A partial-failure cell is scored over its graded results only, so its
+// row names how many examples failed; a row with none prints no count.
+func TestTaskGridShowsFailed(t *testing.T) {
+	var buf bytes.Buffer
+	TaskGrid(&buf, "syntax (syntax_error)", []string{"SDSS", "Join-Order"}, []string{"GPT4", "Gemini"},
+		map[string]map[string]core.Summary{
+			"GPT4": {
+				"SDSS":       {N: 3, Accuracy: 1, Prec: 1, Rec: 1, F1: 1, HasPRF: true, Failed: 197},
+				"Join-Order": {Failed: 200},
+			},
+			"Gemini": {
+				"SDSS":       {N: 200, Accuracy: 0.7, Prec: 0.6, Rec: 0.8, F1: 0.69, HasPRF: true},
+				"Join-Order": {N: 200, Accuracy: 0.6, Prec: 0.5, Rec: 0.7, F1: 0.58, HasPRF: true},
+			},
+		})
+	for _, line := range strings.Split(buf.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "GPT4"):
+			if !strings.HasSuffix(line, "  failed: SDSS 197, Join-Order 200") {
+				t.Errorf("GPT4 row lacks its failed counts: %q", line)
+			}
+		case strings.HasPrefix(line, "Gemini"):
+			if strings.Contains(line, "failed") {
+				t.Errorf("fault-free row prints a failed count: %q", line)
+			}
+		}
+	}
+}

@@ -213,6 +213,16 @@ func (f *Flight[K, V]) evictLocked() {
 	}
 }
 
+// Range calls fn for every completed entry, most recently used first. fn
+// runs under the Flight's lock, so it must not call back into the Flight.
+func (f *Flight[K, V]) Range(fn func(key K, val V)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for c := f.mru; c != nil; c = c.next {
+		fn(c.key, c.val)
+	}
+}
+
 // Len reports the number of successfully completed or in-flight entries.
 func (f *Flight[K, V]) Len() int {
 	f.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,6 +223,30 @@ func TestFlightErrorNotCached(t *testing.T) {
 	}
 	if c := calls.Load(); c != 2 {
 		t.Errorf("fn ran %d times, want 2 (error evicted)", c)
+	}
+}
+
+// Range visits completed entries only: a failed call is forgotten and an
+// in-flight one has no value yet.
+func TestFlightRangeVisitsCompleted(t *testing.T) {
+	var f Flight[int, string]
+	f.Do(1, func() (string, error) { return "one", nil })
+	f.Do(2, func() (string, error) { return "", errors.New("boom") })
+	f.Do(3, func() (string, error) { return "three", nil })
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		f.Do(4, func() (string, error) { close(started); <-release; return "four", nil })
+		close(done)
+	}()
+	<-started
+	got := map[int]string{}
+	f.Range(func(k int, v string) { got[k] = v })
+	close(release)
+	<-done
+	if want := map[int]string{1: "one", 3: "three"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Range visited %v, want %v", got, want)
 	}
 }
 

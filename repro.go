@@ -88,12 +88,14 @@ func RunSyntaxTask(ctx context.Context, client Client, b *Benchmark, dataset str
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
-	return core.Run(ctx, client, core.SyntaxTask, ds)
+	res, _, err := core.Run(ctx, client, core.SyntaxTask, ds, core.RunOpts{})
+	return res, err
 }
 
 // RunPerfTask runs performance_pred (SDSS) for one model.
 func RunPerfTask(ctx context.Context, client Client, b *Benchmark) ([]PerfResult, error) {
-	return core.Run(ctx, client, core.PerfTask, b.Perf)
+	res, _, err := core.Run(ctx, client, core.PerfTask, b.Perf, core.RunOpts{})
+	return res, err
 }
 
 // RunTask runs any registered task over one benchmark dataset cell by its
