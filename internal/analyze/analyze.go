@@ -7,6 +7,7 @@ package analyze
 import (
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/sqlast"
 	"repro/internal/sqllex"
 	"repro/internal/sqlparse"
@@ -81,17 +82,17 @@ func ComputeStmt(stmt sqlast.Stmt, sql string) Properties {
 		case *sqlast.Join:
 			p.JoinCount++
 		case *sqlast.TableName:
-			tables[strings.ToLower(catalogBare(t.Name))] = true
+			tables[strings.ToLower(catalog.BareName(t.Name))] = true
 		case *sqlast.InsertStmt:
-			tables[strings.ToLower(catalogBare(t.Table))] = true
+			tables[strings.ToLower(catalog.BareName(t.Table))] = true
 		case *sqlast.UpdateStmt:
-			tables[strings.ToLower(catalogBare(t.Table))] = true
+			tables[strings.ToLower(catalog.BareName(t.Table))] = true
 			collectPredicates(t.Where, &p.PredicateCount)
 		case *sqlast.DeleteStmt:
-			tables[strings.ToLower(catalogBare(t.Table))] = true
+			tables[strings.ToLower(catalog.BareName(t.Table))] = true
 			collectPredicates(t.Where, &p.PredicateCount)
 		case *sqlast.DropStmt:
-			tables[strings.ToLower(catalogBare(t.Name))] = true
+			tables[strings.ToLower(catalog.BareName(t.Name))] = true
 		case *sqlast.FuncCall:
 			p.FunctionCount++
 			if sqlast.IsAggregate(t.Name) {
@@ -149,29 +150,12 @@ func QueryType(stmt sqlast.Stmt, sql string) string {
 // item, without entering subqueries (their own SELECT items are collected
 // when Walk reaches them).
 func collectItemColumns(e sqlast.Expr, out map[string]bool) {
-	switch t := e.(type) {
-	case *sqlast.ColumnRef:
-		out[strings.ToLower(t.Name)] = true
-	case *sqlast.Binary:
-		collectItemColumns(t.L, out)
-		collectItemColumns(t.R, out)
-	case *sqlast.Unary:
-		collectItemColumns(t.X, out)
-	case *sqlast.FuncCall:
-		for _, a := range t.Args {
-			collectItemColumns(a, out)
+	sqlast.WalkLevel(e, func(n sqlast.Node) bool {
+		if cr, ok := n.(*sqlast.ColumnRef); ok {
+			out[strings.ToLower(cr.Name)] = true
 		}
-	case *sqlast.Case:
-		collectItemColumns(t.Operand, out)
-		for _, w := range t.Whens {
-			collectItemColumns(w.Cond, out)
-			collectItemColumns(w.Result, out)
-		}
-		collectItemColumns(t.Else, out)
-	case *sqlast.Cast:
-		collectItemColumns(t.X, out)
-	case nil:
-	}
+		return true
+	})
 }
 
 // collectPredicates counts the leaf conditions of a WHERE expression:
@@ -352,11 +336,4 @@ func lexicalFallback(sql string) Properties {
 		}
 	}
 	return p
-}
-
-func catalogBare(name string) string {
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }

@@ -57,19 +57,21 @@ func SDSSStats() Stats {
 // correlated subqueries multiply by the outer cardinality.
 type CostModel struct {
 	Stats Stats
-	// RowsPerMS converts estimated row operations to milliseconds. The
-	// default of 2,000,000 rows/ms reflects a warmed, column-scanned server.
-	RowsPerMS float64
-	// Noise adds a deterministic per-query perturbation (fraction of the
-	// estimate, e.g. 0.15 for ±15%), keyed by the query text, standing in
-	// for run-to-run variance in the SDSS logs.
-	Noise float64
 }
 
 // NewCostModel returns a cost model over the given statistics.
 func NewCostModel(stats Stats) *CostModel {
-	return &CostModel{Stats: stats, RowsPerMS: 2_000_000}
+	return &CostModel{Stats: stats}
 }
+
+// The conversion from estimated row operations to simulated milliseconds.
+const (
+	rowsPerMS = 1_000_000
+	// costNoise is the deterministic per-query perturbation, a fraction of
+	// the estimate keyed by the query text, standing in for run-to-run
+	// variance in the SDSS logs.
+	costNoise = 0.2
+)
 
 // Selectivities assumed by the estimator.
 const (
@@ -116,18 +118,11 @@ func (m *CostModel) EstimateCost(stmt sqlast.Stmt) float64 {
 // ElapsedMS converts a statement's estimated cost to simulated elapsed
 // milliseconds, applying the deterministic noise channel.
 func (m *CostModel) ElapsedMS(stmt sqlast.Stmt, sql string) float64 {
-	work := m.EstimateCost(stmt)
-	rate := m.RowsPerMS
-	if rate <= 0 {
-		rate = 2_000_000
-	}
-	ms := work/rate + 0.2 // fixed per-query overhead
-	if m.Noise > 0 {
-		h := fnv.New64a()
-		h.Write([]byte(sql))
-		frac := float64(h.Sum64()%2048)/1024 - 1 // [-1, 1)
-		ms *= 1 + m.Noise*frac
-	}
+	ms := m.EstimateCost(stmt)/rowsPerMS + 0.2 // fixed per-query overhead
+	h := fnv.New64a()
+	h.Write([]byte(sql))
+	frac := float64(h.Sum64()%2048)/1024 - 1 // [-1, 1)
+	ms *= 1 + costNoise*frac
 	if ms < 0.1 {
 		ms = 0.1
 	}

@@ -64,7 +64,6 @@ func TestCostNonSelectStatements(t *testing.T) {
 
 func TestElapsedMSDeterministicNoise(t *testing.T) {
 	m := NewCostModel(SDSSStats())
-	m.Noise = 0.15
 	stmt, _ := sqlparse.ParseStatement("SELECT plate FROM SpecObj WHERE z > 0.5")
 	a := m.ElapsedMS(stmt, "q1")
 	b := m.ElapsedMS(stmt, "q1")

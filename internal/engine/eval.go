@@ -598,59 +598,3 @@ func castValue(v Value, typ string) (Value, error) {
 	}
 	return v, nil
 }
-
-// selectHasAggregates reports whether the SELECT uses aggregate functions in
-// its projection, HAVING, or ORDER BY (without descending into subqueries).
-func selectHasAggregates(sel *sqlast.SelectStmt) bool {
-	for _, item := range sel.Items {
-		if exprHasAggregate(item.Expr) {
-			return true
-		}
-	}
-	if exprHasAggregate(sel.Having) {
-		return true
-	}
-	for _, ob := range sel.OrderBy {
-		if exprHasAggregate(ob.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func exprHasAggregate(x sqlast.Expr) bool {
-	if x == nil {
-		return false
-	}
-	switch t := x.(type) {
-	case *sqlast.FuncCall:
-		if sqlast.IsAggregate(t.Name) {
-			return true
-		}
-		for _, a := range t.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlast.Binary:
-		return exprHasAggregate(t.L) || exprHasAggregate(t.R)
-	case *sqlast.Unary:
-		return exprHasAggregate(t.X)
-	case *sqlast.Case:
-		if exprHasAggregate(t.Operand) || exprHasAggregate(t.Else) {
-			return true
-		}
-		for _, w := range t.Whens {
-			if exprHasAggregate(w.Cond) || exprHasAggregate(w.Result) {
-				return true
-			}
-		}
-	case *sqlast.Cast:
-		return exprHasAggregate(t.X)
-	case *sqlast.Between:
-		return exprHasAggregate(t.X) || exprHasAggregate(t.Lo) || exprHasAggregate(t.Hi)
-	case *sqlast.IsNull:
-		return exprHasAggregate(t.X)
-	}
-	return false
-}

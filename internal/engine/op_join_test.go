@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 )
 
@@ -120,7 +121,7 @@ func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(NewDB())
-	steps, _ := e.planJoins(rels, splitConjuncts(sel.Where))
+	steps, _ := e.planJoins(rels, sqlast.Flatten("AND", sel.Where))
 	if got := []int{steps[0].target, steps[1].target, steps[2].target}; !slices.Equal(got, []int{2, 1, 3}) || steps[2].conj >= 0 {
 		t.Fatalf("step targets = %v (last conj %d), want [2 1 3] ending in a cross product", got, steps[2].conj)
 	}

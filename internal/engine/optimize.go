@@ -109,7 +109,7 @@ func (o *optimizer) node(n PlanNode) PlanNode {
 // join and keeps the rest, in conjunct order, above it. BuildPlan never
 // stacks filters, and a filter over any other node stays as it is.
 func (o *optimizer) filter(t *FilterNode) PlanNode {
-	in, rest := t.Input, splitConjuncts(t.Cond)
+	in, rest := t.Input, sqlast.Flatten("AND", t.Cond)
 	if j, ok := in.(*JoinNode); ok {
 		in, rest = o.pushJoin(j, rest)
 	}
@@ -144,7 +144,7 @@ func (o *optimizer) implicitJoin(t *ImplicitJoinNode) PlanNode {
 	for i := range open {
 		open[i] = true
 	}
-	per, rest := o.partition(t.Inputs, open, splitConjuncts(t.Where))
+	per, rest := o.partition(t.Inputs, open, sqlast.Flatten("AND", t.Where))
 	inputs := make([]PlanNode, len(t.Inputs))
 	for i, in := range t.Inputs {
 		inputs[i] = o.node(wrapFilter(in, per[i]))
@@ -371,48 +371,39 @@ func conjQualifiers(c sqlast.Expr) map[string]bool {
 // additionally rejects unqualified refs (pushdown across joins needs every
 // ref attributable to one side).
 func safeTotalExpr(e sqlast.Expr, quals map[string]bool, requireQualified bool) bool {
-	switch t := e.(type) {
-	case *sqlast.ColumnRef:
-		if requireQualified && t.Table == "" && quals != nil {
-			return false
-		}
-		if quals != nil && t.Table != "" {
-			quals[strings.ToLower(t.Table)] = true
-		}
-		return true
-	case *sqlast.Literal:
-		return t.Kind != sqlast.LitNumber || numericLiteralOK(t.Text)
-	case *sqlast.Binary:
-		switch t.Op {
-		case "=", "<>", "<", ">", "<=", ">=", "LIKE", "||", "AND", "OR":
-			return safeTotalExpr(t.L, quals, requireQualified) &&
-				safeTotalExpr(t.R, quals, requireQualified)
-		}
-		return false
-	case *sqlast.Unary:
-		return t.Op == "NOT" && safeTotalExpr(t.X, quals, requireQualified)
-	case *sqlast.Between:
-		return safeTotalExpr(t.X, quals, requireQualified) &&
-			safeTotalExpr(t.Lo, quals, requireQualified) &&
-			safeTotalExpr(t.Hi, quals, requireQualified)
-	case *sqlast.IsNull:
-		return safeTotalExpr(t.X, quals, requireQualified)
-	case *sqlast.In:
-		if t.Sub != nil {
-			return false
-		}
-		if !safeTotalExpr(t.X, quals, requireQualified) {
-			return false
-		}
-		for _, el := range t.List {
-			if !safeTotalExpr(el, quals, requireQualified) {
-				return false
+	// Walk visits the siblings of a node the visitor rejects, so ok only
+	// ever turns false.
+	ok := true
+	sqlast.Walk(e, func(n sqlast.Node) bool {
+		switch t := n.(type) {
+		case *sqlast.ColumnRef:
+			if requireQualified && t.Table == "" && quals != nil {
+				ok = false
 			}
+			if quals != nil && t.Table != "" {
+				quals[strings.ToLower(t.Table)] = true
+			}
+		case *sqlast.Literal:
+			if t.Kind == sqlast.LitNumber && !numericLiteralOK(t.Text) {
+				ok = false
+			}
+		case *sqlast.Binary:
+			switch t.Op {
+			case "=", "<>", "<", ">", "<=", ">=", "LIKE", "||", "AND", "OR":
+			default:
+				ok = false
+			}
+		case *sqlast.Unary:
+			if t.Op != "NOT" {
+				ok = false
+			}
+		case *sqlast.Between, *sqlast.IsNull, *sqlast.In:
+		default: // an IN subquery's SELECT lands here too
+			ok = false
 		}
-		return true
-	default:
-		return false
-	}
+		return ok
+	})
+	return ok
 }
 
 // numericLiteralOK mirrors the literal evaluator's parse: a number literal

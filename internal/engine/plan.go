@@ -162,7 +162,7 @@ func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 		}
 	}
 
-	if len(sel.GroupBy) > 0 || selectHasAggregates(sel) {
+	if grouped(sel) {
 		root = &GroupNode{Input: root, GroupBy: sel.GroupBy, Items: sel.Items,
 			Having: sel.Having, OrderBy: sel.OrderBy}
 	} else {
@@ -193,6 +193,26 @@ func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 	}
 	p.Root = root
 	return p
+}
+
+// grouped reports whether a query block lowers to grouped aggregation: it
+// has GROUP BY or HAVING, or calls an aggregate at its own level in its
+// items or ORDER BY.
+func grouped(sel *sqlast.SelectStmt) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return true
+	}
+	for _, item := range sel.Items {
+		if sqlast.HasAggregate(item.Expr) {
+			return true
+		}
+	}
+	for _, o := range sel.OrderBy {
+		if sqlast.HasAggregate(o.Expr) {
+			return true
+		}
+	}
+	return false
 }
 
 func planRefs(refs []sqlast.TableRef) []PlanNode {

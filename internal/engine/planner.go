@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"strings"
-
-	"repro/internal/sqlast"
-)
+import "repro/internal/sqlast"
 
 // Implicit-join ordering: comma-joined relations are joined left-deep using
 // the equality conjuncts of the WHERE clause, and the conjuncts not consumed
@@ -36,7 +32,7 @@ type joinStep struct {
 
 // orderImplicitJoins joins the relations in greedy order.
 func (e *Engine) orderImplicitJoins(rels []*Relation, where sqlast.Expr) (*Relation, sqlast.Expr, error) {
-	conjuncts := splitConjuncts(where)
+	conjuncts := sqlast.Flatten("AND", where)
 	steps, used := e.planJoins(rels, conjuncts)
 	acc, err := e.executeJoinSteps(rels, steps)
 	if err != nil {
@@ -158,16 +154,4 @@ func connects(c sqlast.Expr, acc *Relation, rels []*Relation, joined map[int]boo
 		return ai, bi, t, true
 	}
 	return 0, 0, 0, false
-}
-
-// splitConjuncts flattens a tree of ANDs into its conjuncts; nil has none.
-func splitConjuncts(e sqlast.Expr) []sqlast.Expr {
-	if e == nil {
-		return nil
-	}
-	bin, ok := e.(*sqlast.Binary)
-	if ok && strings.EqualFold(bin.Op, "AND") {
-		return append(splitConjuncts(bin.L), splitConjuncts(bin.R)...)
-	}
-	return []sqlast.Expr{e}
 }

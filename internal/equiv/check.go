@@ -137,13 +137,13 @@ func normalizeExpr(e sqlast.Expr) sqlast.Expr {
 	case *sqlast.Binary:
 		switch t.Op {
 		case "AND", "OR":
-			parts := flatten(nil, t, t.Op)
+			parts := sqlast.Flatten(t.Op, t)
+			for i, p := range parts {
+				parts[i] = normalizeExpr(p)
+			}
 			// Normalization can introduce nested conjunctions (BETWEEN
 			// expansion); re-flatten to a fixpoint before sorting.
-			var flat []sqlast.Expr
-			for _, p := range parts {
-				flat = flatten(flat, normalizeExpr(p), t.Op)
-			}
+			flat := sqlast.Flatten(t.Op, parts...)
 			sortByPrint(flat)
 			if t.Op == "AND" {
 				return sqlast.And(flat...)
@@ -178,14 +178,6 @@ var negations = map[string]string{
 // flips turns a greater-than comparison into the less-than one with its
 // operands swapped.
 var flips = map[string]string{">": "<", ">=": "<="}
-
-// flatten appends to dst the operands of e's maximal chain of op.
-func flatten(dst []sqlast.Expr, e sqlast.Expr, op string) []sqlast.Expr {
-	if bin, ok := e.(*sqlast.Binary); ok && bin.Op == op {
-		return flatten(flatten(dst, bin.L, op), bin.R, op)
-	}
-	return append(dst, e)
-}
 
 // printedExpr is an expression with its printed form.
 type printedExpr struct {

@@ -117,7 +117,7 @@ func Transform(sel *sqlast.SelectStmt, typ Type, r *rand.Rand) (*sqlast.SelectSt
 
 // reorderConditions rotates the top-level AND conjuncts of WHERE.
 func reorderConditions(sel *sqlast.SelectStmt, r *rand.Rand) bool {
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	if len(conj) < 2 {
 		return false
 	}
@@ -126,17 +126,6 @@ func reorderConditions(sel *sqlast.SelectStmt, r *rand.Rand) bool {
 	rotated := append(append([]sqlast.Expr{}, conj[k:]...), conj[:k]...)
 	sel.Where = sqlast.And(rotated...)
 	return true
-}
-
-func conjuncts(e sqlast.Expr) []sqlast.Expr {
-	bin, ok := e.(*sqlast.Binary)
-	if ok && bin.Op == "AND" {
-		return append(conjuncts(bin.L), conjuncts(bin.R)...)
-	}
-	if e == nil {
-		return nil
-	}
-	return []sqlast.Expr{e}
 }
 
 // cteWrap rewrites q as WITH sub AS ( q ) SELECT * FROM sub (the paper's Q9
@@ -255,7 +244,7 @@ func nestedToJoin(sel *sqlast.SelectStmt) bool {
 	if !ok {
 		return false
 	}
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	for i, c := range conj {
 		in, ok := c.(*sqlast.In)
 		if !ok || in.Sub == nil || in.Not {
@@ -332,7 +321,7 @@ func requalifyColumns(sel *sqlast.SelectStmt, binding string) {
 // inToExists rewrites x IN (SELECT y FROM B WHERE p) as
 // EXISTS (SELECT 1 FROM B WHERE p AND y = x) — the subquery-form swap.
 func inToExists(sel *sqlast.SelectStmt) bool {
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	for i, c := range conj {
 		in, ok := c.(*sqlast.In)
 		if !ok || in.Sub == nil || in.Not {
@@ -369,7 +358,7 @@ func inToExists(sel *sqlast.SelectStmt) bool {
 
 // betweenSplit rewrites x BETWEEN a AND b as x >= a AND x <= b.
 func betweenSplit(sel *sqlast.SelectStmt) bool {
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	for i, c := range conj {
 		if btw, ok := c.(*sqlast.Between); ok && !btw.Not {
 			conj[i] = sqlast.And(
@@ -385,7 +374,7 @@ func betweenSplit(sel *sqlast.SelectStmt) bool {
 
 // inListToOr rewrites x IN (v1, v2, ...) as x = v1 OR x = v2 ...
 func inListToOr(sel *sqlast.SelectStmt) bool {
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	for i, c := range conj {
 		in, ok := c.(*sqlast.In)
 		if !ok || in.Sub != nil || in.Not || len(in.List) == 0 {
@@ -406,7 +395,7 @@ func inListToOr(sel *sqlast.SelectStmt) bool {
 // NOT ( x <= v ), which is equivalent under SQL three-valued logic.
 func notPushdown(sel *sqlast.SelectStmt) bool {
 	negate := map[string]string{">": "<=", "<": ">=", ">=": "<", "<=": ">", "=": "<>", "<>": "="}
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	for i, c := range conj {
 		bin, ok := c.(*sqlast.Binary)
 		if !ok {
@@ -602,7 +591,7 @@ func weakenComparison(sel *sqlast.SelectStmt) bool {
 
 // dropPredicate removes one WHERE conjunct.
 func dropPredicate(sel *sqlast.SelectStmt) bool {
-	conj := conjuncts(sel.Where)
+	conj := sqlast.Flatten("AND", sel.Where)
 	if len(conj) < 2 {
 		return false
 	}

@@ -376,41 +376,13 @@ func injectAliasUndefined(sel *sqlast.SelectStmt, r *rand.Rand) bool {
 // (items, where, group by, having, order by, join conditions), without
 // entering subqueries.
 func collectColumnRefs(sel *sqlast.SelectStmt, out *[]*sqlast.ColumnRef) {
-	var walk func(e sqlast.Expr)
-	walk = func(e sqlast.Expr) {
-		switch t := e.(type) {
-		case *sqlast.ColumnRef:
-			*out = append(*out, t)
-		case *sqlast.Binary:
-			walk(t.L)
-			walk(t.R)
-		case *sqlast.Unary:
-			walk(t.X)
-		case *sqlast.FuncCall:
-			for _, a := range t.Args {
-				walk(a)
+	walk := func(e sqlast.Expr) {
+		sqlast.WalkLevel(e, func(n sqlast.Node) bool {
+			if cr, ok := n.(*sqlast.ColumnRef); ok {
+				*out = append(*out, cr)
 			}
-		case *sqlast.Between:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlast.IsNull:
-			walk(t.X)
-		case *sqlast.In:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *sqlast.Case:
-			walk(t.Operand)
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(t.Else)
-		case *sqlast.Cast:
-			walk(t.X)
-		}
+			return true
+		})
 	}
 	for _, item := range sel.Items {
 		walk(item.Expr)

@@ -9,6 +9,10 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/equiv"
+	"repro/internal/mutate"
+	"repro/internal/semcheck"
 )
 
 // ErrUnparseable is returned when no label can be extracted.
@@ -20,10 +24,20 @@ type SyntaxVerdict struct {
 	ErrorType string // one of the six codes, "" when absent
 }
 
-// syntax error type vocabulary.
-var errorTypes = []string{
-	"aggr-attr", "aggr-having", "nested-mismatch", "condition-mismatch",
-	"alias-undefined", "alias-ambiguous",
+// The label vocabularies, read from the packages that define the labels.
+var (
+	errorTypes = labels(semcheck.PaperErrorTypes)
+	tokenKinds = labels(mutate.TokenKinds)
+	equivTypes = append(labels(equiv.EquivTypes()), labels(equiv.NonEquivTypes())...)
+)
+
+// labels converts a list of string-typed labels to plain strings.
+func labels[T ~string](ts []T) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = string(t)
+	}
+	return out
 }
 
 var syntaxNegatives = []string{
@@ -67,8 +81,6 @@ type MissTokenVerdict struct {
 	Token    string
 	Position int // 0-based word index; -1 when absent
 }
-
-var tokenKinds = []string{"keyword", "table", "column", "value", "alias", "comparison"}
 
 var missingNegatives = []string{
 	"no missing", "nothing missing", "nothing is missing", "no syntax errors and no missing",
@@ -189,13 +201,6 @@ func ParseFill(resp string) (FillVerdict, error) {
 type EquivVerdict struct {
 	Equivalent bool
 	Type       string
-}
-
-var equivTypes = []string{
-	"reorder-conditions", "cte", "join-nested", "nested-join", "swap-subqueries",
-	"between-split", "in-list-or", "not-pushdown", "distinct-groupby", "commute-join",
-	"agg-function", "change-join-condition", "logical-conditions", "value-change",
-	"comparison-op", "drop-predicate", "projection-change", "distinct-toggle",
 }
 
 var equivNegatives = []string{

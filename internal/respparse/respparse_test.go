@@ -3,6 +3,10 @@ package respparse
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/equiv"
+	"repro/internal/mutate"
+	"repro/internal/semcheck"
 )
 
 func TestParseSyntaxVariants(t *testing.T) {
@@ -136,5 +140,31 @@ func TestLongestVocabWins(t *testing.T) {
 	v, err := ParseEquiv("equivalent; type=distinct-groupby")
 	if err != nil || v.Type != "distinct-groupby" {
 		t.Errorf("got %+v, want distinct-groupby (not a shorter substring match)", v)
+	}
+}
+
+// Every label of the syntax-error, missing-token and equivalence
+// vocabularies parses back from a terse answer naming it.
+func TestEveryLabelParsesBack(t *testing.T) {
+	for _, code := range semcheck.PaperErrorTypes {
+		if v, err := ParseSyntax("yes; type=" + string(code)); err != nil || !v.HasError || v.ErrorType != string(code) {
+			t.Errorf("syntax label %s parses to %+v, %v", code, v, err)
+		}
+	}
+	for _, kind := range mutate.TokenKinds {
+		if v, err := ParseMissToken("yes; kind=" + string(kind)); err != nil || !v.Missing || v.Kind != string(kind) {
+			t.Errorf("token kind %s parses to %+v, %v", kind, v, err)
+		}
+	}
+	for answer, types := range map[string][]equiv.Type{
+		"equivalent":     equiv.EquivTypes(),
+		"not equivalent": equiv.NonEquivTypes(),
+	} {
+		for _, typ := range types {
+			v, err := ParseEquiv(answer + "; type=" + string(typ))
+			if err != nil || v.Equivalent != (answer == "equivalent") || v.Type != string(typ) {
+				t.Errorf("equivalence type %s parses to %+v, %v", typ, v, err)
+			}
+		}
 	}
 }

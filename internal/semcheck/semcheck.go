@@ -371,59 +371,25 @@ func (ck *checkRun) collectRefColumns(sc *scope, ref sqlast.TableRef) {
 	}
 }
 
-// resolveExpr walks an expression resolving every column reference, checking
-// subqueries recursively. Subqueries see the current scope as parent
-// (correlation is allowed).
+// resolveExpr resolves every column reference of an expression's level and
+// checks its nested SELECTs recursively. Nested SELECTs see the current
+// scope as parent (correlation is allowed).
 func (ck *checkRun) resolveExpr(e sqlast.Expr, sc *scope) {
-	if e == nil {
-		return
-	}
-	switch t := e.(type) {
-	case *sqlast.ColumnRef:
-		ck.resolveColumn(t, sc)
-	case *sqlast.Star:
-		if t.Table != "" {
-			if _, ok := sc.lookupQualifier(t.Table); !ok {
-				ck.report(CodeAliasUndefined, "alias %q is not defined", t.Table)
+	sqlast.WalkLevel(e, func(n sqlast.Node) bool {
+		switch t := n.(type) {
+		case *sqlast.ColumnRef:
+			ck.resolveColumn(t, sc)
+		case *sqlast.Star:
+			if t.Table != "" {
+				if _, ok := sc.lookupQualifier(t.Table); !ok {
+					ck.report(CodeAliasUndefined, "alias %q is not defined", t.Table)
+				}
 			}
+		case *sqlast.SelectStmt:
+			ck.checkSelect(t, sc)
 		}
-	case *sqlast.Binary:
-		ck.resolveExpr(t.L, sc)
-		ck.resolveExpr(t.R, sc)
-	case *sqlast.Unary:
-		ck.resolveExpr(t.X, sc)
-	case *sqlast.FuncCall:
-		for _, a := range t.Args {
-			ck.resolveExpr(a, sc)
-		}
-	case *sqlast.Subquery:
-		ck.checkSelect(t.Select, sc)
-	case *sqlast.In:
-		ck.resolveExpr(t.X, sc)
-		for _, a := range t.List {
-			ck.resolveExpr(a, sc)
-		}
-		if t.Sub != nil {
-			ck.checkSelect(t.Sub, sc)
-		}
-	case *sqlast.Exists:
-		ck.checkSelect(t.Sub, sc)
-	case *sqlast.Between:
-		ck.resolveExpr(t.X, sc)
-		ck.resolveExpr(t.Lo, sc)
-		ck.resolveExpr(t.Hi, sc)
-	case *sqlast.IsNull:
-		ck.resolveExpr(t.X, sc)
-	case *sqlast.Case:
-		ck.resolveExpr(t.Operand, sc)
-		for _, w := range t.Whens {
-			ck.resolveExpr(w.Cond, sc)
-			ck.resolveExpr(w.Result, sc)
-		}
-		ck.resolveExpr(t.Else, sc)
-	case *sqlast.Cast:
-		ck.resolveExpr(t.X, sc)
-	}
+		return true
+	})
 }
 
 // resolveOrderExpr allows ORDER BY to reference projection aliases in
@@ -659,7 +625,7 @@ func (ck *checkRun) checkConditionTypes(e sqlast.Expr, sc *scope) {
 func (ck *checkRun) checkAggregation(sel *sqlast.SelectStmt, sc *scope) {
 	hasAgg := false
 	for _, item := range sel.Items {
-		if containsAggregate(item.Expr) {
+		if sqlast.HasAggregate(item.Expr) {
 			hasAgg = true
 			break
 		}
@@ -685,7 +651,7 @@ func (ck *checkRun) checkAggregation(sel *sqlast.SelectStmt, sc *scope) {
 		}
 	}
 	if sel.Having != nil {
-		if len(sel.GroupBy) == 0 && !hasAgg && !containsAggregate(sel.Having) {
+		if len(sel.GroupBy) == 0 && !hasAgg && !sqlast.HasAggregate(sel.Having) {
 			ck.report(CodeAggrHaving, "HAVING used without GROUP BY or aggregates; use WHERE")
 		}
 		for _, cr := range bareColumns(sel.Having) {
@@ -700,26 +666,12 @@ func (ck *checkRun) checkAggregation(sel *sqlast.SelectStmt, sc *scope) {
 	}
 }
 
-// containsAggregate reports whether e contains an aggregate call, without
-// descending into subqueries.
-func containsAggregate(e sqlast.Expr) bool {
-	found := false
-	walkShallow(e, func(x sqlast.Expr) bool {
-		if fc, ok := x.(*sqlast.FuncCall); ok && sqlast.IsAggregate(fc.Name) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // bareColumns returns column references in e that are not inside aggregate
 // calls (and not inside subqueries).
 func bareColumns(e sqlast.Expr) []*sqlast.ColumnRef {
 	var out []*sqlast.ColumnRef
-	walkShallow(e, func(x sqlast.Expr) bool {
-		switch t := x.(type) {
+	sqlast.WalkLevel(e, func(n sqlast.Node) bool {
+		switch t := n.(type) {
 		case *sqlast.FuncCall:
 			if sqlast.IsAggregate(t.Name) {
 				return false // columns inside aggregates are fine
@@ -730,44 +682,6 @@ func bareColumns(e sqlast.Expr) []*sqlast.ColumnRef {
 		return true
 	})
 	return out
-}
-
-// walkShallow visits expression nodes without entering subqueries.
-func walkShallow(e sqlast.Expr, f func(sqlast.Expr) bool) {
-	if e == nil || !f(e) {
-		return
-	}
-	switch t := e.(type) {
-	case *sqlast.Binary:
-		walkShallow(t.L, f)
-		walkShallow(t.R, f)
-	case *sqlast.Unary:
-		walkShallow(t.X, f)
-	case *sqlast.FuncCall:
-		for _, a := range t.Args {
-			walkShallow(a, f)
-		}
-	case *sqlast.In:
-		walkShallow(t.X, f)
-		for _, a := range t.List {
-			walkShallow(a, f)
-		}
-	case *sqlast.Between:
-		walkShallow(t.X, f)
-		walkShallow(t.Lo, f)
-		walkShallow(t.Hi, f)
-	case *sqlast.IsNull:
-		walkShallow(t.X, f)
-	case *sqlast.Case:
-		walkShallow(t.Operand, f)
-		for _, w := range t.Whens {
-			walkShallow(w.Cond, f)
-			walkShallow(w.Result, f)
-		}
-		walkShallow(t.Else, f)
-	case *sqlast.Cast:
-		walkShallow(t.X, f)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -801,8 +715,8 @@ func collectJoinOns(refs []sqlast.TableRef, out *[]sqlast.Expr) {
 }
 
 func (ck *checkRun) findScalarSubqueryMisuse(e sqlast.Expr) {
-	walkShallow(e, func(x sqlast.Expr) bool {
-		bin, ok := x.(*sqlast.Binary)
+	sqlast.WalkLevel(e, func(n sqlast.Node) bool {
+		bin, ok := n.(*sqlast.Binary)
 		if !ok {
 			return true
 		}
@@ -832,5 +746,5 @@ func guaranteedScalar(sel *sqlast.SelectStmt) bool {
 	if (sel.Top != nil && *sel.Top == 1) || (sel.Limit != nil && *sel.Limit == 1) {
 		return true
 	}
-	return containsAggregate(sel.Items[0].Expr) && len(sel.GroupBy) == 0
+	return sqlast.HasAggregate(sel.Items[0].Expr) && len(sel.GroupBy) == 0
 }

@@ -61,6 +61,7 @@ func TestCleanQueriesProduceNoDiagnostics(t *testing.T) {
 		"SELECT plate FROM SpecObj WHERE z BETWEEN 0.1 AND 0.5",
 		"SELECT plate FROM SpecObj ORDER BY z DESC LIMIT 10",
 		"SELECT COUNT(*) FROM SpecObj",
+		"SELECT COUNT(*) IN ( 10 , 11 ) FROM SpecObj",
 		"SELECT plate , COUNT(*) AS n FROM SpecObj GROUP BY plate ORDER BY n DESC",
 	} {
 		if diags := c.CheckSQL(sql); len(diags) != 0 {

@@ -6,107 +6,159 @@ type Visitor func(n Node) bool
 
 // Walk traverses the tree rooted at n in depth-first order, invoking v for
 // each node before its children. Nil nodes are skipped.
-func Walk(n Node, v Visitor) {
-	if n == nil || !v(n) {
+func Walk(n Node, v Visitor) { walker{v: v}.walk(n) }
+
+// WalkLevel is Walk limited to one query level: a nested SELECT (a
+// subquery, an IN or EXISTS subquery, a derived table, a CTE body or a
+// set-operation branch) is passed to v but never entered.
+func WalkLevel(n Node, v Visitor) { walker{v: v, level: true}.walk(n) }
+
+// walker is one traversal: its visitor, and whether it stays on the query
+// level it starts at.
+type walker struct {
+	v     Visitor
+	level bool
+}
+
+func (w walker) walk(n Node) {
+	if n == nil || !w.v(n) {
 		return
 	}
 	switch t := n.(type) {
 	case *SelectStmt:
 		for i := range t.With {
-			walkSelect(t.With[i].Select, v)
+			w.nested(t.With[i].Select)
 		}
 		for _, item := range t.Items {
-			Walk(item.Expr, v)
+			w.walk(item.Expr)
 		}
 		for _, tr := range t.From {
-			Walk(tr, v)
+			w.walk(tr)
 		}
-		Walk(t.Where, v)
+		w.walk(t.Where)
 		for _, e := range t.GroupBy {
-			Walk(e, v)
+			w.walk(e)
 		}
-		Walk(t.Having, v)
+		w.walk(t.Having)
 		for _, o := range t.OrderBy {
-			Walk(o.Expr, v)
+			w.walk(o.Expr)
 		}
 		if t.SetOp != nil {
-			walkSelect(t.SetOp.Right, v)
+			w.nested(t.SetOp.Right)
 		}
 	case *CreateTableStmt:
-		walkSelect(t.AsSelect, v)
+		w.nested(t.AsSelect)
 	case *CreateViewStmt:
-		walkSelect(t.Select, v)
+		w.nested(t.Select)
 	case *InsertStmt:
 		for _, row := range t.Rows {
 			for _, e := range row {
-				Walk(e, v)
+				w.walk(e)
 			}
 		}
-		walkSelect(t.Select, v)
+		w.nested(t.Select)
 	case *UpdateStmt:
 		for _, a := range t.Set {
-			Walk(a.Value, v)
+			w.walk(a.Value)
 		}
-		Walk(t.Where, v)
+		w.walk(t.Where)
 	case *DeleteStmt:
-		Walk(t.Where, v)
+		w.walk(t.Where)
 	case *DeclareStmt:
-		Walk(t.Init, v)
+		w.walk(t.Init)
 	case *SetVarStmt:
-		Walk(t.Value, v)
+		w.walk(t.Value)
 	case *ExecStmt:
 		for _, a := range t.Args {
-			Walk(a, v)
+			w.walk(a)
 		}
 	case *DropStmt, *WaitforStmt, *TxnStmt:
 	case *TableName:
 	case *SubqueryTable:
-		walkSelect(t.Select, v)
+		w.nested(t.Select)
 	case *Join:
-		Walk(t.Left, v)
-		Walk(t.Right, v)
-		Walk(t.On, v)
+		w.walk(t.Left)
+		w.walk(t.Right)
+		w.walk(t.On)
 	case *ColumnRef, *Star, *Literal, *VarRef:
 	case *Binary:
-		Walk(t.L, v)
-		Walk(t.R, v)
+		w.walk(t.L)
+		w.walk(t.R)
 	case *Unary:
-		Walk(t.X, v)
+		w.walk(t.X)
 	case *FuncCall:
 		for _, a := range t.Args {
-			Walk(a, v)
+			w.walk(a)
 		}
 	case *Subquery:
-		walkSelect(t.Select, v)
+		w.nested(t.Select)
 	case *In:
-		Walk(t.X, v)
+		w.walk(t.X)
 		for _, e := range t.List {
-			Walk(e, v)
+			w.walk(e)
 		}
-		walkSelect(t.Sub, v)
+		w.nested(t.Sub)
 	case *Exists:
-		walkSelect(t.Sub, v)
+		w.nested(t.Sub)
 	case *Between:
-		Walk(t.X, v)
-		Walk(t.Lo, v)
-		Walk(t.Hi, v)
+		w.walk(t.X)
+		w.walk(t.Lo)
+		w.walk(t.Hi)
 	case *IsNull:
-		Walk(t.X, v)
+		w.walk(t.X)
 	case *Case:
-		Walk(t.Operand, v)
-		for _, w := range t.Whens {
-			Walk(w.Cond, v)
-			Walk(w.Result, v)
+		w.walk(t.Operand)
+		for _, wh := range t.Whens {
+			w.walk(wh.Cond)
+			w.walk(wh.Result)
 		}
-		Walk(t.Else, v)
+		w.walk(t.Else)
 	case *Cast:
-		Walk(t.X, v)
+		w.walk(t.X)
 	}
 }
 
-// walkSelect guards against typed-nil *SelectStmt inside interfaces.
-func walkSelect(s *SelectStmt, v Visitor) {
-	if s != nil {
-		Walk(s, v)
+// nested visits a SELECT nested in the node being walked, which a level
+// walk passes to the visitor without entering. A nil s (also the typed nil
+// of an absent subquery) is skipped.
+func (w walker) nested(s *SelectStmt) {
+	switch {
+	case s == nil:
+	case w.level:
+		w.v(s)
+	default:
+		w.walk(s)
 	}
+}
+
+// HasAggregate reports whether e calls an aggregate function at its own
+// query level; an aggregate inside a nested SELECT belongs to that SELECT.
+func HasAggregate(e Expr) bool {
+	found := false
+	WalkLevel(e, func(n Node) bool {
+		if f, ok := n.(*FuncCall); ok && IsAggregate(f.Name) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// Flatten returns the operands of the maximal chains of the binary operator
+// op rooted at each of es, left to right: the conjuncts of an AND chain for
+// op "AND". A nil expression has none, and any other expression is its own
+// single operand.
+func Flatten(op string, es ...Expr) []Expr {
+	var out []Expr
+	visit := func(n Node) bool {
+		if b, ok := n.(*Binary); ok && b.Op == op {
+			return true
+		}
+		out = append(out, n.(Expr))
+		return false
+	}
+	for _, e := range es {
+		Walk(e, visit)
+	}
+	return out
 }

@@ -64,8 +64,6 @@ func Generate(seed int64) *workload.Workload {
 	g.R.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
 
 	cm := engine.NewCostModel(engine.SDSSStats())
-	cm.RowsPerMS = 1_000_000
-	cm.Noise = 0.2
 
 	w := &workload.Workload{Name: "SDSS", Schema: schema, OriginalCount: OriginalCount}
 	for _, sp := range specs {
