@@ -25,6 +25,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/semcheck"
 	"repro/internal/sqlast"
+	"repro/internal/sqllex"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 	"repro/internal/workload/joborder"
@@ -361,6 +362,11 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 		checker = equiv.NewChecker(w.Schema)
 		checker.Seeds = []int64{11, 29}
 	}
+	// A printed transform must parse, at any seed a build is asked for:
+	// recognizing it returns a full parse's error without building a tree.
+	buf := sqllex.GetBuffer()
+	defer buf.Release()
+	var parses sqlparse.Prefix
 	var out []EquivExample
 	eqCursor, neCursor := 0, 0
 	for i, q := range w.Queries {
@@ -384,7 +390,12 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 				continue
 			}
 			printed := sqlast.Print(out2)
-			if _, err := sqlparse.ParseSelect(printed); err != nil {
+			toks, err := buf.LexWords(printed)
+			if err == nil {
+				parses.Reset()
+				err = parses.Recognize(toks, 0)
+			}
+			if err != nil {
 				return nil, 0, fmt.Errorf("transform %s produced unparsable SQL %q: %w", typ, printed, err)
 			}
 			if wantEquiv && verify {
@@ -433,8 +444,8 @@ func buildPerf(w *workload.Workload) []PerfExample {
 func buildExplain(w *workload.Workload) []ExplainExample {
 	var out []ExplainExample
 	for _, q := range w.Queries {
-		sel, err := sqlparse.ParseSelect(q.SQL)
-		if err != nil {
+		sel, ok := q.Stmt.(*sqlast.SelectStmt)
+		if !ok {
 			continue
 		}
 		out = append(out, ExplainExample{

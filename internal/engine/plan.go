@@ -199,20 +199,7 @@ func BuildPlan(sel *sqlast.SelectStmt) *Plan {
 // has GROUP BY or HAVING, or calls an aggregate at its own level in its
 // items or ORDER BY.
 func grouped(sel *sqlast.SelectStmt) bool {
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return true
-	}
-	for _, item := range sel.Items {
-		if sqlast.HasAggregate(item.Expr) {
-			return true
-		}
-	}
-	for _, o := range sel.OrderBy {
-		if sqlast.HasAggregate(o.Expr) {
-			return true
-		}
-	}
-	return false
+	return len(sel.GroupBy) > 0 || sel.Having != nil || sqlast.SelectHasAggregate(sel)
 }
 
 func planRefs(refs []sqlast.TableRef) []PlanNode {

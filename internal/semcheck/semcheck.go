@@ -623,13 +623,7 @@ func (ck *checkRun) checkConditionTypes(e sqlast.Expr, sc *scope) {
 // checkAggregation enforces the GROUP BY / HAVING rules that define the
 // aggr-attr and aggr-having error types.
 func (ck *checkRun) checkAggregation(sel *sqlast.SelectStmt, sc *scope) {
-	hasAgg := false
-	for _, item := range sel.Items {
-		if sqlast.HasAggregate(item.Expr) {
-			hasAgg = true
-			break
-		}
-	}
+	hasAgg := sqlast.SelectHasAggregate(sel)
 	grouped := make(map[string]bool, len(sel.GroupBy))
 	for _, g := range sel.GroupBy {
 		grouped[strings.ToLower(sqlast.PrintExpr(g))] = true

@@ -193,6 +193,14 @@ func TestAggrAttrVariants(t *testing.T) {
 	if diags := c.CheckSQL("SELECT * , COUNT(*) FROM SpecObj"); !hasCode(diags, CodeAggrAttr) {
 		t.Errorf("want aggr-attr for star: %v", diags)
 	}
+	// An aggregate in ORDER BY makes the block one group too, as the
+	// engine evaluates it, so a bare item column is an error there.
+	if diags := c.CheckSQL("SELECT plate FROM SpecObj ORDER BY COUNT(*)"); !hasCode(diags, CodeAggrAttr) {
+		t.Errorf("want aggr-attr for an ORDER BY aggregate: %v", diags)
+	}
+	if diags := c.CheckSQL("SELECT COUNT(*) FROM SpecObj ORDER BY COUNT(*)"); len(diags) > 0 {
+		t.Errorf("want no diagnostics for an aggregate-only block: %v", diags)
+	}
 	// Qualified group-by column used bare in select is accepted.
 	diags = c.CheckSQL("SELECT s.plate , COUNT(*) FROM SpecObj AS s GROUP BY plate")
 	if hasCode(diags, CodeAggrAttr) {

@@ -144,6 +144,23 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
+// SelectHasAggregate reports whether the query block sel calls an aggregate
+// at its own level in its items or ORDER BY, which makes the block one
+// group even without GROUP BY.
+func SelectHasAggregate(sel *SelectStmt) bool {
+	for _, item := range sel.Items {
+		if HasAggregate(item.Expr) {
+			return true
+		}
+	}
+	for _, o := range sel.OrderBy {
+		if HasAggregate(o.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
 // Flatten returns the operands of the maximal chains of the binary operator
 // op rooted at each of es, left to right: the conjuncts of an AND chain for
 // op "AND". A nil expression has none, and any other expression is its own

@@ -124,6 +124,27 @@ func TestHasAggregateStopsAtNestedSelects(t *testing.T) {
 	}
 }
 
+func TestSelectHasAggregate(t *testing.T) {
+	count := &FuncCall{Name: "COUNT", Star: true}
+	a := Col("", "a")
+	sub := &SelectStmt{Items: []SelectItem{{Expr: count}}}
+	for _, c := range []struct {
+		sel  *SelectStmt
+		want bool
+	}{
+		{&SelectStmt{Items: []SelectItem{{Expr: a}, {Expr: count}}}, true},
+		{&SelectStmt{Items: []SelectItem{{Expr: a}}, OrderBy: []OrderItem{{Expr: count}}}, true},
+		{&SelectStmt{Items: []SelectItem{{Expr: a}}, Where: &Binary{Op: ">", L: count, R: Number("1")}}, false},
+		{&SelectStmt{Items: []SelectItem{{Expr: a}}, Having: &Binary{Op: ">", L: count, R: Number("1")}}, false},
+		{&SelectStmt{Items: []SelectItem{{Expr: &Subquery{Select: sub}}}, OrderBy: []OrderItem{{Expr: &Exists{Sub: sub}}}}, false},
+		{&SelectStmt{Items: []SelectItem{{Expr: a}}, GroupBy: []Expr{a}}, false},
+	} {
+		if got := SelectHasAggregate(c.sel); got != c.want {
+			t.Errorf("SelectHasAggregate(%s) = %v, want %v", Print(c.sel), got, c.want)
+		}
+	}
+}
+
 func TestFlatten(t *testing.T) {
 	a, b, c := Col("", "a"), Col("", "b"), Col("", "c")
 	or := Or(b, c)

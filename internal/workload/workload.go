@@ -36,14 +36,16 @@ type Workload struct {
 	OriginalCount int // the pre-sampling size reported in Table 2
 }
 
-// Finalize fills in parsed statements and properties for every query and
-// assigns IDs. Generators call it once after emitting SQL text.
+// Finalize assigns IDs and computes every query's properties from its kept
+// tree and its text, so no query is parsed again: Stmt must be the tree SQL
+// prints from or parses to. Generators call it once after emitting their
+// queries.
 func (w *Workload) Finalize(prefix string) {
 	for i := range w.Queries {
 		q := &w.Queries[i]
 		q.ID = fmt.Sprintf("%s-%04d", prefix, i)
 		q.Dataset = w.Name
-		q.Props = analyze.Compute(q.SQL)
+		q.Props = analyze.ComputeStmt(q.Stmt, q.SQL)
 	}
 }
 
@@ -129,13 +131,16 @@ func WordCount(stmt sqlast.Stmt) int {
 // printed word count reaches at least target. Columns cycle through the pool
 // of (qualifier, column) pairs; scalar function wrapping adds variety. The
 // pad never touches FROM/WHERE, so table, join, and predicate counts are
-// preserved.
+// preserved. The statement is counted once; each item then adds its own
+// words, one for the " , " before it when items precede it, and two for
+// " AS cN", which is how the printer writes a select list.
 func (g *Gen) PadProjection(sel *sqlast.SelectStmt, pool []sqlast.Expr, target int) {
 	if len(pool) == 0 {
 		return
 	}
+	words := WordCount(sel)
 	guard := 0
-	for WordCount(sel) < target && guard < 400 {
+	for words < target && guard < 400 {
 		guard++
 		src := pool[guard%len(pool)]
 		var item sqlast.Expr = sqlast.CloneExpr(src)
@@ -145,9 +150,14 @@ func (g *Gen) PadProjection(sel *sqlast.SelectStmt, pool []sqlast.Expr, target i
 		case 3:
 			item = &sqlast.Binary{Op: "*", L: item, R: sqlast.Number("2")}
 		}
+		words += sqllex.WordCount(sqlast.PrintExpr(item))
+		if len(sel.Items) > 0 {
+			words++
+		}
 		alias := ""
 		if guard%4 == 0 {
 			alias = "c" + strconv.Itoa(guard)
+			words += 2
 		}
 		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: item, Alias: alias})
 	}

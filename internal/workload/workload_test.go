@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/catalog"
@@ -31,6 +32,48 @@ func TestPadProjectionReachesTarget(t *testing.T) {
 	// Padding must not add predicates or tables.
 	if sel.Where != nil || len(sel.From) != 1 {
 		t.Error("padding touched FROM/WHERE")
+	}
+}
+
+// TestPadProjectionMatchesRecount checks PadProjection's running word count
+// against a full recount of the printed statement: padding stops at the
+// first item that reaches the target (or at the 400-item guard), so the
+// result reaches it and the result without its last item does not.
+func TestPadProjectionMatchesRecount(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	pools := [][]sqlast.Expr{
+		{sqlast.Col("", "a")},
+		{sqlast.Col("t", "b"), sqlast.Str("north pole"), &sqlast.FuncCall{Name: "COUNT", Star: true}},
+		nil, // filled from each random tree's own items
+	}
+	for i := 0; i < 200; i++ {
+		tree := sqlast.RandSelect(r)
+		if i%10 == 0 {
+			tree.Items = nil // no item precedes the first pad item
+		}
+		pools[2] = pools[2][:0]
+		for _, item := range sqlast.RandSelect(r).Items {
+			pools[2] = append(pools[2], item.Expr)
+		}
+		base := WordCount(tree)
+		for p, pool := range pools {
+			for _, extra := range []int{0, 1, 7, 60, 5000} {
+				sel := sqlast.CloneSelect(tree)
+				target := base + extra
+				NewGen(1).PadProjection(sel, pool, target)
+				added := len(sel.Items) - len(tree.Items)
+				if got := WordCount(sel); got < target && added < 400 {
+					t.Fatalf("tree %d pool %d: %d words after %d items, want >= %d", i, p, got, added, target)
+				}
+				if added == 0 {
+					continue
+				}
+				sel.Items = sel.Items[:len(sel.Items)-1]
+				if got := WordCount(sel); got >= target {
+					t.Fatalf("tree %d pool %d: %d words without the last of %d items, want < %d", i, p, got, added, target)
+				}
+			}
+		}
 	}
 }
 
