@@ -15,7 +15,7 @@
 //	sqlbench -exp all -checkpoint-dir /tmp/ckpt   # rerun resumes, byte-identical
 //	sqlbench -exp table3 -trace-out run.json      # Chrome trace of the whole run
 //	sqlbench -exp table3 -trace-out run.ndjson    # one span record per line
-//	sqlbench -explain-plan 'SELECT ...'           # plan before/after predicate pushdown
+//	sqlbench -explain-plan 'SELECT ...'           # the logical plan the engine executes
 //
 // Output is byte-identical at every -parallel setting; -parallel 1
 // reproduces the fully sequential pipeline. The -parallel budget bounds
@@ -40,9 +40,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/llm"
@@ -62,7 +60,7 @@ func main() {
 		stats    = flag.Bool("stats", false, "report build/run wall times, engine op counts, and per-model usage to stderr")
 		models   = flag.String("models", "", "JSON model specs (or @file) replacing the default simulated models; providers: sim, http")
 
-		explainPlan = flag.String("explain-plan", "", "print the logical plan of this SELECT before and after optimization (against a synthetic SDSS instance) and exit")
+		explainPlan = flag.String("explain-plan", "", "print the logical plan the engine executes for this SELECT and exit")
 
 		continueOnError = flag.Bool("continue-on-error", false, "record per-example completion failures and keep going instead of aborting the run")
 		maxFailures     = flag.Int("max-failures", 0, "abort a -continue-on-error run once more than this many examples fail (0 = unlimited)")
@@ -195,22 +193,14 @@ func main() {
 	}
 }
 
-// printExplain renders a SELECT's logical plan before and after the engine's
-// optimizer pass, resolved against a small synthetic SDSS instance (pushdown
-// checks each moved predicate's columns against the database's tables, so a
-// concrete database is required).
+// printExplain renders the logical plan the engine executes for a SELECT.
 func printExplain(w io.Writer, sql string) error {
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		return err
 	}
-	db := datagen.Instance(catalog.SDSS(), datagen.Config{Seed: 1, Rows: 100})
-	before, after := engine.New(db).Explain(sel)
-	fmt.Fprintln(w, "-- plan before optimization:")
-	fmt.Fprint(w, before)
-	fmt.Fprintln(w, "-- plan after optimization:")
-	fmt.Fprint(w, after)
-	return nil
+	_, err = fmt.Fprint(w, engine.BuildPlan(sel).String())
+	return err
 }
 
 // writeTrace exports collected spans: NDJSON when the path says so, Chrome

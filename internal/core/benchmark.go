@@ -122,10 +122,10 @@ type Benchmark struct {
 type BuildConfig struct {
 	// Seed drives workload generation and mutation choices.
 	Seed int64
-	// VerifyEquivalences runs generated equivalence pairs through the
-	// execution engine and drops pairs whose label cannot be confirmed
-	// empirically. Slower but guarantees label integrity (default on via
-	// Build; disable for quick runs).
+	// VerifyEquivalences keeps an equivalence-labeled pair only when the
+	// rule normalizer proves it or, failing a proof, both sides run without
+	// error and agree on the execution engine's verification instances;
+	// other pairs fall back to the next transform type.
 	VerifyEquivalences bool
 	// Parallel bounds the worker pool used for the per-dataset build stages.
 	// 0 means GOMAXPROCS; 1 forces a sequential build. Output is
@@ -350,10 +350,12 @@ func buildTokens(w *workload.Workload, r *rand.Rand) []TokenExample {
 }
 
 // buildEquiv derives labeled pairs: equivalence types on even queries,
-// non-equivalence types on odd ones. Equivalence-labeled pairs are
-// optionally verified with the execution engine; unverifiable pairs fall
-// back to the next applicable type. The second result is the engine row
-// operations the verification executed (zero when verify is off).
+// non-equivalence types on odd ones. With verify on, an equivalence-labeled
+// pair needs a proof or a witness: a pair the rule normalizer proves
+// (equiv.RuleEquivalent) is accepted as is, and only an unproven one runs on
+// the execution engine, falling back to the next applicable type when the
+// two sides disagree or fail. The second result is the engine row
+// operations that execution took (zero when verify is off).
 func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify bool) ([]EquivExample, int64, error) {
 	eqTypes := equiv.EquivTypes()
 	neTypes := equiv.NonEquivTypes()
@@ -398,7 +400,7 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 			if err != nil {
 				return nil, 0, fmt.Errorf("transform %s produced unparsable SQL %q: %w", typ, printed, err)
 			}
-			if wantEquiv && verify {
+			if wantEquiv && verify && !equiv.RuleEquivalent(sel, out2) {
 				equal, err := checker.EquivalentCtx(ctx, sel, out2)
 				if err != nil || !equal {
 					continue // unverifiable pair: try another type

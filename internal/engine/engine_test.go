@@ -251,19 +251,16 @@ func TestRowKeysFollowEqual(t *testing.T) {
 		{"SELECT COUNT(*) FROM " + both + " GROUP BY x", []string{"2", "3"}},
 		{"SELECT COUNT(*) FROM b GROUP BY f", []string{"1", "2"}},
 	} {
-		for _, mk := range []func(*DB) *Engine{New, NewUnoptimized} {
-			e := mk(numKeysDB())
-			rel, err := e.QuerySQL(tc.sql)
-			if err != nil {
-				t.Fatalf("%s (raw=%v): %v", tc.sql, e.raw, err)
-			}
-			var got []string
-			for _, row := range rel.Rows {
-				got = append(got, row[0].String())
-			}
-			if !slices.Equal(got, tc.want) {
-				t.Errorf("%s (raw=%v): rows %v, want %v", tc.sql, e.raw, rowStrings(rel), tc.want)
-			}
+		rel, err := New(numKeysDB()).QuerySQL(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		var got []string
+		for _, row := range rel.Rows {
+			got = append(got, row[0].String())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: rows %v, want %v", tc.sql, rowStrings(rel), tc.want)
 		}
 	}
 	ints := &Relation{Cols: []Col{{Name: "x"}}, Rows: [][]Value{{IntVal(1000000)}, {IntVal(0)}}}

@@ -96,10 +96,8 @@ func TestIntsPast2To53StayDistinct(t *testing.T) {
 		{"SELECT a.i FROM a WHERE a.i = 9007199254740992", 1},
 		{"SELECT x FROM (SELECT i AS x FROM a UNION SELECT j FROM b) t", 2},
 	} {
-		for _, mk := range []func(*DB) *Engine{New, NewUnoptimized} {
-			if got := formatted(t, mk(db), tc.sql); len(got) != tc.want {
-				t.Errorf("%s: rows %v, want %d", tc.sql, got, tc.want)
-			}
+		if got := formatted(t, New(db), tc.sql); len(got) != tc.want {
+			t.Errorf("%s: rows %v, want %d", tc.sql, got, tc.want)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package engine
 
 // The executor: Engine holds the database and its limits, lowers each
-// SELECT into a cached logical plan (plan.go) rewritten by the optimizer
-// (optimize.go), and runs it with one recursive executor: run takes a plan
-// node and returns its materialized Relation, running the node's inputs
-// first. The per-node work lives in operator.go (scan, filter, sort, limit)
-// and op_*.go (joins, projection, grouping, distinct and set operations).
-// Expression evaluation, grouped or not, lives in eval.go; aggregate folding
-// in agg.go.
+// SELECT into a cached logical plan (plan.go) and runs that plan as lowered,
+// with one recursive executor: run takes a plan node and returns its
+// materialized Relation, running the node's inputs first. The per-node work
+// lives in operator.go (scan, filter, sort, limit) and op_*.go (joins,
+// projection, grouping, distinct and set operations). Expression
+// evaluation, grouped or not, lives in eval.go; aggregate folding in agg.go.
 
 import (
 	"context"
@@ -29,10 +28,6 @@ type Engine struct {
 	// MaxRows caps intermediate result sizes; exceeding it aborts the query.
 	// Zero means the default of 1,000,000.
 	MaxRows int
-
-	// raw skips the plan optimizer and executes the BuildPlan lowering as
-	// is. Only the unoptimized test oracle sets it.
-	raw bool
 
 	ops atomic.Int64
 
@@ -116,9 +111,6 @@ func (e *Engine) planForHit(sel *sqlast.SelectStmt) (*Plan, bool) {
 		return p, true
 	}
 	p = BuildPlan(sel)
-	if !e.raw {
-		p = e.optimizePlan(p)
-	}
 	e.planMu.Lock()
 	if e.plans == nil || len(e.plans) >= maxCachedPlans {
 		e.plans = make(map[*sqlast.SelectStmt]*Plan)
@@ -131,14 +123,6 @@ func (e *Engine) planForHit(sel *sqlast.SelectStmt) (*Plan, bool) {
 	}
 	e.planMu.Unlock()
 	return p, hit
-}
-
-// Explain returns the logical plan of a statement before and after
-// optimization, rendered by the Describe printer: the raw BuildPlan lowering
-// and the plan the engine executes.
-func (e *Engine) Explain(sel *sqlast.SelectStmt) (before, after string) {
-	p := BuildPlan(sel)
-	return p.String(), e.optimizePlan(p).String()
 }
 
 // env is the row-evaluation context: the current relation and row, an

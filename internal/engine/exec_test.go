@@ -84,13 +84,11 @@ func TestErrorOrder(t *testing.T) {
 			want: `star qualifier "q" matches no table`,
 		},
 	} {
-		for _, mk := range []func(*DB) *Engine{New, NewUnoptimized} {
-			e := mk(testDB())
-			e.MaxRows = tc.maxRows
-			_, err := e.QuerySQL(tc.sql)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s (raw=%v): error %v, want %q", tc.name, e.raw, err, tc.want)
-			}
+		e := New(testDB())
+		e.MaxRows = tc.maxRows
+		_, err := e.QuerySQL(tc.sql)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -13,8 +13,7 @@ import (
 // A query block lowers to grouped aggregation exactly when it has GROUP BY
 // or HAVING, or calls an aggregate at its own level, wherever in its items,
 // HAVING or ORDER BY the call sits: the rule the syntax checker applies.
-// Each query below is one global group over the ten SpecObj rows, and the
-// optimized engine and the unoptimized oracle agree on it.
+// Each query below is one global group over the ten SpecObj rows.
 func TestGroupingRule(t *testing.T) {
 	db := datagen.Instance(catalog.SDSS(), datagen.Config{Seed: 1, Rows: 10})
 	spec := db.Tables["specobj"]
@@ -33,17 +32,13 @@ func TestGroupingRule(t *testing.T) {
 		// A bare column of the global group reads its first row.
 		{"SELECT plate FROM SpecObj ORDER BY COUNT(*) IN (1)", []string{spec.Rows[0][plate].String()}},
 	} {
-		opt, optErr := engine.New(db).QuerySQL(c.sql)
-		raw, rawErr := engine.NewUnoptimized(db).QuerySQL(c.sql)
-		if d := resultDiff(opt, raw, optErr, rawErr); d != "" {
-			t.Errorf("%s: %s", c.sql, d)
-		}
-		if optErr != nil {
-			t.Errorf("%s: %v", c.sql, optErr)
+		rel, err := engine.New(db).QuerySQL(c.sql)
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
 			continue
 		}
 		var got []string
-		for _, row := range opt.Rows {
+		for _, row := range rel.Rows {
 			texts := make([]string, len(row))
 			for i, v := range row {
 				texts[i] = v.String()

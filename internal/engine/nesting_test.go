@@ -91,7 +91,6 @@ func TestConsumersAtNestingBound(t *testing.T) {
 				}
 			}},
 			{"engine.New", func() { _, _ = engine.New(db).Query(sel) }},
-			{"engine.NewUnoptimized", func() { _, _ = engine.NewUnoptimized(db).Query(sel) }},
 		} {
 			start := time.Now()
 			func() {

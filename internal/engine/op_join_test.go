@@ -91,9 +91,10 @@ func TestHashJoinPadsOnlyOuterJoins(t *testing.T) {
 }
 
 // An implicit join over four relations, one of them reachable only by a cross
-// product, yields the header of its steps in step order — not FROM order —
-// and leaves every input's header untouched, including the spare capacity of
-// the first input's, which the growing header must not write into.
+// product, grows the header of its steps in step order, returns its columns
+// in FROM order (the order SELECT * reads), and leaves every input's header
+// untouched, including the spare capacity of the first input's, which the
+// growing header must not write into.
 func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 	col := func(q, n string) Col { return Col{Qualifier: q, Name: n, Type: catalog.TypeInt} }
 	ints := func(vs ...int64) []Value {
@@ -132,8 +133,10 @@ func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 	if residual != nil {
 		t.Errorf("residual = %v, want none", residual)
 	}
-	want := slices.Concat(rels[0].Cols, rels[2].Cols, rels[1].Cols, rels[3].Cols)
-	if !slices.Equal(out.Cols, want) {
+	if want := slices.Concat(rels[0].Cols, rels[2].Cols, rels[1].Cols, rels[3].Cols); !slices.Equal(steps[2].cols, want) {
+		t.Errorf("sequence header = %v, want %v", steps[2].cols, want)
+	}
+	if want := slices.Concat(rels[0].Cols, rels[1].Cols, rels[2].Cols, rels[3].Cols); !slices.Equal(out.Cols, want) {
 		t.Errorf("header = %v, want %v", out.Cols, want)
 	}
 	for i, rel := range rels {
@@ -146,8 +149,8 @@ func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 	}
 	// a⋈c matches (1,5), (2,6), (2,7); b matches c 5 and 6; d doubles it.
 	wantRows := [][]Value{
-		ints(1, 10, 5, 1, 5, 50, 100), ints(1, 10, 5, 1, 5, 50, 200),
-		ints(2, 20, 6, 2, 6, 60, 100), ints(2, 20, 6, 2, 6, 60, 200),
+		ints(1, 10, 5, 50, 5, 1, 100), ints(1, 10, 5, 50, 5, 1, 200),
+		ints(2, 20, 6, 60, 6, 2, 100), ints(2, 20, 6, 60, 6, 2, 200),
 	}
 	if len(out.Rows) != len(wantRows) {
 		t.Fatalf("got %d rows, want %d", len(out.Rows), len(wantRows))
@@ -155,6 +158,24 @@ func TestImplicitJoinHeaderFollowsSteps(t *testing.T) {
 	for i, row := range out.Rows {
 		if !slices.EqualFunc(row, wantRows[i], Equal) {
 			t.Errorf("row %d = %v, want %v", i, row, wantRows[i])
+		}
+	}
+}
+
+// An ON clause that is a plain column equality takes the hash join; "AND 1
+// = 1" keeps it from being one, so the same join takes the nested loop.
+// Both must return the same rows in the same order, outer padding
+// included, under every join flavor and beside a WHERE.
+func TestForceNestedLoopFallbackParity(t *testing.T) {
+	e := New(testDB())
+	for _, jt := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"} {
+		for _, where := range []string{"", " WHERE e.salary > 75", " WHERE d.budget IS NULL OR e.salary NOT IN (80, NULL)"} {
+			sql := "SELECT e.name, d.budget FROM emp e " + jt + " dept d ON e.dept = d.name"
+			hash := formatted(t, e, sql+where)
+			loop := formatted(t, e, sql+" AND 1 = 1"+where)
+			if !slices.Equal(hash, loop) {
+				t.Errorf("%s%s: hash join rows %v, nested loop rows %v", jt, where, hash, loop)
+			}
 		}
 	}
 }

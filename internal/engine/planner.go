@@ -17,7 +17,9 @@ import "repro/internal/sqlast"
 // hash join an explicit equi-join uses or, with no connecting conjunct (every
 // step, without a WHERE), through crossProduct. The sequence's headers are
 // prefixes of one header grown in step order, so no step copies the columns
-// accumulated before it.
+// accumulated before it. A sequence that joins the relations out of FROM
+// order ends with fromOrder, which puts the columns back in FROM order, the
+// order SELECT * reads them in.
 
 // joinStep is one step of a left-deep implicit-join sequence: join relation
 // `target` into the accumulated prefix, either on conjunct `conj` with the
@@ -38,7 +40,41 @@ func (e *Engine) orderImplicitJoins(rels []*Relation, where sqlast.Expr) (*Relat
 	if err != nil {
 		return nil, nil, err
 	}
-	return acc, residualOf(conjuncts, used), nil
+	return fromOrder(acc, rels, steps), residualOf(conjuncts, used), nil
+}
+
+// fromOrder returns the joined relation with its columns, which follow the
+// join sequence, in the FROM order of rels.
+func fromOrder(acc *Relation, rels []*Relation, steps []joinStep) *Relation {
+	start := make([]int, len(rels)) // where each relation's columns begin in acc
+	off, inOrder := len(rels[0].Cols), true
+	for i, s := range steps {
+		start[s.target] = off
+		off += len(rels[s.target].Cols)
+		inOrder = inOrder && s.target == i+1
+	}
+	if inOrder {
+		return acc
+	}
+	perm := make([]int, 0, off)
+	for i, rel := range rels {
+		for j := range rel.Cols {
+			perm = append(perm, start[i]+j)
+		}
+	}
+	out := &Relation{Cols: make([]Col, len(perm)), Rows: make([][]Value, len(acc.Rows))}
+	for i, p := range perm {
+		out.Cols[i] = acc.Cols[p]
+	}
+	rows := newRowArena(len(perm))
+	for r, row := range acc.Rows {
+		dst := rows.next()
+		for i, p := range perm {
+			dst[i] = row[p]
+		}
+		out.Rows[r] = dst
+	}
+	return out
 }
 
 // planJoins simulates the greedy ordering — repeated passes over the

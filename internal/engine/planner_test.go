@@ -27,7 +27,7 @@ func TestPlannerHandlesImplicitJoins(t *testing.T) {
 }
 
 // The planned comma join agrees with the same query written as cross
-// products plus a filter, run without the optimizer.
+// products plus a filter.
 func TestPlannerMatchesCrossProductSemantics(t *testing.T) {
 	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 7, Rows: 12})
 	where := "WHERE t.id = mc.movie_id AND mc.company_id = cn.id AND t.production_year > 1960"
@@ -36,7 +36,7 @@ func TestPlannerMatchesCrossProductSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unplanned, err := engine.NewUnoptimized(db).QuerySQL(
+	unplanned, err := engine.New(db).QuerySQL(
 		"SELECT t.id , cn.name FROM title AS t CROSS JOIN movie_companies AS mc CROSS JOIN company_name AS cn " + where)
 	if err != nil {
 		t.Fatal(err)
@@ -128,5 +128,81 @@ func TestPlannerFallsBackToCross(t *testing.T) {
 	}
 	if len(rel.Rows) == 0 {
 		t.Log("cross product yielded zero rows (acceptable if filters pruned everything)")
+	}
+}
+
+// TestExplainGolden pins the plan the engine executes, as -explain-plan
+// prints it, for an explicit join, comma joins and a derived table. Every
+// filter stays where BuildPlan puts it.
+func TestExplainGolden(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		want      []string
+	}{{
+		name: "join",
+		sql:  "SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75 AND d.budget >= 500",
+		want: []string{
+			"Project (1 items, 0 order keys)",
+			"  Filter e.salary > 75 AND d.budget >= 500",
+			"    INNER Join ON e.dept = d.name",
+			"      Scan emp AS e",
+			"      Scan dept AS d",
+			"",
+		},
+	}, {
+		name: "comma join",
+		sql:  "SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75",
+		want: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.dept = d.name AND e.salary > 75",
+			"    Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+	}, {
+		name: "comma join over a join",
+		sql:  "SELECT e.name, f.name FROM emp e JOIN dept d ON e.dept = d.name, emp f WHERE e.id = f.id AND e.salary < d.budget",
+		want: []string{
+			"Project (2 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs) WHERE e.id = f.id AND e.salary < d.budget",
+			"    INNER Join ON e.dept = d.name",
+			"      Scan emp AS e",
+			"      Scan dept AS d",
+			"    Scan emp AS f",
+			"",
+		},
+	}, {
+		// A comma join without WHERE is the same node with no conjuncts.
+		name: "comma join without where",
+		sql:  "SELECT e.name FROM emp e, dept d",
+		want: []string{
+			"Project (1 items, 0 order keys)",
+			"  ImplicitJoin (2 inputs)",
+			"    Scan emp AS e",
+			"    Scan dept AS d",
+			"",
+		},
+	}, {
+		name: "derived table",
+		sql:  "SELECT t.name FROM (SELECT name, salary FROM emp) AS t WHERE t.salary > 75",
+		want: []string{
+			"Project (1 items, 0 order keys)",
+			"  Filter t.salary > 75",
+			"    SubqueryScan AS t",
+			"      Project (2 items, 0 order keys)",
+			"        Scan emp",
+			"",
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sel, err := sqlparse.ParseSelect(tc.sql)
+			if err != nil {
+				t.Fatalf("parse %q: %v", tc.sql, err)
+			}
+			if got, want := engine.BuildPlan(sel).String(), strings.Join(tc.want, "\n"); got != want {
+				t.Errorf("plan:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

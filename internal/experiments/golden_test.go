@@ -28,16 +28,16 @@ var simResponsesGolden = map[string]string{
 	"equiv/Join-Order/Gemini":     "1d314a8f0d1a268be76cf3d64894f749f33579c4dbb903c1372e583c1f03e77c",
 	"equiv/Join-Order/Llama3":     "ab60b48f7690946691d1bc99351ee3fd3f5719af06e0e9fe9b212b6657574b29",
 	"equiv/Join-Order/MistralAI":  "41524f61da6ab6148f5a5d0cecc2790ac3f3adc4f67f24fefa2f09253d917154",
-	"equiv/SDSS/GPT3.5":           "1f7990fe0504ab837c319fbfda6eede48869ef745ba0e56017e1f75b7b36ae8f",
-	"equiv/SDSS/GPT4":             "98d7b51e6f0988ea104fa8a3b013e96e9ae007712d3ce8848918b77186f23015",
-	"equiv/SDSS/Gemini":           "a6bff39873072a6d4b93c5eb5ea16fe635f847feacb209fce2c64687ebaeb6d6",
-	"equiv/SDSS/Llama3":           "084fc0431ce8fb7fe1728e59f2193c461c276a026a9465e517ba4b80c9ec16d7",
-	"equiv/SDSS/MistralAI":        "76812214dea78638b719af62bb46a6185b0eb93c18404216c402aa080f2af65e",
-	"equiv/SQLShare/GPT3.5":       "2793e39164495437d8722a4dc5e5fd9a0f559bfff4ed706a41bdff31f0a0dc86",
-	"equiv/SQLShare/GPT4":         "fb88635eff62736969faee6505c765b2219fd489c1e675caee728b186af2dbd7",
-	"equiv/SQLShare/Gemini":       "e18dd9ccb6aa260851934878abc181f570c1687f11648cbb08eab3e53dd1c3cb",
-	"equiv/SQLShare/Llama3":       "f075b4ec703b7b47484cd3267376f4ad56da82f2f808b121ef024e92f0afde63",
-	"equiv/SQLShare/MistralAI":    "9a7e3b112551d8e361b4605ea607e1e95dd013bb54808911ce3c11c25518860f",
+	"equiv/SDSS/GPT3.5":           "8ffdb0c2834487690319a9e7f8582d400f92d6eac803ab280c7d43a8dd00ac3e",
+	"equiv/SDSS/GPT4":             "8b2502e06f0305ade67f32db78b094984e2d5f73f9a12c4437bae3a07e2bcc00",
+	"equiv/SDSS/Gemini":           "1231fb40bfa9241228cbe42850f38df70edfa3540e1585052a373c6e718ff230",
+	"equiv/SDSS/Llama3":           "f5cf2cb653ef7db9a9802c34360939573f3a83bd8fee7d106b3b736c16ade403",
+	"equiv/SDSS/MistralAI":        "e7aa1a6c23e88d082dfddd1b0e198f3a1f3ecffa63f197859e884dbf8c6cdd45",
+	"equiv/SQLShare/GPT3.5":       "90fdb3b15fbdb4c4c95539bac0065c7e9517e55159e7be2ad9f27928617d5643",
+	"equiv/SQLShare/GPT4":         "6871c8183ae011f0c7ffdff4cb42edee22ad9999a64eb9d2906bb5eb10d4144c",
+	"equiv/SQLShare/Gemini":       "4d4ab7de8f16f822620996deb713feea9a9c9488b411b5b80c60763c187d1c98",
+	"equiv/SQLShare/Llama3":       "c10eeeb8b3e6ac1373fc394cbe5fbfd6dd5d1ce3397638df12527950bf9cfc03",
+	"equiv/SQLShare/MistralAI":    "5a9bdf7813a987d8ee06f005375c7b4d56bd5f66f5a159e72835e82031150bdd",
 	"explain/Spider/GPT3.5":       "139a8d1173d40c90d4568b2046d6df7bd2c4e953efc800f8f9d17474e15b5510",
 	"explain/Spider/GPT4":         "e8db0198abf088a0ce3250d582955e801922f74825afb3d36d337050035b6dd6",
 	"explain/Spider/Gemini":       "88f25e4ebd627bb113a111240a7728e2601db8e38e83c5ac11da4458d4d7c7eb",
@@ -120,16 +120,16 @@ var simResponseMetaGolden = map[string]string{
 	"equiv/Join-Order/Gemini":     "0099e3a9b5527e1d9cb5874e7b4c2ba709bdfb23c8b0eedec70748a73390e74b",
 	"equiv/Join-Order/Llama3":     "f36e84d7aad446ea9021bc313c3e2f2f41bd2bfbc6c63de906757148e350ce04",
 	"equiv/Join-Order/MistralAI":  "a233161bcf8fcf6a056cf09b670b0c91d123c0c710d58cdfe475238d14f631ea",
-	"equiv/SDSS/GPT3.5":           "3fa86667ac77f02b421fca61ef61261ac134a9581890b1236857ece7e794b0a2",
-	"equiv/SDSS/GPT4":             "ea787feed58616e52604e5302ab56ec82a5bc221734cd57a8baa7a7d5a5b5d95",
-	"equiv/SDSS/Gemini":           "433091600e93630fcfd669e504a839417e4d0a16e615bea5b6ee88cda21e61a0",
-	"equiv/SDSS/Llama3":           "0ca7384dbcf67ef06a4884bf92ac2673856c9b5f436c953a87b474d5013b0c07",
-	"equiv/SDSS/MistralAI":        "0920e1b4324c4e792ffeda127ee1e068e5fcd62b9eeded8292e50eddb0e0fff7",
-	"equiv/SQLShare/GPT3.5":       "c11f0189daffeaae4fa71cdc5d317a3a4aaeeb4017a556d540ec75329309aa70",
-	"equiv/SQLShare/GPT4":         "c408e94829ea85ca8778e34e9e752b8fe656607696c234f0dc30d43ac9fa1637",
-	"equiv/SQLShare/Gemini":       "efad224de092873bc7b1087b4fc537b6737e75f2a970e2b139c744300314eb6d",
-	"equiv/SQLShare/Llama3":       "8b02615e09cd0b72344e6579e20deed1e8ba801b5568caff168f3c46c6b92600",
-	"equiv/SQLShare/MistralAI":    "9aa87dab6050dd32c5eafea0f43558f4c3d43ab8dd4d570c172992f19c0fc98d",
+	"equiv/SDSS/GPT3.5":           "549ed95b292a8c8325f676d41fc1e3526d317b64786bbfed6c59b72ff7e13f3c",
+	"equiv/SDSS/GPT4":             "071e2bb38d24390f64d69feef508665b5ecb0e54e27ad08de745781da4414678",
+	"equiv/SDSS/Gemini":           "0a3dafcf48a0982f9c8c4e75f3c82e9b4fef846186253588352b8be3f27602d6",
+	"equiv/SDSS/Llama3":           "d24d82fd28af16b363f7368d6c90e99ae7e273d916f62a72637e87a37a485e29",
+	"equiv/SDSS/MistralAI":        "d02d8ccd0609fb8810f3e2e6ad9374be35ae9e2a436adbe10928c583c00aae30",
+	"equiv/SQLShare/GPT3.5":       "344b745aced5dadfd2cc73454e003f5520efa23437a8f9fab19ad11effb8bbe3",
+	"equiv/SQLShare/GPT4":         "6960a2063269fabf49631cf285a8062ce003ca6569b0e779a79ef911184938fa",
+	"equiv/SQLShare/Gemini":       "08844e654eb04f1ca00ae56f42cba024261b493a5e3b61a0cfbb1a234e91b66e",
+	"equiv/SQLShare/Llama3":       "8ceff900dcefd05841e4cb736e4878110762198f3ee516ec667669d984d698bd",
+	"equiv/SQLShare/MistralAI":    "76fb166e8222cd62a09255bdd488bdab827966f40d8dcdadda1f512328c9ea8e",
 	"explain/Spider/GPT3.5":       "e23eebbcda18e2f94fff33b456af7cfb8575a9598093b62b860aa278cdc9ae17",
 	"explain/Spider/GPT4":         "74dafe0ee0ba613431a6cb8d7dcb5640631da9c0a2900fe756543cab3dc706a2",
 	"explain/Spider/Gemini":       "9df6a2f94d58a45e934d4fcfa363eeb790af7442af3e448ee2dcfd4b92905390",
@@ -208,11 +208,11 @@ var experimentsGolden = map[int64]map[string]string{
 	1: {
 		"casestudy":   "1b2a58e593fa6660aed91e1e8e0abc87d0e9b2a72b1a7ff3fea4a9aff4bf3136",
 		"ext-fewshot": "8a9b7cce5f312f01a84d7763ef151c9ea1daa35eafbdcdbe67b594d6e75ee6cc",
-		"ext-tasks":   "c9f596e29f5e4d50119519362141977b8a39090c13fd7353dd32c3cf11b8b007",
+		"ext-tasks":   "65b3d9e3ec6bac1566a23764786e178ea51fd841b9d7f9081b8ef2d4baccec80",
 		"fig1":        "8ce460eadfeef6cb165154675a4c1aaeeda133343a4b9a4dd143b0c908ef093b",
 		"fig10":       "ece4a5e4313a63c90a67261c9fd406ff686f6a4a5882aa7cef9c09ad129ec3f3",
-		"fig11":       "27617b029b7b48cf4f153aada3e0910c0e4eadd9509ed406e57ec469da947572",
-		"fig12":       "0f787a41344a3739a2547d1e40dbd167ea8869897549c9fcda2c335546da328a",
+		"fig11":       "441544bc75eb379aa23196f831e5f320ef0b7ed2edcafecfd14d08039f2569f5",
+		"fig12":       "5ad10cd30a55ad0f8ee67b7fa0e75ba543b20a5f9aca08ddcd448507d9da9b3e",
 		"fig2":        "76eda37b14d804bffc476f182ee26087a8117a21d619bf40202312cd35d75c8a",
 		"fig3":        "71509ebc442e9ba28555dd9a6b0a07da9e5572d88141b771495964f23419712d",
 		"fig4":        "cffdfbe8ec7df0e337414ebbbf8d5fb129fdd39191eb7e836d61f5b021df84a3",
@@ -227,16 +227,16 @@ var experimentsGolden = map[int64]map[string]string{
 		"table4":      "24ce857f4e6a43c71e796909d43c9fa92cab65317eca67afcd9bfe1f27c1d5a6",
 		"table5":      "b74d7c888ac4f555742881722a48d32a5122a2d10259b71b0281ee662a1b55d9",
 		"table6":      "c8a776344fcc88b0fde46ad729f687f63cc581d91eb7012f46cf9ddf846754a0",
-		"table7":      "72fa5eceb3f7eb2ae92813e50b913009cc3c6ceb77a1dd6fe7bafe61b770c877",
+		"table7":      "8b7cf4bc694afbdf5c70fb83d47995b7793ed319e9c3db42002df04bb7b5d798",
 	},
 	2: {
 		"casestudy":   "9ec826319495c2c66aa6e48dca9b93648ac312edb4bc605494dc94a09cc019a2",
 		"ext-fewshot": "87cf6b6d11752dddce4ee3a21288682f5a4fcd41bc7b8dd93a86754aad64d5a8",
-		"ext-tasks":   "f303b75a127b2e5ca2a988d2d4e4cdbc9ddfe128fa04e6e19d582cfcb484f43f",
+		"ext-tasks":   "e9ce5015b8dc8eb92816b3f30682c2e11b9cd6573a71bd8fc8605025eba4ccc1",
 		"fig1":        "42a13421aa68f103099bc66e422a33beffc5bc6a15470bd6358e5a7a562c633e",
 		"fig10":       "a3d00335028eaa40ff86596a16fc536e0c0a3170cd64aa6b19faa7f76aae1736",
-		"fig11":       "a0f2084d41d3d4ca554fc2d9b9e381986d290d54d96f26ecd4163267fbc996b2",
-		"fig12":       "9164db0b5e6da6bd3e2cf84f4002619654f4f11b525247ce4de47827b91da7da",
+		"fig11":       "6a05ba564ae0cf6440e3ad4d1d92fa6d1ef416109e9dd095bdaf78affa4d0bc5",
+		"fig12":       "27b2a2dde7d20f2ccaf109ca770f1283ce9e25511f78c1bc6458992b5cd03c70",
 		"fig2":        "d7ff1f529ad43dc2c6bde72481f60f687c951ca27c6ce78c0022ea4de3fa2cda",
 		"fig3":        "3c1d3c30c8a6dbd0e3e5e34f97249c7460d57c2c34eb31113b6b0c8b75e33587",
 		"fig4":        "c0e882fff5c73d7ea87fbcb290901ad4035d8f0fcd6f7e8676ab35cfe2dd1551",
@@ -251,7 +251,7 @@ var experimentsGolden = map[int64]map[string]string{
 		"table4":      "b2154f9aa91cc8f79e3169c70b4eb2cd2890e44462b389c881feade0130168c9",
 		"table5":      "b4bb7b4a6c42e0eb89baa93b2f3be8af730dcc2cc83b9e07cc7435d6333ae5a0",
 		"table6":      "e6c0358cc78de1ac75b15276ec2cad5503fe8648adfae52946f4ece46166d974",
-		"table7":      "1552810d377832d5542d91cd5f1c2e80e2b7eb6e5e313ff0ad8f34500aea170e",
+		"table7":      "33f42edd3480f1dcad2f5d30169530e24ced8c7bad264f747cc5a3201844d5fe",
 	},
 }
 

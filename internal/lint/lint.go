@@ -1,10 +1,10 @@
 // Package lint is a dependency-free static-analysis framework that
 // mechanizes the repository's determinism and concurrency invariants.
 //
-// Every PR so far has re-proved the same guarantees by brute force —
-// byte-identical artifacts across parallel 1/8, optimize on/off, store
-// vs. memory — through expensive differential tests. The analyzers in
-// this package turn those tribal invariants into compile-time checks:
+// The same guarantees used to be re-proved by brute force —
+// byte-identical artifacts across parallel 1/8 and tracing on/off —
+// through expensive differential tests. The analyzers in this package
+// turn those tribal invariants into compile-time checks:
 //
 //   - detsource:  no wall clock, global math/rand, or environment reads
 //     in determinism-critical packages
