@@ -32,7 +32,7 @@ var (
 func sharedEnv(b *testing.B) *experiments.Env {
 	b.Helper()
 	envOnce.Do(func() {
-		envVal, envErr = experiments.NewEnv(1, true)
+		envVal, envErr = experiments.NewEnvConfig(experiments.Config{Seed: 1, VerifyEquivalences: true})
 	})
 	if envErr != nil {
 		b.Fatalf("building environment: %v", envErr)
@@ -88,7 +88,7 @@ func BenchmarkColdRegeneration(b *testing.B) {
 	exps := experiments.All()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		env, err := experiments.NewEnv(1, true)
+		env, err := experiments.NewEnvConfig(experiments.Config{Seed: 1, VerifyEquivalences: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,7 @@
 //	POST /v1/eval/{task}                       evaluate SQL against any registered task, NDJSON stream
 //	GET  /v1/tasks                             task discovery (ids, skills, datasets, params)
 //	GET  /v1/experiments                       list paper artifacts
-//	GET  /v1/experiments/{id}?seed=N&verify=0  rendered artifact (cached)
+//	GET  /v1/experiments/{id}?seed=N&verify=0  rendered artifact
 //	GET  /v1/healthz                           liveness
 //	GET  /v1/metrics                           telemetry families (JSON)
 //	GET  /v1/metrics/prom                      same families, Prometheus text format
@@ -52,7 +52,6 @@ func main() {
 		verify    = flag.Bool("verify", false, "engine-verify equivalence pairs when building benchmarks (slower cold start)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for benchmark builds and eval fan-out")
 		envCap    = flag.Int("env-cache", 0, "max cached evaluation environments, LRU-evicted (0 = default 4, negative = unbounded)")
-		artCap    = flag.Int("artifact-cache", 0, "max cached rendered artifacts, LRU-evicted (0 = default 256, negative = unbounded)")
 		rps       = flag.Float64("rps", 0, "per-client admission rate limit in requests/second (0 = unlimited); over-limit requests get 429 + Retry-After")
 		burst     = flag.Int("burst", 10, "admission-control burst capacity per client")
 		tpm       = flag.Float64("tokens-per-min", 0, "per-client completion-token budget per minute for eval requests (0 = unlimited); over-budget requests get 429 and count as token_limited")
@@ -78,17 +77,16 @@ func main() {
 		}
 	}
 	s := serve.NewServer(serve.Config{
-		DefaultSeed:      *seed,
-		Verify:           *verify,
-		Parallel:         *parallel,
-		EnvCacheCap:      *envCap,
-		ArtifactCacheCap: *artCap,
-		RPS:              *rps,
-		Burst:            *burst,
-		TokensPerMin:     *tpm,
-		Models:           specs,
-		Logger:           reqLogger,
-		TraceRing:        *traceRing,
+		DefaultSeed:  *seed,
+		Verify:       *verify,
+		Parallel:     *parallel,
+		EnvCacheCap:  *envCap,
+		RPS:          *rps,
+		Burst:        *burst,
+		TokensPerMin: *tpm,
+		Models:       specs,
+		Logger:       reqLogger,
+		TraceRing:    *traceRing,
 	})
 
 	srv := &http.Server{

@@ -35,6 +35,7 @@ type labelsJSON struct {
 	Equiv   map[string][]core.EquivExample  `json:"equiv,omitempty"`
 	Perf    []core.PerfExample              `json:"perf,omitempty"`
 	Explain []core.ExplainExample           `json:"explain,omitempty"`
+	State   map[string][]core.StateExample  `json:"state,omitempty"`
 }
 
 type output struct {
@@ -76,7 +77,7 @@ func main() {
 	if *labels {
 		out.Labels = &labelsJSON{
 			Syntax: bench.Syntax, Tokens: bench.Tokens, Equiv: bench.Equiv,
-			Perf: bench.Perf, Explain: bench.Explain,
+			Perf: bench.Perf, Explain: bench.Explain, State: bench.State,
 		}
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -9,24 +9,24 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 func main() {
-	bench, err := repro.BuildBenchmark(1, false)
+	env, err := experiments.NewEnvConfig(experiments.Config{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	registry := repro.NewSimRegistry(bench)
+	defer env.Close()
 
 	fmt.Printf("%-12s %6s %6s %6s   %s\n", "Model", "Prec", "Rec", "F1", "bias")
-	for _, name := range repro.Models() {
-		client, err := registry.Get(name)
+	for _, name := range env.Models {
+		client, err := env.Registry.Get(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := repro.RunPerfTask(context.Background(), client, bench)
+		results, _, err := core.Run(context.Background(), client, core.PerfTask, env.Bench.Perf, core.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,8 +43,8 @@ func main() {
 
 	// Show a few false positives of the weakest-precision model: long cheap
 	// queries mistaken for costly ones.
-	client, _ := registry.Get("MistralAI")
-	results, err := repro.RunPerfTask(context.Background(), client, bench)
+	client, _ := env.Registry.Get("MistralAI")
+	results, _, err := core.Run(context.Background(), client, core.PerfTask, env.Bench.Perf, core.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

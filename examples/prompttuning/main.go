@@ -8,23 +8,23 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 func main() {
-	bench, err := repro.BuildBenchmark(1, false)
+	env, err := experiments.NewEnvConfig(experiments.Config{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	registry := repro.NewSimRegistry(bench)
-	client, err := registry.Get("GPT3.5")
+	defer env.Close()
+	client, err := env.Registry.Get("GPT3.5")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// A small trial subset, as in the paper's mock experiments.
-	trial := bench.Syntax["SDSS"]
+	trial := env.Bench.Syntax["SDSS"]
 	if len(trial) > 40 {
 		trial = trial[:40]
 	}

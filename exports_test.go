@@ -15,14 +15,7 @@ import (
 
 // exportAllowlist names the exported declarations kept with no in-repo
 // caller outside their own package's tests, each with the reason.
-var exportAllowlist = map[string]string{
-	"repro.Datasets":        "public facade: names the dataset arguments RunSyntaxTask and RunTask take",
-	"repro.ExperimentTitle": "public facade: lets a library user label an artifact id from Experiments",
-	"repro.RunExperiment":   "public facade: the library form of sqlbench -exp, shown in the package doc",
-	"repro.Request":         "public facade: what a library Client's Do takes; llm.Request is internal",
-	"repro.Response":        "public facade: what a library Client's Do returns; llm.Response is internal",
-	"repro.Usage":           "public facade: the type of Response.Usage; llm.Usage is internal",
-}
+var exportAllowlist = map[string]string{}
 
 // interfaceMethods are method names a type may export to satisfy a
 // standard-library interface that no file in the tree declares.

@@ -362,7 +362,6 @@ func buildEquiv(ctx context.Context, w *workload.Workload, r *rand.Rand, verify 
 	var checker *equiv.Checker
 	if verify {
 		checker = equiv.NewChecker(w.Schema)
-		checker.Seeds = []int64{11, 29}
 	}
 	// A printed transform must parse, at any seed a build is asked for:
 	// recognizing it returns a full parse's error without building a tree.

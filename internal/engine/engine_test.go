@@ -416,6 +416,40 @@ func TestInWithNulls(t *testing.T) {
 	}
 }
 
+// TestBetweenWithNulls pins BETWEEN as its split form x >= lo AND x <= hi
+// under three-valued logic: FALSE when either comparison is FALSE, otherwise
+// NULL when any operand is NULL; NOT BETWEEN negates it.
+func TestBetweenWithNulls(t *testing.T) {
+	for _, tc := range []struct {
+		sql, split string
+		want       []string
+	}{
+		{"SELECT name FROM emp WHERE NOT ( salary BETWEEN 1000 AND NULL )",
+			"SELECT name FROM emp WHERE NOT ( salary >= 1000 AND salary <= NULL )", []string{"ann", "bob", "cat", "dan"}},
+		{"SELECT name FROM emp WHERE salary NOT BETWEEN 1000 AND NULL",
+			"SELECT name FROM emp WHERE NOT ( salary >= 1000 AND salary <= NULL )", []string{"ann", "bob", "cat", "dan"}},
+		{"SELECT name FROM emp WHERE salary NOT BETWEEN NULL AND 85",
+			"SELECT name FROM emp WHERE NOT ( salary >= NULL AND salary <= 85 )", []string{"ann", "cat"}},
+		{"SELECT name FROM emp WHERE salary BETWEEN NULL AND 85",
+			"SELECT name FROM emp WHERE salary >= NULL AND salary <= 85", nil},
+		{"SELECT name FROM emp WHERE salary BETWEEN 75 AND 95",
+			"SELECT name FROM emp WHERE salary >= 75 AND salary <= 95", []string{"bob", "cat"}},
+		{"SELECT name FROM emp WHERE salary NOT BETWEEN 75 AND 95",
+			"SELECT name FROM emp WHERE NOT ( salary >= 75 AND salary <= 95 )", []string{"ann", "dan"}},
+	} {
+		for _, sql := range []string{tc.sql, tc.split} {
+			got := rowStrings(mustQuery(t, sql))
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Errorf("%s = %v, want %v", sql, got, tc.want)
+			}
+		}
+	}
+	rel := mustQuery(t, "SELECT 1 BETWEEN 2 AND NULL , 3 BETWEEN 2 AND NULL , 1 BETWEEN NULL AND 0 , NULL BETWEEN 1 AND 2 , 1 NOT BETWEEN 2 AND NULL")
+	if got := strings.Join(rowStrings(rel), ","); got != "false|NULL|false|NULL|true" {
+		t.Errorf("BETWEEN values = %s, want false|NULL|false|NULL|true", got)
+	}
+}
+
 func TestExistsCorrelated(t *testing.T) {
 	rel := mustQuery(t, "SELECT d.name FROM dept AS d WHERE EXISTS ( SELECT 1 FROM emp AS e WHERE e.dept = d.name )")
 	if len(rel.Rows) != 2 {

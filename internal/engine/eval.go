@@ -93,10 +93,14 @@ func (e *Engine) evalExpr(x sqlast.Expr, ev *env) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		if v.Null || lo.Null || hi.Null {
+		// x BETWEEN lo AND hi is x >= lo AND x <= hi: FALSE when either
+		// comparison is FALSE, otherwise NULL when any operand is NULL.
+		below := !v.Null && !lo.Null && Compare(v, lo) < 0
+		above := !v.Null && !hi.Null && Compare(v, hi) > 0
+		res := !below && !above
+		if res && (v.Null || lo.Null || hi.Null) {
 			return NullValue, nil
 		}
-		res := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
 		if t.Not {
 			res = !res
 		}

@@ -87,6 +87,8 @@ func findIn(sel *sqlast.SelectStmt) (*sqlast.In, bool) {
 
 // Non-equivalence transformations must change semantics on at least one test
 // instance (for the value classes where the difference is data-visible).
+// Each base query selects rows on both instances: two queries that select
+// nothing compare equal whatever their projections.
 func TestNonEquivalenceTransformsDiffer(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	cases := map[Type]string{
@@ -94,7 +96,7 @@ func TestNonEquivalenceTransformsDiffer(t *testing.T) {
 		LogicalConditions: "SELECT plate FROM SpecObj WHERE z > 0.5 AND mjd > 55000",
 		ValueChange:       "SELECT plate FROM SpecObj WHERE z > 0.5",
 		DropPredicate:     "SELECT plate FROM SpecObj WHERE z > 0.5 AND z < 2.5",
-		ProjectionChange:  "SELECT plate FROM SpecObj WHERE mjd > 55000",
+		ProjectionChange:  "SELECT plate FROM SpecObj WHERE mjd > 100",
 		DistinctToggle:    "SELECT class FROM SpecObj",
 	}
 	checker := sdssChecker()

@@ -231,12 +231,6 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 	return env, nil
 }
 
-// NewEnv builds the benchmark and the five simulated models with the default
-// worker budget (GOMAXPROCS).
-func NewEnv(seed int64, verifyEquiv bool) (*Env, error) {
-	return NewEnvConfig(Config{Seed: seed, VerifyEquivalences: verifyEquiv})
-}
-
 // ctx returns the context task runs execute under, carrying the worker
 // budget for the worker fan-out inside core's drivers — and the environment's
 // tracer and run span when tracing is on.

@@ -14,9 +14,9 @@ var testEnv *Env
 func env(t *testing.T) *Env {
 	t.Helper()
 	if testEnv == nil {
-		e, err := NewEnv(1, false)
+		e, err := NewEnvConfig(Config{Seed: 1})
 		if err != nil {
-			t.Fatalf("NewEnv: %v", err)
+			t.Fatalf("NewEnvConfig: %v", err)
 		}
 		testEnv = e
 	}

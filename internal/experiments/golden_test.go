@@ -378,7 +378,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Skip("builds two verified environments")
 	}
 	for _, seed := range []int64{1, 2} {
-		env, err := NewEnv(seed, true)
+		env, err := NewEnvConfig(Config{Seed: seed, VerifyEquivalences: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

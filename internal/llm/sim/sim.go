@@ -121,19 +121,6 @@ func NewWithProfile(name string, p Profile, k *Knowledge) *Model {
 	return &Model{name: name, profile: p, knowledge: k, style: styles[name]}
 }
 
-// Registry returns all five paper models registered over shared knowledge.
-func Registry(k *Knowledge) *llm.Registry {
-	reg := llm.NewRegistry()
-	for _, name := range llm.ModelNames {
-		m, err := New(name, k)
-		if err != nil {
-			panic(err) // unreachable: ModelNames and profiles are aligned
-		}
-		reg.Register(m)
-	}
-	return reg
-}
-
 // Factory adapts the simulated models to the llm.Spec construction surface
 // (provider "sim"). The spec's Model field selects the calibrated profile
 // and must equal the spec Name: the name feeds the deterministic response

@@ -23,19 +23,21 @@ func knowledge() *Knowledge {
 	})
 }
 
+// Every paper model name has a calibrated profile, and the model New builds
+// from it answers to that name.
 func TestRegistryHasAllModels(t *testing.T) {
-	reg := Registry(knowledge())
+	k := knowledge()
 	for _, name := range llm.ModelNames {
-		c, err := reg.Get(name)
+		if _, ok := ProfileFor(name); !ok {
+			t.Errorf("no profile for %s", name)
+		}
+		m, err := New(name, k)
 		if err != nil {
-			t.Fatalf("Get(%s): %v", name, err)
+			t.Fatalf("New(%s): %v", name, err)
 		}
-		if c.Name() != name {
-			t.Errorf("Name = %q, want %q", c.Name(), name)
+		if m.Name() != name {
+			t.Errorf("Name = %q, want %q", m.Name(), name)
 		}
-	}
-	if _, err := reg.Get("nosuch"); err == nil {
-		t.Error("Get(nosuch) should fail")
 	}
 }
 
@@ -136,7 +138,6 @@ func TestMissTokenRoundTrip(t *testing.T) {
 
 func TestAllModelsProduceParseableResponses(t *testing.T) {
 	k := knowledge()
-	reg := Registry(k)
 	ctx := context.Background()
 	prompts := []string{
 		prompt.Default(prompt.SyntaxError).Render("SELECT plate , COUNT(*) FROM SpecObj"),
@@ -150,7 +151,10 @@ func TestAllModelsProduceParseableResponses(t *testing.T) {
 		prompt.Default(prompt.QueryExp).Render("SELECT name FROM stadium ORDER BY capacity DESC LIMIT 1"),
 	}
 	for _, name := range llm.ModelNames {
-		c, _ := reg.Get(name)
+		c, err := New(name, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, p := range prompts {
 			resp, err := llm.Complete(ctx, c, p)
 			if err != nil {

@@ -90,29 +90,8 @@ func RemoveToken(sql string, stmt sqlast.Stmt, kind TokenKind, r *rand.Rand) (Re
 		SQL:       damaged,
 		Removed:   tok.Text,
 		Kind:      kind,
-		WordIndex: wordIndexAt(sql, tok.Pos.Offset),
+		WordIndex: sqllex.WordIndex(sql, tok.Pos.Offset),
 	}, true
-}
-
-// wordIndexAt returns the index of the whitespace-separated word containing
-// the byte offset.
-func wordIndexAt(sql string, offset int) int {
-	idx := -1
-	inWord := false
-	for i := 0; i <= offset && i < len(sql); i++ {
-		c := sql[i]
-		space := c == ' ' || c == '\t' || c == '\n' || c == '\r'
-		if !space && !inWord {
-			idx++
-			inWord = true
-		} else if space {
-			inWord = false
-		}
-	}
-	if idx < 0 {
-		return 0
-	}
-	return idx
 }
 
 // names holds the identifier classification sets extracted from a statement.

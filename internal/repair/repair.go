@@ -294,24 +294,7 @@ func wordIndexOfToken(sql string, toks []sqllex.Token, gap int) int {
 	if gap < 0 {
 		return 0
 	}
-	// Count word starts up to and including the gap token's offset.
-	offset := toks[gap].Pos.Offset
-	idx := -1
-	inWord := false
-	for i := 0; i <= offset && i < len(sql); i++ {
-		c := sql[i]
-		space := c == ' ' || c == '\t' || c == '\n' || c == '\r'
-		if !space && !inWord {
-			idx++
-			inWord = true
-		} else if space {
-			inWord = false
-		}
-	}
-	if idx < 0 {
-		return 0
-	}
-	return idx
+	return sqllex.WordIndex(sql, toks[gap].Pos.Offset)
 }
 
 // detectSemanticGap handles removals that leave the query parsable (dropped

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -81,15 +82,17 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleExperiment serves one rendered paper artifact from the seed-keyed
-// cache; concurrent cold requests coalesce onto a single render.
+// handleExperiment renders one paper artifact from the seed-keyed
+// environment, whose memoized cells make a warm render cheap; concurrent
+// cold requests coalesce onto a single environment build.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := experiments.ByID(id); !ok {
+	exp, ok := experiments.ByID(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, "unknown experiment %q", id)
 		return
 	}
-	key := artifactKey{envKey: envKey{seed: s.cfg.DefaultSeed, verify: s.cfg.Verify}, id: id}
+	key := envKey{seed: s.cfg.DefaultSeed, verify: s.cfg.Verify}
 	if q := r.URL.Query().Get("seed"); q != "" {
 		seed, err := strconv.ParseInt(q, 10, 64)
 		if err != nil || seed <= 0 {
@@ -106,13 +109,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		key.verify = v
 	}
-	out, err := s.artifact(key)
+	env, err := s.env(key)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "rendering %s: %v", id, err)
 		return
 	}
+	var buf bytes.Buffer
+	if err := exp.Run(env, &buf); err != nil {
+		httpError(w, http.StatusInternalServerError, "rendering %s: %v", id, err)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(out)
+	w.Write(buf.Bytes())
 }
 
 // handleEval evaluates submitted SQL or benchmark examples against one model

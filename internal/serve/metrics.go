@@ -26,8 +26,7 @@ type Metrics struct {
 	// responses.
 	ResultsStreamed atomic.Int64
 	// CoalesceHits counts requests served by joining an in-flight or
-	// completed Flight computation (environment builds and artifact
-	// renders) instead of computing themselves.
+	// completed environment build instead of building it themselves.
 	CoalesceHits atomic.Int64
 	// InFlight is the number of requests currently being served.
 	InFlight atomic.Int64
@@ -86,16 +85,14 @@ var serviceFamilies = []metrics.Family[*Server]{
 		Value: func(s *Server) float64 { return float64(s.metrics.ExperimentRequests.Load()) }},
 	{Name: "results_streamed", Type: metrics.Counter, Help: "NDJSON eval result lines written.",
 		Value: func(s *Server) float64 { return float64(s.metrics.ResultsStreamed.Load()) }},
-	{Name: "coalesce_hits", Type: metrics.Counter, Help: "Requests served by joining an in-flight or cached computation.",
+	{Name: "coalesce_hits", Type: metrics.Counter, Help: "Requests served by joining an in-flight or cached environment build.",
 		Value: func(s *Server) float64 { return float64(s.metrics.CoalesceHits.Load()) }},
 	{Name: "in_flight", Type: metrics.Gauge, Help: "Requests currently being served.",
 		Value: func(s *Server) float64 { return float64(s.metrics.InFlight.Load()) }},
 	{Name: "env_cache_size", Type: metrics.Gauge, Help: "Cached evaluation environments.",
 		Value: func(s *Server) float64 { return float64(s.envs.Len()) }},
-	{Name: "artifact_cache_size", Type: metrics.Gauge, Help: "Cached rendered artifacts.",
-		Value: func(s *Server) float64 { return float64(s.artifacts.Len()) }},
-	{Name: "cache_evictions", Type: metrics.Counter, Help: "Cache entries evicted to honor LRU caps.",
-		Value: func(s *Server) float64 { return float64(s.envs.Evictions() + s.artifacts.Evictions()) }},
+	{Name: "cache_evictions", Type: metrics.Counter, Help: "Environments evicted to honor the LRU cap.",
+		Value: func(s *Server) float64 { return float64(s.envs.Evictions()) }},
 	{Name: "rate_limited", Type: metrics.Counter, Help: "Requests rejected 429 by request-rate admission control.",
 		Value: func(s *Server) float64 { return float64(s.metrics.RateLimited.Load()) }},
 	{Name: "token_limited", Type: metrics.Counter, Help: "Eval requests rejected 429 by the completion-token budget.",

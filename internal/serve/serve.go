@@ -3,15 +3,13 @@
 // exposes every task in the core registry through one generic HTTP/JSON
 // eval endpoint (plus GET /v1/tasks discovery) whose batch responses stream
 // back as NDJSON in example order while completions are still running
-// (built on the generic core task driver / runner.MapStream), serves
-// rendered paper artifacts from a seed-keyed cache whose cold starts
-// coalesce through runner.Flight, and reports request/coalescing/cache
-// counters for operability. cmd/sqlserved is the thin binary around it.
+// (built on the generic core task driver / runner.MapStream), renders
+// paper artifacts from seed-keyed environments whose cold builds coalesce
+// through runner.Flight, and reports request/coalescing/cache counters for
+// operability. cmd/sqlserved is the thin binary around it.
 package serve
 
 import (
-	"bytes"
-	"fmt"
 	"log/slog"
 	"net/http"
 
@@ -38,9 +36,6 @@ type Config struct {
 	// evicted beyond it so long-lived processes don't grow without bound.
 	// 0 means the default of 4; negative means unbounded.
 	EnvCacheCap int
-	// ArtifactCacheCap bounds the rendered-artifact cache the same way.
-	// 0 means the default of 256; negative means unbounded.
-	ArtifactCacheCap int
 	// RPS enables per-client admission control: each client (remote host)
 	// may issue this many requests per second, with Burst of headroom;
 	// over-limit requests are rejected with 429 + Retry-After and counted as
@@ -66,12 +61,11 @@ type Config struct {
 	TraceRing int
 }
 
-// Default cache caps: environments embed a whole benchmark plus memoized
-// model results (tens of MB each), artifacts are small rendered text.
+// Default caps: environments embed a whole benchmark plus memoized model
+// results (tens of MB each).
 const (
-	defaultEnvCacheCap      = 4
-	defaultArtifactCacheCap = 256
-	defaultTraceRing        = 2048
+	defaultEnvCacheCap = 4
+	defaultTraceRing   = 2048
 )
 
 // cacheCap resolves a configured cap: 0 = default, negative = unbounded.
@@ -90,12 +84,6 @@ func cacheCap(configured, def int) int {
 type envKey struct {
 	seed   int64
 	verify bool
-}
-
-// artifactKey identifies one rendered experiment artifact.
-type artifactKey struct {
-	envKey
-	id string
 }
 
 // Server is the evaluation service. It is safe for concurrent use; all
@@ -121,11 +109,9 @@ type Server struct {
 
 	// envs caches fully built evaluation environments per (seed, verify):
 	// the benchmark plus simulated model registry plus memoized cell
-	// results. artifacts caches rendered experiment output per environment
-	// and experiment ID. Both coalesce concurrent cold-start requests onto
-	// a single computation via Flight.
-	envs      runner.Flight[envKey, *experiments.Env]
-	artifacts runner.Flight[artifactKey, []byte]
+	// results. Concurrent cold-start requests coalesce onto a single build
+	// via Flight.
+	envs runner.Flight[envKey, *experiments.Env]
 }
 
 // NewServer builds the service and its routing table.
@@ -135,7 +121,6 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, metrics: NewMetrics(), llmStats: llm.NewStats(), mux: http.NewServeMux()}
 	s.envs.SetLimit(cacheCap(cfg.EnvCacheCap, defaultEnvCacheCap))
-	s.artifacts.SetLimit(cacheCap(cfg.ArtifactCacheCap, defaultArtifactCacheCap))
 	if cfg.TokensPerMin > 0 {
 		s.spend = newSpendLimiter(cfg.TokensPerMin)
 	}
@@ -197,29 +182,4 @@ func (s *Server) env(key envKey) (*experiments.Env, error) {
 		s.metrics.CoalesceHits.Add(1)
 	}
 	return env, err
-}
-
-// artifact returns the rendered output of one experiment for key, running
-// the experiment on first use. Concurrent cold requests for the same
-// artifact trigger exactly one render; hits are counted.
-func (s *Server) artifact(key artifactKey) ([]byte, error) {
-	out, shared, err := s.artifacts.DoShared(key, func() ([]byte, error) {
-		exp, ok := experiments.ByID(key.id)
-		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q", key.id)
-		}
-		env, err := s.env(key.envKey)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := exp.Run(env, &buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	if shared {
-		s.metrics.CoalesceHits.Add(1)
-	}
-	return out, err
 }

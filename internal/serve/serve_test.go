@@ -297,9 +297,9 @@ func TestEvalValidation(t *testing.T) {
 	}
 }
 
-// Two simultaneous cold requests for the same artifact must trigger exactly
-// one render: one caller computes, the other coalesces and the hit counter
-// says so.
+// Simultaneous cold requests for the same artifact must trigger exactly one
+// environment build: one caller builds, the others coalesce and the hit
+// counter says so.
 func TestExperimentColdStartCoalesces(t *testing.T) {
 	// A dedicated server so counters start at zero and nothing is warm.
 	s := NewServer(Config{DefaultSeed: 1, Parallel: 4})
@@ -338,13 +338,14 @@ func TestExperimentColdStartCoalesces(t *testing.T) {
 	if len(outs[0]) == 0 {
 		t.Fatal("empty artifact")
 	}
-	// clients-1 of the artifact requests coalesced (plus possibly env-build
-	// coalescing underneath, hence >=).
+	// clients-1 of the artifact requests coalesced onto the one env build
+	// (a client that arrives after the build finished is a cache hit, which
+	// counts the same, hence >=).
 	hits := s.Metrics().CoalesceHits.Load() - before
 	if hits < clients-1 {
 		t.Fatalf("coalesce hits = %d, want >= %d", hits, clients-1)
 	}
-	// A warm re-request is also a (cache) hit and byte-identical.
+	// A warm re-request is also an (env cache) hit and byte-identical.
 	resp, err := http.Get(ts.URL + "/v1/experiments/table2")
 	if err != nil {
 		t.Fatalf("warm GET: %v", err)
@@ -508,8 +509,7 @@ func TestMetricsKeepsEarlierKeys(t *testing.T) {
 	m := getMetrics(t, url)
 	for _, k := range []string{
 		"requests_total", "eval_requests", "experiment_requests", "results_streamed",
-		"coalesce_hits", "in_flight", "env_cache_size", "artifact_cache_size",
-		"cache_evictions", "rate_limited", "token_limited", "failed_examples",
+		"coalesce_hits", "in_flight", "env_cache_size", "cache_evictions", "rate_limited", "token_limited", "failed_examples",
 		"breaker_sheds",
 	} {
 		if _, ok := m.counters[k]; !ok {
@@ -548,39 +548,38 @@ func TestMetricsKeepsEarlierKeys(t *testing.T) {
 	}
 }
 
-// A capped artifact cache evicts the least recently used render and reports
-// it through the metrics endpoint; re-requesting an evicted artifact still
-// succeeds (it simply re-renders).
-func TestArtifactCacheEviction(t *testing.T) {
-	srv := NewServer(Config{DefaultSeed: 1, Parallel: 4, ArtifactCacheCap: 1})
+// A capped environment cache evicts the least recently used environment
+// and reports it through the metrics endpoint; an artifact of an evicted
+// seed still renders byte-identically (its environment is simply rebuilt).
+func TestEnvCacheEviction(t *testing.T) {
+	srv := NewServer(Config{DefaultSeed: 1, Parallel: 4, EnvCacheCap: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	fetch := func(id string) string {
+	fetch := func(path string) string {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/experiments/" + id)
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", id, err)
+			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
 		var buf bytes.Buffer
 		buf.ReadFrom(resp.Body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", id, resp.StatusCode, buf.String())
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, buf.String())
 		}
 		return buf.String()
 	}
-	first := fetch("table2")
-	fetch("fig1") // evicts table2 under cap 1
+	first := fetch("/v1/experiments/table2?seed=1")
+	fetch("/v1/experiments/table2?seed=2") // evicts seed 1 under cap 1
 	m := getMetrics(t, ts.URL)
-	if m.counters["cache_evictions"] < 1 {
-		t.Errorf("cache_evictions = %d, want >= 1 (all: %v)", m.counters["cache_evictions"], m.counters)
+	if m.counters["cache_evictions"] != 1 {
+		t.Errorf("cache_evictions = %d, want 1 (all: %v)", m.counters["cache_evictions"], m.counters)
 	}
-	if m.counters["artifact_cache_size"] != 1 {
-		t.Errorf("artifact_cache_size = %d, want 1", m.counters["artifact_cache_size"])
+	if m.counters["env_cache_size"] != 1 {
+		t.Errorf("env_cache_size = %d, want 1", m.counters["env_cache_size"])
 	}
-	// Evicted artifacts re-render identically.
-	if again := fetch("table2"); again != first {
-		t.Error("re-rendered artifact differs from the evicted one")
+	if again := fetch("/v1/experiments/table2?seed=1"); again != first {
+		t.Error("artifact of a rebuilt environment differs from the evicted one")
 	}
 }
 

@@ -572,3 +572,22 @@ func WordCount(src string) int {
 	}
 	return n
 }
+
+// WordIndex returns the index in Words(src) of the word holding byte offset,
+// with the same space rule as WordCount. An offset in the space after a
+// word gives that word's index, one before the first word 0, and one past
+// the end the last word's index.
+func WordIndex(src string, offset int) int {
+	idx, inWord := -1, false
+	for i, r := range src {
+		if i > offset {
+			break
+		}
+		if unicode.IsSpace(r) {
+			inWord = false
+		} else if !inWord {
+			idx, inWord = idx+1, true
+		}
+	}
+	return max(idx, 0)
+}

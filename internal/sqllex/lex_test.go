@@ -3,6 +3,7 @@ package sqllex
 import (
 	"strings"
 	"testing"
+	"unicode"
 	"unsafe"
 )
 
@@ -236,6 +237,38 @@ func TestWordCountMatchesFields(t *testing.T) {
 	} {
 		if got, want := WordCount(src), len(strings.Fields(src)); got != want {
 			t.Errorf("WordCount(%q) = %d, want %d", src, got, want)
+		}
+	}
+}
+
+// WordIndex agrees with Words on every space rune: at each byte offset
+// inside a word, Words(src)[WordIndex(src, off)] is that word.
+func TestWordIndexMatchesWords(t *testing.T) {
+	for _, src := range []string{
+		"SELECT a ,  b\n FROM t",
+		"SELECT\va\f,\tb\r\nFROM t",
+		"SELECT a\u00a0FROM\u0085t WHERE x > 1",
+		"  \u00a0lead\u3000and trail\u2028 ",
+		"a\u200bb c", // ZERO WIDTH SPACE is not space
+		"é\u00a0ü\vß",
+	} {
+		words := Words(src)
+		n, start := 0, -1 // n counts the words before the one at start
+		for i, r := range src + " " {
+			switch {
+			case !unicode.IsSpace(r) && start < 0:
+				start = i
+			case unicode.IsSpace(r) && start >= 0:
+				for off := start; off < i; off++ {
+					if got := WordIndex(src, off); got != n || words[got] != src[start:i] {
+						t.Errorf("WordIndex(%q, %d) = %d, want %d (%q)", src, off, got, n, src[start:i])
+					}
+				}
+				n, start = n+1, -1
+			}
+		}
+		if n != len(words) {
+			t.Errorf("%q: %d words, Words has %d", src, n, len(words))
 		}
 	}
 }
